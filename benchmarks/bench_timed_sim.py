@@ -104,9 +104,9 @@ def timed_rows(vectors=256, seed=4, repeats=3):
         # A structural edit must invalidate the cached timed program.
         gate = next(n.name for n in net.nodes.values()
                     if n.kind == "gate" and n.gtype is GateType.AND)
-        before = get_timed(net, delays).program
+        before = get_timed(net, delays)
         net.nodes[gate].gtype = GateType.NAND
-        recompiled = get_timed(net, delays).program is not before
+        recompiled = get_timed(net, delays) is not before
         net.nodes[gate].gtype = GateType.AND
 
         rows.append([name, len(net.nodes), mismatch,

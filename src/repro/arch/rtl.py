@@ -28,6 +28,7 @@ from repro.logic.gates import GateType
 from repro.logic.netlist import Network
 from repro.logic.sop import Cover
 from repro.logic.transform import instantiate
+from repro.sim.compiled import get_compiled
 
 
 @dataclass
@@ -309,10 +310,10 @@ def run_iteration(rtl: RTLResult, inputs: Dict[str, int]
     for pi in net.inputs:
         base, bit = pi.rsplit("_", 1)
         vec[pi] = (inputs[base] >> int(bit)) & 1
+    compiled = get_compiled(net)
     state = net.initial_state()
-    values = None
     for _ in range(rtl.latency):
-        state, values = net.step_words(state, vec, 1)
+        state, _values = compiled.step(state, vec, 1)
     out = {}
     for name in rtl.output_registers:
         bits = rtl.output_bits(name)

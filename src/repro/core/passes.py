@@ -136,7 +136,11 @@ def available_passes() -> List[str]:
 
 def make_pass(name: str,
               params: Optional[Dict[str, Any]] = None) -> Pass:
-    """Instantiate a registered pass with per-pass parameters."""
+    """Instantiate a registered pass with per-pass parameters.
+
+    The ``max_power_regression`` parameter sets every pass's power
+    gate (see :attr:`Pass.max_power_regression`).
+    """
     _ensure_adapters()
     try:
         factory = _REGISTRY[name]
@@ -144,7 +148,17 @@ def make_pass(name: str,
         raise ValueError(
             f"unknown pass {name!r}; available: "
             f"{', '.join(sorted(_REGISTRY))}") from None
-    return factory(dict(params or {}))
+    params = dict(params or {})
+    p = factory(params)
+    tol = params.get("max_power_regression")
+    if tol is not None:
+        try:
+            p.max_power_regression = float(tol)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"pass {name!r}: max_power_regression must be a "
+                f"number, got {tol!r}") from None
+    return p
 
 
 # -- trace ---------------------------------------------------------------
@@ -306,8 +320,9 @@ def run_network_passes(net: Network, passes: Sequence[Pass],
     snapshot is of the *adopted* state — unchanged when the pass was
     skipped or rolled back).
 
-    With ``strict=True`` any failure raises :class:`FlowError` (or the
-    original exception) after recording it, matching the legacy flow.
+    With ``strict=True`` a failed gate (equivalence, lint or power)
+    raises :class:`FlowError`, and an exception inside a pass
+    re-raises, after the failure is recorded.
     """
     trace = trace if trace is not None else FlowTrace(
         num_vectors=ctx.num_vectors, seed=ctx.seed, strict=strict)
@@ -332,117 +347,86 @@ def run_network_passes(net: Network, passes: Sequence[Pass],
             transistors_after=current.transistors,
             depth_before=current.depth, depth_after=current.depth)
         start = time.perf_counter()
+        failure: Optional[Exception] = None
 
         skip = p.guard(work, ctx, p.params) if p.guard else None
         if skip is not None:
             rec.outcome, rec.reason = SKIPPED, skip
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            continue
-
-        try:
-            trial = work.copy()
-            replacement = p.apply(trial, ctx, p.params)
-            candidate = replacement if replacement is not None \
-                else trial
-
-            if p.verify and ctx.check_equivalence and \
-                    not candidate.latches and not ctx.original.latches:
-                rec.verify_vectors = ctx.verify_vectors
-                if not verify_equivalence(ctx.original, candidate,
-                                          rec.verify_vectors,
-                                          ctx.seed):
-                    raise _EquivalenceBreak(
-                        f"stage {p.name!r} broke equivalence")
-
-            if ctx.lint:
-                errors = _lint_errors(candidate)
-                rec.lint_errors = len(errors)
-                if errors:
-                    rec.lint = [d.to_json() for d in errors]
-                    raise _LintBreak(
-                        f"stage {p.name!r} broke a structural "
-                        f"invariant: "
-                        + "; ".join(d.render() for d in errors[:3]))
-
-            after = measure(candidate, ctx)
-            rec.power_after = after.report.total
-            rec.gates_after = after.gates
-            rec.transistors_after = after.transistors
-            rec.depth_after = after.depth
-
-            tol = p.max_power_regression
-            if tol is not None and current.report.total and \
-                    after.report.total > \
-                    current.report.total * (1.0 + tol):
-                raise _PowerRegression(
-                    f"stage {p.name!r} regressed power "
-                    f"{current.report.total:.4g} -> "
-                    f"{after.report.total:.4g} W "
-                    f"(tolerance {tol:+.1%})")
-
-        except _EquivalenceBreak as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = "equivalence"
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise RuntimeError(str(exc)) from None
-            continue
-        except _LintBreak as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = "lint"
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise FlowError(str(exc)) from None
-            continue
-        except _PowerRegression as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = "power-regression"
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise FlowError(str(exc)) from None
-            continue
-        except Exception as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = f"exception: {type(exc).__name__}: {exc}"
-            # A partial mutation died with the trial copy; the adopted
-            # state is untouched.
-            rec.power_after = rec.power_before
-            rec.gates_after = rec.gates_before
-            rec.transistors_after = rec.transistors_before
-            rec.depth_after = rec.depth_before
-            rec.wall_s = time.perf_counter() - start
-            trace.add(rec)
-            outcomes.append(StageOutcome(rec, current))
-            if strict:
-                raise
-            continue
-
-        work, current = candidate, after
+        else:
+            try:
+                candidate, after = _try_pass(p, work, current, ctx, rec)
+            except _Rollback as exc:
+                rec.outcome, rec.reason = ROLLED_BACK, exc.reason
+                failure = FlowError(str(exc))
+            except Exception as exc:
+                # A partial mutation died with the trial copy; the
+                # adopted state is untouched.
+                rec.outcome = ROLLED_BACK
+                rec.reason = f"exception: {type(exc).__name__}: {exc}"
+                failure = exc
+            else:
+                work, current = candidate, after
         rec.wall_s = time.perf_counter() - start
         trace.add(rec)
         outcomes.append(StageOutcome(rec, current))
+        if strict and failure is not None:
+            raise failure
 
     return work, trace, outcomes
 
 
-class _EquivalenceBreak(Exception):
-    pass
+def _try_pass(p: Pass, work: Network, current: Snapshot,
+              ctx: PassContext, rec: TraceRecord
+              ) -> Tuple[Network, Snapshot]:
+    """Run ``p`` on a trial copy of ``work`` and gate the candidate;
+    returns it with its measurement, or raises :class:`_Rollback`.
+    ``rec`` receives the verification strength, the lint findings and
+    the candidate's measurement."""
+    trial = work.copy()
+    replacement = p.apply(trial, ctx, p.params)
+    candidate = replacement if replacement is not None else trial
+
+    if p.verify and ctx.check_equivalence and \
+            not candidate.latches and not ctx.original.latches:
+        rec.verify_vectors = ctx.verify_vectors
+        if not verify_equivalence(ctx.original, candidate,
+                                  rec.verify_vectors, ctx.seed):
+            raise _Rollback("equivalence",
+                            f"stage {p.name!r} broke equivalence")
+
+    if ctx.lint:
+        errors = _lint_errors(candidate)
+        rec.lint_errors = len(errors)
+        if errors:
+            rec.lint = [d.to_json() for d in errors]
+            raise _Rollback(
+                "lint", f"stage {p.name!r} broke a structural "
+                f"invariant: "
+                + "; ".join(d.render() for d in errors[:3]))
+
+    after = measure(candidate, ctx)
+    rec.power_after = after.report.total
+    rec.gates_after = after.gates
+    rec.transistors_after = after.transistors
+    rec.depth_after = after.depth
+
+    tol = p.max_power_regression
+    if tol is not None and current.report.total and \
+            after.report.total > current.report.total * (1.0 + tol):
+        raise _Rollback(
+            "power-regression",
+            f"stage {p.name!r} regressed power "
+            f"{current.report.total:.4g} -> {after.report.total:.4g} W "
+            f"(tolerance {tol:+.1%})")
+    return candidate, after
 
 
-class _PowerRegression(Exception):
-    pass
+class _Rollback(Exception):
+    """A candidate failed a gate; ``reason`` is the trace reason."""
 
-
-class _LintBreak(Exception):
-    pass
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 def _lint_errors(net: Network):

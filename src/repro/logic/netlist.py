@@ -328,6 +328,11 @@ class Network:
         ``input_words`` maps PI names to pattern words; ``state_words`` maps
         latch-output names to their current values (default: init values
         replicated).  Returns a word for every node.
+
+        This interpreted walk is the reference the tests and
+        ``bench_compiled_sim`` compare :mod:`repro.sim.compiled` against;
+        no library module calls it.  Simulate through
+        ``get_compiled(net).evaluate_words`` / ``.step`` instead.
         """
         values: Dict[str, int] = {}
         for name in self.topo_order():
@@ -354,32 +359,13 @@ class Network:
 
     def evaluate(self, input_values: Dict[str, int],
                  state: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-        """Scalar evaluation: every value is 0 or 1."""
+        """Scalar evaluation: every value is 0 or 1 (a reference, like
+        :meth:`evaluate_words`)."""
         words = self.evaluate_words(input_values, 1, state)
         return {k: v & 1 for k, v in words.items()}
 
     def initial_state(self) -> Dict[str, int]:
         return {latch.output: latch.init for latch in self.latches}
-
-    def step_words(self, state_words: Dict[str, int],
-                   input_words: Dict[str, int], mask: int
-                   ) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """One clocked step (bit-parallel over independent trajectories).
-
-        Returns ``(next_state_words, node_values)``.  Latch enables are
-        honoured: where an enable bit is 0 the latch keeps its old bit.
-        """
-        values = self.evaluate_words(input_words, mask, state_words)
-        nxt: Dict[str, int] = {}
-        for latch in self.latches:
-            new = values[latch.data]
-            if latch.enable is not None:
-                en = values[latch.enable]
-                old = state_words.get(latch.output,
-                                      mask if latch.init else 0)
-                new = (new & en) | (old & ~en & mask)
-            nxt[latch.output] = new
-        return nxt, values
 
     # -- structural editing ---------------------------------------------------
 

@@ -41,10 +41,7 @@ def _dontcare(params: Dict[str, Any]) -> Pass:
               p: Dict[str, Any]) -> None:
         dontcare_power_optimization(net, ctx.input_probs)
 
-    return Pass(name="dontcare", apply=apply, params=params,
-                guard=guard,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="dontcare", apply=apply, params=params, guard=guard)
 
 
 @register_pass("extract")
@@ -57,9 +54,7 @@ def _extract(params: Dict[str, Any]) -> Pass:
         extract_kernels(net, p.get("objective", "power"),
                         ctx.input_probs)
 
-    return Pass(name="extract", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="extract", apply=apply, params=params)
 
 
 @register_pass("map")
@@ -74,9 +69,7 @@ def _map(params: Dict[str, Any]) -> Pass:
                        seed=ctx.seed)
         return res.mapped
 
-    return Pass(name="map", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="map", apply=apply, params=params)
 
 
 @register_pass("size")
@@ -95,9 +88,7 @@ def _size(params: Dict[str, Any]) -> Pass:
         size_for_power(net, activity, delay_target=target,
                        params=ctx.params)
 
-    return Pass(name="size", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="size", apply=apply, params=params)
 
 
 @register_pass("balance")
@@ -115,9 +106,7 @@ def _balance(params: Dict[str, Any]) -> Pass:
             else int(max_buffers),
             buffer_size=float(p.get("buffer_size", 0.25)))
 
-    return Pass(name="balance", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="balance", apply=apply, params=params)
 
 
 @register_pass("reorder")
@@ -132,9 +121,7 @@ def _reorder(params: Dict[str, Any]) -> Pass:
                                num_vectors=ctx.num_vectors,
                                seed=ctx.seed)
 
-    return Pass(name="reorder", apply=apply, params=params,
-                max_power_regression=params.get(
-                    "max_power_regression"))
+    return Pass(name="reorder", apply=apply, params=params)
 
 
 @register_pass("sweep")

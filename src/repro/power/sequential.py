@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.logic.netlist import Network
+from repro.sim.compiled import get_compiled
+from repro.sim.vectors import exhaustive_words
 
 
 def _popcount(x: int) -> int:
@@ -65,13 +67,8 @@ def exact_sequential_activity(net: Network,
         minterm_prob.append(p)
 
     mask = (1 << num_minterms) - 1
-    input_words = {}
-    for i, pi in enumerate(pis):
-        w = 0
-        for m in range(num_minterms):
-            if (m >> i) & 1:
-                w |= 1 << m
-        input_words[pi] = w
+    input_words = exhaustive_words(pis)
+    compiled = get_compiled(net)
 
     # BFS over reachable states; per state, evaluate all inputs at once.
     init = tuple(l.init for l in net.latches)
@@ -85,7 +82,7 @@ def exact_sequential_activity(net: Network,
         for state in frontier:
             state_words = {name: (mask if bit else 0)
                            for name, bit in zip(latches, state)}
-            nxt, values = net.step_words(state_words, input_words, mask)
+            nxt, values = compiled.step(state_words, input_words, mask)
             value_words.append(values)
             succ_row = []
             for m in range(num_minterms):

@@ -1,18 +1,22 @@
 """Compiled bit-parallel network evaluation with incremental re-simulation.
 
-``Network.evaluate_words`` re-walks the dict-of-:class:`Node` DAG on every
-call: per node it does a dict lookup, a kind dispatch, builds a fanin value
-list and (for SOP nodes) re-interprets the cover cube by cube.  The
-optimizers call it thousands of times inside their Σ C·N cost loops, so
-this module compiles a :class:`~repro.logic.netlist.Network` once into a
-flat *evaluation program*:
+The library's one evaluator for combinational and clocked simulation.
+The reference ``Network.evaluate_words`` re-walks the dict-of-:class:`Node`
+DAG on every call: per node it does a dict lookup, a kind dispatch, builds
+a fanin value list and (for SOP nodes) re-interprets the cover cube by
+cube.  The optimizers evaluate thousands of times inside their Σ C·N cost
+loops, so this module compiles a :class:`~repro.logic.netlist.Network`
+once into a flat *evaluation program*:
 
 * every node gets an integer **slot** (its topological index);
 * every non-source node becomes one **op** — ``(out_slot, fanin_slots,
   kernel)`` where the kernel is a pre-lowered closure over the fanin slot
   indices (specialized per gate type / per cover);
 * evaluation is a single pass filling a flat ``list`` of words — no name
-  lookups, no dispatch, no per-call cover interpretation.
+  lookups, no dispatch, no per-call cover interpretation;
+* every latch is resolved once into a table of (output, data, enable)
+  slots, so :meth:`CompiledNetwork.step` clocks the network without a
+  name lookup per latch.
 
 The compiled program is cached on the network (``Network._compiled``),
 invalidated by the structural-mutation hooks (``Network._invalidate``),
@@ -33,7 +37,8 @@ propagation).  This is the engine behind
 node pays only for that node's cone instead of a full re-simulation.
 
 All paths are bit-exact with the interpreted ``Network.evaluate_words``
-(pure integer logic, identical cube/literal semantics).
+(pure integer logic, identical cube/literal semantics), which the tests
+keep as the reference.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from repro.logic.netlist import NetlistError, Network
 
 #: A kernel maps (slot values, width mask) -> output word.
 Kernel = Callable[[List[int], int], int]
+#: (output slot, data slot, enable slot or None, init) of one latch.
+LatchEntry = Tuple[int, int, Optional[int], int]
 
 
 def structural_fingerprint(net: Network) -> int:
@@ -197,12 +204,12 @@ class CompiledNetwork:
     """
 
     __slots__ = ("fingerprint", "topo_key", "fn_keys", "names", "slot_of",
-                 "num_slots", "input_slots", "latch_slots", "ops")
+                 "num_slots", "input_slots", "latches", "ops")
 
     def __init__(self, fingerprint: int, topo_key: int,
                  fn_keys: Tuple[object, ...], names: List[str],
                  input_slots: List[Tuple[int, str]],
-                 latch_slots: List[Tuple[int, str, int]],
+                 latches: Tuple[LatchEntry, ...],
                  ops: List[Tuple[int, Tuple[int, ...], Kernel]]):
         self.fingerprint = fingerprint
         self.topo_key = topo_key
@@ -213,7 +220,9 @@ class CompiledNetwork:
         self.slot_of: Dict[str, int] = {n: i for i, n in enumerate(names)}
         self.num_slots = len(names)
         self.input_slots = input_slots
-        self.latch_slots = latch_slots
+        #: per latch, in declaration order: (output slot, data slot,
+        #: enable slot or None, init)
+        self.latches = latches
         self.ops = ops
 
     # -- full evaluation -----------------------------------------------
@@ -227,7 +236,8 @@ class CompiledNetwork:
             except KeyError:
                 raise NetlistError(
                     f"missing input value for {name!r}") from None
-        for slot, name, init in self.latch_slots:
+        for slot, _data, _enable, init in self.latches:
+            name = self.names[slot]
             if state_words is not None and name in state_words:
                 values[slot] = state_words[name] & mask
             else:
@@ -250,6 +260,26 @@ class CompiledNetwork:
         return dict(zip(self.names,
                         self.evaluate_slots(input_words, mask,
                                             state_words)))
+
+    def step(self, state_words: Dict[str, int],
+             input_words: Dict[str, int], mask: int
+             ) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """One clocked step, bit-parallel over independent trajectories.
+
+        Returns ``(next_state_words, node_values)``.  A latch missing
+        from ``state_words`` starts from its init value; where a latch
+        enable bit is 0 the latch keeps its old bit (a gated clock).
+        """
+        values = self.evaluate_slots(input_words, mask, state_words)
+        names = self.names
+        nxt: Dict[str, int] = {}
+        for out, data, enable, _init in self.latches:
+            new = values[data]
+            if enable is not None:
+                en = values[enable]
+                new = (new & en) | (values[out] & ~en)
+            nxt[names[out]] = new
+        return nxt, dict(zip(names, values))
 
     # -- incremental evaluation ------------------------------------------
 
@@ -277,8 +307,8 @@ class CompiledNetwork:
         for slot, name in self.input_slots:
             if values[slot] != prev.get(name):
                 changed[slot] = 1
-        for slot, name, _init in self.latch_slots:
-            if values[slot] != prev.get(name):
+        for slot, _data, _enable, _init in self.latches:
+            if values[slot] != prev.get(self.names[slot]):
                 changed[slot] = 1
         for out_slot, fanin_slots, kernel in self.ops:
             name = self.names[out_slot]
@@ -312,8 +342,16 @@ def compile_network(net: Network) -> CompiledNetwork:
     """Lower ``net`` into a :class:`CompiledNetwork` (no caching)."""
     order = net.topo_order()  # validates acyclicity / dangling refs
     slot_of = {name: i for i, name in enumerate(order)}
+    try:
+        latches = tuple(
+            (slot_of[la.output], slot_of[la.data],
+             None if la.enable is None else slot_of[la.enable], la.init)
+            for la in net.latches)
+    except KeyError as exc:
+        raise NetlistError(
+            f"dangling reference to {exc.args[0]!r}") from None
+    declared = {la.output for la in net.latches}
     input_slots: List[Tuple[int, str]] = []
-    latch_slots: List[Tuple[int, str, int]] = []
     ops: List[Tuple[int, Tuple[int, ...], Kernel]] = []
     fn_keys: List[object] = []
     for name in order:
@@ -321,8 +359,8 @@ def compile_network(net: Network) -> CompiledNetwork:
         if node.kind == "input":
             input_slots.append((slot_of[name], name))
         elif node.kind == "latch":
-            latch = net.latch_for_output(name)
-            latch_slots.append((slot_of[name], name, latch.init))
+            if name not in declared:
+                raise NetlistError(f"no latch with output {name!r}")
         else:
             fanin_slots = tuple(slot_of[fi] for fi in node.fanins)
             ops.append((slot_of[name], fanin_slots,
@@ -330,7 +368,7 @@ def compile_network(net: Network) -> CompiledNetwork:
             fn_keys.append(_function_key(node))
     return CompiledNetwork(structural_fingerprint(net),
                            _topology_key(net), tuple(fn_keys),
-                           list(order), input_slots, latch_slots, ops)
+                           list(order), input_slots, latches, ops)
 
 
 def _repatch(net: Network, cached: CompiledNetwork,
@@ -358,8 +396,7 @@ def _repatch(net: Network, cached: CompiledNetwork,
                         _lower_node(node, fanin_slots))
             fn_keys[idx] = key
     return CompiledNetwork(fingerprint, cached.topo_key, tuple(fn_keys),
-                           names, cached.input_slots, cached.latch_slots,
-                           ops)
+                           names, cached.input_slots, cached.latches, ops)
 
 
 def get_compiled(net: Network,

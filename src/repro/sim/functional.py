@@ -8,6 +8,7 @@ event-driven counts (``repro.sim.event``) and these is the spurious
 
 from __future__ import annotations
 
+from operator import add, ne
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
@@ -52,20 +53,21 @@ def sequential_transitions(net: Network,
     scalar value of every node at each cycle.  Latch clock-enables are
     honoured, so gated registers contribute no transitions while disabled.
     """
-    state = dict(initial_state) if initial_state is not None \
-        else net.initial_state()
+    from repro.sim.compiled import get_compiled
+
+    compiled = get_compiled(net)
+    state = initial_state if initial_state is not None else {}
     trace: List[Dict[str, int]] = []
-    transitions: Dict[str, int] = {name: 0 for name in net.nodes}
-    prev_values: Optional[Dict[str, int]] = None
     for vec in input_sequence:
-        state, values = net.step_words(state, vec, 1)
-        values = {k: v & 1 for k, v in values.items()}
+        state, values = compiled.step(state, vec, 1)
         trace.append(values)
-        if prev_values is not None:
-            for name, v in values.items():
-                if prev_values.get(name, v) != v:
-                    transitions[name] += 1
-        prev_values = values
+    # Every trace dict lists the nodes in the program's slot order.
+    counts = [0] * compiled.num_slots
+    for prev, cur in zip(trace, trace[1:]):
+        counts = list(map(add, counts, map(ne, prev.values(),
+                                           cur.values())))
+    transitions = {name: 0 for name in net.nodes}
+    transitions.update(zip(compiled.names, counts))
     return transitions, trace
 
 

@@ -60,7 +60,7 @@ class CompiledTimedNetwork:
     under one resolved delay map.  Obtain through :func:`get_timed`."""
 
     __slots__ = ("base", "delay_key", "kernel_of", "fanout_plan",
-                 "source_slots", "seq_ops", "seq_latches")
+                 "source_slots", "seq_ops")
 
     def __init__(self, base: CompiledNetwork,
                  delay_key: Tuple[float, ...]):
@@ -84,11 +84,10 @@ class CompiledTimedNetwork:
             tuple(tuple(p) for p in plan)
         #: (slot, name) for every source, inputs then latch outputs
         self.source_slots: Tuple[Tuple[int, str], ...] = tuple(
-            [(s, n) for s, n in base.input_slots]
-            + [(s, n) for s, n, _init in base.latch_slots])
-        # -- sequential-mode tables (built lazily) ---------------------
+            list(base.input_slots)
+            + [(s, base.names[s]) for s, _d, _e, _i in base.latches])
+        #: ops of the latch data/enable cones (built lazily)
         self.seq_ops: Optional[Tuple] = None
-        self.seq_latches: Optional[Tuple] = None
 
     # -- combinational ---------------------------------------------------
 
@@ -115,14 +114,11 @@ class CompiledTimedNetwork:
         lane_mask = (1 << lanes) - 1
         # Starting state: zero-delay stable values of the previous
         # vectors, one word-parallel pass over the shared compiled
-        # program.
-        prev_in = {name: input_words[name] >> start
-                   for _slot, name in base.input_slots}
-        prev_state = {name: input_words[name] >> start
-                      for _slot, name, _init in base.latch_slots
-                      if name in input_words}
-        values = base.evaluate_slots(prev_in, lane_mask,
-                                     prev_state or None)
+        # program; a latch without a word holds its init value.
+        prev = {name: input_words[name] >> start
+                for _slot, name in self.source_slots
+                if name in input_words}
+        values = base.evaluate_slots(prev, lane_mask, prev)
 
         fanout_plan = self.fanout_plan
         kernel_of = self.kernel_of
@@ -195,8 +191,7 @@ class CompiledTimedNetwork:
     # -- clocked sequential ----------------------------------------------
 
     def sequential_transition_counts(
-            self, vectors: Sequence[Dict[str, int]],
-            net: Optional[Network] = None) -> Dict[str, int]:
+            self, vectors: Sequence[Dict[str, int]]) -> Dict[str, int]:
         """Clocked timed counts, bit-identical to
         ``EventSimulator.run_sequential`` on the same vector sequence.
 
@@ -210,9 +205,9 @@ class CompiledTimedNetwork:
         """
         base = self.base
         if self.seq_ops is None:
-            self._lower_sequential(net)
+            self.seq_ops = self._latch_cone_ops()
         seq_ops = self.seq_ops
-        seq_latches = self.seq_latches
+        latches = base.latches
         count = len(vectors)
         input_names = [name for _s, name in base.input_slots]
         input_slot = {name: s for s, name in base.input_slots}
@@ -220,7 +215,7 @@ class CompiledTimedNetwork:
         # Phase 1: scalar trajectory (mask = 1).
         num = base.num_slots
         values = [0] * num
-        state = {lslot: init for _n, lslot, _d, _e, init in seq_latches}
+        state = {lslot: init for lslot, _d, _e, init in latches}
         drive_words = [0] * num       # per source slot, bit k = cycle k
         cur_in = {name: 0 for name in input_names}
         for k, vec in enumerate(vectors):
@@ -232,13 +227,13 @@ class CompiledTimedNetwork:
                 if cur_in[name]:
                     drive_words[input_slot[name]] |= 1 << k
                 values[input_slot[name]] = cur_in[name]
-            for _name, lslot, _dslot, _eslot, _init in seq_latches:
+            for lslot, _dslot, _eslot, _init in latches:
                 if state[lslot]:
                     drive_words[lslot] |= 1 << k
                 values[lslot] = state[lslot]
             for out_slot, _fanins, kernel in seq_ops:
                 values[out_slot] = kernel(values, 1)
-            for _name, lslot, dslot, eslot, _init in seq_latches:
+            for lslot, dslot, eslot, _init in latches:
                 if eslot is not None and not values[eslot]:
                     continue
                 state[lslot] = values[dslot]
@@ -248,23 +243,12 @@ class CompiledTimedNetwork:
                  for slot, name in self.source_slots}
         return self.transition_counts(words, count)
 
-    def _lower_sequential(self, net: Optional[Network]) -> None:
-        """Resolve latch data/enable names to slots and restrict the
-        trajectory pass to their transitive fanin cones."""
+    def _latch_cone_ops(self) -> Tuple:
+        """The base program's ops restricted to the transitive fanin
+        cones of the latch data and enable slots."""
         base = self.base
-        if net is None:
-            raise ValueError(
-                "sequential lowering needs the source network; call "
-                "through get_timed()/timed_sequential_transitions")
-        slot_of = base.slot_of
-        latches = []
-        needed: set = set()
-        for latch in net.latches:
-            dslot = slot_of[latch.data]
-            eslot = slot_of[latch.enable] \
-                if latch.enable is not None else None
-            latches.append((latch.output, slot_of[latch.output], dslot,
-                            eslot, latch.init))
+        needed = set()
+        for _out, dslot, eslot, _init in base.latches:
             needed.add(dslot)
             if eslot is not None:
                 needed.add(eslot)
@@ -272,8 +256,7 @@ class CompiledTimedNetwork:
         for out_slot, fanin_slots, _kernel in reversed(base.ops):
             if out_slot in needed:
                 needed.update(fanin_slots)
-        self.seq_latches = tuple(latches)
-        self.seq_ops = tuple(op for op in base.ops if op[0] in needed)
+        return tuple(op for op in base.ops if op[0] in needed)
 
 
 def _resolve_delays(net: Network, base: CompiledNetwork,
@@ -295,7 +278,7 @@ def _resolve_delays(net: Network, base: CompiledNetwork,
 
 
 def get_timed(net: Network, delays: Optional[Dict[str, float]] = None
-              ) -> "_BoundTimed":
+              ) -> CompiledTimedNetwork:
     """Cached compiled timed program for ``net`` under ``delays``.
 
     The cache lives on the network (``Network._timed``, cleared by
@@ -320,27 +303,7 @@ def get_timed(net: Network, delays: Optional[Dict[str, float]] = None
     else:
         prog = CompiledTimedNetwork(base, delay_key)
         net._timed = (base, {delay_key: prog})
-    return _BoundTimed(net, prog)
-
-
-class _BoundTimed:
-    """A compiled timed program bound to its source network (the
-    sequential path needs the latch declarations once, on first use)."""
-
-    __slots__ = ("net", "program")
-
-    def __init__(self, net: Network, program: CompiledTimedNetwork):
-        self.net = net
-        self.program = program
-
-    def transition_counts(self, input_words: Dict[str, int],
-                          count: int) -> Dict[str, int]:
-        return self.program.transition_counts(input_words, count)
-
-    def sequential_transition_counts(
-            self, vectors: Sequence[Dict[str, int]]) -> Dict[str, int]:
-        return self.program.sequential_transition_counts(vectors,
-                                                         self.net)
+    return prog
 
 
 def timed_transitions_from_words(net: Network,

@@ -45,6 +45,20 @@ def random_words(names: Sequence[str], count: int, seed: int = 0,
     return words
 
 
+def exhaustive_words(names: Sequence[str]) -> Dict[str, int]:
+    """Every input combination once: pattern *m* of the
+    ``2 ** len(names)`` patterns gives ``names[i]`` bit *i* of *m*."""
+    count = 1 << len(names)
+    words: Dict[str, int] = {}
+    for i, name in enumerate(names):
+        w = 0
+        for m in range(count):
+            if (m >> i) & 1:
+                w |= 1 << m
+        words[name] = w
+    return words
+
+
 def words_from_vectors(vectors: Sequence[Dict[str, int]]) -> Dict[str, int]:
     """Pack a list of scalar input vectors into words."""
     words: Dict[str, int] = {}

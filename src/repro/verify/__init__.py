@@ -1,8 +1,7 @@
 """Formal equivalence checking for combinational and sequential nets."""
 
-from repro.verify.equivalence import (combinational_equivalent,
-                                      sequential_equivalent,
-                                      EquivalenceResult)
+from repro.sim.functional import verify_equivalence_exact
+from repro.verify.equivalence import EquivalenceResult, sequential_equivalent
 
-__all__ = ["combinational_equivalent", "sequential_equivalent",
+__all__ = ["verify_equivalence_exact", "sequential_equivalent",
            "EquivalenceResult"]

@@ -5,8 +5,8 @@ behaviour; random simulation catches most breakage cheaply, but the
 sequential transformations (clock gating, precomputation, product
 sharing inside FSMs) deserve *exhaustive* verification:
 
-* :func:`combinational_equivalent` — canonical-BDD miter over the
-  primary inputs (exact).
+* :func:`repro.sim.functional.verify_equivalence_exact` —
+  canonical-BDD miter over the primary inputs (exact).
 * :func:`sequential_equivalent` — product-machine reachability: BFS
   over joint (state_a, state_b) pairs from the reset states, checking
   output equality for **every** input minterm in every reachable joint
@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.logic.netlist import Network
+from repro.sim.compiled import CompiledNetwork, get_compiled
+from repro.sim.functional import _matched_outputs
+from repro.sim.vectors import exhaustive_words
 
 
 @dataclass
@@ -37,56 +40,43 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def combinational_equivalent(a: Network, b: Network) -> bool:
-    """Exact combinational equivalence (canonical BDDs, shared manager).
-
-    Outputs are matched positionally; inputs by name.
-    """
-    from repro.sim.functional import verify_equivalence_exact
-
-    return verify_equivalence_exact(a, b)
-
-
 def sequential_equivalent(a: Network, b: Network,
                           max_joint_states: int = 20000
                           ) -> EquivalenceResult:
     """Product-machine equivalence from the reset states.
 
-    Both machines must have the same primary-input names; outputs are
-    compared positionally.  Latch enables are supported.  Raises
-    ``RuntimeError`` if the joint reachable space exceeds
-    ``max_joint_states``.
+    Both machines must have the same primary-input names.  Outputs are
+    matched by name when both machines name the same output set,
+    positionally otherwise (as in
+    :func:`repro.sim.functional.verify_equivalence`).  Latch enables
+    are supported.  Raises ``RuntimeError`` if the joint reachable
+    space exceeds ``max_joint_states``.
     """
     if set(a.inputs) != set(b.inputs):
         raise ValueError("networks have different primary inputs")
-    if len(a.outputs) != len(b.outputs):
+    pairs = _matched_outputs(a, b)
+    if pairs is None:
         return EquivalenceResult(False, 0,
                                  {"reason": "output count differs"})
     pis = sorted(a.inputs)
     n_in = len(pis)
     num_minterms = 1 << n_in
     mask = (1 << num_minterms) - 1
-    input_words = {}
-    for i, pi in enumerate(pis):
-        w = 0
-        for m in range(num_minterms):
-            if (m >> i) & 1:
-                w |= 1 << m
-        input_words[pi] = w
+    input_words = exhaustive_words(pis)
 
+    compiled_a, compiled_b = get_compiled(a), get_compiled(b)
     latches_a = [l.output for l in a.latches]
     latches_b = [l.output for l in b.latches]
 
-    def step(net: Network, latch_names: List[str],
+    def step(compiled: CompiledNetwork, latch_names: List[str],
              state: Tuple[int, ...]):
         state_words = {name: (mask if bit else 0)
                        for name, bit in zip(latch_names, state)}
-        nxt, values = net.step_words(state_words, input_words, mask)
-        out_words = [values[o] for o in net.outputs]
+        nxt, values = compiled.step(state_words, input_words, mask)
         succs = []
         for m in range(num_minterms):
             succs.append(tuple((nxt[l] >> m) & 1 for l in latch_names))
-        return out_words, succs
+        return values, succs
 
     init = (tuple(l.init for l in a.latches),
             tuple(l.init for l in b.latches))
@@ -97,16 +87,16 @@ def sequential_equivalent(a: Network, b: Network,
         nxt_frontier = []
         for sa, sb in frontier:
             explored += 1
-            outs_a, succs_a = step(a, latches_a, sa)
-            outs_b, succs_b = step(b, latches_b, sb)
-            for idx, (wa, wb) in enumerate(zip(outs_a, outs_b)):
-                diff = wa ^ wb
+            values_a, succs_a = step(compiled_a, latches_a, sa)
+            values_b, succs_b = step(compiled_b, latches_b, sb)
+            for oa, ob in pairs:
+                diff = values_a[oa] ^ values_b[ob]
                 if diff:
                     m = (diff & -diff).bit_length() - 1
                     return EquivalenceResult(
                         False, explored,
                         {"state_a": sa, "state_b": sb, "input": m,
-                         "output": (a.outputs[idx], b.outputs[idx])})
+                         "output": (oa, ob)})
             for m in range(num_minterms):
                 joint = (succs_a[m], succs_b[m])
                 if joint not in seen:

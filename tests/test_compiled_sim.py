@@ -3,7 +3,11 @@ invalidation/repatching, incremental re-simulation, and regressions for
 the equivalence-matching / stimulus-generation / activity-denominator
 bugs fixed alongside it."""
 
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.cube import Cube
 from repro.logic.gates import GateType
@@ -12,6 +16,9 @@ from repro.logic.generators import (array_multiplier, counter, mux_tree,
                                     ripple_carry_adder)
 from repro.logic.netlist import NetlistError, Network
 from repro.logic.sop import Cover
+from repro.opt.seq.encoding import encode_natural
+from repro.opt.seq.fsm_benchmarks import benchmark_names, load_benchmark
+from repro.opt.seq.gated_clock import self_loop_clock_gating
 from repro.power.activity import (SimulationCache,
                                   activity_from_simulation,
                                   sequential_activity)
@@ -63,6 +70,63 @@ def test_compiled_missing_input_raises_like_interpreter():
     net = ripple_carry_adder(2)
     with pytest.raises(NetlistError, match="missing input value"):
         get_compiled(net).evaluate_words({"a0": 1}, 1)
+
+
+# -- clocked step ------------------------------------------------------------
+
+
+def _reference_step(net, state, words, mask):
+    """Interpreted evaluation plus the latch-enable rule: where an
+    enable bit is 0 the latch keeps its old bit (init if unset)."""
+    values = net.evaluate_words(words, mask, state)
+    nxt = {}
+    for la in net.latches:
+        new = values[la.data]
+        if la.enable is not None:
+            en = values[la.enable]
+            old = state.get(la.output, mask if la.init else 0)
+            new = (new & en) | (old & ~en & mask)
+        nxt[la.output] = new
+    return nxt, values
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_nets():
+    """A counter and each bundled FSM synthesized without latch
+    enables, plus each FSM clock-gated (every latch enabled).  The FSM
+    reset state takes the highest code, so latch inits of 1 occur."""
+    nets = [counter(4)]
+    for name in benchmark_names():
+        stg = load_benchmark(name)
+        enc = encode_natural(stg)
+        top = max(enc, key=enc.get)
+        enc[top], enc[stg.reset_state] = enc[stg.reset_state], enc[top]
+        gated = self_loop_clock_gating(stg, enc)
+        nets += [gated.baseline, gated.network]
+    return tuple(nets)
+
+
+@given(index=st.integers(0, 100), seed=st.integers(0, 10 ** 6),
+       lanes=st.integers(1, 64), cycles=st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_step_matches_reference_step(index, seed, lanes, cycles):
+    nets = _sequential_nets()
+    net = nets[index % len(nets)]
+    rng = random.Random(seed)
+    mask = (1 << lanes) - 1
+    # A random subset of latches starts from given words, the rest
+    # from their init values.
+    state = {la.output: rng.getrandbits(lanes) for la in net.latches
+             if rng.random() < 0.5}
+    ref_state = dict(state)
+    step = get_compiled(net).step
+    for cycle in range(cycles):
+        words = random_words(net.inputs, lanes, seed + cycle)
+        state, values = step(state, words, mask)
+        ref_state, ref_values = _reference_step(net, ref_state, words,
+                                                mask)
+        assert state == ref_state
+        assert values == ref_values
 
 
 # -- cache invalidation ------------------------------------------------------

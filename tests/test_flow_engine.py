@@ -82,7 +82,7 @@ class TestRollback:
     def test_equivalence_break_strict_raises(self):
         net = ripple_carry_adder(2)
         passes = [Pass(name="breaker", apply=_complement_output)]
-        with pytest.raises(RuntimeError, match="broke equivalence"):
+        with pytest.raises(FlowError, match="broke equivalence"):
             _engine(net, passes, strict=True)
 
     def test_power_regression_gate(self):
@@ -227,6 +227,14 @@ class TestFlowSpec:
     def test_unknown_pass_name(self):
         with pytest.raises(ValueError, match="unknown pass"):
             make_pass("definitely-not-a-pass")
+
+    def test_power_gate_param_reaches_every_pass(self):
+        for name in available_passes():              # sweep included
+            p = make_pass(name, {"max_power_regression": 0.05})
+            assert p.max_power_regression == 0.05
+        assert make_pass("sweep").max_power_regression is None
+        with pytest.raises(ValueError, match="max_power_regression"):
+            make_pass("sweep", {"max_power_regression": "lots"})
 
     def test_registry_contents(self):
         names = available_passes()

@@ -10,6 +10,7 @@ from repro.logic.generators import (alu_slice, array_multiplier,
                                     equality_checker, mux_tree,
                                     parity_tree, random_logic,
                                     register_file, ripple_carry_adder)
+from repro.sim.compiled import get_compiled
 
 
 def bits(value, n, prefix):
@@ -134,25 +135,27 @@ class TestRandomLogic:
 class TestSequentialGenerators:
     def test_counter_counts(self):
         net = counter(3)
+        step = get_compiled(net).step
         state = net.initial_state()
         values = []
         for _ in range(10):
-            state, vals = net.step_words(state, {"en": 1}, 1)
+            state, vals = step(state, {"en": 1}, 1)
             values.append(sum(state[f"q{i}_pre"] << i for i in range(3)))
         assert values == [(k + 1) % 8 for k in range(10)]
 
     def test_counter_enable_holds(self):
         net = counter(3)
+        step = get_compiled(net).step
         state = net.initial_state()
-        state, _ = net.step_words(state, {"en": 1}, 1)
+        state, _ = step(state, {"en": 1}, 1)
         before = dict(state)
-        state, _ = net.step_words(state, {"en": 0}, 1)
+        state, _ = step(state, {"en": 0}, 1)
         assert state == before
 
     def test_register_file_write(self):
         net = register_file(2, 4)
         state = net.initial_state()
         vec = {**bits(0b1011, 4, "d"), "we0": 1, "we1": 0}
-        state, _ = net.step_words(state, vec, 1)
+        state, _ = get_compiled(net).step(state, vec, 1)
         assert sum(state[f"r0_{i}"] << i for i in range(4)) == 0b1011
         assert sum(state[f"r1_{i}"] << i for i in range(4)) == 0

@@ -5,6 +5,7 @@ import pytest
 from repro.logic.gates import GateType
 from repro.logic.netlist import Latch, NetlistError, Network
 from repro.logic.sop import Cover
+from repro.sim.compiled import get_compiled
 
 
 def small_net():
@@ -89,15 +90,24 @@ class TestEvaluation:
         net.set_output("o")
         assert net.evaluate({"d": 0})["o"] == 1
 
-    def test_step_words_enable(self):
+    def test_step_enable(self):
         net = Network()
         net.add_inputs(["d", "en"])
         net.add_latch("d", "q", init=0, enable="en")
+        step = get_compiled(net).step
         state = net.initial_state()
-        state, _ = net.step_words(state, {"d": 1, "en": 0}, 1)
+        state, _ = step(state, {"d": 1, "en": 0}, 1)
         assert state["q"] == 0          # held
-        state, _ = net.step_words(state, {"d": 1, "en": 1}, 1)
+        state, _ = step(state, {"d": 1, "en": 1}, 1)
         assert state["q"] == 1          # loaded
+        # A missing state word is the init value; a 0 enable bit holds
+        # it, lane by lane.
+        state, _ = step({}, {"d": 0b11, "en": 0b01}, 0b11)
+        assert state["q"] == 0b01
+        net.latches[0].init = 1
+        state, _ = get_compiled(net).step({}, {"d": 0b00, "en": 0b01},
+                                          0b11)
+        assert state["q"] == 0b10
 
     def test_sequential_counter_behaviour(self):
         net = Network()
@@ -105,10 +115,11 @@ class TestEvaluation:
         net.add_gate("nq", GateType.NOT, ["q"])
         net.add_latch("nq", "q", init=0)
         net.set_output("q")
+        step = get_compiled(net).step
         state = net.initial_state()
         seen = []
         for _ in range(4):
-            state, vals = net.step_words(state, {"d": 0}, 1)
+            state, vals = step(state, {"d": 0}, 1)
             seen.append(state["q"])
         assert seen == [1, 0, 1, 0]
 

@@ -13,6 +13,7 @@ from repro.opt.seq.minimize_fsm import (is_behaviourally_equivalent,
                                         minimize_stg)
 from repro.opt.seq.stg import STG, synthesize_fsm
 from repro.power.sequential import exact_sequential_activity
+from repro.sim.compiled import get_compiled
 from repro.sim.functional import sequential_transitions
 from repro.verify.equivalence import sequential_equivalent
 
@@ -39,13 +40,14 @@ def random_fsms(draw, max_states=5):
 def test_synthesis_tracks_stg(stg):
     enc = encode_natural(stg)
     net = synthesize_fsm(stg, enc)
+    step = get_compiled(net).step
     rng = random.Random(1)
     state = net.initial_state()
     stg_state = stg.reset_state
     bits = max(1, max(enc.values()).bit_length())
     for _ in range(40):
         x = rng.getrandbits(1)
-        state, vals = net.step_words(state, {"x0": x}, 1)
+        state, vals = step(state, {"x0": x}, 1)
         stg_state, out = stg.next_state(stg_state, x)
         got = sum(state[f"s{j}"] << j for j in range(bits))
         assert got == enc[stg_state]

@@ -12,6 +12,7 @@ from repro.arch.scheduling import list_schedule
 from repro.logic.transform import instantiate
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network
+from repro.sim.compiled import get_compiled
 
 
 def synth(dfg, resources, width=4, strategy="naive"):
@@ -139,6 +140,7 @@ class TestRtlStructure:
         dfg = chained_sum_dfg(4)
         rtl = synth(dfg, {"add": 1})
         net = rtl.network
+        step = get_compiled(net).step
         state = net.initial_state()
         rng = random.Random(3)
         for _round in range(3):
@@ -148,7 +150,7 @@ class TestRtlStructure:
                 base, bit = pi.rsplit("_", 1)
                 vec[pi] = (ints[base] >> int(bit)) & 1
             for _ in range(rtl.latency):
-                state, _v = net.step_words(state, vec, 1)
+                state, _v = step(state, vec, 1)
             got = sum((state[b] & 1) << i for i, b in
                       enumerate(rtl.output_bits("y")))
             ref = dfg.evaluate({k: float(v) for k, v in ints.items()})

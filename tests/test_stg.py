@@ -4,6 +4,7 @@ import pytest
 
 from repro.logic.cube import Cube
 from repro.opt.seq.stg import STG, read_kiss, synthesize_fsm, write_kiss
+from repro.sim.compiled import get_compiled
 
 
 def four_state_counter_stg():
@@ -108,13 +109,14 @@ class TestSynthesis:
         stg = four_state_counter_stg()
         encoding = {"s0": 0, "s1": 1, "s2": 2, "s3": 3}
         net = synthesize_fsm(stg, encoding)
+        step = get_compiled(net).step
         state = net.initial_state()
         stg_state = "s0"
         import random
         rng = random.Random(0)
         for _ in range(60):
             x = rng.getrandbits(1)
-            state, vals = net.step_words(state, {"x0": x}, 1)
+            state, vals = step(state, {"x0": x}, 1)
             stg_state, out = stg.next_state(stg_state, x)
             code = encoding[stg_state]
             got = sum(state[f"s{j}"] << j for j in range(2))
@@ -127,7 +129,7 @@ class TestSynthesis:
         net = synthesize_fsm(stg, encoding)
         assert len(net.latches) == 4
         state = net.initial_state()
-        state, _ = net.step_words(state, {"x0": 1}, 1)
+        state, _ = get_compiled(net).step(state, {"x0": 1}, 1)
         assert sum(state[f"s{j}"] << j for j in range(4)) == 2
 
     def test_duplicate_codes_rejected(self):

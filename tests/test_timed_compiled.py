@@ -150,25 +150,25 @@ def test_glitch_report_engines_agree():
 
 def test_timed_program_cache_reuse_and_invalidation():
     net = _random_comb(21, 3, 10)
-    prog = get_timed(net).program
-    assert get_timed(net).program is prog          # cache hit
+    prog = get_timed(net)
+    assert get_timed(net) is prog          # cache hit
 
     # A different delay map is a different program, same base compile.
-    alt = get_timed(net, {"g0": 2.0}).program
+    alt = get_timed(net, {"g0": 2.0})
     assert alt is not prog
     assert alt.base is prog.base
-    assert get_timed(net).program is prog          # variant kept
+    assert get_timed(net) is prog          # variant kept
 
     # Structural edits through the mutation API invalidate the cache.
     net.add_gate("extra", GateType.NOT, [net.outputs[0]])
-    assert get_timed(net).program is not prog
+    assert get_timed(net) is not prog
 
     # An in-place attrs["delay"] edit resolves to a new delay key even
     # though no structural hook fired.
-    prog2 = get_timed(net).program
+    prog2 = get_timed(net)
     gate = next(n for n in net.nodes.values() if n.kind == "gate")
     gate.attrs["delay"] = 3.25
-    prog3 = get_timed(net).program
+    prog3 = get_timed(net)
     assert prog3 is not prog2
     assert prog3.delay_key != prog2.delay_key
 

@@ -11,20 +11,19 @@ from repro.opt.seq.fsm_benchmarks import load_benchmark
 from repro.opt.seq.gated_clock import self_loop_clock_gating
 from repro.opt.seq.precompute import precomputed_comparator
 from repro.opt.seq.stg import synthesize_fsm
-from repro.verify.equivalence import (combinational_equivalent,
-                                      sequential_equivalent)
+from repro.verify import sequential_equivalent, verify_equivalence_exact
 
 
 class TestCombinational:
     def test_positive(self):
-        assert combinational_equivalent(ripple_carry_adder(3),
+        assert verify_equivalence_exact(ripple_carry_adder(3),
                                         ripple_carry_adder(3))
 
     def test_negative(self):
         a = ripple_carry_adder(2)
         b = ripple_carry_adder(2)
         b.nodes["s0"].gtype = GateType.XNOR
-        assert not combinational_equivalent(a, b)
+        assert not verify_equivalence_exact(a, b)
 
 
 class TestSequentialChecker:
@@ -57,6 +56,20 @@ class TestSequentialChecker:
         assert not res.equivalent
         # Counterexample names the differing output pair.
         assert res.counterexample["output"] == ("o", "o")
+
+    def test_reordered_outputs_matched_by_name(self):
+        stg = load_benchmark("traffic")
+        a = synthesize_fsm(stg, encode_natural(stg))
+        b = a.copy()
+        b.outputs.reverse()
+        assert a.outputs != b.outputs
+        assert sequential_equivalent(a, b).equivalent
+        b.nodes[b.outputs[0]].cover = \
+            b.nodes[b.outputs[0]].cover.complement()
+        res = sequential_equivalent(a, b)
+        assert not res.equivalent
+        assert res.counterexample["output"] == (b.outputs[0],
+                                                b.outputs[0])
 
     def test_different_inputs_rejected(self):
         a = self.simple_counter()
