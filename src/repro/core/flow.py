@@ -12,11 +12,10 @@ or rolled back — a crashing stage is recorded in the structured
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.passes import (ADOPTED, FlowTrace, Pass, PassContext,
-                               StageRunner, make_pass, measure,
-                               run_network_passes)
+from repro.core.passes import (ADOPTED, FlowSpec, FlowTrace, PassContext,
+                               StageRunner, measure, run_network_passes)
 from repro.library.cells import Library, generic_library
 from repro.logic.netlist import Latch, Network
 from repro.power.model import PowerParameters, PowerReport
@@ -76,54 +75,6 @@ class FlowResult:
              "power (uW)", "saving"], rows)
 
 
-def _default_passes(use_dontcares: bool, use_extraction: bool,
-                    use_mapping: bool, use_sizing: bool,
-                    dontcare_size_cap: Optional[int]) -> List[Pass]:
-    passes: List[Pass] = []
-    if use_dontcares:
-        passes.append(make_pass("dontcare",
-                                {"size_cap": dontcare_size_cap}))
-    if use_extraction:
-        passes.append(make_pass("extract"))
-    if use_mapping:
-        passes.append(make_pass("map"))
-    if use_sizing:
-        passes.append(make_pass("size"))
-    return passes
-
-
-def _run_engine(net: Network, passes: List[Pass], ctx: PassContext,
-                flow_name: str, strict: bool) -> FlowResult:
-    """Measure, run the pass list, and fold the engine's outcomes into
-    a :class:`FlowResult` (one stage entry per pass, whatever its
-    outcome, after the ``initial`` snapshot)."""
-    from repro.logic.transform import to_sop_network
-
-    # Enter the technology-independent SOP domain first so every stage
-    # is measured under the same capacitance model (gate and SOP nodes
-    # carry slightly different transistor-count proxies).
-    work = to_sop_network(net)
-    trace = FlowTrace(flow=flow_name, num_vectors=ctx.num_vectors,
-                      seed=ctx.seed, strict=strict)
-    initial = measure(work, ctx)
-    result = FlowResult(trace=trace)
-    result.stages.append(FlowStage(
-        name="initial", report=initial.report, gates=initial.gates,
-        transistors=initial.transistors, depth=initial.depth))
-    final, trace, outcomes = run_network_passes(
-        work, passes, ctx, strict=strict, trace=trace,
-        initial=initial)
-    for oc in outcomes:
-        snap = oc.snapshot
-        result.stages.append(FlowStage(
-            name=oc.record.name, report=snap.report,
-            gates=snap.gates, transistors=snap.transistors,
-            depth=snap.depth, outcome=oc.record.outcome,
-            reason=oc.record.reason))
-    result.final = final
-    return result
-
-
 def low_power_flow(net: Network,
                    library: Optional[Library] = None,
                    input_probs: Optional[Dict[str, float]] = None,
@@ -151,29 +102,57 @@ def low_power_flow(net: Network,
     structural invariant linter on every candidate network and rolls
     back stages that break an invariant (trace reason ``lint``).
     """
-    library = library or generic_library()
-    ctx = PassContext(original=net, library=library,
-                      input_probs=input_probs, params=params,
-                      num_vectors=num_vectors, seed=seed,
-                      check_equivalence=check_equivalence,
-                      lint=strict_lint)
-    passes = _default_passes(use_dontcares, use_extraction,
-                             use_mapping, use_sizing,
-                             dontcare_size_cap)
-    return _run_engine(net, passes, ctx, "low_power_flow", strict)
+    stages: List[Tuple[str, Dict[str, Any], bool]] = [
+        ("dontcare", {"size_cap": dontcare_size_cap}, use_dontcares),
+        ("extract", {}, use_extraction),
+        ("map", {}, use_mapping),
+        ("size", {}, use_sizing)]
+    passes = [(name, p) for name, p, used in stages if used]
+    spec = FlowSpec(name="low_power_flow", passes=passes,
+                    num_vectors=num_vectors, seed=seed, strict=strict,
+                    check_equivalence=check_equivalence,
+                    strict_lint=strict_lint)
+    return run_flow(net, spec, library, input_probs, params)
 
 
-def run_flow(net: Network, spec, library: Optional[Library] = None,
+def run_flow(net: Network, spec: FlowSpec,
+             library: Optional[Library] = None,
              input_probs: Optional[Dict[str, float]] = None,
              params: Optional[PowerParameters] = None) -> FlowResult:
-    """Run a declarative :class:`~repro.core.passes.FlowSpec`."""
-    library = library or generic_library()
-    ctx = PassContext(original=net, library=library,
+    """Run a declarative :class:`~repro.core.passes.FlowSpec`: measure,
+    run the pass list, and fold the engine's outcomes into a
+    :class:`FlowResult` (one stage entry per pass, whatever its
+    outcome, after the ``initial`` snapshot)."""
+    from repro.logic.transform import to_sop_network
+
+    ctx = PassContext(original=net, library=library or generic_library(),
                       input_probs=input_probs, params=params,
                       num_vectors=spec.num_vectors, seed=spec.seed,
                       check_equivalence=spec.check_equivalence,
                       lint=spec.strict_lint)
-    return _run_engine(net, spec.build(), ctx, spec.name, spec.strict)
+    # Enter the technology-independent SOP domain first so every stage
+    # is measured under the same capacitance model (gate and SOP nodes
+    # carry slightly different transistor-count proxies).
+    work = to_sop_network(net)
+    trace = FlowTrace(flow=spec.name, num_vectors=ctx.num_vectors,
+                      seed=ctx.seed, strict=spec.strict)
+    initial = measure(work, ctx)
+    result = FlowResult(trace=trace)
+    result.stages.append(FlowStage(
+        name="initial", report=initial.report, gates=initial.gates,
+        transistors=initial.transistors, depth=initial.depth))
+    final, trace, outcomes = run_network_passes(
+        work, spec.build(), ctx, strict=spec.strict, trace=trace,
+        initial=initial)
+    for oc in outcomes:
+        snap = oc.snapshot
+        result.stages.append(FlowStage(
+            name=oc.record.name, report=snap.report,
+            gates=snap.gates, transistors=snap.transistors,
+            depth=snap.depth, outcome=oc.record.outcome,
+            reason=oc.record.reason))
+    result.final = final
+    return result
 
 
 # -- the sequential (FSM) flow ------------------------------------------

@@ -8,12 +8,22 @@ it repeatedly downsizes the gate with positive slack whose shrink saves
 the most switched capacitance while keeping the circuit at or under the
 delay constraint — the "reduce sizes until slack becomes zero" loop the
 paper describes.
+
+Timing is static: a gate's delay is ``INTRINSIC_DELAY + DRIVE_PER_LOAD ·
+load / size``, where the load sums its readers' size-scaled pin caps and
+any primary-output or latch pin it drives.  Timing endpoints are the
+primary outputs and every latch's data and enable nets.  Every analysis
+reads one reader index built in O(E), and the greedy walk keeps its
+timing and power state incremental, so one move costs work in the part
+of the circuit it changes.
 """
 
 from __future__ import annotations
 
+import heapq
+import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
 from repro.power.model import PowerParameters
@@ -23,46 +33,100 @@ from repro.power.model import PowerParameters
 INTRINSIC_DELAY = 0.5
 DRIVE_PER_LOAD = 0.1
 
-
-def _load_cap(net: Network, name: str, sizes: Dict[str, float],
-              params: PowerParameters) -> float:
-    """External load capacitance seen by a node (pin caps scale with the
-    reader's size)."""
-    load = 0.0
-    for node in net.nodes.values():
-        times = node.fanins.count(name)
-        if times:
-            load += params.pin_cap_units * sizes.get(node.name, 1.0) * times
-    if name in net.outputs:
-        load += params.output_load_units
-    for latch in net.latches:
-        if latch.data == name or latch.enable == name:
-            load += params.pin_cap_units
-    return load
+_INF = float("inf")
 
 
-def _gate_delay(net: Network, name: str, sizes: Dict[str, float],
-                params: PowerParameters) -> float:
-    node = net.nodes[name]
-    if node.is_source():
-        return 0.0
-    size = sizes.get(name, 1.0)
-    load = _load_cap(net, name, sizes, params)
+def _gate_delay(load: float, size: float) -> float:
     return INTRINSIC_DELAY + DRIVE_PER_LOAD * load / size
+
+
+class _Timing:
+    """Static-timing view of a network, built once in O(E).
+
+    ``readers[n]`` lists the nodes reading ``n`` in ``net.nodes`` order,
+    each with the number of fanin slots it uses; ``fixed[n]`` holds the
+    primary-output and latch pin loads ``n`` drives.  A load is summed
+    in that order — readers, then the output load, then one pin per
+    latch — so every float is the same whichever analysis asks.
+    """
+
+    def __init__(self, net: Network, params: PowerParameters):
+        nodes = net.nodes
+        self.net = net
+        self.nodes = nodes
+        self.pin = params.pin_cap_units
+        self.sources = {n for n, node in nodes.items() if node.is_source()}
+        self.fanins = {n: list(dict.fromkeys(node.fanins))
+                       for n, node in nodes.items()}
+        self.readers: Dict[str, List[Tuple[str, int]]] = {
+            n: [] for n in nodes}
+        for name, node in nodes.items():
+            for fi in self.fanins[name]:
+                self.readers.setdefault(fi, []).append(
+                    (name, node.fanins.count(fi)))
+        self.fixed: Dict[str, List[float]] = {}
+        for out in set(net.outputs):
+            self.fixed[out] = [params.output_load_units]
+        for latch in net.latches:
+            for pin in dict.fromkeys((latch.data, latch.enable)):
+                if pin is not None:
+                    self.fixed.setdefault(pin, []).append(self.pin)
+        self.sinks = list(dict.fromkeys(
+            list(net.outputs) + [l.data for l in net.latches]
+            + [l.enable for l in net.latches if l.enable is not None]))
+        self.sink_set = set(self.sinks)
+
+    def load(self, name: str, sizes: Dict[str, float]) -> float:
+        """External load capacitance seen by a node (pin caps scale
+        with the reader's size)."""
+        load = 0.0
+        pin = self.pin
+        for reader, times in self.readers[name]:
+            load += pin * sizes.get(reader, 1.0) * times
+        for cap in self.fixed.get(name, ()):
+            load += cap
+        return load
+
+    def delays(self, sizes: Dict[str, float]) -> Dict[str, float]:
+        return {name: 0.0 if name in self.sources else
+                _gate_delay(self.load(name, sizes), sizes.get(name, 1.0))
+                for name in self.nodes}
+
+    def arrivals(self, delays: Dict[str, float]) -> Dict[str, float]:
+        arr: Dict[str, float] = {}
+        for name in self.net.topo_order():
+            if name in self.sources:
+                arr[name] = 0.0
+            else:
+                arr[name] = delays[name] + max(
+                    (arr[fi] for fi in self.nodes[name].fanins),
+                    default=0.0)
+        return arr
+
+    def required_at(self, name: str, req: Dict[str, float],
+                    delays: Dict[str, float], target: float) -> float:
+        """Required time of one node from its readers' (``min`` is
+        exact, so any order of readers gives the same float)."""
+        r = min(_INF, target) if name in self.sink_set else _INF
+        for reader, _times in self.readers[name]:
+            if reader not in self.sources:
+                v = req[reader] - delays[reader]
+                if v < r:
+                    r = v
+        return r
+
+    def required(self, delays: Dict[str, float],
+                 target: float) -> Dict[str, float]:
+        req: Dict[str, float] = {}
+        for name in reversed(self.net.topo_order()):
+            req[name] = self.required_at(name, req, delays, target)
+        return req
 
 
 def arrival_times(net: Network, sizes: Dict[str, float],
                   params: PowerParameters) -> Dict[str, float]:
-    arr: Dict[str, float] = {}
-    for name in net.topo_order():
-        node = net.nodes[name]
-        if node.is_source():
-            arr[name] = 0.0
-        else:
-            d = _gate_delay(net, name, sizes, params)
-            arr[name] = d + max((arr[fi] for fi in node.fanins),
-                                default=0.0)
-    return arr
+    t = _Timing(net, params)
+    return t.arrivals(t.delays(sizes))
 
 
 def critical_path_delay(net: Network,
@@ -71,26 +135,19 @@ def critical_path_delay(net: Network,
     params = params or PowerParameters()
     sizes = sizes if sizes is not None else \
         {n: float(net.nodes[n].attrs.get("size", 1.0)) for n in net.nodes}
-    arr = arrival_times(net, sizes, params)
-    sinks = list(net.outputs) + [l.data for l in net.latches]
-    return max((arr[s] for s in sinks), default=0.0)
+    t = _Timing(net, params)
+    arr = t.arrivals(t.delays(sizes))
+    return max((arr[s] for s in t.sinks), default=0.0)
 
 
 def slacks(net: Network, sizes: Dict[str, float], target: float,
            params: PowerParameters) -> Dict[str, float]:
-    """Per-node slack against a required output arrival time."""
-    arr = arrival_times(net, sizes, params)
-    req: Dict[str, float] = {name: float("inf") for name in net.nodes}
-    sinks = set(net.outputs) | {l.data for l in net.latches}
-    for s in sinks:
-        req[s] = min(req[s], target)
-    for name in reversed(net.topo_order()):
-        node = net.nodes[name]
-        if node.is_source():
-            continue
-        d = _gate_delay(net, name, sizes, params)
-        for fi in node.fanins:
-            req[fi] = min(req[fi], req[name] - d)
+    """Per-node slack against a required arrival time at every timing
+    endpoint (primary outputs, latch data and latch enables)."""
+    t = _Timing(net, params)
+    delays = t.delays(sizes)
+    arr = t.arrivals(delays)
+    req = t.required(delays, target)
     return {name: req[name] - arr[name] for name in net.nodes}
 
 
@@ -98,13 +155,190 @@ def switched_capacitance(net: Network, sizes: Dict[str, float],
                          activity: Dict[str, float],
                          params: PowerParameters) -> float:
     """Σ activity·C with size-scaled capacitances (the power objective)."""
+    t = _Timing(net, params)
     total = 0.0
     for name, node in net.nodes.items():
         self_cap = params.self_cap_per_transistor * \
             node.num_transistors() * sizes.get(name, 1.0)
-        cap = self_cap + _load_cap(net, name, sizes, params)
+        cap = self_cap + t.load(name, sizes)
         total += cap * activity.get(name, 0.0)
     return total
+
+
+@dataclass
+class _Move:
+    """A feasible, power-saving trial downsize and what it changes."""
+
+    name: str
+    size: float
+    loads: Dict[str, float]
+    delays: Dict[str, float]
+    arrivals: Dict[str, float]
+    terms: Dict[str, float]
+
+
+class _Walk:
+    """The greedy walk's timing and power state, kept current per move.
+
+    Holds every node's load, delay, arrival, required time, slack and
+    power term (``activity · (self cap + load)``, the summand of
+    :func:`switched_capacitance`).  A trial re-times only the fanout
+    cone of the nodes whose delay it changes and stops where an arrival
+    is unchanged; a commit re-derives required times backwards through
+    the fanin cones of those nodes.  Every value is computed by the
+    same formula, from the same floats, as a from-scratch analysis.
+    ``sizes`` is the walk's own and is updated in place on commit.
+    """
+
+    def __init__(self, net: Network, sizes: Dict[str, float],
+                 activity: Dict[str, float], params: PowerParameters,
+                 target: float):
+        t = _Timing(net, params)
+        self.t = t
+        self.order = net.topo_order()
+        self.pos = {name: i for i, name in enumerate(self.order)}
+        self.sizes = sizes
+        self.target = target
+        self.act = {n: activity.get(n, 0.0) for n in net.nodes}
+        self.unit_cap = {n: params.self_cap_per_transistor *
+                         node.num_transistors()
+                         for n, node in net.nodes.items()}
+        self.load = {n: t.load(n, sizes) for n in net.nodes}
+        self.delay = t.delays(sizes)
+        self.arr = t.arrivals(self.delay)
+        self.req = t.required(self.delay, target)
+        self.slack = {n: self.req[n] - self.arr[n] for n in net.nodes}
+        self.term = {n: self._term(n, sizes.get(n, 1.0), self.load[n])
+                     for n in net.nodes}
+        # Recursive summation of the power terms errs by at most
+        # (n - 1)·eps·Σ|term| (Higham, Accuracy and Stability, §4.2).
+        # Terms only shrink as sizes fall, so a local saving above
+        # twice that bound (with margin for its own rounding) orders
+        # the two whole-network sums as switched_capacitance forms
+        # them; closer calls compare those sums directly.
+        scale = 0.0
+        for v in self.term.values():
+            scale += abs(v)
+        self.tol = 4.0 * (len(net.nodes) + 8) * sys.float_info.epsilon \
+            * scale
+        # Endpoints already past the target: a trial is feasible only
+        # if it brings each of them back.  Without endpoints the
+        # critical delay is 0.0, so a negative target admits no move.
+        self.late = {s for s in t.sinks if not self.arr[s] <= target}
+        self.blocked = not t.sinks and not 0.0 <= target
+
+    def _term(self, name: str, size: float, load: float) -> float:
+        return (self.unit_cap[name] * size + load) * self.act[name]
+
+    def _total(self, terms: Dict[str, float]) -> float:
+        total = 0.0
+        for name, v in self.term.items():
+            total += terms.get(name, v)
+        return total
+
+    def _saves_power(self, terms: Dict[str, float]) -> bool:
+        """``switched_capacitance(trial) < switched_capacitance(now)``,
+        decided from the changed terms alone when the bound allows."""
+        old = self.term
+        saving = 0.0
+        for name, v in terms.items():
+            saving += old[name] - v
+        if saving > self.tol:
+            return True
+        if all(v == old[name] for name, v in terms.items()):
+            return False
+        return self._total(terms) < self._total({})
+
+    def try_downsize(self, name: str, size: float) -> Optional[_Move]:
+        """The move ``name -> size`` if it keeps every endpoint within
+        the target and saves switched capacitance, else ``None``."""
+        t = self.t
+        sizes = self.sizes
+        old_size = sizes[name]
+        sizes[name] = size
+        loads = {f: t.load(f, sizes) for f in t.fanins[name]}
+        sizes[name] = old_size
+        terms = {name: self._term(name, size, self.load[name])}
+        for f, load in loads.items():
+            terms[f] = self._term(f, sizes.get(f, 1.0), load)
+        if not self._saves_power(terms):
+            return None
+        delays = {name: _gate_delay(self.load[name], size)}
+        for f, load in loads.items():
+            if f not in t.sources:
+                delays[f] = _gate_delay(load, sizes[f])
+        arrivals = self._retime(delays)
+        if arrivals is None:
+            return None
+        return _Move(name, size, loads, delays, arrivals, terms)
+
+    def _retime(self, delays: Dict[str, float]
+                ) -> Optional[Dict[str, float]]:
+        """Arrival times that change under ``delays``, or ``None`` when
+        some endpoint would miss the target."""
+        if self.blocked:
+            return None
+        t = self.t
+        arr = self.arr
+        order, pos, sources = self.order, self.pos, t.sources
+        heap = [pos[n] for n in delays]
+        heapq.heapify(heap)
+        queued = set(delays)
+        new: Dict[str, float] = {}
+        while heap:
+            n = order[heapq.heappop(heap)]
+            d = delays[n] if n in delays else self.delay[n]
+            a = d + max([new[fi] if fi in new else arr[fi]
+                         for fi in t.nodes[n].fanins], default=0.0)
+            if a == arr[n]:
+                continue
+            new[n] = a
+            if n in t.sink_set and not a <= self.target:
+                return None
+            for reader, _times in t.readers[n]:
+                if reader not in queued and reader not in sources:
+                    queued.add(reader)
+                    heapq.heappush(heap, pos[reader])
+        if any(s not in new for s in self.late):
+            return None
+        return new
+
+    def commit(self, move: _Move) -> List[str]:
+        """Apply ``move``; return the moved node and every node whose
+        slack changed."""
+        t = self.t
+        self.sizes[move.name] = move.size
+        self.load.update(move.loads)
+        self.delay.update(move.delays)
+        self.term.update(move.terms)
+        self.arr.update(move.arrivals)
+        self.late.difference_update(move.arrivals)
+        touched = set(move.arrivals)
+        # A node's required time reads its readers' delays: re-derive
+        # it for the fanins of every node whose delay moved, then
+        # through the fanin cones while it keeps changing.
+        req, pos, order = self.req, self.pos, self.order
+        seeds = {f for n in move.delays for f in t.fanins[n]}
+        heap = [-pos[n] for n in seeds]
+        heapq.heapify(heap)
+        while heap:
+            n = order[-heapq.heappop(heap)]
+            r = t.required_at(n, req, self.delay, self.target)
+            if r == req[n]:
+                continue
+            req[n] = r
+            touched.add(n)
+            for f in t.fanins[n]:
+                if f not in seeds:
+                    seeds.add(f)
+                    heapq.heappush(heap, -pos[f])
+        changed = [move.name]
+        for n in touched:
+            s = req[n] - self.arr[n]
+            if s != self.slack[n]:
+                self.slack[n] = s
+                changed.append(n)
+        return changed
 
 
 @dataclass
@@ -137,17 +371,25 @@ def size_for_power(net: Network,
     """Greedy slack-recycling downsizer.
 
     Starts with every gate at the largest allowed size (the
-    delay-optimal starting point), then repeatedly takes the downsizing
-    move with the best power saving that keeps the critical delay within
-    ``delay_target`` (default: the all-max-size delay — i.e. zero
-    nominal slack, matching the paper's "given a delay constraint").
-    When ``apply`` is set the final sizes are written to node attrs.
+    delay-optimal starting point), then repeatedly takes a downsizing
+    move that saves power and keeps the critical delay within
+    ``delay_target`` (default: the all-max-size delay + 5%).  Each round
+    tries the gates with positive slack, largest slack first (ties in
+    ``net.nodes`` order), one size step down, and commits the first
+    move that passes.  When ``apply`` is set the final sizes are
+    written to node attrs.  ``allowed_sizes`` must be non-empty and
+    positive (``ValueError`` otherwise).
 
     ``activity=None`` estimates switching activity internally with one
     compiled Monte-Carlo simulation (``num_vectors``/``seed``); sizing
     moves never change any node's logic function, so a single
     simulation serves the whole downhill walk.
     """
+    if not allowed_sizes:
+        raise ValueError("allowed_sizes is empty")
+    for s in allowed_sizes:
+        if not s > 0:
+            raise ValueError(f"allowed size {s!r} is not positive")
     params = params or PowerParameters()
     if activity is None:
         from repro.power.activity import activity_from_simulation
@@ -162,36 +404,53 @@ def size_for_power(net: Network,
         else delay_before * 1.05
     power_before = switched_capacitance(net, sizes, activity, params)
 
+    walk = _Walk(net, sizes, activity, params, target)
+    index = {name: i for i, name in enumerate(net.nodes)}
+    version = dict.fromkeys(sizes, 0)
+    # Candidates keyed (-slack, node index); an entry is live while its
+    # version is the node's, and each node has at most one live entry.
+    heap: List[Tuple[float, int, int, str]] = []
+
+    def push(name: str) -> None:
+        version[name] += 1
+        s = walk.slack[name]
+        if s > 0 and sizes[name] > ordered[0]:
+            heapq.heappush(heap, (-s, index[name], version[name], name))
+
+    for name in sizes:
+        push(name)
     moves = 0
-    improved = True
-    while improved:
-        improved = False
-        slk = slacks(net, sizes, target, params)
-        # Consider gates with positive slack, largest first.
-        candidates = sorted(
-            (name for name, s in slk.items()
-             if s > 0 and name in sizes and sizes[name] > ordered[0]),
-            key=lambda n: -slk[n])
-        for name in candidates:
+    while True:
+        tried = []
+        move = None
+        while heap:
+            entry = heapq.heappop(heap)
+            name = entry[3]
+            if entry[2] != version[name]:
+                continue
+            tried.append(entry)
             idx = ordered.index(sizes[name])
-            trial = dict(sizes)
-            trial[name] = float(ordered[idx - 1])
-            if critical_path_delay(net, trial, params) <= target:
-                before = switched_capacitance(net, sizes, activity, params)
-                after = switched_capacitance(net, trial, activity, params)
-                if after < before:
-                    sizes = trial
-                    moves += 1
-                    improved = True
-                    break
+            move = walk.try_downsize(name, float(ordered[idx - 1]))
+            if move is not None:
+                break
+        if move is None:
+            break
+        for entry in tried:
+            heapq.heappush(heap, entry)
+        for name in walk.commit(move):
+            if name in version:
+                push(name)
+        moves += 1
+    if slacks(net, sizes, target, params) != walk.slack:
+        raise RuntimeError("incremental slacks diverged from full STA")
+    power_after = switched_capacitance(net, sizes, activity, params)
     # The greedy walk can strand gates at large sizes; if the
     # all-minimum sizing meets the target and beats it, take that.
     ones = {name: float(ordered[0]) for name in sizes}
     if critical_path_delay(net, ones, params) <= target:
-        if switched_capacitance(net, ones, activity, params) < \
-                switched_capacitance(net, sizes, activity, params):
-            sizes = ones
-    power_after = switched_capacitance(net, sizes, activity, params)
+        ones_power = switched_capacitance(net, ones, activity, params)
+        if ones_power < power_after:
+            sizes, power_after = ones, ones_power
     delay_after = critical_path_delay(net, sizes, params)
     if apply:
         for name, s in sizes.items():

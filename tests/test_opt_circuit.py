@@ -1,11 +1,19 @@
 """Unit tests for circuit-level optimizations (reorder, sizing)."""
 
-import pytest
+import random
 
-from repro.logic.generators import ripple_carry_adder
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.logic.gates import GateType
+from repro.logic.generators import (array_multiplier, random_logic,
+                                    ripple_carry_adder)
+from repro.logic.netlist import Network
 from repro.opt.circuit.reorder import (ReorderResult, greedy_order,
                                        optimize_stack_order)
-from repro.opt.circuit.sizing import (critical_path_delay,
+from repro.opt.circuit.sizing import (DRIVE_PER_LOAD, INTRINSIC_DELAY,
+                                      SizingResult, arrival_times,
+                                      critical_path_delay,
                                       size_for_power, slacks,
                                       switched_capacitance)
 from repro.power.activity import activity_from_simulation
@@ -111,3 +119,234 @@ class TestSizing:
         assert all(s >= -1e-9 for s in slk.values())
         assert any(s == pytest.approx(0.0, abs=1e-9)
                    for s in slk.values())
+
+
+# -- the reference greedy ------------------------------------------------
+# The sizer as first written: a full O(n²) static timing analysis per
+# trial move and two whole-network power sums per feasible one.  The
+# library's incremental walk must reproduce it bit for bit.  Latch
+# enables are timing endpoints here as in the library.
+
+def _ref_load_cap(net, name, sizes, params):
+    load = 0.0
+    for node in net.nodes.values():
+        times = node.fanins.count(name)
+        if times:
+            load += params.pin_cap_units * sizes.get(node.name, 1.0) * times
+    if name in net.outputs:
+        load += params.output_load_units
+    for latch in net.latches:
+        if latch.data == name or latch.enable == name:
+            load += params.pin_cap_units
+    return load
+
+
+def _ref_gate_delay(net, name, sizes, params):
+    if net.nodes[name].is_source():
+        return 0.0
+    load = _ref_load_cap(net, name, sizes, params)
+    return INTRINSIC_DELAY + DRIVE_PER_LOAD * load / sizes.get(name, 1.0)
+
+
+def _ref_arrival_times(net, sizes, params):
+    arr = {}
+    for name in net.topo_order():
+        node = net.nodes[name]
+        if node.is_source():
+            arr[name] = 0.0
+        else:
+            arr[name] = _ref_gate_delay(net, name, sizes, params) + max(
+                (arr[fi] for fi in node.fanins), default=0.0)
+    return arr
+
+
+def _ref_sinks(net):
+    return (list(net.outputs) + [l.data for l in net.latches]
+            + [l.enable for l in net.latches if l.enable is not None])
+
+
+def _ref_critical_path_delay(net, sizes, params):
+    arr = _ref_arrival_times(net, sizes, params)
+    return max((arr[s] for s in _ref_sinks(net)), default=0.0)
+
+
+def _ref_slacks(net, sizes, target, params):
+    arr = _ref_arrival_times(net, sizes, params)
+    req = {name: float("inf") for name in net.nodes}
+    for s in set(_ref_sinks(net)):
+        req[s] = min(req[s], target)
+    for name in reversed(net.topo_order()):
+        node = net.nodes[name]
+        if node.is_source():
+            continue
+        d = _ref_gate_delay(net, name, sizes, params)
+        for fi in node.fanins:
+            req[fi] = min(req[fi], req[name] - d)
+    return {name: req[name] - arr[name] for name in net.nodes}
+
+
+def _ref_switched_capacitance(net, sizes, activity, params):
+    total = 0.0
+    for name, node in net.nodes.items():
+        self_cap = params.self_cap_per_transistor * \
+            node.num_transistors() * sizes.get(name, 1.0)
+        cap = self_cap + _ref_load_cap(net, name, sizes, params)
+        total += cap * activity.get(name, 0.0)
+    return total
+
+
+def _reference_size_for_power(net, activity, delay_target=None,
+                              allowed_sizes=(1.0, 2.0, 4.0)):
+    params = PowerParameters()
+    ordered = sorted(allowed_sizes)
+    sizes = {name: float(ordered[-1])
+             for name, node in net.nodes.items() if not node.is_source()}
+    delay_before = _ref_critical_path_delay(net, sizes, params)
+    target = delay_target if delay_target is not None \
+        else delay_before * 1.05
+    power_before = _ref_switched_capacitance(net, sizes, activity, params)
+    moves = 0
+    improved = True
+    while improved:
+        improved = False
+        slk = _ref_slacks(net, sizes, target, params)
+        candidates = sorted(
+            (name for name, s in slk.items()
+             if s > 0 and name in sizes and sizes[name] > ordered[0]),
+            key=lambda n: -slk[n])
+        for name in candidates:
+            trial = dict(sizes)
+            trial[name] = float(ordered[ordered.index(sizes[name]) - 1])
+            if _ref_critical_path_delay(net, trial, params) <= target:
+                before = _ref_switched_capacitance(net, sizes, activity,
+                                                   params)
+                after = _ref_switched_capacitance(net, trial, activity,
+                                                  params)
+                if after < before:
+                    sizes = trial
+                    moves += 1
+                    improved = True
+                    break
+    ones = {name: float(ordered[0]) for name in sizes}
+    if _ref_critical_path_delay(net, ones, params) <= target:
+        if _ref_switched_capacitance(net, ones, activity, params) < \
+                _ref_switched_capacitance(net, sizes, activity, params):
+            sizes = ones
+    return SizingResult(
+        sizes=sizes, delay_target=target, delay_before=delay_before,
+        delay_after=_ref_critical_path_delay(net, sizes, params),
+        power_before=power_before,
+        power_after=_ref_switched_capacitance(net, sizes, activity,
+                                              params),
+        moves=moves)
+
+
+def _assert_matches_reference(net, activity, delay_target, allowed):
+    res = size_for_power(net, activity, delay_target=delay_target,
+                         allowed_sizes=allowed, apply=False)
+    ref = _reference_size_for_power(net, activity, delay_target, allowed)
+    assert res.sizes == ref.sizes
+    assert res.moves == ref.moves
+    assert res.delay_target == ref.delay_target
+    assert res.power_before == ref.power_before
+    assert res.power_after == ref.power_after
+    assert res.delay_before == ref.delay_before
+    assert res.delay_after == ref.delay_after
+    return res
+
+
+def _enable_chain():
+    """Six chained ANDs that drive only a latch enable; the latch data
+    comes through one buffer."""
+    net = Network("enable_chain")
+    net.add_inputs(["a", "b", "d"])
+    prev = "a"
+    for k in range(6):
+        prev = net.add_gate(f"g{k}", GateType.AND, [prev, "b"])
+    net.add_gate("buf", GateType.BUF, ["d"])
+    net.add_latch("buf", "q", enable="g5")
+    net.set_output("q")
+    return net
+
+
+@st.composite
+def _sizing_cases(draw):
+    kind = draw(st.sampled_from(["random", "mult4", "rca6"]))
+    if kind == "random":
+        net = random_logic(draw(st.integers(2, 8)),
+                           draw(st.integers(1, 40)),
+                           draw(st.integers(0, 2 ** 16)))
+    elif kind == "mult4":
+        net = array_multiplier(4)
+    else:
+        net = ripple_carry_adder(6)
+    allowed = draw(st.sampled_from([(1, 2, 4), (1, 4), (0.5, 1, 3)]))
+    target = draw(st.sampled_from(["all-max", "default", "loose"]))
+    return net, allowed, target, draw(st.integers(0, 2 ** 16))
+
+
+class TestSizingMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(_sizing_cases())
+    def test_greedy_matches_reference(self, case):
+        net, allowed, target, seed = case
+        params = PowerParameters()
+        act, _ = activity_from_simulation(net, 128, seed=seed)
+        delay_target = {
+            "all-max": _ref_critical_path_delay(
+                net, {n: float(max(allowed)) for n, nd in net.nodes.items()
+                      if not nd.is_source()}, params),
+            "default": None, "loose": 1e9}[target]
+        res = _assert_matches_reference(net, act, delay_target, allowed)
+        # The public STA functions agree exactly with the O(n²) ones,
+        # at the greedy's result and at a random sizing.
+        rng = random.Random(seed)
+        mixed = {n: float(rng.choice(allowed)) for n in res.sizes}
+        for sizes in (res.sizes, mixed):
+            assert critical_path_delay(net, sizes, params) == \
+                _ref_critical_path_delay(net, sizes, params)
+            assert arrival_times(net, sizes, params) == \
+                _ref_arrival_times(net, sizes, params)
+            assert slacks(net, sizes, res.delay_target, params) == \
+                _ref_slacks(net, sizes, res.delay_target, params)
+            assert switched_capacitance(net, sizes, act, params) == \
+                _ref_switched_capacitance(net, sizes, act, params)
+
+    def test_sequential_network_matches_reference(self):
+        net = _enable_chain()
+        act, _ = activity_from_simulation(net, 128, seed=0)
+        for target in (None, 3.0, 1e9):
+            _assert_matches_reference(net, act, target, (1, 2, 4))
+
+
+class TestLatchEnableTiming:
+    def test_enable_is_a_timing_endpoint(self):
+        net = _enable_chain()
+        params = PowerParameters()
+        arr = arrival_times(net, {}, params)
+        assert arr["g5"] > arr["buf"]
+        assert critical_path_delay(net, None, params) == arr["g5"]
+        slk = slacks(net, {}, 10.0, params)
+        assert slk["g5"] == 10.0 - arr["g5"]
+
+    def test_enable_chain_is_not_downsized_past_the_target(self):
+        net = _enable_chain()
+        act, _ = activity_from_simulation(net, 128, seed=0)
+        params = PowerParameters()
+        fastest = critical_path_delay(
+            net, {n: 4.0 for n, nd in net.nodes.items()
+                  if not nd.is_source()}, params)
+        res = size_for_power(net, act, delay_target=fastest, apply=False)
+        assert arrival_times(net, res.sizes, params)["g5"] <= fastest
+
+
+class TestAllowedSizes:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            size_for_power(ripple_carry_adder(2), {}, allowed_sizes=())
+
+    @pytest.mark.parametrize("bad", [0, -1.0, float("nan")])
+    def test_non_positive_rejected(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            size_for_power(ripple_carry_adder(2), {},
+                           allowed_sizes=(1.0, bad, 4.0))
