@@ -414,19 +414,34 @@ class Network:
 
     def sweep(self) -> int:
         """Remove dangling gates (no path to an output or latch). Returns
-        the number of nodes removed."""
+        the number of nodes removed.
+
+        Counts every node's readers once (fanin slots, latch data and
+        enable pins, outputs), then removes unread gates from a
+        worklist, releasing their fanins as it goes: O(N + E)."""
+        nodes = self.nodes
+        count = dict.fromkeys(nodes, 0)
+        for node in nodes.values():
+            for fi in node.fanins:
+                if fi in count:
+                    count[fi] += 1
+        for latch in self.latches:
+            for pin in (latch.data, latch.enable):
+                if pin in count:
+                    count[pin] += 1
+        for out in set(self.outputs):
+            if out in count:
+                count[out] += 1
+        work = [n for n, c in count.items()
+                if c == 0 and not nodes[n].is_source()]
         removed = 0
-        changed = True
-        while changed:
-            changed = False
-            for name in list(self.nodes):
-                node = self.nodes[name]
-                if node.is_source() or name in self.outputs:
-                    continue
-                if self.fanout_count(name) == 0:
-                    del self.nodes[name]
-                    removed += 1
-                    changed = True
+        while work:
+            for fi in nodes.pop(work.pop()).fanins:
+                if fi in count:
+                    count[fi] -= 1
+                    if count[fi] == 0 and not nodes[fi].is_source():
+                        work.append(fi)
+            removed += 1
         self._invalidate()
         return removed
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
-from repro.power.model import PowerParameters
+from repro.power.model import LoadIndex, PowerParameters
 
 
 #: Default delay-model constants for unmapped gates.
@@ -43,11 +43,10 @@ def _gate_delay(load: float, size: float) -> float:
 class _Timing:
     """Static-timing view of a network, built once in O(E).
 
-    ``readers[n]`` lists the nodes reading ``n`` in ``net.nodes`` order,
-    each with the number of fanin slots it uses; ``fixed[n]`` holds the
-    primary-output and latch pin loads ``n`` drives.  A load is summed
-    in that order — readers, then the output load, then one pin per
-    latch — so every float is the same whichever analysis asks.
+    ``readers`` and ``fixed`` come from the power model's
+    :class:`~repro.power.model.LoadIndex`, and a load is summed in its
+    order — readers, then the output load, then one pin per latch — so
+    every float is the same whichever analysis asks.
     """
 
     def __init__(self, net: Network, params: PowerParameters):
@@ -58,19 +57,9 @@ class _Timing:
         self.sources = {n for n, node in nodes.items() if node.is_source()}
         self.fanins = {n: list(dict.fromkeys(node.fanins))
                        for n, node in nodes.items()}
-        self.readers: Dict[str, List[Tuple[str, int]]] = {
-            n: [] for n in nodes}
-        for name, node in nodes.items():
-            for fi in self.fanins[name]:
-                self.readers.setdefault(fi, []).append(
-                    (name, node.fanins.count(fi)))
-        self.fixed: Dict[str, List[float]] = {}
-        for out in set(net.outputs):
-            self.fixed[out] = [params.output_load_units]
-        for latch in net.latches:
-            for pin in dict.fromkeys((latch.data, latch.enable)):
-                if pin is not None:
-                    self.fixed.setdefault(pin, []).append(self.pin)
+        loads = LoadIndex(net, params)
+        self.readers = loads.readers
+        self.fixed = loads.fixed
         self.sinks = list(dict.fromkeys(
             list(net.outputs) + [l.data for l in net.latches]
             + [l.enable for l in net.latches if l.enable is not None]))

@@ -25,7 +25,8 @@ from repro.power.activity import (SimulationCache,
                                   activity_from_probability,
                                   activity_from_simulation,
                                   signal_probability_propagation)
-from repro.power.model import node_capacitance
+from repro.power.model import LoadIndex, PowerParameters, \
+    node_capacitance
 
 
 def _bdd_to_cover(func: BDDFunction, var_order: List[str]) -> Cover:
@@ -184,6 +185,10 @@ def dontcare_power_optimization(net: Network,
             new.attrs = dict(node.attrs)
             net.nodes[name] = new
     net._invalidate()
+    # The pass rewrites covers only, never fanins, outputs or latches,
+    # so one reader index serves every capacitance query below.
+    params = PowerParameters()
+    loads = LoadIndex(net, params)
 
     probs = signal_probability_propagation(net, input_probs)
 
@@ -209,7 +214,8 @@ def dontcare_power_optimization(net: Network,
         for name, node in net.nodes.items():
             if node.is_source():
                 continue
-            cap += act.get(name, 0.0) * node_capacitance(net, name)
+            cap += act.get(name, 0.0) * node_capacitance(net, name, params,
+                                                         loads)
             lits += node.cover.num_literals() if node.cover else 0
         return cap, lits
 
@@ -246,7 +252,7 @@ def dontcare_power_optimization(net: Network,
         on = node.cover
         fanin_probs = [probs[fi] for fi in node.fanins]
         self_cap = 0.5 * (2 * on.num_literals() + 2)
-        load = node_capacitance(net, name) - self_cap
+        load = node_capacitance(net, name, params, loads) - self_cap
         candidates = [on,
                       on.minimize(dc),
                       on.union(dc).minimize()]

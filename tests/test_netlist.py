@@ -1,8 +1,12 @@
 """Unit tests for repro.logic.netlist."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.gates import GateType
+from repro.logic.generators import random_logic
 from repro.logic.netlist import Latch, NetlistError, Network
 from repro.logic.sop import Cover
 from repro.sim.compiled import get_compiled
@@ -272,3 +276,68 @@ class TestEditAudit:
         net.add_latch("d", "q")
         net.remove_node("q")
         assert net.latches == [] and "q" not in net.nodes
+
+
+def _reference_sweep(net):
+    """``Network.sweep`` as a rescan to a fixpoint: every round removes
+    each non-source, non-output node with no reader left."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        for name in list(net.nodes):
+            node = net.nodes[name]
+            if node.is_source() or name in net.outputs:
+                continue
+            if net.fanout_count(name) == 0:
+                del net.nodes[name]
+                removed += 1
+                changed = True
+    net._invalidate()
+    return removed
+
+
+def _dangling_case(seed, gates, extra):
+    """``random_logic`` plus dangling cones over its nodes, some of
+    them kept alive by latch data or enable pins, one gate reading a
+    dangling node twice and a dangling two-gate cycle."""
+    rng = random.Random(seed)
+    net = random_logic(5, gates, seed)
+    for i in range(extra):
+        pool = list(net.nodes)
+        gtype = rng.choice([GateType.AND, GateType.XOR, GateType.NOR])
+        net.add_gate(f"d{i}", gtype, [rng.choice(pool), rng.choice(pool)])
+    pool = list(net.nodes)
+    net.add_gate("twice", GateType.OR, ["d0", "d0", rng.choice(pool)])
+    net.add_gate("c0", GateType.AND, ["c1", rng.choice(pool)])
+    net.add_gate("c1", GateType.NOT, ["c0"])
+    for i in range(rng.randint(0, 3)):
+        data, enable = rng.choice(pool), rng.choice(pool + [None])
+        net.add_latch(data, f"q{i}", enable=enable)
+        if rng.random() < 0.5:
+            net.add_gate(f"r{i}", GateType.NOT, [f"q{i}"])
+    if rng.random() < 0.3:
+        net.add_latch("twice", "qq", enable="twice")
+    return net
+
+
+class TestSweepDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 25))
+    def test_matches_reference(self, seed, gates, extra):
+        net = _dangling_case(seed, gates, extra)
+        ref = net.copy()
+        assert net.sweep() == _reference_sweep(ref)
+        assert list(net.nodes) == list(ref.nodes)
+        assert net.latches == ref.latches
+
+    def test_latch_pins_keep_cones_alive(self):
+        net = small_net()
+        net.add_gate("d1", GateType.OR, ["a", "b"])
+        net.add_gate("d2", GateType.NOT, ["d1"])
+        net.add_gate("e1", GateType.AND, ["a", "b"])
+        net.add_gate("dead", GateType.XOR, ["d2", "e1"])
+        net.add_latch("d2", "q", enable="e1")
+        assert net.sweep() == 1
+        assert list(net.nodes) == ["a", "b", "g", "h", "d1", "d2", "e1",
+                                   "q"]

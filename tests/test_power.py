@@ -1,11 +1,17 @@
 """Unit tests for repro.power (activity estimation, model, glitch)."""
 
-import pytest
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.library.cells import generic_library
 from repro.logic.gates import GateType
-from repro.logic.generators import (comparator, parity_tree,
+from repro.logic.generators import (comparator, parity_tree, random_logic,
                                     ripple_carry_adder)
-from repro.logic.netlist import Network
+from repro.logic.netlist import NetlistError, Network
+from repro.opt.logic.mapping import tech_map
 from repro.power.activity import (activity_from_probability,
                                   activity_from_simulation,
                                   sequential_activity,
@@ -14,7 +20,7 @@ from repro.power.activity import (activity_from_probability,
                                   transition_density,
                                   weighted_switching)
 from repro.power.glitch import glitch_report
-from repro.power.model import (PowerParameters, average_power,
+from repro.power.model import (LoadIndex, PowerParameters, average_power,
                                node_capacitance, power_report)
 
 
@@ -180,6 +186,135 @@ class TestPowerModel:
         net.set_output("g")
         w = weighted_switching(net, {"g": 0.5, "a": 0.0})
         assert w == pytest.approx(0.5 * node_capacitance(net, "g"))
+
+    def test_missing_node_is_a_diagnostic(self):
+        net = Network()
+        net.add_input("a")
+        with pytest.raises(NetlistError, match="'missing'"):
+            node_capacitance(net, "missing")
+
+
+def _reference_reader_counts(net, name):
+    counts = {}
+    for node in net.nodes.values():
+        times = node.fanins.count(name)
+        if times:
+            counts[node.name] = times
+    return counts
+
+
+def _reference_node_capacitance(net, name, params=None, loads=None):
+    """The power model before the reader index: one scan of the whole
+    network per node.  ``loads`` is ignored, so this stands in for
+    ``node_capacitance`` inside the batch callers."""
+    params = params or PowerParameters()
+    node = net.nodes[name]
+    cell = node.attrs.get("cell")
+    size = float(node.attrs.get("size", 1.0))
+    if cell is not None:
+        self_cap = cell.output_cap * size
+    else:
+        self_cap = params.self_cap_per_transistor * \
+            node.num_transistors() * size
+    load = 0.0
+    for reader_name, times in _reference_reader_counts(net, name).items():
+        reader = net.nodes[reader_name]
+        rcell = reader.attrs.get("cell")
+        rsize = float(reader.attrs.get("size", 1.0))
+        if rcell is not None:
+            load += rcell.input_cap * rsize * times
+        else:
+            load += params.pin_cap_units * rsize * times
+    if name in net.outputs:
+        load += params.output_load_units
+    for latch in net.latches:
+        if latch.data == name or latch.enable == name:
+            load += params.pin_cap_units
+    return self_cap + load
+
+
+def _power_case(seed, gates, mapped, sized):
+    """A random circuit with every load shape the model sums: repeated
+    fanin slots, a PO that is also a latch data pin, a PO that is also
+    a latch enable, and a latch whose data and enable are one node."""
+    rng = random.Random(seed)
+    net = random_logic(6, gates, seed)
+    if mapped:
+        net = tech_map(net, generic_library(), "power").mapped
+    names = [n for n, node in net.nodes.items() if not node.is_source()]
+    x, y = rng.choice(names), rng.choice(names)
+    z = rng.choice(net.outputs)
+    net.add_gate("twice", GateType.AND, [x, y, x])
+    net.set_output("twice")
+    net.set_output(x)
+    net.add_latch(x, "q0", enable=z)
+    net.add_latch(y, "q1", enable=y)
+    net.add_gate("rd", GateType.OR, ["q0", "q1", "q1"])
+    net.set_output("rd")
+    if sized:
+        for name in rng.sample(names, len(names) // 2):
+            net.nodes[name].attrs["size"] = rng.choice(
+                [0.5, 1.5, 2.0, 3.25])
+    return net
+
+
+class TestLoadIndexDifferential:
+    """The reader index gives the same floats, bit for bit, as the
+    per-node network scan it replaced, in every batch caller."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 60), st.booleans(),
+           st.booleans(), st.booleans())
+    def test_matches_reference(self, seed, gates, mapped, sized, custom):
+        net = _power_case(seed, gates, mapped, sized)
+        params = (PowerParameters(pin_cap_units=1.7, output_load_units=3.1,
+                                  self_cap_per_transistor=0.35)
+                  if custom else PowerParameters())
+        rng = random.Random(seed)
+        activity = {n: rng.random() for n in net.nodes}
+
+        loads = LoadIndex(net, params)
+        for name in net.nodes:
+            want = _reference_node_capacitance(net, name, params)
+            assert node_capacitance(net, name, params) == want
+            assert node_capacitance(net, name, params, loads) == want
+            assert node_capacitance(net, name) == \
+                _reference_node_capacitance(net, name)
+
+        report = power_report(net, activity, params)
+        glitch = glitch_report(net, num_vectors=32, seed=seed,
+                               params=params)
+        switching = weighted_switching(net, activity)
+        ref = _reference_node_capacitance
+        with mock.patch("repro.power.model.node_capacitance", ref), \
+                mock.patch("repro.power.glitch.node_capacitance", ref):
+            want_report = power_report(net, activity, params)
+            want_glitch = glitch_report(net, num_vectors=32, seed=seed,
+                                        params=params)
+            want_switching = weighted_switching(net, activity)
+        assert report.per_node == want_report.per_node
+        assert report.total == want_report.total
+        assert glitch.cap_weighted_timed == want_glitch.cap_weighted_timed
+        assert glitch.cap_weighted_functional == \
+            want_glitch.cap_weighted_functional
+        assert switching == want_switching
+
+    def test_index_shape(self):
+        net = Network()
+        net.add_inputs(["a", "b"])
+        net.add_gate("g", GateType.AND, ["a", "b", "a"])
+        net.add_gate("h", GateType.NOT, ["g"])
+        net.set_outputs(["h", "g"])
+        net.add_latch("g", "q", enable="h")
+        net.add_latch("h", "r", enable="h")
+        loads = LoadIndex(net, PowerParameters(pin_cap_units=1.5))
+        assert loads.readers == {"a": [("g", 2)], "b": [("g", 1)],
+                                 "g": [("h", 1)], "h": [], "q": [],
+                                 "r": []}
+        # The PO load, then one pin per latch, however many of its
+        # pins the node drives.
+        assert loads.fixed == {"g": [4.0, 1.5], "h": [4.0, 1.5, 1.5]}
+
 
 
 class TestGlitch:
