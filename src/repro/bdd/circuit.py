@@ -2,24 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bdd.bdd import BDD, BDDFunction
-from repro.logic.gates import GateType
+from repro.logic.cube import Cube
 from repro.logic.netlist import Network
+from repro.logic.sop import Cover
 from repro.logic.transform import node_cover
 
 
-def bdd_to_cover(func: BDDFunction, var_order):
+def bdd_to_cover(func: BDDFunction, var_order: Sequence[str]) -> Cover:
     """Enumerate a BDD's paths-to-TRUE as an SOP cover over ``var_order``
     (every support variable of ``func`` must appear in ``var_order``)."""
-    from repro.logic.cube import Cube
-    from repro.logic.sop import Cover
-
     bdd = func.bdd
     index = {name: i for i, name in enumerate(var_order)}
     n = len(var_order)
-    cubes = []
+    cubes: List[Cube] = []
 
     def walk(node: int, lits) -> None:
         if node == BDD.FALSE:
@@ -34,6 +32,23 @@ def bdd_to_cover(func: BDDFunction, var_order):
 
     walk(func.node, [])
     return Cover(n, cubes).sccc()
+
+
+def cover_function(manager: BDD, cover: Cover,
+                   fanin_funcs: Sequence[BDDFunction]) -> BDDFunction:
+    """BDD of an SOP ``cover`` whose variable ``i`` is ``fanin_funcs[i]``."""
+    acc = manager.false
+    for cube in cover:
+        term = manager.true
+        for var, phase in cube.literals():
+            lit = fanin_funcs[var]
+            term = term & (lit if phase else ~lit)
+            if term.is_false:
+                break
+        acc = acc | term
+        if acc.is_true:
+            break
+    return acc
 
 
 def network_bdds(net: Network, bdd: Optional[BDD] = None,
@@ -52,26 +67,8 @@ def network_bdds(net: Network, bdd: Optional[BDD] = None,
         if node.is_source():
             funcs[name] = manager.var(name)
             continue
-        if node.kind == "gate" and node.gtype is GateType.CONST0:
-            funcs[name] = manager.false
-            continue
-        if node.kind == "gate" and node.gtype is GateType.CONST1:
-            funcs[name] = manager.true
-            continue
-        cover = node_cover(node)
-        fanin_funcs = [funcs[fi] for fi in node.fanins]
-        acc = manager.false
-        for cube in cover:
-            term = manager.true
-            for var, phase in cube.literals():
-                lit = fanin_funcs[var]
-                term = term & (lit if phase else ~lit)
-                if term.is_false:
-                    break
-            acc = acc | term
-            if acc.is_true:
-                break
-        funcs[name] = acc
+        funcs[name] = cover_function(
+            manager, node_cover(node), [funcs[fi] for fi in node.fanins])
     if nodes is not None:
         wanted = set(nodes)
         return {k: v for k, v in funcs.items() if k in wanted}

@@ -84,7 +84,6 @@ def low_power_flow(net: Network,
                    use_extraction: bool = True,
                    use_mapping: bool = True,
                    use_sizing: bool = True,
-                   check_equivalence: bool = True,
                    dontcare_size_cap: Optional[int] = 120,
                    strict: bool = False,
                    strict_lint: bool = False) -> FlowResult:
@@ -110,7 +109,6 @@ def low_power_flow(net: Network,
     passes = [(name, p) for name, p, used in stages if used]
     spec = FlowSpec(name="low_power_flow", passes=passes,
                     num_vectors=num_vectors, seed=seed, strict=strict,
-                    check_equivalence=check_equivalence,
                     strict_lint=strict_lint)
     return run_flow(net, spec, library, input_probs, params)
 
@@ -128,7 +126,6 @@ def run_flow(net: Network, spec: FlowSpec,
     ctx = PassContext(original=net, library=library or generic_library(),
                       input_probs=input_probs, params=params,
                       num_vectors=spec.num_vectors, seed=spec.seed,
-                      check_equivalence=spec.check_equivalence,
                       lint=spec.strict_lint)
     # Enter the technology-independent SOP domain first so every stage
     # is measured under the same capacitance model (gate and SOP nodes

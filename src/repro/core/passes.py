@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -73,7 +73,6 @@ class PassContext:
     params: Optional[PowerParameters] = None
     num_vectors: int = 1024
     seed: int = 0
-    check_equivalence: bool = True
     #: run the structural invariant linter on every candidate network
     lint: bool = False
 
@@ -100,8 +99,6 @@ class Pass:
     name: str
     apply: PassApply
     params: Dict[str, Any] = field(default_factory=dict)
-    #: equivalence-verify the candidate (combinational networks only)
-    verify: bool = True
     #: max tolerated relative power increase (``None``: no power gate;
     #: ``0.0``: reject any regression)
     max_power_regression: Optional[float] = None
@@ -180,7 +177,7 @@ class TraceRecord:
     transistors_after: Optional[int] = None
     depth_before: Optional[float] = None
     depth_after: Optional[float] = None
-    verify_vectors: int = 0      # 0: equivalence was not checked
+    verify_vectors: int = 0      # 0: not checked (sequential network)
     #: invariant-lint error count on the candidate (None: lint off)
     lint_errors: Optional[int] = None
     #: the offending diagnostics (JSON form) when lint_errors > 0
@@ -386,8 +383,7 @@ def _try_pass(p: Pass, work: Network, current: Snapshot,
     replacement = p.apply(trial, ctx, p.params)
     candidate = replacement if replacement is not None else trial
 
-    if p.verify and ctx.check_equivalence and \
-            not candidate.latches and not ctx.original.latches:
+    if not candidate.latches and not ctx.original.latches:
         rec.verify_vectors = ctx.verify_vectors
         if not verify_equivalence(ctx.original, candidate,
                                   rec.verify_vectors, ctx.seed):
@@ -482,7 +478,9 @@ class FlowSpec:
          "passes": ["extract",
                     {"pass": "map", "params": {"objective": "power"}}]}
 
-    A string entry is a pass with default parameters.
+    A string entry is a pass with default parameters.  Unknown keys
+    and a ``num_vectors`` that is not a positive integer are rejected
+    with ``ValueError``.
     """
 
     name: str = "flow"
@@ -491,7 +489,6 @@ class FlowSpec:
     num_vectors: int = 1024
     seed: int = 0
     strict: bool = False
-    check_equivalence: bool = True
     #: invariant-lint every candidate network (see PassContext.lint)
     strict_lint: bool = False
 
@@ -499,6 +496,8 @@ class FlowSpec:
     def from_dict(cls, d: Dict[str, Any]) -> "FlowSpec":
         if not isinstance(d, dict):
             raise ValueError("flow spec must be a JSON object")
+        _reject_unknown_keys("flow spec", d,
+                             [f.name for f in fields(cls)])
         entries = d.get("passes")
         if not isinstance(entries, list) or not entries:
             raise ValueError(
@@ -508,6 +507,8 @@ class FlowSpec:
             if isinstance(entry, str):
                 passes.append((entry, {}))
             elif isinstance(entry, dict) and "pass" in entry:
+                _reject_unknown_keys(f"pass {entry['pass']!r}", entry,
+                                     _PASS_ENTRY_KEYS)
                 params = entry.get("params") or {}
                 if not isinstance(params, dict):
                     raise ValueError(
@@ -518,19 +519,22 @@ class FlowSpec:
                 raise ValueError(
                     f"bad pass entry {entry!r}: expected a name or "
                     f"{{'pass': ..., 'params': {{...}}}}")
+        num_vectors = d.get("num_vectors", 1024)
+        if isinstance(num_vectors, bool) or \
+                not isinstance(num_vectors, int) or num_vectors < 1:
+            raise ValueError(
+                f"flow spec: num_vectors must be a positive integer, "
+                f"got {num_vectors!r}")
         return cls(name=str(d.get("name", "flow")), passes=passes,
-                   num_vectors=int(d.get("num_vectors", 1024)),
+                   num_vectors=num_vectors,
                    seed=int(d.get("seed", 0)),
                    strict=bool(d.get("strict", False)),
-                   check_equivalence=bool(
-                       d.get("check_equivalence", True)),
                    strict_lint=bool(d.get("strict_lint", False)))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name,
                 "num_vectors": self.num_vectors, "seed": self.seed,
                 "strict": self.strict,
-                "check_equivalence": self.check_equivalence,
                 "strict_lint": self.strict_lint,
                 "passes": [{"pass": n, "params": p}
                            for n, p in self.passes]}
@@ -538,6 +542,18 @@ class FlowSpec:
     def build(self) -> List[Pass]:
         return [make_pass(name, params)
                 for name, params in self.passes]
+
+
+_PASS_ENTRY_KEYS = ("pass", "params")
+
+
+def _reject_unknown_keys(where: str, d: Dict[str, Any],
+                         known: Sequence[str]) -> None:
+    unknown = sorted(str(k) for k in d if k not in known)
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown key {unknown[0]!r}; expected one of "
+            f"{', '.join(known)}")
 
 
 def load_flow_spec(path: str) -> FlowSpec:

@@ -80,6 +80,19 @@ def to_sop_network(net: Network) -> Network:
     return out
 
 
+def gates_to_sop(net: Network) -> None:
+    """Express every gate node of ``net`` as an SOP node, in place.
+    Zero-fanin constant gates stay gates."""
+    for name in list(net.nodes):
+        node = net.nodes[name]
+        if node.kind == "gate" and node.fanins:
+            new = Node(name, "sop", fanins=list(node.fanins),
+                       cover=gate_cover(node.gtype, len(node.fanins)))
+            new.attrs = dict(node.attrs)
+            net.nodes[name] = new
+    net._invalidate()
+
+
 def decompose_to_primitives(net: Network, max_fanin: int = 2,
                             input_probs: Optional[Dict[str, float]]
                             = None,

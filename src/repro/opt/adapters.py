@@ -9,7 +9,9 @@ populates the registry.
 Adapter contract: ``apply(trial, ctx, params)`` may mutate ``trial`` in
 place (return ``None``) or return a replacement network; all simulation
 inside an adapter must derive from ``ctx.num_vectors`` / ``ctx.seed``
-so a flow is reproducible from its trace header.
+so a flow is reproducible from its trace header.  The one exception is
+``dontcare``: its global cost check always runs a fixed 512-vector,
+seed-0 stimulus, whatever the flow's vectors and seed.
 """
 
 from __future__ import annotations

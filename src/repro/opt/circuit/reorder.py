@@ -131,30 +131,21 @@ class NetworkReorderResult:
 
 def reorder_network_stacks(net: Network,
                            input_probs: Optional[Dict[str, float]] = None,
-                           num_vectors: int = 512, seed: int = 0,
-                           probs: Optional[Dict[str, float]] = None,
-                           model: Optional[StackEnergyModel] = None,
-                           delay_limit: Optional[float] = None,
-                           reuse=None,
-                           apply: bool = True) -> NetworkReorderResult:
+                           num_vectors: int = 512, seed: int = 0
+                           ) -> NetworkReorderResult:
     """Reorder the series stacks of every AND/NAND/OR/NOR gate.
 
     Per-gate conduction probabilities come from one compiled Monte-Carlo
     simulation of the whole network
-    (:func:`repro.power.activity.activity_from_simulation`; pass a warm
-    :class:`~repro.power.activity.SimulationCache` as ``reuse`` to share
-    it with an enclosing flow, or precomputed signal probabilities as
-    ``probs`` to skip it entirely).  Reordering transistors inside a
-    gate never changes its logic function, so a single simulation serves
-    every stack.  With ``apply`` the chosen order is recorded in
-    ``node.attrs["stack_order"]``.
+    (:func:`repro.power.activity.activity_from_simulation`).  Reordering
+    transistors inside a gate never changes its logic function, so a
+    single simulation serves every stack.  The chosen order is recorded
+    in ``node.attrs["stack_order"]``.
     """
-    if probs is None:
-        from repro.power.activity import activity_from_simulation
+    from repro.power.activity import activity_from_simulation
 
-        _act, probs = activity_from_simulation(net, num_vectors, seed,
-                                               input_probs, reuse=reuse)
-    model = model or StackEnergyModel()
+    _act, probs = activity_from_simulation(net, num_vectors, seed,
+                                           input_probs)
     arrivals = net.levels()
     result = NetworkReorderResult()
     for node in net.gate_nodes():
@@ -165,14 +156,12 @@ def reorder_network_stacks(net: Network,
         if node.gtype in (GateType.OR, GateType.NOR):
             fanin_p = [1.0 - p for p in fanin_p]
         arrival = [arrivals[fi] for fi in node.fanins]
-        res = optimize_stack_order(fanin_p, arrival=arrival,
-                                   delay_limit=delay_limit, model=model)
+        res = optimize_stack_order(fanin_p, arrival=arrival)
         result.per_gate[node.name] = res
         result.gates_considered += 1
         result.energy_before += res.baseline_energy
         result.energy_after += res.best_energy
         if res.best_energy < res.baseline_energy:
             result.gates_improved += 1
-        if apply:
-            node.attrs["stack_order"] = list(res.best_order)
+        node.attrs["stack_order"] = list(res.best_order)
     return result

@@ -350,13 +350,11 @@ class SizingResult:
 
 
 def size_for_power(net: Network,
-                   activity: Optional[Dict[str, float]] = None,
+                   activity: Dict[str, float],
                    delay_target: Optional[float] = None,
                    allowed_sizes: Sequence[float] = (1.0, 2.0, 4.0),
                    params: Optional[PowerParameters] = None,
-                   apply: bool = True,
-                   num_vectors: int = 512,
-                   seed: int = 0) -> SizingResult:
+                   apply: bool = True) -> SizingResult:
     """Greedy slack-recycling downsizer.
 
     Starts with every gate at the largest allowed size (the
@@ -369,10 +367,9 @@ def size_for_power(net: Network,
     written to node attrs.  ``allowed_sizes`` must be non-empty and
     positive (``ValueError`` otherwise).
 
-    ``activity=None`` estimates switching activity internally with one
-    compiled Monte-Carlo simulation (``num_vectors``/``seed``); sizing
-    moves never change any node's logic function, so a single
-    simulation serves the whole downhill walk.
+    ``activity`` maps nodes to switching activity; sizing moves never
+    change any node's logic function, so one estimate serves the whole
+    downhill walk.
     """
     if not allowed_sizes:
         raise ValueError("allowed_sizes is empty")
@@ -380,11 +377,6 @@ def size_for_power(net: Network,
         if not s > 0:
             raise ValueError(f"allowed size {s!r} is not positive")
     params = params or PowerParameters()
-    if activity is None:
-        from repro.power.activity import activity_from_simulation
-
-        activity, _probs = activity_from_simulation(net, num_vectors,
-                                                    seed)
     ordered = sorted(allowed_sizes)
     sizes = {name: float(ordered[-1])
              for name, node in net.nodes.items() if not node.is_source()}

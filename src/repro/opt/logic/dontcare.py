@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.bdd.bdd import BDD, BDDFunction
-from repro.bdd.circuit import network_bdds
-from repro.logic.cube import Cube
+from repro.bdd.bdd import BDDFunction
+from repro.bdd.circuit import bdd_to_cover, cover_function, network_bdds
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
-from repro.logic.transform import node_cover
+from repro.logic.transform import gates_to_sop, node_cover
 from repro.power.activity import (SimulationCache,
                                   activity_from_probability,
                                   activity_from_simulation,
@@ -28,58 +27,41 @@ from repro.power.activity import (SimulationCache,
 from repro.power.model import LoadIndex, PowerParameters, \
     node_capacitance
 
-
-def _bdd_to_cover(func: BDDFunction, var_order: List[str]) -> Cover:
-    """Enumerate the BDD's paths-to-TRUE as cubes over ``var_order``."""
-    bdd = func.bdd
-    index = {name: i for i, name in enumerate(var_order)}
-    n = len(var_order)
-    cubes: List[Cube] = []
-
-    def walk(node: int, lits: List[Tuple[int, int]]) -> None:
-        if node == BDD.FALSE:
-            return
-        if node == BDD.TRUE:
-            cubes.append(Cube.from_literals(n, lits))
-            return
-        name = bdd.var_names[bdd._level[node]]
-        var = index[name]
-        walk(bdd._lo[node], lits + [(var, 0)])
-        walk(bdd._hi[node], lits + [(var, 1)])
-
-    walk(func.node, [])
-    return Cover(n, cubes).sccc()
+#: Nodes with more fanins than this are left as they are.
+MAX_FANINS = 10
 
 
-def _fanin_space_image(net: Network, node: Node,
-                       funcs: Dict[str, BDDFunction],
-                       bdd: BDD, aux_names: List[str]) -> BDDFunction:
-    """Image of the reachable input space on the node's fanin space.
+def _sources(net: Network) -> List[str]:
+    return [n.name for n in net.nodes.values() if n.is_source()]
 
-    Returns a BDD over the auxiliary variables ``aux_names`` (one per
-    fanin) that is 1 exactly on fanin combinations some PI assignment
-    produces.
-    """
+
+def _fanin_relation(node: Node, funcs: Dict[str, BDDFunction],
+                    aux_names: List[str]) -> BDDFunction:
+    """Relation between the source space and the node's fanin space:
+    1 where each auxiliary variable of ``aux_names`` (one per fanin)
+    equals its fanin's global function."""
+    bdd = next(iter(funcs.values())).bdd
     relation = bdd.true
     for aux, fi in zip(aux_names, node.fanins):
-        y = bdd.var(aux)
-        f = funcs[fi]
-        relation = relation & ~(y ^ f)
-    sources = [n.name for n in net.nodes.values() if n.is_source()]
-    return relation.exists(sources)
+        relation = relation & ~(bdd.var(aux) ^ funcs[fi])
+    return relation
+
+
+def _aux_names(node: Node) -> List[str]:
+    return [f"__cdc_{node.name}_{i}" for i in range(len(node.fanins))]
 
 
 def controllability_dont_cares(net: Network, node_name: str,
                                funcs: Optional[Dict[str, BDDFunction]]
                                = None) -> Cover:
-    """CDC set of a node as a cover over its fanins."""
+    """CDC set of a node as a cover over its fanins: the complement of
+    the image of the source space on the fanin space."""
     node = net.node(node_name)
     if funcs is None:
         funcs = network_bdds(net)
-    bdd = next(iter(funcs.values())).bdd
-    aux = [f"__cdc_{node_name}_{i}" for i in range(len(node.fanins))]
-    image = _fanin_space_image(net, node, funcs, bdd, aux)
-    return _bdd_to_cover(~image, aux)
+    aux = _aux_names(node)
+    image = _fanin_relation(node, funcs, aux).exists(_sources(net))
+    return bdd_to_cover(~image, aux)
 
 
 def observability_dont_cares(net: Network, node_name: str,
@@ -99,22 +81,11 @@ def observability_dont_cares(net: Network, node_name: str,
         node = net.nodes[name]
         if name == node_name:
             alt[name] = y
-            continue
-        if node.is_source():
+        elif node.is_source():
             alt[name] = funcs[name]
-            continue
-        cover = node_cover(node)
-        fanin_funcs = [alt[fi] for fi in node.fanins]
-        acc = bdd.false
-        for cube in cover:
-            term = bdd.true
-            for var, phase in cube.literals():
-                lit = fanin_funcs[var]
-                term = term & (lit if phase else ~lit)
-                if term.is_false:
-                    break
-            acc = acc | term
-        alt[name] = acc
+        else:
+            alt[name] = cover_function(bdd, node_cover(node),
+                                       [alt[fi] for fi in node.fanins])
     odc = bdd.true
     for out in net.outputs:
         f1 = alt[out].restrict({shadow: 1})
@@ -157,38 +128,25 @@ def _node_cost(cover: Cover, fanin_probs: List[float],
 def dontcare_power_optimization(net: Network,
                                 input_probs: Optional[Dict[str, float]]
                                 = None,
-                                use_observability: bool = True,
-                                max_fanins: int = 10,
-                                estimator: str = "simulation",
                                 num_vectors: int = 512,
                                 seed: int = 0) -> DontCareResult:
     """In-place don't-care re-minimization of every eligible node.
 
-    Nodes are visited in topological order; candidate covers are scored
-    with the fast probability-propagation model, but each rewrite is
-    accepted only if the *global* switched-capacitance estimate improves
-    (the transitive-fanout awareness of [19]).  ``estimator`` selects
-    that global check: ``"simulation"`` (Monte-Carlo, reconvergence-
-    aware, the default) or ``"propagation"`` (faster, optimistic).
+    Nodes of at most :data:`MAX_FANINS` fanins are visited in
+    topological order and re-minimized against their CDCs plus the
+    fanin combinations reachable only under their ODCs.  Candidate
+    covers are scored with the fast probability-propagation model, but
+    each rewrite is accepted only if the *global* switched capacitance,
+    estimated by Monte-Carlo simulation (``num_vectors``/``seed``),
+    improves (the transitive-fanout awareness of [19]).
     """
-    if estimator not in ("simulation", "propagation"):
-        raise ValueError("estimator must be 'simulation' or "
-                         "'propagation'")
     # Work on the SOP view so the new covers can be installed in place.
-    for name in list(net.nodes):
-        node = net.nodes[name]
-        if node.kind == "gate" and node.fanins:
-            from repro.logic.transform import gate_cover
-
-            cover = gate_cover(node.gtype, len(node.fanins))
-            new = Node(name, "sop", fanins=list(node.fanins), cover=cover)
-            new.attrs = dict(node.attrs)
-            net.nodes[name] = new
-    net._invalidate()
+    gates_to_sop(net)
     # The pass rewrites covers only, never fanins, outputs or latches,
     # so one reader index serves every capacitance query below.
     params = PowerParameters()
     loads = LoadIndex(net, params)
+    sources = _sources(net)
 
     probs = signal_probability_propagation(net, input_probs)
 
@@ -196,19 +154,12 @@ def dontcare_power_optimization(net: Network,
     # after each candidate rewrite re-simulates only the rewritten
     # node's transitive fanout cone (repro.sim.compiled) instead of the
     # whole network.
-    sim_cache = SimulationCache() if estimator == "simulation" else None
+    sim_cache = SimulationCache()
 
-    def total_cost(dirty=None,
-                   cache: Optional[SimulationCache] = None
+    def total_cost(dirty=None, cache: SimulationCache = sim_cache
                    ) -> Tuple[float, int]:
-        if estimator == "simulation":
-            act, _p = activity_from_simulation(
-                net, num_vectors, seed, input_probs,
-                reuse=cache if cache is not None else sim_cache,
-                dirty=dirty)
-        else:
-            p = signal_probability_propagation(net, input_probs)
-            act = {n: activity_from_probability(p[n]) for n in p}
+        act, _p = activity_from_simulation(
+            net, num_vectors, seed, input_probs, reuse=cache, dirty=dirty)
         cap = 0.0
         lits = 0
         for name, node in net.nodes.items():
@@ -226,27 +177,18 @@ def dontcare_power_optimization(net: Network,
         node = net.nodes[name]
         if node.is_source() or node.kind != "sop" or not node.fanins:
             continue
-        if len(node.fanins) > max_fanins:
+        if len(node.fanins) > MAX_FANINS:
             continue
-        dc = controllability_dont_cares(net, name, funcs)
-        if use_observability:
-            odc_global = observability_dont_cares(net, name, funcs)
-            if not odc_global.is_false:
-                bdd = odc_global.bdd
-                aux = [f"__odcimg_{name}_{i}"
-                       for i in range(len(node.fanins))]
-                relation = bdd.true
-                for a, fi in zip(aux, node.fanins):
-                    y = bdd.var(a)
-                    relation = relation & ~(y ^ funcs[fi])
-                sources = [n.name for n in net.nodes.values()
-                           if n.is_source()]
-                img = (relation & odc_global).exists(sources)
-                # Fanin combos reachable *only* under the ODC condition.
-                reach_all = relation.exists(sources)
-                non_odc = (relation & ~odc_global).exists(sources)
-                odc_cover = _bdd_to_cover(reach_all & img & ~non_odc, aux)
-                dc = dc.union(odc_cover)
+        aux = _aux_names(node)
+        relation = _fanin_relation(node, funcs, aux)
+        reachable = relation.exists(sources)
+        dc = bdd_to_cover(~reachable, aux)
+        odc_global = observability_dont_cares(net, name, funcs)
+        if not odc_global.is_false:
+            # Fanin combos reachable *only* under the ODC condition.
+            img = (relation & odc_global).exists(sources)
+            non_odc = (relation & ~odc_global).exists(sources)
+            dc = dc.union(bdd_to_cover(img & ~non_odc, aux))
         if dc.is_empty():
             continue
         on = node.cover
@@ -266,11 +208,10 @@ def dontcare_power_optimization(net: Network,
             # costs no resynchronization.
             before_cap, _lits = total_cost(dirty=())
             node.cover = best
-            trial = sim_cache.copy() if sim_cache is not None else None
+            trial = sim_cache.copy()
             after_cap, _lits = total_cost(dirty=(name,), cache=trial)
             if after_cap < before_cap:
-                if sim_cache is not None:
-                    sim_cache.adopt(trial)
+                sim_cache.adopt(trial)
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
                 funcs = network_bdds(net)

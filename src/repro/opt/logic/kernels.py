@@ -17,10 +17,8 @@ from repro.logic.cube import Cube
 from repro.logic.factor import algebraic_divide, kernels
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
-
-from repro.power.activity import (SimulationCache,
-                                  activity_from_probability,
-                                  activity_from_simulation,
+from repro.logic.transform import gates_to_sop
+from repro.power.activity import (activity_from_probability,
                                   signal_probability_propagation)
 
 
@@ -140,25 +138,16 @@ def _apply_extraction(net: Network, node_name: str, kernel: Cover,
 
 def extract_kernels(net: Network, objective: str = "area",
                     input_probs: Optional[Dict[str, float]] = None,
-                    max_extractions: int = 50,
-                    estimator: str = "propagation",
-                    num_vectors: int = 512,
-                    seed: int = 0) -> ExtractionResult:
+                    max_extractions: int = 50) -> ExtractionResult:
     """Greedy kernel extraction over all SOP nodes of the network.
 
     ``objective`` is ``"area"`` (literal savings, the classical [5]
     value) or ``"power"`` (activity-weighted savings, the [35] value).
     Gate nodes are first converted to SOP form in place.  Returns
     before/after metrics under *both* cost functions so the trade-off is
-    visible.
-
-    ``estimator`` selects the signal-probability source feeding the
-    power value function: ``"propagation"`` (independence assumption,
-    the default) or ``"simulation"`` (compiled Monte-Carlo,
-    reconvergence-aware).  In simulation mode each extraction step
-    re-simulates only the rewritten node's fanout cone
-    (``activity_from_simulation(..., reuse=...)``) rather than the
-    whole network.
+    visible.  The power value function reads signal probabilities from
+    :func:`~repro.power.activity.signal_probability_propagation`,
+    recomputed after every extraction.
 
     Both extractors are greedy, and greedy paths can land in different
     local optima; in power mode the area-greedy decomposition is also
@@ -167,17 +156,12 @@ def extract_kernels(net: Network, objective: str = "area",
     """
     if objective not in ("area", "power", "_power_greedy"):
         raise ValueError("objective must be 'area' or 'power'")
-    if estimator not in ("propagation", "simulation"):
-        raise ValueError("estimator must be 'propagation' or "
-                         "'simulation'")
     if objective == "power":
         alt = net.copy()
         alt_result = extract_kernels(alt, "area", input_probs,
-                                     max_extractions, estimator,
-                                     num_vectors, seed)
+                                     max_extractions)
         main_result = extract_kernels(net, "_power_greedy", input_probs,
-                                      max_extractions, estimator,
-                                      num_vectors, seed)
+                                      max_extractions)
         if alt_result.switched_cap_after < \
                 main_result.switched_cap_after:
             net.nodes = alt.nodes
@@ -190,29 +174,8 @@ def extract_kernels(net: Network, objective: str = "area",
             alt_result.literals_before = main_result.literals_before
             return alt_result
         return main_result
-    for name in list(net.nodes):
-        node = net.nodes[name]
-        if node.kind == "gate" and node.fanins:
-            from repro.logic.transform import gate_cover
-
-            cover = gate_cover(node.gtype, len(node.fanins))
-            new = Node(name, "sop", fanins=list(node.fanins), cover=cover)
-            new.attrs = dict(node.attrs)
-            net.nodes[name] = new
-    net._invalidate()
-
-    sim_cache = SimulationCache() if estimator == "simulation" else None
-
-    def estimate_probs(dirty=None) -> Dict[str, float]:
-        if sim_cache is not None:
-            _act, p = activity_from_simulation(net, num_vectors, seed,
-                                               input_probs,
-                                               reuse=sim_cache,
-                                               dirty=dirty)
-            return p
-        return signal_probability_propagation(net, input_probs)
-
-    probs = estimate_probs()
+    gates_to_sop(net)
+    probs = signal_probability_propagation(net, input_probs)
     result = ExtractionResult(
         literals_before=net.num_literals(),
         switched_cap_before=_network_literal_activity(net, probs))
@@ -236,9 +199,7 @@ def extract_kernels(net: Network, objective: str = "area",
         new_name = net.fresh_name(f"_k{step}_")
         _apply_extraction(net, name, kern, new_name)
         result.extracted.append(new_name)
-        # Only the rewritten node and the freshly created kernel node
-        # changed; everything outside their fanout cone is reused.
-        probs = estimate_probs(dirty=(name, new_name))
+        probs = signal_probability_propagation(net, input_probs)
 
     result.literals_after = net.num_literals()
     result.switched_cap_after = _network_literal_activity(net, probs)

@@ -352,6 +352,19 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     return 0 if cmp.ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for vector counts: a negative or zero count would
+    otherwise fail deep inside the simulator."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("netlist", help="input BLIF file")
-        p.add_argument("--vectors", type=int, default=1024,
+        p.add_argument("--vectors", type=_positive_int, default=1024,
                        help="simulation vectors (default 1024)")
         p.add_argument("--seed", type=int, default=0)
 
@@ -425,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist", help="input BLIF file")
     p.add_argument("--spec", required=True, metavar="FLOW.json",
                    help="flow spec: pass list + per-pass params")
-    p.add_argument("--vectors", type=int, default=None,
+    p.add_argument("--vectors", type=_positive_int, default=None,
                    help="override the spec's simulation vectors")
     p.add_argument("--seed", type=int, default=None,
                    help="override the spec's seed")
@@ -466,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kiss", help="KISS file, or a bundled benchmark "
                    "name (traffic, detector, vending, arbiter, "
                    "redundant, elevator)")
-    p.add_argument("--vectors", type=int, default=1500)
+    p.add_argument("--vectors", type=_positive_int, default=1500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fsm)
 

@@ -154,6 +154,23 @@ class TestCircuitBdds:
                 s += funcs["c3"].evaluate(assign) << 3
                 assert s == a + b
 
+    def test_constant_gates(self):
+        from repro.bdd.circuit import network_bdds
+        from repro.logic.gates import GateType
+        from repro.logic.netlist import Network
+
+        net = Network()
+        net.add_inputs(["a"])
+        net.add_gate("zero", GateType.CONST0, [])
+        net.add_gate("one", GateType.CONST1, [])
+        net.add_gate("x", GateType.OR, ["a", "zero"])
+        net.add_gate("y", GateType.NAND, ["a", "one"])
+        net.set_outputs(["x", "y"])
+        funcs = network_bdds(net)
+        assert funcs["zero"].is_false and funcs["one"].is_true
+        assert funcs["x"] == funcs["a"]
+        assert funcs["y"] == ~funcs["a"]
+
     def test_bdd_to_cover_roundtrip(self):
         from repro.bdd.circuit import bdd_to_cover
 

@@ -224,6 +224,32 @@ class TestFlowSpec:
             with pytest.raises(ValueError):
                 FlowSpec.from_dict(bad)
 
+    @pytest.mark.parametrize("bad, key", [
+        ({"passes": ["map"], "vectors": 64}, "vectors"),
+        ({"passes": ["map"], "check_equivalence": False},
+         "check_equivalence"),
+        ({"passes": [{"pass": "map", "parms": {}}]}, "parms"),
+        ({"passes": [{"pass": "map", "params": {},
+                      "check_equivalence": False}]},
+         "check_equivalence")])
+    def test_unknown_keys_rejected(self, bad, key):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            FlowSpec.from_dict(bad)
+
+    @pytest.mark.parametrize("vectors", [-5, 0, 2.5, "64", True, None])
+    def test_num_vectors_must_be_positive_int(self, vectors):
+        with pytest.raises(ValueError, match="num_vectors"):
+            FlowSpec.from_dict({"passes": ["map"],
+                                "num_vectors": vectors})
+
+    def test_to_dict_roundtrip(self):
+        spec = FlowSpec.from_dict({
+            "name": "r", "num_vectors": 64, "seed": 3, "strict": True,
+            "strict_lint": True,
+            "passes": ["extract", {"pass": "map",
+                                   "params": {"objective": "area"}}]})
+        assert FlowSpec.from_dict(spec.to_dict()) == spec
+
     def test_unknown_pass_name(self):
         with pytest.raises(ValueError, match="unknown pass"):
             make_pass("definitely-not-a-pass")
@@ -364,6 +390,31 @@ class TestCli:
         assert main(["flow", comb_blif, "--spec",
                      str(unknown)]) == 2
         assert "unknown pass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"passes": ["map"], "num_vectors": 64,
+          "check_equivalence": False}, "check_equivalence"),
+        ({"passes": ["map"], "vectors": 64}, "vectors"),
+        ({"passes": ["map"], "num_vectors": -5}, "num_vectors")])
+    def test_flow_spec_field_errors_exit_2(self, comb_blif, tmp_path,
+                                           capsys, spec, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["flow", comb_blif, "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad flow spec" in err and field in err
+
+    @pytest.mark.parametrize("vectors", ["-5", "0", "many"])
+    def test_bad_vectors_flag_exits_2(self, comb_blif, tmp_path, capsys,
+                                      vectors):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"passes": ["map"]}))
+        for cmd in (["flow", comb_blif, "--spec", str(spec)],
+                    ["optimize", comb_blif], ["fsm", "traffic"]):
+            with pytest.raises(SystemExit) as exc:
+                main(cmd + ["--vectors", vectors])
+            assert exc.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
 
     def test_balance_selective_and_cap(self, tmp_path, capsys):
         from repro.logic.generators import parity_tree

@@ -488,8 +488,7 @@ class TestFlowIntegration:
     def test_lint_break_rolls_back(self):
         net = small_comb()
         ctx = PassContext(original=net, num_vectors=256, lint=True)
-        bad = Pass(name="corruptor", apply=_break_invariant,
-                   verify=False)
+        bad = Pass(name="corruptor", apply=_break_invariant)
         final, trace, _ = run_network_passes(net, [bad], ctx)
         rec = trace.records[0]
         assert rec.outcome == "rolled_back" and rec.reason == "lint"
@@ -501,8 +500,7 @@ class TestFlowIntegration:
     def test_lint_break_strict_raises(self):
         net = small_comb()
         ctx = PassContext(original=net, num_vectors=256, lint=True)
-        bad = Pass(name="corruptor", apply=_break_invariant,
-                   verify=False)
+        bad = Pass(name="corruptor", apply=_break_invariant)
         with pytest.raises(FlowError, match="invariant"):
             run_network_passes(net, [bad], ctx, strict=True)
 

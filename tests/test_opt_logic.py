@@ -1,22 +1,36 @@
 """Unit tests for logic-level optimizations (don't-cares, balancing,
 kernel extraction, technology mapping)."""
 
-import pytest
+import random
+from typing import Dict, List, Tuple
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bdd.bdd import BDD
+from repro.bdd.circuit import network_bdds
 from repro.library.cells import generic_library
 from repro.logic.gates import GateType
+from repro.logic.cube import Cube
 from repro.logic.generators import (alu_slice, array_multiplier,
                                     comparator, parity_tree,
                                     random_logic, ripple_carry_adder)
-from repro.logic.netlist import Network
+from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
+from repro.logic.transform import gate_cover, node_cover
 from repro.opt.logic.balance import balance_paths
-from repro.opt.logic.dontcare import (controllability_dont_cares,
+from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
+                                      controllability_dont_cares,
                                       dontcare_power_optimization,
                                       observability_dont_cares)
 from repro.opt.logic.kernels import extract_kernels
 from repro.opt.logic.mapping import tech_map
+from repro.power.activity import (SimulationCache,
+                                  activity_from_simulation,
+                                  signal_probability_propagation)
 from repro.power.glitch import glitch_report
+from repro.power.model import LoadIndex, PowerParameters, \
+    node_capacitance
 from repro.sim.functional import verify_equivalence
 
 
@@ -70,6 +84,197 @@ class TestDontCares:
         assert verify_equivalence(ref, net, 512, seed=seed)
         # The simulation-gated loop never accepts a worsening move.
         assert res.switched_cap_after <= res.switched_cap_before + 1e-9
+
+
+# -- differential reference for the don't-care pass ------------------------
+#
+# The pass as it stood before it shared ``bdd_to_cover``, the cover->BDD
+# loop and one fanin relation per node with the rest of the package:
+# its own path enumerator, its own ODC rebuild loop, and separate
+# auxiliary variables for the CDC and ODC images.
+
+def _ref_bdd_to_cover(func, var_order: List[str]) -> Cover:
+    bdd = func.bdd
+    index = {name: i for i, name in enumerate(var_order)}
+    n = len(var_order)
+    cubes: List[Cube] = []
+
+    def walk(node: int, lits: List[Tuple[int, int]]) -> None:
+        if node == BDD.FALSE:
+            return
+        if node == BDD.TRUE:
+            cubes.append(Cube.from_literals(n, lits))
+            return
+        var = index[bdd.var_names[bdd._level[node]]]
+        walk(bdd._lo[node], lits + [(var, 0)])
+        walk(bdd._hi[node], lits + [(var, 1)])
+
+    walk(func.node, [])
+    return Cover(n, cubes).sccc()
+
+
+def _ref_cdc(net: Network, node_name: str, funcs) -> Cover:
+    node = net.node(node_name)
+    bdd = next(iter(funcs.values())).bdd
+    aux = [f"__cdc_{node_name}_{i}" for i in range(len(node.fanins))]
+    relation = bdd.true
+    for a, fi in zip(aux, node.fanins):
+        relation = relation & ~(bdd.var(a) ^ funcs[fi])
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    return _ref_bdd_to_cover(~relation.exists(sources), aux)
+
+
+def _ref_odc(net: Network, node_name: str, funcs):
+    bdd = next(iter(funcs.values())).bdd
+    shadow = f"__odc_{node_name}"
+    y = bdd.var(shadow)
+    alt = {}
+    for name in net.topo_order():
+        node = net.nodes[name]
+        if name == node_name:
+            alt[name] = y
+            continue
+        if node.is_source():
+            alt[name] = funcs[name]
+            continue
+        fanin_funcs = [alt[fi] for fi in node.fanins]
+        acc = bdd.false
+        for cube in node_cover(node):
+            term = bdd.true
+            for var, phase in cube.literals():
+                lit = fanin_funcs[var]
+                term = term & (lit if phase else ~lit)
+                if term.is_false:
+                    break
+            acc = acc | term
+        alt[name] = acc
+    odc = bdd.true
+    for out in net.outputs:
+        odc = odc & ~(alt[out].restrict({shadow: 1})
+                      ^ alt[out].restrict({shadow: 0}))
+    return odc
+
+
+def _reference_dontcare(net: Network, input_probs=None,
+                        num_vectors: int = 512,
+                        seed: int = 0) -> DontCareResult:
+    for name in list(net.nodes):
+        node = net.nodes[name]
+        if node.kind == "gate" and node.fanins:
+            new = Node(name, "sop", fanins=list(node.fanins),
+                       cover=gate_cover(node.gtype, len(node.fanins)))
+            new.attrs = dict(node.attrs)
+            net.nodes[name] = new
+    net._invalidate()
+    params = PowerParameters()
+    loads = LoadIndex(net, params)
+    probs = signal_probability_propagation(net, input_probs)
+    sim_cache = SimulationCache()
+
+    def total_cost(dirty=None, cache=None):
+        act, _p = activity_from_simulation(
+            net, num_vectors, seed, input_probs,
+            reuse=cache if cache is not None else sim_cache, dirty=dirty)
+        cap = 0.0
+        lits = 0
+        for name, node in net.nodes.items():
+            if node.is_source():
+                continue
+            cap += act.get(name, 0.0) * node_capacitance(net, name, params,
+                                                         loads)
+            lits += node.cover.num_literals() if node.cover else 0
+        return cap, lits
+
+    cap_before, lits_before = total_cost()
+    funcs = network_bdds(net)
+    changed = 0
+    for name in net.topo_order():
+        node = net.nodes[name]
+        if node.is_source() or node.kind != "sop" or not node.fanins:
+            continue
+        if len(node.fanins) > 10:
+            continue
+        dc = _ref_cdc(net, name, funcs)
+        odc_global = _ref_odc(net, name, funcs)
+        if not odc_global.is_false:
+            bdd = odc_global.bdd
+            aux = [f"__odcimg_{name}_{i}" for i in range(len(node.fanins))]
+            relation = bdd.true
+            for a, fi in zip(aux, node.fanins):
+                relation = relation & ~(bdd.var(a) ^ funcs[fi])
+            sources = [n.name for n in net.nodes.values() if n.is_source()]
+            img = (relation & odc_global).exists(sources)
+            reach_all = relation.exists(sources)
+            non_odc = (relation & ~odc_global).exists(sources)
+            dc = dc.union(_ref_bdd_to_cover(reach_all & img & ~non_odc,
+                                            aux))
+        if dc.is_empty():
+            continue
+        on = node.cover
+        fanin_probs = [probs[fi] for fi in node.fanins]
+        self_cap = 0.5 * (2 * on.num_literals() + 2)
+        load = node_capacitance(net, name, params, loads) - self_cap
+        candidates = [on, on.minimize(dc), on.union(dc).minimize()]
+        best = min(candidates,
+                   key=lambda c: _node_cost(c, fanin_probs, load))
+        if best is not on and not best.is_equivalent(on):
+            before_cap, _lits = total_cost(dirty=())
+            node.cover = best
+            trial = sim_cache.copy()
+            after_cap, _lits = total_cost(dirty=(name,), cache=trial)
+            if after_cap < before_cap:
+                sim_cache.adopt(trial)
+                changed += 1
+                probs = signal_probability_propagation(net, input_probs)
+                funcs = network_bdds(net)
+            else:
+                node.cover = on
+    cap_after, lits_after = total_cost()
+    return DontCareResult(nodes_changed=changed,
+                          switched_cap_before=cap_before,
+                          switched_cap_after=cap_after,
+                          literals_before=lits_before,
+                          literals_after=lits_after)
+
+
+def _node_views(net: Network) -> Dict[str, tuple]:
+    return {name: (node.kind, node.gtype, tuple(node.fanins),
+                   None if node.cover is None
+                   else (node.cover.num_vars, tuple(node.cover.cubes)))
+            for name, node in net.nodes.items()}
+
+
+def _assert_matches_reference(net: Network, input_probs=None,
+                              num_vectors: int = 512,
+                              seed: int = 0) -> None:
+    got_net, ref_net = net.copy(), net.copy()
+    got = dontcare_power_optimization(got_net, input_probs, num_vectors,
+                                      seed)
+    want = _reference_dontcare(ref_net, input_probs, num_vectors, seed)
+    assert got == want
+    assert _node_views(got_net) == _node_views(ref_net)
+
+
+class TestDontCareDifferential:
+    """The pass gives the same result and the same covers, bit for bit,
+    as the reference with its own BDD code."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(3, 8), st.integers(4, 60),
+           st.sampled_from([64, 256, 512]), st.booleans())
+    def test_random_logic(self, seed, inputs, gates, vectors, skewed):
+        net = random_logic(inputs, gates, seed=seed)
+        rng = random.Random(seed)
+        probs = ({pi: rng.uniform(0.05, 0.95) for pi in net.inputs}
+                 if skewed else None)
+        _assert_matches_reference(net, probs, vectors, seed % 7)
+
+    @pytest.mark.parametrize("make", [lambda: array_multiplier(4),
+                                      lambda: ripple_carry_adder(6),
+                                      lambda: comparator(8)],
+                             ids=["mult4", "rca6", "cmp8"])
+    def test_datapath(self, make):
+        _assert_matches_reference(make())
 
 
 class TestBalance:
