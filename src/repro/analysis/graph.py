@@ -143,19 +143,3 @@ def cycle_path(adj: Dict[str, Sequence[str]],
             state[node] = 2
             chain.pop()
     return None
-
-
-def reachable_from(adj: Dict[str, Sequence[str]],
-                   roots: Sequence[str]) -> Set[str]:
-    """Nodes reachable from ``roots`` (inclusive) following ``adj``."""
-    seen: Set[str] = set()
-    work = [r for r in roots if r in adj]
-    while work:
-        node = work.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        for s in adj.get(node, ()):
-            if s in adj and s not in seen:
-                work.append(s)
-    return seen

@@ -2,7 +2,7 @@
 
 A :class:`Rule` couples an id, a default severity and a check function
 ``check(ctx) -> [Diagnostic]`` running against a :class:`RuleContext`
-(the network plus shared lazily-computed facts: fanouts, adjacency,
+(the network plus shared lazily-computed facts: adjacency,
 topological order).  Rules register themselves at import via the
 :func:`rule` decorator; the standard catalog lives in
 :mod:`repro.analysis.structural` and :mod:`repro.analysis.power_rules`
@@ -54,7 +54,6 @@ class RuleContext:
         #: every SOP cover matches its arity and is well-formed
         self.covers_ok = True
         self._adjacency: Optional[Dict[str, List[str]]] = None
-        self._fanouts: Optional[Dict[str, List[str]]] = None
 
     def adjacency(self) -> Dict[str, List[str]]:
         """node -> combinational fanins (sources have none; references
@@ -69,12 +68,6 @@ class RuleContext:
                                       if fi in self.net.nodes]
             self._adjacency = adj
         return self._adjacency
-
-    def fanouts(self) -> Dict[str, List[str]]:
-        """Reader map; requires a complete network (``complete``)."""
-        if self._fanouts is None:
-            self._fanouts = self.net.fanouts()
-        return self._fanouts
 
 
 RuleCheck = Callable[[RuleContext], List[Diagnostic]]

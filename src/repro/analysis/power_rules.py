@@ -72,9 +72,8 @@ def check_static_hazards(ctx: RuleContext) -> List[Diagnostic]:
       needs_complete=True, needs_dag=True)
 def check_reconvergence(ctx: RuleContext) -> List[Diagnostic]:
     net = ctx.net
-    fo = ctx.fanouts()
     order = net.topo_order()
-    stems = [n for n in order if len(fo.get(n, ())) >= 2]
+    stems = [n for n in order if sum(net.readers(n).values()) >= 2]
     stem_bit = {name: 1 << i for i, name in enumerate(stems)}
     # reach[n]: bitset of stems with a combinational path to n.
     reach: Dict[str, int] = {}
@@ -123,10 +122,9 @@ def check_hot_nets(ctx: RuleContext) -> List[Diagnostic]:
         return []
     probs = signal_probability_propagation(net,
                                            ctx.config.input_probs)
-    fo = ctx.fanouts()
     scored: List[Tuple[float, str, float, int]] = []
     for name, p in probs.items():
-        fanout = len(fo.get(name, ()))
+        fanout = sum(net.readers(name).values())
         if fanout == 0:
             continue
         score = activity_from_probability(p) * fanout

@@ -80,13 +80,11 @@ def check_undriven(ctx: RuleContext) -> List[Diagnostic]:
       needs_complete=True)
 def check_dangling(ctx: RuleContext) -> List[Diagnostic]:
     net = ctx.net
-    fo = ctx.fanouts()
     out: List[Diagnostic] = []
-    outputs = set(net.outputs)
     for node in net.nodes.values():
-        if node.is_source() or node.name in outputs:
+        if node.is_source() or net.is_output(node.name):
             continue
-        if not fo.get(node.name):
+        if not net.readers(node.name):
             out.append(Diagnostic(
                 rule="dangling-node", severity=WARNING,
                 site=node.name,
@@ -121,12 +119,11 @@ def check_unreachable(ctx: RuleContext) -> List[Diagnostic]:
                 work.append(latch.data)
             if latch.enable is not None and latch.enable not in live:
                 work.append(latch.enable)
-    fo = ctx.fanouts()
     out: List[Diagnostic] = []
     for node in net.nodes.values():
         if node.name in live or node.kind == "input":
             continue
-        if not fo.get(node.name):
+        if not net.readers(node.name):
             continue  # fanout-free dead nodes are dangling-node's
         out.append(Diagnostic(
             rule="unreachable-cone", severity=WARNING,
@@ -142,11 +139,9 @@ def check_unreachable(ctx: RuleContext) -> List[Diagnostic]:
       needs_complete=True)
 def check_unused_inputs(ctx: RuleContext) -> List[Diagnostic]:
     net = ctx.net
-    fo = ctx.fanouts()
-    outputs = set(net.outputs)
     out: List[Diagnostic] = []
     for name in net.inputs:
-        if not fo.get(name) and name not in outputs:
+        if not net.readers(name) and not net.is_output(name):
             out.append(Diagnostic(
                 rule="unused-input", severity=INFO, site=name,
                 message=f"primary input {name!r} is never read"))

@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch.dfg import DFG
 from repro.arch.scheduling import Schedule
 from repro.logic.netlist import Network
-from repro.power.model import LoadIndex, PowerParameters, \
-    node_capacitance
+from repro.power.model import PowerParameters, node_capacitance
 from repro.sim.functional import simulate_transitions
 from repro.sim.vectors import words_from_vectors
 
@@ -151,10 +150,9 @@ def measure_switched_cap(net: Network, vectors: List[Dict[str, int]],
     for pi in net.inputs:
         words.setdefault(pi, 0)
     transitions = simulate_transitions(net, words, count)
-    loads = LoadIndex(net, params)
     total = 0.0
     for name, t in transitions.items():
-        total += t * node_capacitance(net, name, params, loads)
+        total += t * node_capacitance(net, name, params)
     return total / max(1, count - 1)
 
 

@@ -239,9 +239,10 @@ class FlowTrace:
             kind = d.get("type")
             if kind == "flow":
                 trace.flow = d.get("flow", "flow")
-                trace.num_vectors = int(d.get("num_vectors", 0))
-                trace.seed = int(d.get("seed", 0))
-                trace.strict = bool(d.get("strict", False))
+                for key, kind in (("num_vectors", int), ("seed", int),
+                                  ("strict", bool)):
+                    setattr(trace, key, _typed_field(
+                        "flow trace", d, key, getattr(trace, key), kind))
             elif kind == "pass":
                 trace.records.append(TraceRecord.from_json(d))
             else:
@@ -478,9 +479,10 @@ class FlowSpec:
          "passes": ["extract",
                     {"pass": "map", "params": {"objective": "power"}}]}
 
-    A string entry is a pass with default parameters.  Unknown keys
-    and a ``num_vectors`` that is not a positive integer are rejected
-    with ``ValueError``.
+    A string entry is a pass with default parameters.  Unknown keys, a
+    ``num_vectors`` that is not a positive integer, a ``seed`` that is
+    not an integer and flags that are not booleans are rejected with
+    ``ValueError``.
     """
 
     name: str = "flow"
@@ -519,17 +521,17 @@ class FlowSpec:
                 raise ValueError(
                     f"bad pass entry {entry!r}: expected a name or "
                     f"{{'pass': ..., 'params': {{...}}}}")
-        num_vectors = d.get("num_vectors", 1024)
-        if isinstance(num_vectors, bool) or \
-                not isinstance(num_vectors, int) or num_vectors < 1:
-            raise ValueError(
-                f"flow spec: num_vectors must be a positive integer, "
-                f"got {num_vectors!r}")
+        spec = "flow spec"
+        num_vectors = _typed_field(spec, d, "num_vectors", 1024, int)
+        if num_vectors < 1:
+            raise ValueError(f"{spec}: num_vectors must be positive, "
+                             f"got {num_vectors!r}")
         return cls(name=str(d.get("name", "flow")), passes=passes,
                    num_vectors=num_vectors,
-                   seed=int(d.get("seed", 0)),
-                   strict=bool(d.get("strict", False)),
-                   strict_lint=bool(d.get("strict_lint", False)))
+                   seed=_typed_field(spec, d, "seed", 0, int),
+                   strict=_typed_field(spec, d, "strict", False, bool),
+                   strict_lint=_typed_field(spec, d, "strict_lint", False,
+                                            bool))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name,
@@ -554,6 +556,18 @@ def _reject_unknown_keys(where: str, d: Dict[str, Any],
         raise ValueError(
             f"{where}: unknown key {unknown[0]!r}; expected one of "
             f"{', '.join(known)}")
+
+
+def _typed_field(where: str, d: Dict[str, Any], key: str, default: Any,
+                 kind: type) -> Any:
+    """``d[key]`` (``default`` when absent), a ``kind``; bools are not
+    ints."""
+    value = d.get(key, default)
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, kind):
+        raise ValueError(f"{where}: {key} must be {kind.__name__}, "
+                         f"got {value!r}")
+    return value
 
 
 def load_flow_spec(path: str) -> FlowSpec:

@@ -174,7 +174,7 @@ def write_blif(net: Network) -> str:
         if node.is_source():
             continue
         cover = node_cover(node)
-        out.append(".names " + " ".join(node.fanins + [name]))
+        out.append(".names " + " ".join((*node.fanins, name)))
         if not node.fanins:
             if cover.is_tautology():
                 out.append("1")

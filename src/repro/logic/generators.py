@@ -475,8 +475,7 @@ def random_logic(num_inputs: int, num_gates: int, seed: int = 0,
             f2 = rng.choice(pool)
         node = net.add_gate(f"g{g}", gtype, [f1, f2])
         pool.append(node)
-    fo = net.fanouts()
-    sinks = [n for n in pool if not fo[n] and
+    sinks = [n for n in pool if not net.readers(n) and
              net.nodes[n].kind != "input"]
     if num_outputs is not None:
         extra = [n for n in reversed(pool)

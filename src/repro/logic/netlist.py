@@ -13,12 +13,16 @@ A :class:`Network` is a DAG of named nodes.  Each node is one of:
 
 Primary outputs are a list of node names.  Combinational evaluation is
 bit-parallel (Python ints as pattern vectors).
+
+Structure is written only through :class:`Network` methods, which keep
+one reader index current (:meth:`Network.readers`).  ``Node.fanins`` is
+a tuple, so a stray slot write fails instead of staling the index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.gates import GateType, eval_gate, gate_arity_ok, \
     gate_transistors
@@ -51,12 +55,12 @@ class Node:
 
     def __init__(self, name: str, kind: str,
                  gtype: Optional[GateType] = None,
-                 fanins: Optional[List[str]] = None,
+                 fanins: Optional[Sequence[str]] = None,
                  cover: Optional[Cover] = None):
         self.name = name
         self.kind = kind
         self.gtype = gtype
-        self.fanins: List[str] = fanins or []
+        self.fanins: Tuple[str, ...] = tuple(fanins or ())
         self.cover = cover
         #: free-form per-node attributes (cell binding, transistor size, ...)
         self.attrs: Dict[str, object] = {}
@@ -83,8 +87,21 @@ class Node:
         return f"Node({self.name}:{self.kind})"
 
 
+def _latch_pins(latch: Latch) -> Tuple[str, ...]:
+    """The nodes a latch reads: its data pin, then its enable pin."""
+    if latch.enable is None:
+        return (latch.data,)
+    return (latch.data, latch.enable)
+
+
 class Network:
-    """A combinational / sequential Boolean network."""
+    """A combinational / sequential Boolean network.
+
+    ``nodes``, ``inputs``, ``outputs`` and ``latches`` are written only
+    through the methods below, which keep the reader index
+    (``_readers``, see :meth:`readers`; any name with a reader has an
+    entry, node or not) and the output set ``_po`` current.
+    """
 
     def __init__(self, name: str = "top"):
         self.name = name
@@ -92,8 +109,14 @@ class Network:
         self.inputs: List[str] = []
         self.outputs: List[str] = []
         self.latches: List[Latch] = []
+        self._readers: Dict[str, Dict[str, int]] = {}
+        self._po: Set[str] = set()
+        #: node -> insertion rank (``nodes`` order); ``_unsorted`` names
+        #: the reader maps that fell out of rank order
+        self._rank: Dict[str, int] = {}
+        self._next_rank = 0
+        self._unsorted: Set[str] = set()
         self._topo_cache: Optional[List[str]] = None
-        self._fanout_cache: Optional[Dict[str, List[str]]] = None
         #: compiled evaluation programs (repro.sim.compiled /
         #: repro.sim.timed); opaque here to avoid a layering cycle.
         #: Cleared by every structural mutation hook and re-validated
@@ -102,23 +125,68 @@ class Network:
         self._compiled: Optional[object] = None
         self._timed: Optional[object] = None
 
-    # -- construction ---------------------------------------------------
+    # -- the reader index -------------------------------------------------
 
     def _invalidate(self) -> None:
         self._topo_cache = None
-        self._fanout_cache = None
         self._compiled = None
         self._timed = None
+
+    def _link(self, reader: str, names: Iterable[str]) -> None:
+        """Record one pin of ``reader`` on each of ``names``."""
+        readers, rank = self._readers, self._rank
+        r = rank[reader]
+        for name in names:
+            entry = readers.get(name)
+            if entry is None:
+                readers[name] = {reader: 1}
+            elif reader in entry:
+                entry[reader] += 1
+            else:
+                if entry and rank[next(reversed(entry))] > r:
+                    self._unsorted.add(name)
+                entry[reader] = 1
+
+    def _unlink(self, reader: str, names: Iterable[str]) -> None:
+        """Drop one pin of ``reader`` from each of ``names``."""
+        readers = self._readers
+        for name in names:
+            entry = readers[name]
+            left = entry[reader] - 1
+            if left:
+                entry[reader] = left
+                continue
+            del entry[reader]
+            if not entry:
+                del readers[name]
+
+    def _rewire(self, reader: str, old: Tuple[str, ...],
+                new: Tuple[str, ...]) -> None:
+        """``reader`` now reads ``new`` instead of ``old``.  Linking
+        first keeps a reader that stays in place in its readers' maps."""
+        if new != old:
+            self._link(reader, new)
+            self._unlink(reader, old)
+        self._invalidate()
+
+    def _add(self, node: Node) -> str:
+        name = node.name
+        self._check_new(name)
+        self.nodes[name] = node
+        self._rank[name] = self._next_rank
+        self._next_rank += 1
+        self._rewire(name, (), node.fanins)
+        return name
+
+    # -- construction ---------------------------------------------------
 
     def _check_new(self, name: str) -> None:
         if name in self.nodes:
             raise NetlistError(f"node {name!r} already exists")
 
     def add_input(self, name: str) -> str:
-        self._check_new(name)
-        self.nodes[name] = Node(name, "input")
+        self._add(Node(name, "input"))
         self.inputs.append(name)
-        self._invalidate()
         return name
 
     def add_inputs(self, names: Iterable[str]) -> List[str]:
@@ -131,10 +199,7 @@ class Network:
             raise NetlistError(
                 f"gate {name!r}: {gtype.value} cannot take "
                 f"{len(fanins)} inputs")
-        self.nodes[name] = Node(name, "gate", gtype=gtype,
-                                fanins=list(fanins))
-        self._invalidate()
-        return name
+        return self._add(Node(name, "gate", gtype=gtype, fanins=fanins))
 
     def add_sop(self, name: str, fanins: Sequence[str], cover: Cover) -> str:
         self._check_new(name)
@@ -142,27 +207,26 @@ class Network:
             raise NetlistError(
                 f"sop {name!r}: cover arity {cover.num_vars} != "
                 f"{len(fanins)} fanins")
-        self.nodes[name] = Node(name, "sop", fanins=list(fanins),
-                                cover=cover)
-        self._invalidate()
-        return name
+        return self._add(Node(name, "sop", fanins=fanins, cover=cover))
 
     def add_latch(self, data: str, output: str, init: int = 0,
                   enable: Optional[str] = None) -> Latch:
-        self._check_new(output)
-        self.nodes[output] = Node(output, "latch")
+        self._add(Node(output, "latch"))
         latch = Latch(data=data, output=output, init=init, enable=enable)
         self.latches.append(latch)
-        self._invalidate()
+        self._link(output, _latch_pins(latch))
         return latch
 
     def set_output(self, name: str) -> None:
-        if name not in self.outputs:
+        if name not in self._po:
+            self._po.add(name)
             self.outputs.append(name)
 
     def set_outputs(self, names: Iterable[str]) -> None:
-        for n in names:
-            self.set_output(n)
+        """Make ``names`` the primary outputs, in order (repeats dropped)."""
+        self.outputs = list(dict.fromkeys(names))
+        self._po = set(self.outputs)
+        self._invalidate()
 
     # -- queries ----------------------------------------------------------
 
@@ -181,36 +245,35 @@ class Network:
                 return latch
         raise NetlistError(f"no latch with output {name!r}")
 
-    def fanouts(self) -> Dict[str, List[str]]:
-        """Map node name -> names of nodes reading it (latch data counts).
+    def readers(self, name: str) -> Dict[str, int]:
+        """Who reads ``name``, in ``nodes`` order: a gate or SOP reader
+        -> its fanin slots on ``name``; a latch, keyed by its output ->
+        its data and enable pins on ``name``.  Read-only."""
+        entry = self._readers.get(name)
+        if entry is None:
+            return {}
+        if name in self._unsorted:
+            self._unsorted.discard(name)
+            rank = self._rank
+            items = sorted(entry.items(), key=lambda item: rank[item[0]])
+            entry.clear()
+            entry.update(items)
+        return entry
 
-        The map is cached until the next structural mutation (the
-        event-driven simulator reads it per construction); treat the
-        returned dict as read-only.
-        """
-        if self._fanout_cache is not None:
-            return self._fanout_cache
-        fo: Dict[str, List[str]] = {n: [] for n in self.nodes}
-        for node in self.nodes.values():
-            for fi in node.fanins:
-                fo[fi].append(node.name)
-        for latch in self.latches:
-            fo[latch.data].append(latch.output)
-            if latch.enable is not None:
-                fo[latch.enable].append(latch.output)
-        self._fanout_cache = fo
-        return fo
+    def is_output(self, name: str) -> bool:
+        return name in self._po
+
+    def fanouts(self) -> Dict[str, List[str]]:
+        """Map node name -> names of nodes reading it, once per pin
+        (a latch's data and enable pins count, under its output)."""
+        return {n: [r for r, pins in self.readers(n).items()
+                    for _ in range(pins)]
+                for n in self.nodes}
 
     def fanout_count(self, name: str) -> int:
-        count = 0
-        for node in self.nodes.values():
-            count += node.fanins.count(name)
-        for latch in self.latches:
-            count += int(latch.data == name)
-            count += int(latch.enable == name)
-        if name in self.outputs:
-            count += 1
-        return count
+        """Pins reading ``name``, plus one if it is a primary output."""
+        return sum(self._readers.get(name, {}).values()) + \
+            (name in self._po)
 
     def _cycle_error(self, through: str) -> NetlistError:
         """Build the cycle diagnostic for :meth:`topo_order`.
@@ -258,8 +321,6 @@ class Network:
                     order.append(name)
                     continue
                 if idx == 0:
-                    if state.get(name, 0) == 1:
-                        pass
                     state[name] = 1
                 if idx < len(node.fanins):
                     stack.append((name, idx + 1))
@@ -369,30 +430,64 @@ class Network:
 
     # -- structural editing ---------------------------------------------------
 
+    def set_fanins(self, name: str, fanins: Sequence[str]) -> None:
+        """Rewire node ``name`` to read ``fanins``, unchecked: :meth:`check`
+        and the linter diagnose dangling or cyclic wiring."""
+        node = self.node(name)
+        old, node.fanins = node.fanins, tuple(fanins)
+        self._rewire(name, old, node.fanins)
+
+    def set_node(self, node: Node) -> None:
+        """Put ``node`` in the network: it replaces the node of the same
+        name in place, keeping its position in ``nodes``, or is added."""
+        old = self.nodes.get(node.name)
+        if old is None:
+            self._add(node)
+        else:
+            self.nodes[node.name] = node
+            self._rewire(node.name, old.fanins, node.fanins)
+
+    def set_latch_pins(self, latch: Latch, data: str,
+                       enable: Optional[str]) -> None:
+        """Rewire the pins of one of this network's latches."""
+        old = _latch_pins(latch)
+        latch.data, latch.enable = data, enable
+        self._rewire(latch.output, old, _latch_pins(latch))
+
+    def take_over(self, other: "Network") -> None:
+        """Replace this network's contents with ``other``'s, keeping
+        this network's name; ``other`` must not be used afterwards."""
+        name = self.name
+        self.__dict__.update(other.__dict__)
+        self.name = name
+        self._invalidate()
+
     def replace_fanin(self, node_name: str, old: str, new: str) -> None:
         node = self.node(node_name)
         if old not in node.fanins:
             raise NetlistError(f"{old!r} is not a fanin of {node_name!r}")
-        node.fanins = [new if f == old else f for f in node.fanins]
-        self._invalidate()
+        self.set_fanins(node_name,
+                        [new if f == old else f for f in node.fanins])
 
     def replace_everywhere(self, old: str, new: str) -> None:
-        """Redirect every reader of ``old`` (fanins, latches, POs) to ``new``."""
-        for node in self.nodes.values():
-            if old in node.fanins:
-                node.fanins = [new if f == old else f for f in node.fanins]
-        for latch in self.latches:
-            if latch.data == old:
-                latch.data = new
-            if latch.enable == old:
-                latch.enable = new
-        # Dedup while renaming: with both old and new already listed,
-        # a plain rename would leave the output twice.
-        renamed = [new if o == old else o for o in self.outputs]
-        seen = set()
-        self.outputs = [o for o in renamed
-                        if not (o in seen or seen.add(o))]
-        self._invalidate()
+        """Redirect every reader of ``old`` (fanins, latches, POs) to
+        ``new``, in time proportional to those readers."""
+        for reader in list(self._readers.get(old, ())):
+            node = self.nodes[reader]
+            if node.kind != "latch":
+                self.set_fanins(reader, [new if f == old else f
+                                         for f in node.fanins])
+                continue
+            for latch in self.latches:
+                if latch.output == reader:
+                    self.set_latch_pins(
+                        latch, new if latch.data == old else latch.data,
+                        new if latch.enable == old else latch.enable)
+        if old in self._po:
+            # Dedup while renaming: with both old and new already
+            # listed, a plain rename would leave the output twice.
+            self.set_outputs([new if o == old else o
+                              for o in self.outputs])
 
     def insert_buffer(self, reader: str, fanin: str,
                       buf_name: str) -> str:
@@ -408,41 +503,32 @@ class Network:
         if node.kind == "input":
             self.inputs.remove(name)
         if node.kind == "latch":
+            for latch in self.latches:
+                if latch.output == name:
+                    self._unlink(name, _latch_pins(latch))
             self.latches = [l for l in self.latches if l.output != name]
-        del self.nodes[name]
+        del self.nodes[name], self._rank[name]
+        self._unlink(name, node.fanins)
         self._invalidate()
 
     def sweep(self) -> int:
         """Remove dangling gates (no path to an output or latch). Returns
-        the number of nodes removed.
-
-        Counts every node's readers once (fanin slots, latch data and
-        enable pins, outputs), then removes unread gates from a
-        worklist, releasing their fanins as it goes: O(N + E)."""
+        the number of nodes removed.  A worklist of unread gates, refilled
+        with each fanin a removal leaves unread: O(N + E)."""
         nodes = self.nodes
-        count = dict.fromkeys(nodes, 0)
-        for node in nodes.values():
-            for fi in node.fanins:
-                if fi in count:
-                    count[fi] += 1
-        for latch in self.latches:
-            for pin in (latch.data, latch.enable):
-                if pin in count:
-                    count[pin] += 1
-        for out in set(self.outputs):
-            if out in count:
-                count[out] += 1
-        work = [n for n, c in count.items()
-                if c == 0 and not nodes[n].is_source()]
+        work = [n for n, node in nodes.items()
+                if not node.is_source() and not self.fanout_count(n)]
         removed = 0
         while work:
-            for fi in nodes.pop(work.pop()).fanins:
-                if fi in count:
-                    count[fi] -= 1
-                    if count[fi] == 0 and not nodes[fi].is_source():
-                        work.append(fi)
+            name = work.pop()
+            fanins = nodes[name].fanins
+            self.remove_node(name)
             removed += 1
-        self._invalidate()
+            for fi in dict.fromkeys(fanins):
+                node = nodes.get(fi)
+                if node is not None and not node.is_source() and \
+                        not self.fanout_count(fi):
+                    work.append(fi)
         return removed
 
     def copy(self, name: Optional[str] = None) -> "Network":
@@ -452,10 +538,15 @@ class Network:
         net.latches = [Latch(l.data, l.output, l.init, l.enable)
                        for l in self.latches]
         for n in self.nodes.values():
-            node = Node(n.name, n.kind, n.gtype, list(n.fanins),
+            node = Node(n.name, n.kind, n.gtype, n.fanins,
                         n.cover.copy() if n.cover is not None else None)
             node.attrs = dict(n.attrs)
             net.nodes[n.name] = node
+        net._readers = {n: dict(r) for n, r in self._readers.items()}
+        net._po = set(self._po)
+        net._rank = dict(self._rank)
+        net._next_rank = self._next_rank
+        net._unsorted = set(self._unsorted)
         return net
 
     def fresh_name(self, prefix: str = "n") -> str:
@@ -466,18 +557,11 @@ class Network:
 
     def check(self) -> None:
         """Validate structural invariants; raises NetlistError on failure."""
-        for node in self.nodes.values():
-            for fi in node.fanins:
-                if fi not in self.nodes:
-                    raise NetlistError(
-                        f"node {node.name!r} reads missing node {fi!r}")
+        for name, readers in self._readers.items():
+            if name not in self.nodes:
+                raise NetlistError(
+                    f"{next(iter(readers))!r} reads missing node {name!r}")
         for latch in self.latches:
-            if latch.data not in self.nodes:
-                raise NetlistError(
-                    f"latch {latch.output!r} reads missing {latch.data!r}")
-            if latch.enable is not None and latch.enable not in self.nodes:
-                raise NetlistError(
-                    f"latch {latch.output!r} enable missing")
             if latch.output not in self.nodes or \
                     self.nodes[latch.output].kind != "latch":
                 raise NetlistError(

@@ -8,7 +8,7 @@ helpers convert in both directions without changing network function.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.logic.cube import Cube
 from repro.logic.gates import GateType
@@ -75,8 +75,7 @@ def to_sop_network(net: Network) -> Network:
         cover = gate_cover(node.gtype, len(node.fanins))
         new = Node(name, "sop", fanins=list(node.fanins), cover=cover)
         new.attrs = dict(node.attrs)
-        out.nodes[name] = new
-    out._invalidate()
+        out.set_node(new)
     return out
 
 
@@ -89,8 +88,7 @@ def gates_to_sop(net: Network) -> None:
             new = Node(name, "sop", fanins=list(node.fanins),
                        cover=gate_cover(node.gtype, len(node.fanins)))
             new.attrs = dict(node.attrs)
-            net.nodes[name] = new
-    net._invalidate()
+            net.set_node(new)
 
 
 def decompose_to_primitives(net: Network, max_fanin: int = 2,
@@ -203,7 +201,6 @@ def decompose_to_primitives(net: Network, max_fanin: int = 2,
         emit_cover(name, node_cover(node), list(node.fanins))
 
     out.set_outputs(net.outputs)
-    # Collapse the per-node BUF indirection where trivially possible.
     out.check()
     return out
 
@@ -262,8 +259,9 @@ def propagate_constants(net: Network) -> int:
         is_taut = any(c.mask == 0 for c in cover.cubes)
         if is_taut or not cover.cubes:
             gtype = GateType.CONST1 if is_taut else GateType.CONST0
-            net.nodes[name] = Node(name, "gate", gtype=gtype, fanins=[])
-            net.nodes[name].attrs = dict(node.attrs)
+            const = Node(name, "gate", gtype=gtype)
+            const.attrs = dict(node.attrs)
+            net.set_node(const)
             const_val[name] = 1 if is_taut else 0
             changed += 1
             continue
@@ -273,9 +271,8 @@ def propagate_constants(net: Network) -> int:
         new = Node(name, "sop", fanins=[node.fanins[i] for i in keep_vars],
                    cover=Cover(len(keep_vars), new_cubes).sccc())
         new.attrs = dict(node.attrs)
-        net.nodes[name] = new
+        net.set_node(new)
         changed += 1
-    net._invalidate()
     net.sweep()
     return changed
 
@@ -313,21 +310,16 @@ def instantiate(target: Network, sub: Network, prefix: str,
 
 def collapse_buffers(net: Network) -> int:
     """Bypass BUF gates in place (readers connect to the BUF's fanin).
-    Buffers feeding primary outputs are kept.  Returns #buffers removed."""
+    Buffers feeding primary outputs are kept.  Returns #buffers removed.
+
+    One pass suffices: a BUF's readers, with any an earlier bypass moved
+    onto it, all move to its current fanin.  Each move costs the BUF's
+    readers only, so the pass is linear."""
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for name in list(net.nodes):
-            node = net.nodes.get(name)
-            if node is None or node.kind != "gate" or \
-                    node.gtype is not GateType.BUF:
-                continue
-            if name in net.outputs:
-                continue
-            src = node.fanins[0]
-            net.replace_everywhere(name, src)
+    for name, node in list(net.nodes.items()):
+        if node.kind == "gate" and node.gtype is GateType.BUF and \
+                not net.is_output(name):
+            net.replace_everywhere(name, node.fanins[0])
             net.remove_node(name)
             removed += 1
-            changed = True
     return removed

@@ -13,7 +13,7 @@ Timing is static: a gate's delay is ``INTRINSIC_DELAY + DRIVE_PER_LOAD ·
 load / size``, where the load sums its readers' size-scaled pin caps and
 any primary-output or latch pin it drives.  Timing endpoints are the
 primary outputs and every latch's data and enable nets.  Every analysis
-reads one reader index built in O(E), and the greedy walk keeps its
+reads the network's reader index, and the greedy walk keeps its
 timing and power state incremental, so one move costs work in the part
 of the circuit it changes.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
-from repro.power.model import LoadIndex, PowerParameters
+from repro.power.model import PowerParameters
 
 
 #: Default delay-model constants for unmapped gates.
@@ -41,12 +41,11 @@ def _gate_delay(load: float, size: float) -> float:
 
 
 class _Timing:
-    """Static-timing view of a network, built once in O(E).
+    """Static-timing view of a network whose structure stays fixed.
 
-    ``readers`` and ``fixed`` come from the power model's
-    :class:`~repro.power.model.LoadIndex`, and a load is summed in its
-    order — readers, then the output load, then one pin per latch — so
-    every float is the same whichever analysis asks.
+    ``readers[n]`` is the network's reader index entry for ``n``
+    (``Network.readers``), and a load is summed in the power model's
+    order, so every float is the same whichever analysis asks.
     """
 
     def __init__(self, net: Network, params: PowerParameters):
@@ -54,12 +53,12 @@ class _Timing:
         self.net = net
         self.nodes = nodes
         self.pin = params.pin_cap_units
+        self.output_load = params.output_load_units
         self.sources = {n for n, node in nodes.items() if node.is_source()}
         self.fanins = {n: list(dict.fromkeys(node.fanins))
                        for n, node in nodes.items()}
-        loads = LoadIndex(net, params)
-        self.readers = loads.readers
-        self.fixed = loads.fixed
+        self.readers = {n: net.readers(n) for n in nodes}
+        self.po = set(net.outputs)
         self.sinks = list(dict.fromkeys(
             list(net.outputs) + [l.data for l in net.latches]
             + [l.enable for l in net.latches if l.enable is not None]))
@@ -69,11 +68,18 @@ class _Timing:
         """External load capacitance seen by a node (pin caps scale
         with the reader's size)."""
         load = 0.0
+        latches = 0
         pin = self.pin
-        for reader, times in self.readers[name]:
-            load += pin * sizes.get(reader, 1.0) * times
-        for cap in self.fixed.get(name, ()):
-            load += cap
+        sources = self.sources
+        for reader, times in self.readers[name].items():
+            if reader in sources:
+                latches += 1
+            else:
+                load += pin * sizes.get(reader, 1.0) * times
+        if name in self.po:
+            load += self.output_load
+        for _ in range(latches):
+            load += pin
         return load
 
     def delays(self, sizes: Dict[str, float]) -> Dict[str, float]:
@@ -97,7 +103,7 @@ class _Timing:
         """Required time of one node from its readers' (``min`` is
         exact, so any order of readers gives the same float)."""
         r = min(_INF, target) if name in self.sink_set else _INF
-        for reader, _times in self.readers[name]:
+        for reader in self.readers[name]:
             if reader not in self.sources:
                 v = req[reader] - delays[reader]
                 if v < r:
@@ -284,7 +290,7 @@ class _Walk:
             new[n] = a
             if n in t.sink_set and not a <= self.target:
                 return None
-            for reader, _times in t.readers[n]:
+            for reader in t.readers[n]:
                 if reader not in queued and reader not in sources:
                     queued.add(reader)
                     heapq.heappush(heap, pos[reader])

@@ -113,8 +113,8 @@ def balance_paths(net: Network, selective: bool = False,
             net.nodes[buf].attrs["size"] = buffer_size
             src = buf
             added += 1
-        node.fanins[slot] = src
-        net._invalidate()
+        net.set_fanins(gate, node.fanins[:slot] + (src,) +
+                       node.fanins[slot + 1:])
         if max_buffers is not None and added >= max_buffers:
             break
     return BalanceResult(buffers_added=added,

@@ -24,8 +24,7 @@ from repro.power.activity import (SimulationCache,
                                   activity_from_probability,
                                   activity_from_simulation,
                                   signal_probability_propagation)
-from repro.power.model import LoadIndex, PowerParameters, \
-    node_capacitance
+from repro.power.model import PowerParameters, node_capacitance
 
 #: Nodes with more fanins than this are left as they are.
 MAX_FANINS = 10
@@ -142,10 +141,7 @@ def dontcare_power_optimization(net: Network,
     """
     # Work on the SOP view so the new covers can be installed in place.
     gates_to_sop(net)
-    # The pass rewrites covers only, never fanins, outputs or latches,
-    # so one reader index serves every capacitance query below.
     params = PowerParameters()
-    loads = LoadIndex(net, params)
     sources = _sources(net)
 
     probs = signal_probability_propagation(net, input_probs)
@@ -165,8 +161,7 @@ def dontcare_power_optimization(net: Network,
         for name, node in net.nodes.items():
             if node.is_source():
                 continue
-            cap += act.get(name, 0.0) * node_capacitance(net, name, params,
-                                                         loads)
+            cap += act.get(name, 0.0) * node_capacitance(net, name, params)
             lits += node.cover.num_literals() if node.cover else 0
         return cap, lits
 
@@ -194,7 +189,7 @@ def dontcare_power_optimization(net: Network,
         on = node.cover
         fanin_probs = [probs[fi] for fi in node.fanins]
         self_cap = 0.5 * (2 * on.num_literals() + 2)
-        load = node_capacitance(net, name, params, loads) - self_cap
+        load = node_capacitance(net, name, params) - self_cap
         candidates = [on,
                       on.minimize(dc),
                       on.union(dc).minimize()]

@@ -131,9 +131,8 @@ def _apply_extraction(net: Network, node_name: str, kernel: Cover,
     for r in remainder:
         new_cubes.append(Cube.from_literals(n_old + 1,
                                             list(r.literals())))
-    node.fanins = old_fanins + [new_name]
+    net.set_fanins(node_name, old_fanins + [new_name])
     node.cover = Cover(n_old + 1, new_cubes)
-    net._invalidate()
 
 
 def extract_kernels(net: Network, objective: str = "area",
@@ -164,11 +163,7 @@ def extract_kernels(net: Network, objective: str = "area",
                                       max_extractions)
         if alt_result.switched_cap_after < \
                 main_result.switched_cap_after:
-            net.nodes = alt.nodes
-            net.inputs = alt.inputs
-            net.outputs = alt.outputs
-            net.latches = alt.latches
-            net._invalidate()
+            net.take_over(alt)
             alt_result.switched_cap_before = \
                 main_result.switched_cap_before
             alt_result.literals_before = main_result.literals_before

@@ -208,7 +208,12 @@ def tech_map(net: Network, library: Library, objective: str = "area",
             continue
         best_cost[name] = INF
         arrival[name] = INF
-        for cut in cuts[name]:
+        # Heavy reconvergence can fill the truncated cut set with cuts
+        # the library cannot match; the fanin cut is the last resort.
+        fanin_cut = tuple(sorted(set(node.fanins)))
+        for cut in cuts[name] + [fanin_cut]:
+            if cut is fanin_cut and best_cost[name] < INF:
+                break
             if cut == (name,):
                 continue
             if any(subject.nodes[l].kind == "gate" and
@@ -281,7 +286,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
             pin_src[perm[i]] = leaf
         new = Node(name, "sop", fanins=pin_src, cover=cell.cover.copy())
         new.attrs["cell"] = cell
-        mapped.nodes[name] = new
+        mapped.set_node(new)
         emitted[name] = True
         nonlocal total_area, power_cost
         total_area += cell.area
@@ -294,7 +299,6 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     for root in roots:
         emit(root)
     mapped.set_outputs(subject.outputs)
-    mapped._invalidate()
     mapped.check()
     worst_arrival = max((arrival[r] for r in roots), default=0.0)
     return MappingResult(mapped=mapped, objective=objective,

@@ -105,8 +105,7 @@ def share_product_terms(net: Network, min_literals: int = 2,
                         n_vars,
                         [(new_fanins.index(node.fanins[v]), ph)
                          for v, ph in c.literals()]))
-            node.fanins = new_fanins
+            net.set_fanins(user, new_fanins)
             node.cover = Cover(n_vars, new_cubes)
-        net._invalidate()
     result.literals_after = net.num_literals()
     return result

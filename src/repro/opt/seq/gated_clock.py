@@ -95,8 +95,7 @@ def self_loop_clock_gating(stg: STG, encoding: Dict[str, int],
         [f"s{j}" for j in range(num_bits)]
     gated.add_sop("_fa_n", fanins, enable_cover)
     for latch in gated.latches:
-        latch.enable = "_fa_n"
-    gated._invalidate()
+        gated.set_latch_pins(latch, latch.data, "_fa_n")
     gated.check()
 
     p_active = stg.self_loop_probability(input_probs)
@@ -134,7 +133,7 @@ def convert_feedback_muxes(net: Network) -> int:
             continue
         sel, d0, d1 = data_node.fanins
         if resolves_to(d0, latch.output):
-            latch.data, latch.enable = d1, sel
+            net.set_latch_pins(latch, d1, sel)
             converted += 1
         elif resolves_to(d1, latch.output):
             # Selected-high leg recirculates: enable is the inverted
@@ -142,8 +141,7 @@ def convert_feedback_muxes(net: Network) -> int:
             inv = f"_gcinv_{sel}"
             if inv not in net.nodes:
                 net.add_gate(inv, GateType.NOT, [sel])
-            latch.data, latch.enable = d0, inv
+            net.set_latch_pins(latch, d0, inv)
             converted += 1
-    net._invalidate()
     net.sweep()
     return converted

@@ -42,8 +42,7 @@ def _transitive_fanin(net: Network, root: str) -> Set[str]:
     return seen
 
 
-def _exclusive_cone(net: Network, leg: str, mux: str,
-                    fanouts: Dict[str, List[str]]) -> Set[str]:
+def _exclusive_cone(net: Network, leg: str, mux: str) -> Set[str]:
     """Gates in leg's fan-in whose every fanout path stays inside the
     cone (so they are unobservable whenever the mux deselects the leg)."""
     tfi = {n for n in _transitive_fanin(net, leg)
@@ -53,9 +52,9 @@ def _exclusive_cone(net: Network, leg: str, mux: str,
     while changed:
         changed = False
         for name in tfi:
-            if name in exclusive or name in net.outputs:
+            if name in exclusive or net.is_output(name):
                 continue
-            readers = fanouts[name]
+            readers = net.readers(name)
             ok = True
             for r in readers:
                 if r == mux and name == leg:
@@ -63,9 +62,9 @@ def _exclusive_cone(net: Network, leg: str, mux: str,
                 if r not in exclusive:
                     ok = False
                     break
-            # Latch data/enable references appear in fanouts too and are
-            # never exclusive.
-            if ok and readers.count(mux) <= 1:
+            # Latches reading the node appear among its readers too and
+            # are never exclusive.
+            if ok and readers.get(mux, 0) <= 1:
                 exclusive.add(name)
                 changed = True
     return exclusive
@@ -102,11 +101,10 @@ def guarded_evaluation(net: Network, min_cone_size: int = 2,
             p_active = p_sel if active_high else 1.0 - p_sel
             if p_active > max_active_probability:
                 continue
-            fanouts = net.fanouts()
             node = net.nodes[leg]
             if node.is_source() or leg in claimed:
                 continue
-            cone = _exclusive_cone(net, leg, mux, fanouts)
+            cone = _exclusive_cone(net, leg, mux)
             if leg not in cone or len(cone) < min_cone_size:
                 continue
             if cone & claimed:
@@ -140,5 +138,4 @@ def guarded_evaluation(net: Network, min_cone_size: int = 2,
             result.cones_isolated += 1
             result.nodes_guarded += len(cone)
             result.guards.append((mux, leg))
-    net._invalidate()
     return result

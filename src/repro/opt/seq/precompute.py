@@ -117,9 +117,8 @@ def _registered_version(net: Network, enables: Dict[str, Optional[str]]
         new = Node(name, node.kind, node.gtype, fanins,
                    node.cover.copy() if node.cover is not None else None)
         new.attrs = dict(node.attrs)
-        out.nodes[name] = new
+        out.set_node(new)
     out.set_outputs(net.outputs)
-    out._invalidate()
     # No check here: the caller may still need to add the enable node.
     return out
 
@@ -145,7 +144,6 @@ def sequential_precompute(net: Network, predictor: Sequence[str],
         net, {pi: "_le" for pi in net.inputs if pi not in predictor})
     # LE watches the *incoming* predictor values, before the registers.
     gated.add_sop("_le", predictor, le_cover)
-    gated._invalidate()
     gated.check()
     return PrecomputeResult(network=gated, baseline=baseline,
                             predictor_inputs=predictor,
@@ -187,7 +185,6 @@ def combinational_precompute(net: Network, predictor: Sequence[str],
     baseline = net.copy(net.name + "_plain")
     gated = net.copy(net.name + "_precomp")
     old_out = gated.outputs[0]
-    gated.outputs = []
     gated.add_sop("_det", predictor, det_cover)
     gated.add_sop("_g1", predictor, g1_cover)
     from repro.logic.gates import GateType
@@ -197,15 +194,13 @@ def combinational_precompute(net: Network, predictor: Sequence[str],
     for pi in others:
         shield = f"_sh_{pi}"
         gated.add_gate(shield, GateType.AND, [pi, "_ndet"])
-        for node in gated.nodes.values():
-            if node.name == shield or node.is_source():
-                continue
-            if pi in node.fanins and node.name != shield:
-                node.fanins = [shield if x == pi else x
-                               for x in node.fanins]
-    gated._invalidate()
+        for reader in list(gated.readers(pi)):
+            node = gated.nodes[reader]
+            if reader != shield and not node.is_source():
+                gated.set_fanins(reader, [shield if x == pi else x
+                                          for x in node.fanins])
     gated.add_gate("_out", GateType.MUX, ["_det", old_out, "_g1"])
-    gated.set_output("_out")
+    gated.set_outputs(["_out"])
     gated.check()
     return PrecomputeResult(network=gated, baseline=baseline,
                             predictor_inputs=predictor,

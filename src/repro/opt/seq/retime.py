@@ -274,7 +274,7 @@ def apply_retiming(net: Network, r: Dict[str, int],
         new = Node(node.name, node.kind, node.gtype, list(node.fanins),
                    node.cover.copy() if node.cover is not None else None)
         new.attrs = dict(node.attrs)
-        out.nodes[node.name] = new
+        out.set_node(new)
 
     # Required register depth per driving signal.
     depth: Dict[str, int] = {}
@@ -309,7 +309,7 @@ def apply_retiming(net: Network, r: Dict[str, int],
             tail, _w0, signal = graph._resolve(fi)
             w = edge_regs[(tail, node.name, signal)]
             new_fanins.append(delayed(signal, w))
-        node.fanins = new_fanins
+        out.set_fanins(node.name, new_fanins)
 
     for outp in net.outputs:
         tail, _w0, signal = graph._resolve(outp)
@@ -319,6 +319,5 @@ def apply_retiming(net: Network, r: Dict[str, int],
         else:
             w = edge_regs.get((tail, HOST_SINK, signal), 0)
             out.set_output(delayed(signal, w))
-    out._invalidate()
     out.check()
     return out

@@ -6,7 +6,7 @@ from repro.power.activity import (SimulationCache,
                                   signal_probability_exact,
                                   transition_density,
                                   activity_from_probability)
-from repro.power.model import (LoadIndex, PowerParameters, PowerReport,
+from repro.power.model import (PowerParameters, PowerReport,
                                node_capacitance, power_report,
                                average_power)
 from repro.power.glitch import GlitchReport, glitch_report
@@ -14,7 +14,7 @@ from repro.power.glitch import GlitchReport, glitch_report
 __all__ = ["SimulationCache",
            "activity_from_simulation", "signal_probability_propagation",
            "signal_probability_exact", "transition_density",
-           "activity_from_probability", "LoadIndex", "PowerParameters",
+           "activity_from_probability", "PowerParameters",
            "PowerReport",
            "node_capacitance", "power_report", "average_power",
            "GlitchReport", "glitch_report"]

@@ -227,13 +227,11 @@ def weighted_switching(net: Network, activity: Dict[str, float],
     """Σ C(node)·activity(node): the cost function used throughout the
     logic-level optimizations (capacitance defaults to the transistor-count
     model of ``repro.power.model``)."""
-    from repro.power.model import (LoadIndex, PowerParameters,
-                                   node_capacitance)
+    from repro.power.model import PowerParameters, node_capacitance
 
     if caps is None:
         params = PowerParameters()
-        loads = LoadIndex(net, params)
-        caps = {name: node_capacitance(net, name, params, loads)
+        caps = {name: node_capacitance(net, name, params)
                 for name in net.nodes}
     total = 0.0
     for name in net.nodes:

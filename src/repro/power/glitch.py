@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.logic.netlist import Network
-from repro.power.model import LoadIndex, PowerParameters, \
-    node_capacitance
+from repro.power.model import PowerParameters, node_capacitance
 from repro.sim.event import _check_engine, timed_transitions
 from repro.sim.functional import simulate_transitions
 from repro.sim.timed import timed_transitions_from_words
@@ -117,8 +116,7 @@ def glitch_report(net: Network, num_vectors: int = 256, seed: int = 0,
     _sources, words = timed_stimulus(net, num_vectors, seed, input_probs)
     functional = simulate_transitions(net, words, num_vectors)
     timed = _timed_counts(net, words, num_vectors, delays, engine)
-    loads = LoadIndex(net, params)
-    caps = {name: node_capacitance(net, name, params, loads)
+    caps = {name: node_capacitance(net, name, params)
             for name in net.nodes}
     cw_timed = sum(caps[n] * t for n, t in timed.items())
     cw_func = sum(caps[n] * t for n, t in functional.items())

@@ -7,12 +7,17 @@ and summed.  Capacitance at a node output is a transistor-count model:
 self (drain/wire) capacitance plus the gate capacitance of every fanin
 pin it drives.  After technology mapping, cell data from
 ``repro.library`` overrides the proxy model via ``node.attrs``.
+
+Loads come from the network's reader index (``Network.readers``), kept
+current by every structural edit, and are summed in one order: readers
+in ``net.nodes`` order, the primary-output load, then one pin per latch
+reading the node — so every float is the same whichever caller asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.logic.netlist import Network
 
@@ -50,60 +55,18 @@ class PowerParameters:
             leak_per_transistor=self.leak_per_transistor)
 
 
-class LoadIndex:
-    """Who loads each node of a network, built once in O(E).
-
-    ``readers[n]`` lists the nodes reading ``n`` in ``net.nodes`` order,
-    each with the number of fanin slots it uses; every node has a key.
-    ``fixed[n]`` lists the loads ``n`` drives outside the gates: the
-    primary-output load, then one pin cap per latch whose data or enable
-    is ``n``.  A node's load is summed in that order, so every float is
-    the same whichever caller asks.
-
-    The index is built from ``node.fanins`` for one call and is never
-    cached on the network: passes rewrite ``node.fanins`` in place, and
-    a network-level cache (like ``Network.fanouts()``) has no way to see
-    that.  Reader sizes and cells are read when a load is summed, not
-    here, so resizing or rebinding a node does not stale an index.
-    """
-
-    __slots__ = ("readers", "fixed")
-
-    def __init__(self, net: Network, params: PowerParameters):
-        readers: Dict[str, List[Tuple[str, int]]] = {n: [] for n in net.nodes}
-        for name, node in net.nodes.items():
-            fanins = node.fanins
-            for fi in dict.fromkeys(fanins):
-                readers.setdefault(fi, []).append((name, fanins.count(fi)))
-        fixed: Dict[str, List[float]] = {
-            out: [params.output_load_units] for out in net.outputs}
-        for latch in net.latches:
-            for pin in dict.fromkeys((latch.data, latch.enable)):
-                if pin is not None:
-                    fixed.setdefault(pin, []).append(params.pin_cap_units)
-        self.readers = readers
-        self.fixed = fixed
-
-
 def node_capacitance(net: Network, name: str,
-                     params: Optional[PowerParameters] = None,
-                     loads: Optional[LoadIndex] = None) -> float:
+                     params: Optional[PowerParameters] = None) -> float:
     """Capacitance (in cap units) switched when node ``name`` toggles.
 
     Includes the node's own drain/wire capacitance and the input-pin
     capacitance of everything it drives.  A node's ``attrs["size"]``
     scales its pin and self capacitance (transistor sizing); a mapped
-    node's ``attrs["cell"]`` supplies exact per-cell values.
-
-    ``loads`` is a :class:`LoadIndex` of ``net`` under the same
-    ``params``; a caller asking for many nodes builds it once.  Without
-    it, the call builds its own.  Raises :class:`NetlistError` for a
-    name that is not a node of ``net``.
+    node's ``attrs["cell"]`` supplies exact per-cell values.  Raises
+    :class:`NetlistError` for a name that is not a node of ``net``.
     """
     params = params or PowerParameters()
     node = net.node(name)
-    if loads is None:
-        loads = LoadIndex(net, params)
     cell = node.attrs.get("cell")
     size = float(node.attrs.get("size", 1.0))
     if cell is not None:
@@ -112,17 +75,23 @@ def node_capacitance(net: Network, name: str,
         self_cap = params.self_cap_per_transistor * \
             node.num_transistors() * size
     load = 0.0
+    latches = 0
     nodes = net.nodes
-    for reader_name, times in loads.readers[name]:
+    for reader_name, times in net.readers(name).items():
         reader = nodes[reader_name]
+        if reader.kind == "latch":
+            latches += 1
+            continue
         rcell = reader.attrs.get("cell")
         rsize = float(reader.attrs.get("size", 1.0))
         if rcell is not None:
             load += rcell.input_cap * rsize * times
         else:
             load += params.pin_cap_units * rsize * times
-    for cap in loads.fixed.get(name, ()):
-        load += cap
+    if net.is_output(name):
+        load += params.output_load_units
+    for _ in range(latches):
+        load += params.pin_cap_units
     return self_cap + load
 
 
@@ -163,11 +132,10 @@ def power_report(net: Network, activity: Dict[str, float],
     per_node: Dict[str, float] = {}
     switching = short_circuit = 0.0
     transistors = 0
-    loads = LoadIndex(net, params)
     for name, node in net.nodes.items():
         transistors += node.num_transistors()
         n_act = activity.get(name, 0.0)
-        cap = node_capacitance(net, name, params, loads) * params.cap_unit
+        cap = node_capacitance(net, name, params) * params.cap_unit
         p_sw = 0.5 * cap * params.vdd ** 2 * params.frequency * n_act
         q_sc = params.q_sc_fraction * cap * params.vdd
         p_sc = q_sc * params.vdd * params.frequency * n_act

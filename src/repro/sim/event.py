@@ -61,7 +61,7 @@ class EventSimulator:
                  delays: Optional[Dict[str, float]] = None):
         self.net = net
         self.order = net.topo_order()       # cached on the network
-        self.fanouts = net.fanouts()        # cached on the network
+        self.fanouts = net.fanouts()        # from the reader index
         self._topo_index = {name: i for i, name in enumerate(self.order)}
         self.delays: Dict[str, float] = {}
         for name in self.order:

@@ -18,15 +18,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.sw.isa import Instruction, Program
 
 
-def _virtuals(prog: Program) -> List[str]:
-    seen: List[str] = []
-    for ins in prog:
-        for r in list(ins.reads()) + list(ins.writes()):
-            if r.startswith("v") and r not in seen:
-                seen.append(r)
-    return seen
-
-
 def _live_ranges(prog: Program) -> Dict[str, Tuple[int, int]]:
     ranges: Dict[str, Tuple[int, int]] = {}
     for i, ins in enumerate(prog):

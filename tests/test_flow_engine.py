@@ -150,6 +150,16 @@ class TestTrace:
         with pytest.raises(ValueError, match="unknown trace record"):
             FlowTrace.from_jsonl('{"type": "mystery"}\n')
 
+    @pytest.mark.parametrize("key,value", [
+        ("strict", "false"), ("strict", 1),
+        ("seed", 3.9), ("seed", False),
+        ("num_vectors", "64"), ("num_vectors", 64.0)])
+    def test_header_field_types_checked(self, key, value):
+        header = {"type": "flow", "flow": "f", "num_vectors": 64,
+                  "seed": 0, "strict": False, key: value}
+        with pytest.raises(ValueError, match=f"flow trace: {key} must"):
+            FlowTrace.from_jsonl(json.dumps(header) + "\n")
+
     def test_outcome_counts(self):
         trace = FlowTrace()
         trace.add(TraceRecord(index=0, name="a", outcome=ADOPTED))
@@ -241,6 +251,14 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="num_vectors"):
             FlowSpec.from_dict({"passes": ["map"],
                                 "num_vectors": vectors})
+
+    @pytest.mark.parametrize("key,value", [
+        ("strict", "false"), ("strict", 0),
+        ("strict_lint", "no"), ("strict_lint", 1),
+        ("seed", 3.9), ("seed", "3"), ("seed", True)])
+    def test_field_types_checked(self, key, value):
+        with pytest.raises(ValueError, match=f"flow spec: {key} must"):
+            FlowSpec.from_dict({"passes": ["map"], key: value})
 
     def test_to_dict_roundtrip(self):
         spec = FlowSpec.from_dict({
@@ -395,7 +413,10 @@ class TestCli:
         ({"passes": ["map"], "num_vectors": 64,
           "check_equivalence": False}, "check_equivalence"),
         ({"passes": ["map"], "vectors": 64}, "vectors"),
-        ({"passes": ["map"], "num_vectors": -5}, "num_vectors")])
+        ({"passes": ["map"], "num_vectors": -5}, "num_vectors"),
+        ({"passes": ["map"], "strict": "false"}, "strict"),
+        ({"passes": ["map"], "strict_lint": "no"}, "strict_lint"),
+        ({"passes": ["map"], "seed": 3.9}, "seed")])
     def test_flow_spec_field_errors_exit_2(self, comb_blif, tmp_path,
                                            capsys, spec, field):
         path = tmp_path / "spec.json"

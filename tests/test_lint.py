@@ -89,8 +89,7 @@ class TestStructuralRules:
 
     def test_cycle_fires_with_path(self):
         net = small_comb()
-        net.nodes["g"].fanins = ["a", "h"]   # g <-> h
-        net._invalidate()
+        net.set_fanins("g", ["a", "h"])   # g <-> h
         report = lint_network(net)
         diags = rules_fired(report, "combinational-cycle")
         assert len(diags) == 1
@@ -104,8 +103,7 @@ class TestStructuralRules:
 
     def test_undriven_fires_at_missing_net(self):
         net = small_comb()
-        net.nodes["g"].fanins = ["a", "ghost"]
-        net._invalidate()
+        net.set_fanins("g", ["a", "ghost"])
         report = lint_network(net)
         diags = rules_fired(report, "undriven-net")
         assert [d.site for d in diags] == ["ghost"]
@@ -113,7 +111,7 @@ class TestStructuralRules:
 
     def test_undriven_output(self):
         net = small_comb()
-        net.outputs.append("nowhere")
+        net.set_output("nowhere")
         report = lint_network(net)
         sites = [d.site for d in rules_fired(report, "undriven-net")]
         assert sites == ["nowhere"]
@@ -160,8 +158,8 @@ class TestStructuralRules:
         net.set_output("q")
         # A later edit replaces the latch node with a gate of the
         # same name: the latch record now points at non-latch logic.
-        net.nodes["q"] = net.nodes["q"].__class__(
-            "q", "gate", gtype=GateType.BUF, fanins=["d"])
+        net.set_node(net.nodes["q"].__class__(
+            "q", "gate", gtype=GateType.BUF, fanins=["d"]))
         diags = rules_fired(lint_network(net), "duplicate-latch")
         assert len(diags) == 1 and "shadowed" in diags[0].message
 
@@ -363,8 +361,7 @@ class TestDriver:
     def test_check_invariants_fast_path(self):
         assert check_invariants(small_comb()) == []
         net = small_comb()
-        net.nodes["g"].fanins = ["a", "ghost"]
-        net._invalidate()
+        net.set_fanins("g", ["a", "ghost"])
         errors = check_invariants(net)
         assert errors and all(d.severity == ERROR for d in errors)
 
@@ -506,8 +503,7 @@ class TestFlowIntegration:
 
     def test_broken_input_rejected_up_front(self):
         net = small_comb()
-        net.nodes["g"].fanins = ["a", "ghost"]
-        net._invalidate()
+        net.set_fanins("g", ["a", "ghost"])
         ctx = PassContext(original=net, num_vectors=256, lint=True)
         with pytest.raises(FlowError, match="input network"):
             run_network_passes(net, [], ctx)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic.gates import GateType
 from repro.logic.generators import random_logic
-from repro.logic.netlist import Latch, NetlistError, Network
+from repro.logic.netlist import Latch, NetlistError, Network, Node
 from repro.logic.sop import Cover
 from repro.sim.compiled import get_compiled
 
@@ -169,7 +169,7 @@ class TestStructure:
         net = small_net()
         net.add_input("c")
         net.replace_fanin("g", "b", "c")
-        assert net.nodes["g"].fanins == ["a", "c"]
+        assert net.nodes["g"].fanins == ("a", "c")
         with pytest.raises(NetlistError):
             net.replace_fanin("g", "zz", "a")
 
@@ -177,12 +177,12 @@ class TestStructure:
         net = small_net()
         net.add_input("c")
         net.replace_everywhere("g", "c")
-        assert net.nodes["h"].fanins == ["c"]
+        assert net.nodes["h"].fanins == ("c",)
 
     def test_insert_buffer(self):
         net = small_net()
         net.insert_buffer("h", "g", "buf1")
-        assert net.nodes["h"].fanins == ["buf1"]
+        assert net.nodes["h"].fanins == ("buf1",)
         assert net.evaluate({"a": 1, "b": 1})["h"] == 0
 
     def test_remove_node_with_fanout_rejected(self):
@@ -200,14 +200,26 @@ class TestStructure:
     def test_copy_is_deep(self):
         net = small_net()
         cp = net.copy()
-        cp.nodes["g"].fanins[0] = "b"
+        cp.set_fanins("g", ["b", "b"])
         assert net.nodes["g"].fanins[0] == "a"
+        assert net.readers("a") == {"g": 1}
 
     def test_check_catches_dangling(self):
         net = small_net()
-        net.nodes["g"].fanins[0] = "nope"
+        net.set_fanins("g", ["nope", "b"])
         with pytest.raises(NetlistError):
             net.check()
+
+    def test_fanin_slots_are_read_only(self):
+        net = small_net()
+        with pytest.raises(TypeError):
+            net.nodes["g"].fanins[0] = "b"
+
+    def test_set_node_keeps_position(self):
+        net = small_net()
+        net.set_node(Node("g", "gate", GateType.OR, ["b", "b"]))
+        assert list(net.nodes) == ["a", "b", "g", "h"]
+        assert net.readers("a") == {} and net.readers("b") == {"g": 2}
 
     def test_fresh_name(self):
         net = small_net()
@@ -280,7 +292,9 @@ class TestEditAudit:
 
 def _reference_sweep(net):
     """``Network.sweep`` as a rescan to a fixpoint: every round removes
-    each non-source, non-output node with no reader left."""
+    each non-source, non-output node with no reader left.  Works on the
+    node dict alone, so it reads nothing the reader index keeps; the
+    network it leaves is only compared, never used."""
     removed = 0
     changed = True
     while changed:
@@ -289,11 +303,14 @@ def _reference_sweep(net):
             node = net.nodes[name]
             if node.is_source() or name in net.outputs:
                 continue
-            if net.fanout_count(name) == 0:
+            read = any(name in other.fanins
+                       for other in net.nodes.values()) or \
+                any(name in (latch.data, latch.enable)
+                    for latch in net.latches)
+            if not read:
                 del net.nodes[name]
                 removed += 1
                 changed = True
-    net._invalidate()
     return removed
 
 

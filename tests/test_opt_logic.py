@@ -29,8 +29,7 @@ from repro.power.activity import (SimulationCache,
                                   activity_from_simulation,
                                   signal_probability_propagation)
 from repro.power.glitch import glitch_report
-from repro.power.model import LoadIndex, PowerParameters, \
-    node_capacitance
+from repro.power.model import PowerParameters, node_capacitance
 from repro.sim.functional import verify_equivalence
 
 
@@ -164,10 +163,8 @@ def _reference_dontcare(net: Network, input_probs=None,
             new = Node(name, "sop", fanins=list(node.fanins),
                        cover=gate_cover(node.gtype, len(node.fanins)))
             new.attrs = dict(node.attrs)
-            net.nodes[name] = new
-    net._invalidate()
+            net.set_node(new)
     params = PowerParameters()
-    loads = LoadIndex(net, params)
     probs = signal_probability_propagation(net, input_probs)
     sim_cache = SimulationCache()
 
@@ -180,8 +177,7 @@ def _reference_dontcare(net: Network, input_probs=None,
         for name, node in net.nodes.items():
             if node.is_source():
                 continue
-            cap += act.get(name, 0.0) * node_capacitance(net, name, params,
-                                                         loads)
+            cap += act.get(name, 0.0) * node_capacitance(net, name, params)
             lits += node.cover.num_literals() if node.cover else 0
         return cap, lits
 
@@ -213,7 +209,7 @@ def _reference_dontcare(net: Network, input_probs=None,
         on = node.cover
         fanin_probs = [probs[fi] for fi in node.fanins]
         self_cap = 0.5 * (2 * on.num_literals() + 2)
-        load = node_capacitance(net, name, params, loads) - self_cap
+        load = node_capacitance(net, name, params) - self_cap
         candidates = [on, on.minimize(dc), on.union(dc).minimize()]
         best = min(candidates,
                    key=lambda c: _node_cost(c, fanin_probs, load))
@@ -431,3 +427,59 @@ class TestTechMapping:
     def test_bad_objective_rejected(self, lib):
         with pytest.raises(ValueError):
             tech_map(ripple_carry_adder(2), lib, "speed")
+
+    @pytest.mark.parametrize("objective", ["area", "power", "delay"])
+    def test_truncated_cuts_fall_back_to_fanin_cut(self, lib, objective):
+        # Two inputs and a constant reconverge so heavily that every
+        # node's twelve kept cuts are one-leaf cuts; OR(_and44, _and45)
+        # then matches only through its fanin cut.
+        from repro.logic.blif import read_blif
+        from repro.sim.functional import verify_equivalence_exact
+
+        net = read_blif("""\
+.model h20000
+.inputs i0 i1
+.outputs g8 g10 g12 g13
+.names one
+1
+.names one i1 g0
+0- 1
+-0 1
+.names i1 i0 one g1
+01- 1
+1-1 1
+.names g0 one g2
+00 1
+.names g2 g2 i0 g3
+01- 1
+1-1 1
+.names g2 g3 g4
+00 1
+.names one g0 g5
+0- 1
+-0 1
+.names g2 g5 g6
+00 1
+11 1
+.names g0 g3 g7
+0- 1
+-0 1
+.names g3 g1 g8
+11 1
+.names g6 g4 g9
+00 1
+11 1
+.names one g10
+0 1
+.names g2 g9 g11
+01 1
+10 1
+.names g7 g12
+0 1
+.names g11 g11 g13
+00 1
+11 1
+.end
+""")
+        res = tech_map(net, lib, objective)
+        assert verify_equivalence_exact(net, res.mapped)

@@ -10,7 +10,8 @@ from repro.library.cells import generic_library
 from repro.logic.gates import GateType
 from repro.logic.generators import (comparator, parity_tree, random_logic,
                                     ripple_carry_adder)
-from repro.logic.netlist import NetlistError, Network
+from repro.logic.netlist import NetlistError, Network, Node
+from repro.logic.sop import Cover
 from repro.opt.logic.mapping import tech_map
 from repro.power.activity import (activity_from_probability,
                                   activity_from_simulation,
@@ -20,7 +21,7 @@ from repro.power.activity import (activity_from_probability,
                                   transition_density,
                                   weighted_switching)
 from repro.power.glitch import glitch_report
-from repro.power.model import (LoadIndex, PowerParameters, average_power,
+from repro.power.model import (PowerParameters, average_power,
                                node_capacitance, power_report)
 
 
@@ -203,10 +204,9 @@ def _reference_reader_counts(net, name):
     return counts
 
 
-def _reference_node_capacitance(net, name, params=None, loads=None):
+def _reference_node_capacitance(net, name, params=None):
     """The power model before the reader index: one scan of the whole
-    network per node.  ``loads`` is ignored, so this stands in for
-    ``node_capacitance`` inside the batch callers."""
+    network per node, reading nothing the index keeps."""
     params = params or PowerParameters()
     node = net.nodes[name]
     cell = node.attrs.get("cell")
@@ -258,9 +258,118 @@ def _power_case(seed, gates, mapped, sized):
     return net
 
 
-class TestLoadIndexDifferential:
-    """The reader index gives the same floats, bit for bit, as the
-    per-node network scan it replaced, in every batch caller."""
+def _rebuilt_readers(net):
+    """The reader index built from scratch off the node dict and the
+    latch records: name -> {reader: pins} in ``nodes`` order, for every
+    name with a reader."""
+    pins = {}
+    for latch in net.latches:
+        pins.setdefault(latch.output, []).extend(
+            p for p in (latch.data, latch.enable) if p is not None)
+    readers = {}
+    for name, node in net.nodes.items():
+        for src in list(node.fanins) + pins.get(name, []):
+            entry = readers.setdefault(src, {})
+            entry[name] = entry.get(name, 0) + 1
+    return readers
+
+
+def _assert_index_exact(net, params):
+    want = _rebuilt_readers(net)
+    assert set(net._readers) == set(want)
+    for name in set(want) | set(net.nodes):
+        assert list(net.readers(name).items()) == \
+            list(want.get(name, {}).items())
+    assert net._po == set(net.outputs)
+    for name in net.nodes:
+        assert net.fanout_count(name) == \
+            sum(want.get(name, {}).values()) + (name in net.outputs)
+        assert node_capacitance(net, name, params) == \
+            _reference_node_capacitance(net, name, params)
+    assert net.fanouts() == {
+        n: [r for r, k in want.get(n, {}).items() for _ in range(k)]
+        for n in net.nodes}
+
+
+def _mutate(net, op, rng, fresh):
+    """Apply one public structural edit; returns the network to keep
+    checking (``copy`` hands back a new one)."""
+    names = list(net.nodes)
+    gates = [n for n, node in net.nodes.items()
+             if node.kind in ("gate", "sop")]
+    if op == "add_gate":
+        net.add_gate(fresh(), rng.choice([GateType.AND, GateType.XOR]),
+                     [rng.choice(names), rng.choice(names)])
+    elif op == "add_input":
+        net.add_input(fresh())
+    elif op == "add_latch":
+        net.add_latch(rng.choice(names), fresh(),
+                      enable=rng.choice(names + [None]))
+    elif op == "add_sop_reading_ghost":
+        ghost = fresh()
+        net.add_sop(fresh(), [ghost, rng.choice(names)],
+                    Cover.one(2))
+        if rng.random() < 0.5:
+            net.add_gate(ghost, GateType.NOT, [rng.choice(names)])
+    elif op == "set_fanins" and gates:
+        name = rng.choice(gates)
+        net.set_fanins(name, [rng.choice(names)
+                              for _ in net.nodes[name].fanins])
+    elif op == "set_node" and gates:
+        name = rng.choice(gates)
+        node = Node(name, "gate", GateType.OR,
+                    [rng.choice(names) for _ in range(3)])
+        node.attrs = dict(net.nodes[name].attrs)
+        node.attrs.pop("cell", None)
+        net.set_node(node)
+    elif op == "replace_fanin" and gates:
+        name = rng.choice(gates)
+        net.replace_fanin(name, rng.choice(net.nodes[name].fanins),
+                          rng.choice(names))
+    elif op == "replace_everywhere":
+        old, new = rng.choice(names), rng.choice(names)
+        if rng.random() < 0.3 and len(net.outputs) >= 2:
+            old, new = rng.sample(net.outputs, 2)   # output dedup
+        net.replace_everywhere(old, new)
+        assert old == new or net.fanout_count(old) == 0
+    elif op == "insert_buffer" and gates:
+        reader = rng.choice(gates)
+        net.insert_buffer(reader, rng.choice(net.nodes[reader].fanins),
+                          fresh())
+    elif op == "remove_node":
+        unread = [n for n in names if net.fanout_count(n) == 0]
+        if unread:
+            net.remove_node(rng.choice(unread))
+    elif op == "sweep":
+        net.sweep()
+    elif op == "set_latch_pins" and net.latches:
+        net.set_latch_pins(rng.choice(net.latches), rng.choice(names),
+                           rng.choice(names + [None]))
+    elif op == "set_outputs":
+        net.set_outputs(rng.sample(names, rng.randint(0, 4)))
+    elif op == "set_output":
+        net.set_output(rng.choice(names))
+    elif op == "copy":
+        return net.copy()
+    elif op == "take_over":
+        other = net.copy("other")
+        _mutate(other, rng.choice(["add_gate", "set_fanins", "sweep"]),
+                rng, fresh)
+        net.take_over(other)
+        assert net.name != "other"
+    return net
+
+
+_MUTATIONS = ["add_gate", "add_input", "add_latch",
+              "add_sop_reading_ghost", "set_fanins", "set_node",
+              "replace_fanin", "replace_everywhere", "insert_buffer",
+              "remove_node", "sweep", "set_latch_pins", "set_outputs",
+              "set_output", "copy", "take_over"]
+
+
+class TestReaderIndexDifferential:
+    """The network's reader index gives the same floats, bit for bit,
+    as the per-node network scan it replaced, in every batch caller."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(4, 60), st.booleans(),
@@ -273,11 +382,9 @@ class TestLoadIndexDifferential:
         rng = random.Random(seed)
         activity = {n: rng.random() for n in net.nodes}
 
-        loads = LoadIndex(net, params)
         for name in net.nodes:
             want = _reference_node_capacitance(net, name, params)
             assert node_capacitance(net, name, params) == want
-            assert node_capacitance(net, name, params, loads) == want
             assert node_capacitance(net, name) == \
                 _reference_node_capacitance(net, name)
 
@@ -299,6 +406,30 @@ class TestLoadIndexDifferential:
             want_glitch.cap_weighted_functional
         assert switching == want_switching
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 30), st.booleans(),
+           st.booleans(), st.booleans(),
+           st.lists(st.sampled_from(_MUTATIONS), max_size=12))
+    def test_mutations_keep_index_exact(self, seed, gates, mapped, sized,
+                                        custom, ops):
+        """After every public structural edit the maintained index
+        equals a from-scratch rebuild, and every node capacitance
+        equals the network-scan reference bit for bit."""
+        net = _power_case(seed, gates, mapped, sized)
+        params = (PowerParameters(pin_cap_units=1.7, output_load_units=3.1,
+                                  self_cap_per_transistor=0.35)
+                  if custom else PowerParameters())
+        rng = random.Random(seed)
+        counter = iter(range(10**6))
+
+        def fresh():
+            return f"m{next(counter)}"
+
+        _assert_index_exact(net, params)
+        for op in ops:
+            net = _mutate(net, op, rng, fresh)
+            _assert_index_exact(net, params)
+
     def test_index_shape(self):
         net = Network()
         net.add_inputs(["a", "b"])
@@ -307,13 +438,20 @@ class TestLoadIndexDifferential:
         net.set_outputs(["h", "g"])
         net.add_latch("g", "q", enable="h")
         net.add_latch("h", "r", enable="h")
-        loads = LoadIndex(net, PowerParameters(pin_cap_units=1.5))
-        assert loads.readers == {"a": [("g", 2)], "b": [("g", 1)],
-                                 "g": [("h", 1)], "h": [], "q": [],
-                                 "r": []}
+        readers = {n: list(net.readers(n).items()) for n in net.nodes}
+        # Fanin slots per gate reader; data and enable pins per latch,
+        # keyed by the latch output; readers in ``nodes`` order.
+        assert readers == {"a": [("g", 2)], "b": [("g", 1)],
+                           "g": [("h", 1), ("q", 1)],
+                           "h": [("q", 1), ("r", 2)], "q": [], "r": []}
+        assert net.is_output("g") and net.is_output("h")
+        assert not net.is_output("a")
         # The PO load, then one pin per latch, however many of its
         # pins the node drives.
-        assert loads.fixed == {"g": [4.0, 1.5], "h": [4.0, 1.5, 1.5]}
+        params = PowerParameters(pin_cap_units=1.5)
+        self_cap = params.self_cap_per_transistor * 2
+        assert node_capacitance(net, "h", params) == \
+            self_cap + 4.0 + 1.5 + 1.5
 
 
 

@@ -297,7 +297,7 @@ def test_equivalence_verdict_invariant_under_output_order(
                                       verify_equivalence_exact)
 
     net = random_logic(5, 12, seed=net_seed)
-    net.outputs = net.outputs[:4]
+    net.set_outputs(net.outputs[:4])
     perm = [i for i in perm if i < len(net.outputs)]
     other = net.copy()
     if corrupt:
@@ -305,12 +305,12 @@ def test_equivalence_verdict_invariant_under_output_order(
         if victim.kind == "gate":
             victim.gtype = GateType.NOT if victim.gtype is not GateType.NOT \
                 else GateType.BUF
-            victim.fanins = victim.fanins[:1]
+            other.set_fanins(victim.name, victim.fanins[:1])
         else:
             victim.cover = victim.cover.complement()
         other._invalidate()
     expected = verify_equivalence(net, other, num_vectors=64)
     expected_exact = verify_equivalence_exact(net, other)
-    other.outputs = [other.outputs[i] for i in perm]
+    other.set_outputs([other.outputs[i] for i in perm])
     assert verify_equivalence(net, other, num_vectors=64) == expected
     assert verify_equivalence_exact(net, other) == expected_exact

@@ -133,7 +133,7 @@ def test_exact_equivalence_is_reflexive_and_detects_negation(net):
     out = mutated.outputs[0]
     inv = mutated.fresh_name("_neg")
     mutated.add_gate(inv, GateType.NOT, [out])
-    mutated.outputs = [inv if o == out else o for o in mutated.outputs]
+    mutated.set_outputs([inv if o == out else o for o in mutated.outputs])
     # Negating one output breaks equivalence unless it was constant…
     from repro.bdd.circuit import network_bdds
 

@@ -177,9 +177,10 @@ def test_event_simulator_reuses_network_caches():
     net = _random_comb(31, 3, 10)
     s1 = EventSimulator(net)
     s2 = EventSimulator(net)
-    # topo order and fanouts are computed once per network revision
+    # topo order is computed once per network revision; fanouts are
+    # read off the network's reader index
     assert s1.order is s2.order
-    assert s1.fanouts is s2.fanouts
+    assert s1.fanouts == s2.fanouts
     net.add_gate("x", GateType.NOT, [net.outputs[0]])
     s3 = EventSimulator(net)
     assert s3.order is not s1.order

@@ -1,10 +1,14 @@
 """Unit tests for repro.logic.transform."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.gates import GateType
-from repro.logic.generators import alu_slice, ripple_carry_adder
-from repro.logic.netlist import Network
+from repro.logic.generators import (alu_slice, array_multiplier,
+                                    random_logic, ripple_carry_adder)
+from repro.logic.netlist import NetlistError, Network
 from repro.logic.sop import Cover
 from repro.logic.transform import (collapse_buffers,
                                    decompose_to_primitives, gate_cover,
@@ -59,6 +63,88 @@ class TestDecompose:
         assert verify_equivalence(net, prim, 256)
 
 
+def _reference_collapse_buffers(net):
+    """``collapse_buffers`` as a rescan to a fixpoint: each round
+    redirects every reader of each non-output BUF to its fanin and
+    removes it."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        for name in list(net.nodes):
+            node = net.nodes.get(name)
+            if node is None or node.kind != "gate" or \
+                    node.gtype is not GateType.BUF:
+                continue
+            if name in net.outputs:
+                continue
+            src = node.fanins[0]
+            net.replace_everywhere(name, src)
+            net.remove_node(name)
+            removed += 1
+            changed = True
+    return removed
+
+
+def _buffered_case(seed, gates, bufs):
+    """``random_logic`` with BUF chains on random fanin slots, BUFs
+    reading BUFs, BUF outputs (kept, with removable BUFs behind them)
+    and BUFs on latch data and enable pins."""
+    rng = random.Random(seed)
+    net = random_logic(4, gates, seed)
+    for i in range(bufs):
+        readers = [n for n, node in net.nodes.items()
+                   if node.kind == "gate" and node.fanins]
+        reader = rng.choice(readers)
+        net.insert_buffer(reader, rng.choice(net.nodes[reader].fanins),
+                          f"b{i}")
+        if rng.random() < 0.15:
+            net.set_output(f"b{i}")
+    names = list(net.nodes)
+    for i in range(rng.randint(0, 2)):
+        data = net.add_gate(f"ld{i}", GateType.BUF, [rng.choice(names)])
+        enable = rng.choice([None, rng.choice(names)])
+        if enable is not None and rng.random() < 0.5:
+            enable = net.add_gate(f"le{i}", GateType.BUF, [enable])
+        net.add_latch(data, f"q{i}", enable=enable)
+    return net
+
+
+def _structure(net):
+    return ([(n, node.kind, node.fanins) for n, node in net.nodes.items()],
+            [(l.data, l.output, l.enable) for l in net.latches],
+            list(net.outputs))
+
+
+class TestCollapseBuffersDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 30), st.integers(0, 25))
+    def test_matches_reference(self, seed, gates, bufs):
+        net = _buffered_case(seed, gates, bufs)
+        ref = net.copy()
+        assert collapse_buffers(net) == _reference_collapse_buffers(ref)
+        assert _structure(net) == _structure(ref)
+
+    @pytest.mark.parametrize("decomposition", ["balanced", "power"])
+    def test_matches_reference_on_mult8_subject(self, decomposition):
+        net = decompose_to_primitives(array_multiplier(8),
+                                      decomposition=decomposition)
+        ref = net.copy()
+        removed = collapse_buffers(net)
+        assert removed == _reference_collapse_buffers(ref) > 0
+        assert _structure(net) == _structure(ref)
+
+    def test_buffer_cycle_rejected(self):
+        net = Network()
+        net.add_input("a")
+        net.add_gate("b1", GateType.BUF, ["b2"])
+        net.add_gate("b2", GateType.BUF, ["b1"])
+        net.add_gate("g", GateType.AND, ["a", "b1"])
+        net.set_output("g")
+        with pytest.raises(NetlistError):
+            collapse_buffers(net)
+
+
 class TestCollapseBuffers:
     def test_removes_buffers(self):
         net = Network()
@@ -68,7 +154,7 @@ class TestCollapseBuffers:
         net.set_output("g")
         removed = collapse_buffers(net)
         assert removed == 1
-        assert net.nodes["g"].fanins == ["a", "b"]
+        assert net.nodes["g"].fanins == ("a", "b")
 
     def test_keeps_output_buffers(self):
         net = Network()
@@ -86,7 +172,7 @@ class TestCollapseBuffers:
         net.add_gate("g", GateType.NOT, ["b2"])
         net.set_output("g")
         assert collapse_buffers(net) == 2
-        assert net.nodes["g"].fanins == ["a"]
+        assert net.nodes["g"].fanins == ("a",)
 
 
 class TestPropagateConstants:
@@ -111,7 +197,7 @@ class TestPropagateConstants:
         assert net.evaluate({"a": 1})["g"] == 1
         assert net.evaluate({"a": 0})["g"] == 0
         # g should now depend on a alone
-        assert net.nodes["g"].fanins == ["a"]
+        assert net.nodes["g"].fanins == ("a",)
 
     def test_cascading(self):
         net = Network()
