@@ -34,16 +34,14 @@ def _bomb(net, ctx, params):
 
 
 def _break_equivalence(net, ctx, params):
-    node = net.nodes[net.outputs[0]]
-    node.cover = node.cover.complement()
-    net._invalidate()
+    out = net.outputs[0]
+    net.set_function(out, net.nodes[out].cover.complement())
 
 
 def _regress_power(net, ctx, params):
     for node in net.nodes.values():
         if not node.is_source():
             node.attrs["size"] = 8.0
-    net._invalidate()
 
 
 def engine_exercise(vectors=256, seed=0):

@@ -4,7 +4,7 @@ The compiled time-wheel engine (``repro.sim.timed``) must be (a)
 bit-identical, per node, to the event-driven oracle on combinational,
 float-delay and clocked-sequential workloads, (b) at least 5x faster
 than the oracle on the 500+-node circuit every balance / retiming loop
-re-simulates, and (c) safely cached: a structural edit must recompile
+re-simulates, and (c) safely cached: a node function edit must rebuild
 the timed program (a stale one would corrupt every glitch estimate).
 
 Deterministic gating metrics: per-circuit node-level count mismatches
@@ -89,7 +89,7 @@ def timed_rows(vectors=256, seed=4, repeats=3):
         t_event = time.perf_counter() - t0
 
         # Warm the timed-compile cache; steady state is evaluation
-        # plus the fingerprint re-verification of the base program.
+        # plus the edit-record check of the base program.
         get_timed(net, delays)
         with phase(PHASE_SIM):
             t0 = time.perf_counter()
@@ -101,13 +101,13 @@ def timed_rows(vectors=256, seed=4, repeats=3):
         mismatch = sum(1 for k, c in event.items()
                        if compiled.get(k) != c)
 
-        # A structural edit must invalidate the cached timed program.
+        # A function edit must rebuild the cached timed program.
         gate = next(n.name for n in net.nodes.values()
                     if n.kind == "gate" and n.gtype is GateType.AND)
         before = get_timed(net, delays)
-        net.nodes[gate].gtype = GateType.NAND
+        net.set_function(gate, GateType.NAND)
         recompiled = get_timed(net, delays) is not before
-        net.nodes[gate].gtype = GateType.AND
+        net.set_function(gate, GateType.AND)
 
         rows.append([name, len(net.nodes), mismatch,
                      _checksum(compiled), int(recompiled),

@@ -177,7 +177,8 @@ class TraceRecord:
     transistors_after: Optional[int] = None
     depth_before: Optional[float] = None
     depth_after: Optional[float] = None
-    verify_vectors: int = 0      # 0: not checked (sequential network)
+    #: random vectors of the equivalence check (0: not reached)
+    verify_vectors: int = 0
     #: invariant-lint error count on the candidate (None: lint off)
     lint_errors: Optional[int] = None
     #: the offending diagnostics (JSON form) when lint_errors > 0
@@ -320,8 +321,14 @@ def run_network_passes(net: Network, passes: Sequence[Pass],
 
     With ``strict=True`` a failed gate (equivalence, lint or power)
     raises :class:`FlowError`, and an exception inside a pass
-    re-raises, after the failure is recorded.
+    re-raises, after the failure is recorded.  A network with latches
+    raises ``ValueError``: equivalence checking would treat latch
+    outputs as free inputs.
     """
+    if net.latches:
+        raise ValueError(
+            f"run_network_passes takes combinational networks; "
+            f"{net.name!r} has {len(net.latches)} latch(es)")
     trace = trace if trace is not None else FlowTrace(
         num_vectors=ctx.num_vectors, seed=ctx.seed, strict=strict)
     work = net
@@ -384,12 +391,11 @@ def _try_pass(p: Pass, work: Network, current: Snapshot,
     replacement = p.apply(trial, ctx, p.params)
     candidate = replacement if replacement is not None else trial
 
-    if not candidate.latches and not ctx.original.latches:
-        rec.verify_vectors = ctx.verify_vectors
-        if not verify_equivalence(ctx.original, candidate,
-                                  rec.verify_vectors, ctx.seed):
-            raise _Rollback("equivalence",
-                            f"stage {p.name!r} broke equivalence")
+    rec.verify_vectors = ctx.verify_vectors
+    if not verify_equivalence(ctx.original, candidate,
+                              rec.verify_vectors, ctx.seed):
+        raise _Rollback("equivalence",
+                        f"stage {p.name!r} broke equivalence")
 
     if ctx.lint:
         errors = _lint_errors(candidate)

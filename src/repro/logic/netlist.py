@@ -14,9 +14,11 @@ A :class:`Network` is a DAG of named nodes.  Each node is one of:
 Primary outputs are a list of node names.  Combinational evaluation is
 bit-parallel (Python ints as pattern vectors).
 
-Structure is written only through :class:`Network` methods, which keep
-one reader index current (:meth:`Network.readers`).  ``Node.fanins`` is
-a tuple, so a stray slot write fails instead of staling the index.
+Structure and node functions are written only through :class:`Network`
+methods, which keep one reader index current (:meth:`Network.readers`)
+and record function edits (:meth:`Network.edits_since`).  Elsewhere
+node and latch fields (but ``Node.attrs``) are read-only, so a stray
+write fails at once instead of staling the index or a compiled program.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class NetlistError(Exception):
     """Structural error in a network."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Latch:
     """An edge-triggered register.
 
@@ -46,10 +48,33 @@ class Latch:
     output: str
     init: int = 0
     enable: Optional[str] = None
+    __hash__ = None  # type: ignore[assignment]  # rewired in place
+
+
+_READ_ONLY = frozenset(("name", "kind", "gtype", "fanins", "cover"))
+#: writes a Node or Latch field past its read-only guard
+_set = object.__setattr__
+
+
+def _check_function(name: str, kind: str, function: object,
+                    arity: int) -> str:
+    """The :class:`Node` field that holds ``function``; raises
+    :class:`NetlistError` on a wrong kind or arity."""
+    if kind == "gate" and isinstance(function, GateType):
+        if gate_arity_ok(function, arity):
+            return "gtype"
+        raise NetlistError(f"gate {name!r}: {function.value} cannot take "
+                           f"{arity} inputs")
+    if kind == "sop" and isinstance(function, Cover):
+        if function.num_vars == arity:
+            return "cover"
+        raise NetlistError(f"sop {name!r}: cover arity "
+                           f"{function.num_vars} != {arity} fanins")
+    raise NetlistError(f"{kind} node {name!r} cannot take {function!r}")
 
 
 class Node:
-    """One vertex of a Boolean network."""
+    """One vertex of a Boolean network; only ``attrs`` is writable."""
 
     __slots__ = ("name", "kind", "gtype", "fanins", "cover", "attrs")
 
@@ -57,13 +82,28 @@ class Node:
                  gtype: Optional[GateType] = None,
                  fanins: Optional[Sequence[str]] = None,
                  cover: Optional[Cover] = None):
-        self.name = name
-        self.kind = kind
-        self.gtype = gtype
-        self.fanins: Tuple[str, ...] = tuple(fanins or ())
-        self.cover = cover
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "gtype", gtype)
+        _set(self, "fanins", tuple(fanins or ()))
+        _set(self, "cover", cover)
         #: free-form per-node attributes (cell binding, transistor size, ...)
-        self.attrs: Dict[str, object] = {}
+        _set(self, "attrs", {})
+
+    def __setattr__(self, field: str, value: object) -> None:
+        if field in _READ_ONLY:
+            raise AttributeError(f"Node.{field} is read-only: edit it "
+                                 f"through a Network method")
+        _set(self, field, value)
+
+    # Default unpickling restores slots through the guarded setattr.
+    def __getstate__(self) -> Tuple[object, ...]:
+        return (self.name, self.kind, self.gtype, self.fanins, self.cover,
+                self.attrs)
+
+    def __setstate__(self, state: Tuple[object, ...]) -> None:
+        for field, value in zip(Node.__slots__, state):
+            _set(self, field, value)
 
     def is_source(self) -> bool:
         return self.kind in ("input", "latch")
@@ -97,10 +137,15 @@ def _latch_pins(latch: Latch) -> Tuple[str, ...]:
 class Network:
     """A combinational / sequential Boolean network.
 
-    ``nodes``, ``inputs``, ``outputs`` and ``latches`` are written only
-    through the methods below, which keep the reader index
-    (``_readers``, see :meth:`readers`; any name with a reader has an
-    entry, node or not) and the output set ``_po`` current.
+    ``nodes``, ``inputs``, ``outputs``, ``latches`` and node functions
+    are written only through the methods below, which keep the reader
+    index (``_readers``, see :meth:`readers`; any name with a reader has
+    an entry, node or not) and the output set ``_po`` current.
+
+    A function edit (:meth:`set_function` without ``fanins``) appends
+    the node to the edit record.  Every other edit is structural: it
+    drops the cached topological order and compiled programs and starts
+    a new record.
     """
 
     def __init__(self, name: str = "top"):
@@ -117,17 +162,18 @@ class Network:
         self._next_rank = 0
         self._unsorted: Set[str] = set()
         self._topo_cache: Optional[List[str]] = None
+        #: the edit record: nodes given a new function since the last
+        #: structural edit, in edit order
+        self._edits: List[str] = []
         #: compiled evaluation programs (repro.sim.compiled /
         #: repro.sim.timed); opaque here to avoid a layering cycle.
-        #: Cleared by every structural mutation hook and re-validated
-        #: against a structural fingerprint on use, so stale programs
-        #: are never evaluated.
         self._compiled: Optional[object] = None
         self._timed: Optional[object] = None
 
     # -- the reader index -------------------------------------------------
 
     def _invalidate(self) -> None:
+        self._edits = []
         self._topo_cache = None
         self._compiled = None
         self._timed = None
@@ -195,18 +241,12 @@ class Network:
     def add_gate(self, name: str, gtype: GateType,
                  fanins: Sequence[str]) -> str:
         self._check_new(name)
-        if not gate_arity_ok(gtype, len(fanins)):
-            raise NetlistError(
-                f"gate {name!r}: {gtype.value} cannot take "
-                f"{len(fanins)} inputs")
+        _check_function(name, "gate", gtype, len(fanins))
         return self._add(Node(name, "gate", gtype=gtype, fanins=fanins))
 
     def add_sop(self, name: str, fanins: Sequence[str], cover: Cover) -> str:
         self._check_new(name)
-        if cover.num_vars != len(fanins):
-            raise NetlistError(
-                f"sop {name!r}: cover arity {cover.num_vars} != "
-                f"{len(fanins)} fanins")
+        _check_function(name, "sop", cover, len(fanins))
         return self._add(Node(name, "sop", fanins=fanins, cover=cover))
 
     def add_latch(self, data: str, output: str, init: int = 0,
@@ -434,8 +474,36 @@ class Network:
         """Rewire node ``name`` to read ``fanins``, unchecked: :meth:`check`
         and the linter diagnose dangling or cyclic wiring."""
         node = self.node(name)
-        old, node.fanins = node.fanins, tuple(fanins)
+        old = node.fanins
+        _set(node, "fanins", tuple(fanins))
         self._rewire(name, old, node.fanins)
+
+    def set_function(self, name: str, function: object,
+                     fanins: Optional[Sequence[str]] = None) -> None:
+        """Give node ``name`` a new local function: a :class:`GateType`
+        for a gate node, a :class:`Cover` (variable *i* = fanin *i*) for
+        an SOP node, checked against the arity.  With ``fanins`` the
+        node is rewired too, a structural edit."""
+        node = self.node(name)
+        arity = len(node.fanins if fanins is None else fanins)
+        _set(node, _check_function(name, node.kind, function, arity),
+             function)
+        if fanins is None:
+            self._edits.append(name)
+        else:
+            self.set_fanins(name, fanins)
+
+    def edit_mark(self) -> Tuple[List[str], int]:
+        """The current position in the edit record."""
+        return self._edits, len(self._edits)
+
+    def edits_since(self, mark: Tuple[List[str], int]
+                    ) -> Optional[List[str]]:
+        """The nodes given a new function since ``mark`` (repeats
+        kept), or ``None`` for a mark of another network or from before
+        a structural edit."""
+        edits, pos = mark
+        return edits[pos:] if edits is self._edits else None
 
     def set_node(self, node: Node) -> None:
         """Put ``node`` in the network: it replaces the node of the same
@@ -451,7 +519,8 @@ class Network:
                        enable: Optional[str]) -> None:
         """Rewire the pins of one of this network's latches."""
         old = _latch_pins(latch)
-        latch.data, latch.enable = data, enable
+        _set(latch, "data", data)
+        _set(latch, "enable", enable)
         self._rewire(latch.output, old, _latch_pins(latch))
 
     def take_over(self, other: "Network") -> None:
@@ -540,7 +609,7 @@ class Network:
         for n in self.nodes.values():
             node = Node(n.name, n.kind, n.gtype, n.fanins,
                         n.cover.copy() if n.cover is not None else None)
-            node.attrs = dict(n.attrs)
+            _set(node, "attrs", dict(n.attrs))
             net.nodes[n.name] = node
         net._readers = {n: dict(r) for n, r in self._readers.items()}
         net._po = set(self._po)

@@ -55,8 +55,8 @@ class _Timing:
         self.pin = params.pin_cap_units
         self.output_load = params.output_load_units
         self.sources = {n for n, node in nodes.items() if node.is_source()}
-        self.fanins = {n: list(dict.fromkeys(node.fanins))
-                       for n, node in nodes.items()}
+        self.unique_fanins = {n: list(dict.fromkeys(node.fanins))
+                              for n, node in nodes.items()}
         self.readers = {n: net.readers(n) for n in nodes}
         self.po = set(net.outputs)
         self.sinks = list(dict.fromkeys(
@@ -251,7 +251,7 @@ class _Walk:
         sizes = self.sizes
         old_size = sizes[name]
         sizes[name] = size
-        loads = {f: t.load(f, sizes) for f in t.fanins[name]}
+        loads = {f: t.load(f, sizes) for f in t.unique_fanins[name]}
         sizes[name] = old_size
         terms = {name: self._term(name, size, self.load[name])}
         for f, load in loads.items():
@@ -313,7 +313,7 @@ class _Walk:
         # it for the fanins of every node whose delay moved, then
         # through the fanin cones while it keeps changing.
         req, pos, order = self.req, self.pos, self.order
-        seeds = {f for n in move.delays for f in t.fanins[n]}
+        seeds = {f for n in move.delays for f in t.unique_fanins[n]}
         heap = [-pos[n] for n in seeds]
         heapq.heapify(heap)
         while heap:
@@ -323,7 +323,7 @@ class _Walk:
                 continue
             req[n] = r
             touched.add(n)
-            for f in t.fanins[n]:
+            for f in t.unique_fanins[n]:
                 if f not in seeds:
                     seeds.add(f)
                     heapq.heappush(heap, -pos[f])

@@ -152,10 +152,10 @@ def dontcare_power_optimization(net: Network,
     # whole network.
     sim_cache = SimulationCache()
 
-    def total_cost(dirty=None, cache: SimulationCache = sim_cache
+    def total_cost(cache: SimulationCache = sim_cache
                    ) -> Tuple[float, int]:
         act, _p = activity_from_simulation(
-            net, num_vectors, seed, input_probs, reuse=cache, dirty=dirty)
+            net, num_vectors, seed, input_probs, reuse=cache)
         cap = 0.0
         lits = 0
         for name, node in net.nodes.items():
@@ -201,17 +201,17 @@ def dontcare_power_optimization(net: Network,
             # (the refinement of [19]).  The trial re-simulates only
             # that cone, on a cache snapshot so a rejected rewrite
             # costs no resynchronization.
-            before_cap, _lits = total_cost(dirty=())
-            node.cover = best
+            before_cap, _lits = total_cost()
             trial = sim_cache.copy()
-            after_cap, _lits = total_cost(dirty=(name,), cache=trial)
+            net.set_function(name, best)
+            after_cap, _lits = total_cost(trial)
             if after_cap < before_cap:
                 sim_cache.adopt(trial)
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
                 funcs = network_bdds(net)
             else:
-                node.cover = on
+                net.set_function(name, on)
     cap_after, lits_after = total_cost()
     return DontCareResult(nodes_changed=changed,
                           switched_cap_before=cap_before,

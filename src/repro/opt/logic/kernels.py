@@ -131,8 +131,8 @@ def _apply_extraction(net: Network, node_name: str, kernel: Cover,
     for r in remainder:
         new_cubes.append(Cube.from_literals(n_old + 1,
                                             list(r.literals())))
-    net.set_fanins(node_name, old_fanins + [new_name])
-    node.cover = Cover(n_old + 1, new_cubes)
+    net.set_function(node_name, Cover(n_old + 1, new_cubes),
+                     fanins=old_fanins + [new_name])
 
 
 def extract_kernels(net: Network, objective: str = "area",

@@ -105,7 +105,7 @@ def share_product_terms(net: Network, min_literals: int = 2,
                         n_vars,
                         [(new_fanins.index(node.fanins[v]), ph)
                          for v, ph in c.literals()]))
-            net.set_fanins(user, new_fanins)
-            node.cover = Cover(n_vars, new_cubes)
+            net.set_function(user, Cover(n_vars, new_cubes),
+                             fanins=new_fanins)
     result.literals_after = net.num_literals()
     return result

@@ -12,8 +12,8 @@ Activities are in *transitions per clock cycle* at each node output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
 from repro.logic.transform import node_cover
@@ -101,44 +101,36 @@ class SimulationCache:
 
     Pass one instance through repeated ``activity_from_simulation``
     calls over the *same* stimulus (vectors/seed/probabilities) while an
-    optimizer edits the network: together with a ``dirty`` node list the
-    estimator then re-simulates only the edited nodes' transitive fanout
-    cone and reuses the cached words, transition counts and one-counts
-    everywhere else.  The cache is keyed on the stimulus parameters and
-    silently falls back to a full re-simulation whenever they change.
+    optimizer edits node functions (``Network.set_function``): the
+    estimator then re-simulates only the transitive fanout cone of the
+    nodes edited since the cache was filled and reuses the cached words,
+    transition counts and one-counts everywhere else.  A changed
+    stimulus, a structural edit or another network gets a full pass.
     """
 
     key: Optional[Tuple] = None           # stimulus identity
+    mark: Optional[Tuple] = None          # Network.edit_mark() when filled
     words: Dict[str, int] = field(default_factory=dict)      # PI stimulus
     values: Dict[str, int] = field(default_factory=dict)     # node words
     transitions: Dict[str, int] = field(default_factory=dict)
     ones: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def warm(self) -> bool:
-        return self.key is not None
-
     def copy(self) -> "SimulationCache":
         """Cheap snapshot (words are immutable ints; dicts are copied)."""
-        return SimulationCache(key=self.key, words=dict(self.words),
-                               values=dict(self.values),
-                               transitions=dict(self.transitions),
-                               ones=dict(self.ones))
+        return replace(self, words=dict(self.words),
+                       values=dict(self.values),
+                       transitions=dict(self.transitions),
+                       ones=dict(self.ones))
 
     def adopt(self, other: "SimulationCache") -> None:
         """Take over another cache's state in place (commit a trial)."""
-        self.key = other.key
-        self.words = other.words
-        self.values = other.values
-        self.transitions = other.transitions
-        self.ones = other.ones
+        self.__dict__.update(vars(other))
 
 
 def activity_from_simulation(net: Network, num_vectors: int = 2048,
                              seed: int = 0,
                              input_probs: Optional[Dict[str, float]] = None,
-                             reuse: Optional[SimulationCache] = None,
-                             dirty: Optional[Iterable[str]] = None
+                             reuse: Optional[SimulationCache] = None
                              ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Monte-Carlo activity and probability estimates.
 
@@ -148,12 +140,10 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
 
     Evaluation runs on the compiled engine (:mod:`repro.sim.compiled`),
     bit-exact with the interpreted path.  ``reuse`` (a
-    :class:`SimulationCache`, updated in place) plus ``dirty`` (names of
-    nodes whose function or structure changed since the cached
-    simulation) enable incremental re-simulation: only the dirty nodes'
-    transitive fanout cone is recomputed.  ``dirty=None`` with a warm
-    cache means "unknown edits" and forces a full pass; ``dirty=()``
-    asserts nothing changed and reuses the cache wholesale.
+    :class:`SimulationCache`, updated in place) enables incremental
+    re-simulation: when it was filled from this network under the same
+    stimulus, only the transitive fanout cone of the nodes edited since
+    (``Network.edits_since``) is recomputed.
     """
     sources = [n for n in net.nodes.values() if n.is_source()]
     mask = (1 << num_vectors) - 1
@@ -163,12 +153,13 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
 
     values: Optional[Dict[str, int]] = None
     old_values: Dict[str, int] = {}
-    if reuse is not None and reuse.warm and reuse.key == stim_key \
-            and dirty is not None:
-        words = reuse.words
-        old_values = reuse.values
-        values = get_compiled(net).evaluate_incremental(
-            old_values, dirty, words, mask)
+    if reuse is not None and reuse.key == stim_key:
+        dirty = net.edits_since(reuse.mark)
+        if dirty is not None:
+            words = reuse.words
+            old_values = reuse.values
+            values = get_compiled(net).evaluate_incremental(
+                old_values, dirty, words, mask)
     if values is None:
         words = random_words([s.name for s in sources], num_vectors,
                              seed, input_probs)
@@ -197,6 +188,7 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
     probability = {k: v / p_denom for k, v in ones.items()}
     if reuse is not None:
         reuse.key = stim_key
+        reuse.mark = net.edit_mark()
         reuse.words = words
         reuse.values = values
         reuse.transitions = transitions

@@ -5,7 +5,7 @@ from repro.sim.vectors import random_words, words_from_vectors, \
 from repro.sim.functional import simulate_transitions, \
     sequential_transitions
 from repro.sim.compiled import (CompiledNetwork, compile_network,
-                                get_compiled, structural_fingerprint)
+                                get_compiled)
 from repro.sim.event import (EventSimulator, timed_transitions,
                              timed_sequential_transitions)
 from repro.sim.timed import (CompiledTimedNetwork, get_timed,
@@ -15,7 +15,6 @@ __all__ = ["random_words", "words_from_vectors", "vectors_from_words",
            "random_bus_stream", "counter_bus_stream",
            "simulate_transitions", "sequential_transitions",
            "CompiledNetwork", "compile_network", "get_compiled",
-           "structural_fingerprint",
            "EventSimulator", "timed_transitions",
            "timed_sequential_transitions",
            "CompiledTimedNetwork", "get_timed",

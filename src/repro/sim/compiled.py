@@ -18,23 +18,20 @@ once into a flat *evaluation program*:
   slots, so :meth:`CompiledNetwork.step` clocks the network without a
   name lookup per latch.
 
-The compiled program is cached on the network (``Network._compiled``),
-invalidated by the structural-mutation hooks (``Network._invalidate``),
-and additionally keyed by a :func:`structural_fingerprint` so that
-in-place mutations that bypass the hooks (e.g. an optimizer assigning
-``node.cover`` directly) are still detected and trigger a recompile
-rather than silently evaluating a stale program.  A stale program whose
-slot layout is still valid — only node functions changed, the common
-optimizer edit — is *repatched*: only the changed kernels are
-re-lowered (O(changed) instead of O(network)).
+The compiled program is cached on the network (``Network._compiled``)
+and dropped by every structural edit.  For the nodes in the network's
+edit record (``Network.set_function``) :func:`get_compiled` re-lowers
+just their kernels into a new snapshot on the old slot layout —
+O(edited) instead of O(network).
 
 On top of the flat program, :meth:`CompiledNetwork.evaluate_incremental`
 re-simulates only the transitive fanout cone of a set of *dirty* nodes,
 reusing the previous pattern words everywhere else, with value-based
 early cut-off (a recomputed node whose word is unchanged stops the
 propagation).  This is the engine behind
-``activity_from_simulation(..., reuse=...)``: an optimizer that edits one
-node pays only for that node's cone instead of a full re-simulation.
+``activity_from_simulation(..., reuse=...)``, which reads the dirty set
+from the network's edit record: an optimizer that edits one node pays
+only for that node's cone instead of a full re-simulation.
 
 All paths are bit-exact with the interpreted ``Network.evaluate_words``
 (pure integer logic, identical cube/literal semantics), which the tests
@@ -43,6 +40,8 @@ keep as the reference.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.logic.gates import GateType
@@ -52,45 +51,6 @@ from repro.logic.netlist import NetlistError, Network
 Kernel = Callable[[List[int], int], int]
 #: (output slot, data slot, enable slot or None, init) of one latch.
 LatchEntry = Tuple[int, int, Optional[int], int]
-
-
-def structural_fingerprint(net: Network) -> int:
-    """Hash of everything combinational evaluation depends on.
-
-    Covers node identity, kind, gate type / cover cubes, fanin lists,
-    input/output/latch lists and latch init values.  Order-sensitive (a
-    reordered fanin list is a different function).  Collisions are
-    possible in principle (it is a hash) but never produced by the
-    in-repo mutation patterns; the ``_invalidate`` hooks remain the
-    primary invalidation path.
-    """
-    items: List[object] = [tuple(net.inputs), tuple(net.outputs),
-                           tuple((la.data, la.output, la.init, la.enable)
-                                 for la in net.latches)]
-    for name, node in net.nodes.items():
-        items.append((name, node.kind, _function_key(node),
-                      tuple(node.fanins)))
-    return hash(tuple(items))
-
-
-def _function_key(node) -> object:
-    """Key of a node's local function (the part a kernel lowers)."""
-    if node.kind == "sop":
-        return tuple((c.mask, c.value) for c in node.cover.cubes)
-    return node.gtype
-
-
-def _topology_key(net: Network) -> int:
-    """Hash of everything *except* the node functions: names, kinds,
-    fanin lists and the input/output/latch declarations.  Two networks
-    with equal topology keys map to the same slot layout, so a compiled
-    program for one can be repatched into a program for the other by
-    rebuilding only the kernels whose function changed."""
-    return hash((tuple(net.inputs), tuple(net.outputs),
-                 tuple((la.data, la.output, la.init, la.enable)
-                       for la in net.latches),
-                 tuple((name, node.kind, tuple(node.fanins))
-                       for name, node in net.nodes.items())))
 
 
 # -- kernel lowering ---------------------------------------------------------
@@ -200,29 +160,28 @@ class CompiledNetwork:
 
     Instances are immutable snapshots: they never observe later edits of
     the source network.  Obtain one through :func:`get_compiled`, which
-    caches on the network and recompiles when the structure changed.
+    caches on the network and re-lowers the kernels of edited nodes.
     """
 
-    __slots__ = ("fingerprint", "topo_key", "fn_keys", "names", "slot_of",
-                 "num_slots", "input_slots", "latches", "ops")
+    __slots__ = ("mark", "names", "slot_of", "num_slots", "input_slots",
+                 "latches", "ops")
 
-    def __init__(self, fingerprint: int, topo_key: int,
-                 fn_keys: Tuple[object, ...], names: List[str],
+    def __init__(self, mark: Tuple[List[str], int], names: List[str],
+                 slot_of: Dict[str, int],
                  input_slots: List[Tuple[int, str]],
                  latches: Tuple[LatchEntry, ...],
                  ops: List[Tuple[int, Tuple[int, ...], Kernel]]):
-        self.fingerprint = fingerprint
-        self.topo_key = topo_key
-        #: per-op function key (aligned with ``ops``) for repatching
-        self.fn_keys = fn_keys
+        #: the network's edit-record position this snapshot reflects
+        self.mark = mark
         #: slot index -> node name (topological order)
         self.names = names
-        self.slot_of: Dict[str, int] = {n: i for i, n in enumerate(names)}
+        self.slot_of = slot_of
         self.num_slots = len(names)
         self.input_slots = input_slots
         #: per latch, in declaration order: (output slot, data slot,
         #: enable slot or None, init)
         self.latches = latches
+        #: in topological (= ascending out-slot) order
         self.ops = ops
 
     # -- full evaluation -----------------------------------------------
@@ -294,8 +253,8 @@ class CompiledNetwork:
         the *same* ``input_words``/``mask``/``state_words`` of a network
         that agrees with this one everywhere outside the cone of the
         dirty set.  Nodes absent from ``prev`` (newly created) are
-        implicitly dirty; nodes whose function changed must be named in
-        ``dirty`` by the caller — that is the safety contract.
+        implicitly dirty.  ``activity_from_simulation`` takes ``dirty``
+        from the network's edit record (``Network.edits_since``).
 
         Value-based early cut-off: a recomputed node whose word equals
         its previous word does not propagate further.
@@ -353,7 +312,6 @@ def compile_network(net: Network) -> CompiledNetwork:
     declared = {la.output for la in net.latches}
     input_slots: List[Tuple[int, str]] = []
     ops: List[Tuple[int, Tuple[int, ...], Kernel]] = []
-    fn_keys: List[object] = []
     for name in order:
         node = net.nodes[name]
         if node.kind == "input":
@@ -365,65 +323,38 @@ def compile_network(net: Network) -> CompiledNetwork:
             fanin_slots = tuple(slot_of[fi] for fi in node.fanins)
             ops.append((slot_of[name], fanin_slots,
                         _lower_node(node, fanin_slots)))
-            fn_keys.append(_function_key(node))
-    return CompiledNetwork(structural_fingerprint(net),
-                           _topology_key(net), tuple(fn_keys),
-                           list(order), input_slots, latches, ops)
+    return CompiledNetwork(net.edit_mark(), list(order), slot_of,
+                           input_slots, latches, ops)
 
 
 def _repatch(net: Network, cached: CompiledNetwork,
-             fingerprint: int) -> Optional[CompiledNetwork]:
-    """Incremental recompile: reuse ``cached`` where possible.
-
-    When only node *functions* changed (a flipped gate type, a
-    re-minimized cover) the slot layout is intact, so a fresh snapshot
-    only needs new kernels for the changed nodes — O(changed) lowering
-    instead of O(network).  Returns ``None`` when the topology itself
-    changed (node added/removed, fanin rewired) and a full compile is
-    required.
-    """
-    if cached.topo_key != _topology_key(net):
-        return None
+             edited: List[str]) -> CompiledNetwork:
+    """A new snapshot of ``cached`` with the kernels of the ``edited``
+    nodes re-lowered; the slot layout is shared, since a function edit
+    leaves it intact."""
     ops = list(cached.ops)
-    fn_keys = list(cached.fn_keys)
-    nodes = net.nodes
-    names = cached.names
-    for idx, (out_slot, fanin_slots, _kernel) in enumerate(ops):
-        node = nodes[names[out_slot]]
-        key = _function_key(node)
-        if key != fn_keys[idx]:
-            ops[idx] = (out_slot, fanin_slots,
-                        _lower_node(node, fanin_slots))
-            fn_keys[idx] = key
-    return CompiledNetwork(fingerprint, cached.topo_key, tuple(fn_keys),
-                           names, cached.input_slots, cached.latches, ops)
+    for name in dict.fromkeys(edited):
+        idx = bisect_left(ops, cached.slot_of[name], key=itemgetter(0))
+        out_slot, fanin_slots, _kernel = ops[idx]
+        ops[idx] = (out_slot, fanin_slots,
+                    _lower_node(net.nodes[name], fanin_slots))
+    return CompiledNetwork(net.edit_mark(), cached.names, cached.slot_of,
+                           cached.input_slots, cached.latches, ops)
 
 
-def get_compiled(net: Network,
-                 check_fingerprint: bool = True) -> CompiledNetwork:
+def get_compiled(net: Network) -> CompiledNetwork:
     """Cached compile of ``net``.
 
-    The cache lives on the network (cleared by ``Network._invalidate``)
-    and is verified against the structural fingerprint on every hit, so
-    direct attribute mutations that bypass the ``_invalidate`` hooks
-    (``node.cover = ...``) still recompile.  A stale hit whose topology
-    is unchanged (only node functions differ — the optimizer inner-loop
-    case) is repatched in O(changed) rather than recompiled from
-    scratch; either way the caller receives a fresh immutable snapshot.
-    ``check_fingerprint=False`` skips the verification for callers that
-    guarantee hook discipline.
+    The cache lives on the network and is dropped by every structural
+    edit.  Node functions edited since the cached snapshot (the
+    network's edit record) are re-lowered into a new snapshot, so the
+    caller always receives an immutable program of the current network.
     """
-    cached = getattr(net, "_compiled", None)
-    if cached is not None:
-        if not check_fingerprint:
-            return cached
-        fp = structural_fingerprint(net)
-        if cached.fingerprint == fp:
-            return cached
-        patched = _repatch(net, cached, fp)
-        if patched is not None:
-            net._compiled = patched
-            return patched
-    compiled = compile_network(net)
-    net._compiled = compiled
-    return compiled
+    cached = net._compiled
+    edited = None if cached is None else net.edits_since(cached.mark)
+    if edited is None:
+        cached = compile_network(net)
+    elif edited:
+        cached = _repatch(net, cached, edited)
+    net._compiled = cached
+    return cached

@@ -36,9 +36,9 @@ and both compute event timestamps with the same float additions, so
 even path-dependent float sums land in the same buckets.
 
 The compiled timed program is cached on the network
-(``Network._timed``, cleared by ``Network._invalidate``) and keyed by
-the zero-delay program snapshot — whose structural-fingerprint
-verification it therefore inherits — plus the exact resolved per-node
+(``Network._timed``, dropped by every structural edit) and keyed by
+the zero-delay program snapshot — a function edit yields a new
+snapshot from ``get_compiled`` — plus the exact resolved per-node
 delay tuple, so a mutated ``attrs["delay"]`` or a different ``delays``
 argument can never hit a stale program.
 """
@@ -281,12 +281,12 @@ def get_timed(net: Network, delays: Optional[Dict[str, float]] = None
               ) -> CompiledTimedNetwork:
     """Cached compiled timed program for ``net`` under ``delays``.
 
-    The cache lives on the network (``Network._timed``, cleared by
-    ``_invalidate``) and is keyed by the zero-delay program snapshot —
-    ``get_compiled`` re-verifies that snapshot's structural fingerprint
-    on every call, so hook-bypassing mutations recompile here too —
-    plus the exact resolved delay tuple (covering both the ``delays``
-    argument and in-place ``attrs["delay"]`` edits).  Up to
+    The cache lives on the network (``Network._timed``, dropped by
+    every structural edit) and is keyed by the zero-delay program
+    snapshot — ``get_compiled`` returns a new snapshot after a node
+    function edit, so the timed program is rebuilt then too — plus the
+    exact resolved delay tuple (covering both the ``delays`` argument
+    and in-place ``attrs["delay"]`` edits), resolved on every call.  Up to
     ``_MAX_DELAY_VARIANTS`` delay maps are retained per snapshot.
     """
     base = get_compiled(net)

@@ -51,10 +51,12 @@ def exhaustive_words(names: Sequence[str]) -> Dict[str, int]:
     count = 1 << len(names)
     words: Dict[str, int] = {}
     for i, name in enumerate(names):
-        w = 0
-        for m in range(count):
-            if (m >> i) & 1:
-                w |= 1 << m
+        # Bit i of m has period 2**(i+1): 2**i zeros, then 2**i ones.
+        half = 1 << i
+        w, width = ((1 << half) - 1) << half, 2 * half
+        while width < count:
+            w |= w << width
+            width *= 2
         words[name] = w
     return words
 

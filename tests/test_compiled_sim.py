@@ -22,8 +22,7 @@ from repro.opt.seq.gated_clock import self_loop_clock_gating
 from repro.power.activity import (SimulationCache,
                                   activity_from_simulation,
                                   sequential_activity)
-from repro.sim.compiled import (compile_network, get_compiled,
-                                structural_fingerprint)
+from repro.sim.compiled import compile_network, get_compiled
 from repro.sim.functional import verify_equivalence, verify_equivalence_exact
 from repro.sim.vectors import random_bus_stream, random_words
 
@@ -136,14 +135,13 @@ def test_invalidate_hook_clears_cache():
     net = ripple_carry_adder(4)
     first = get_compiled(net)
     assert get_compiled(net) is first          # cache hit
-    net.add_input("spare")                     # goes through _invalidate
+    net.add_input("spare")                     # a structural edit
     assert net._compiled is None
     assert get_compiled(net) is not first
 
 
-def test_direct_cover_mutation_detected_by_fingerprint():
-    # The dontcare optimizer assigns node.cover directly, bypassing
-    # _invalidate; the fingerprint check must still catch it.
+def test_set_function_relowers_cover():
+    # A function edit keeps the slot layout and re-lowers the kernel.
     net = Network("n")
     net.add_inputs(["a", "b"])
     net.add_sop("f", ["a", "b"],
@@ -152,22 +150,24 @@ def test_direct_cover_mutation_detected_by_fingerprint():
     before = get_compiled(net)
     w = {"a": 0b0011, "b": 0b0101}
     assert before.evaluate_words(w, 0xF)["f"] == 0b0001  # a AND b
-    net.nodes["f"].cover = Cover(2, [Cube.from_literals(2, [(0, 1)]),
-                                     Cube.from_literals(2, [(1, 1)])])
+    net.set_function("f", Cover(2, [Cube.from_literals(2, [(0, 1)]),
+                                    Cube.from_literals(2, [(1, 1)])]))
     after = get_compiled(net)
-    assert after is not before
+    assert after is not before and after.names is before.names
     assert after.evaluate_words(w, 0xF)["f"] == 0b0111   # a OR b
+    assert before.evaluate_words(w, 0xF)["f"] == 0b0001  # a snapshot
 
 
-def test_fingerprint_sensitive_to_fanin_order():
+def test_fanin_reorder_recompiles():
     net = Network("n")
     net.add_inputs(["a", "b"])
     net.add_sop("f", ["a", "b"],
                 Cover(2, [Cube.from_literals(2, [(0, 1)])]))
     net.set_output("f")
-    fp = structural_fingerprint(net)
+    w = {"a": 0b0011, "b": 0b0101}
+    assert get_compiled(net).evaluate_words(w, 0xF)["f"] == 0b0011
     net.set_fanins("f", ["b", "a"])
-    assert structural_fingerprint(net) != fp
+    assert get_compiled(net).evaluate_words(w, 0xF)["f"] == 0b0101
 
 
 def test_repatch_on_function_only_edit():
@@ -177,11 +177,14 @@ def test_repatch_on_function_only_edit():
     gate = next(n for n in net.gate_nodes()
                 if n.gtype in (GateType.XOR, GateType.XNOR))
     before = get_compiled(net)
-    gate.gtype = GateType.XNOR if gate.gtype is GateType.XOR \
-        else GateType.XOR
+    net.set_function(gate.name, GateType.XNOR
+                     if gate.gtype is GateType.XOR else GateType.XOR)
     after = get_compiled(net)
     assert after is not before
-    assert after.topo_key == before.topo_key
+    assert after.slot_of is before.slot_of
+    relowered = [op[0] for op, old in zip(after.ops, before.ops)
+                 if op[2] is not old[2]]
+    assert relowered == [before.slot_of[gate.name]]
     interp, compiled, _w, _m = _sim_both(net)
     assert interp == compiled
 
@@ -195,7 +198,7 @@ def test_full_recompile_on_topology_edit():
     net.set_output("extra")
     after = get_compiled(net)
     assert after is not before
-    assert after.topo_key != before.topo_key
+    assert after.slot_of is not before.slot_of
     interp, compiled, _w, _m = _sim_both(net)
     assert interp == compiled
 
@@ -211,8 +214,8 @@ def test_incremental_matches_full_after_edit():
     prev = get_compiled(net).evaluate_words(words, mask)
     gate = next(n for n in net.gate_nodes()
                 if n.gtype in (GateType.AND, GateType.OR))
-    gate.gtype = GateType.NAND if gate.gtype is GateType.AND \
-        else GateType.NOR
+    net.set_function(gate.name, GateType.NAND
+                     if gate.gtype is GateType.AND else GateType.NOR)
     inc = get_compiled(net).evaluate_incremental(prev, [gate.name],
                                                  words, mask)
     full = get_compiled(net).evaluate_words(words, mask)
@@ -253,12 +256,11 @@ def test_activity_reuse_dirty_matches_fresh():
     gate = next(n for n in net.gate_nodes()
                 if n.gtype in (GateType.AND, GateType.OR,
                                GateType.NAND, GateType.NOR))
-    gate.gtype = {GateType.AND: GateType.NAND,
-                  GateType.NAND: GateType.AND,
-                  GateType.OR: GateType.NOR,
-                  GateType.NOR: GateType.OR}[gate.gtype]
-    inc_act, inc_p = activity_from_simulation(net, 128, 1, reuse=cache,
-                                              dirty=(gate.name,))
+    net.set_function(gate.name, {GateType.AND: GateType.NAND,
+                                 GateType.NAND: GateType.AND,
+                                 GateType.OR: GateType.NOR,
+                                 GateType.NOR: GateType.OR}[gate.gtype])
+    inc_act, inc_p = activity_from_simulation(net, 128, 1, reuse=cache)
     fresh_act, fresh_p = activity_from_simulation(net, 128, 1)
     assert inc_act == fresh_act
     assert inc_p == fresh_p
@@ -275,8 +277,7 @@ def test_activity_cache_trial_commit_semantics():
     cache.adopt(trial)
     assert cache.values["s0"] == trial.values["s0"]
     cache.adopt(committed)
-    act1, _ = activity_from_simulation(net, 64, 0, reuse=cache,
-                                       dirty=())
+    act1, _ = activity_from_simulation(net, 64, 0, reuse=cache)
     assert act1 == act0
 
 
@@ -284,7 +285,7 @@ def test_activity_cache_stimulus_change_forces_full_pass():
     net = ripple_carry_adder(4)
     cache = SimulationCache()
     activity_from_simulation(net, 64, 0, reuse=cache)
-    act, _ = activity_from_simulation(net, 64, 1, reuse=cache, dirty=())
+    act, _ = activity_from_simulation(net, 64, 1, reuse=cache)
     fresh, _ = activity_from_simulation(net, 64, 1)
     assert act == fresh
 
@@ -332,9 +333,7 @@ def test_equivalence_still_catches_real_differences():
     a = ripple_carry_adder(3)
     b = ripple_carry_adder(3)
     b.set_outputs(reversed(b.outputs))
-    sum_gate = b.nodes["s0"]
-    sum_gate.gtype = GateType.XNOR             # corrupt one output
-    b._invalidate()
+    b.set_function("s0", GateType.XNOR)        # corrupt one output
     assert not verify_equivalence(a, b)
     assert not verify_equivalence_exact(a, b)
 
@@ -362,5 +361,5 @@ def test_compile_network_is_uncached_snapshot():
     net = ripple_carry_adder(2)
     a = compile_network(net)
     b = compile_network(net)
-    assert a is not b
-    assert a.fingerprint == b.fingerprint == structural_fingerprint(net)
+    assert a is not b and a is not get_compiled(net)
+    assert a.names == b.names and a.slot_of == b.slot_of

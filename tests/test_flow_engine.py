@@ -26,16 +26,14 @@ def _raise(net, ctx, params):
 
 
 def _complement_output(net, ctx, params):
-    node = net.nodes[net.outputs[0]]
-    node.cover = node.cover.complement()
-    net._invalidate()
+    out = net.outputs[0]
+    net.set_function(out, net.nodes[out].cover.complement())
 
 
 def _inflate_sizes(net, ctx, params):
     for node in net.nodes.values():
         if not node.is_source():
             node.attrs["size"] = 8.0
-    net._invalidate()
 
 
 def _engine(net, passes, **kw):
@@ -110,6 +108,21 @@ class TestRollback:
                        max_power_regression=0.0)]
         with pytest.raises(FlowError, match="regressed power"):
             _engine(net, passes, strict=True)
+
+    def test_sequential_network_refused(self):
+        # Equivalence checking would treat the latch output as a free
+        # input, so the engine refuses instead of adopting unverified.
+        net = Network("seq")
+        net.add_input("d")
+        net.add_latch("d", "q")
+        net.add_gate("f", GateType.XOR, ["d", "q"])
+        net.set_output("f")
+        passes = [Pass(name="breaker", apply=_complement_output)]
+        with pytest.raises(ValueError, match="1 latch"):
+            _engine(net, passes)
+        spec = FlowSpec(name="seq", passes=[("sweep", {})])
+        with pytest.raises(ValueError, match="1 latch"):
+            run_flow(net, spec)
 
     def test_input_network_never_mutated(self):
         net = ripple_carry_adder(2)

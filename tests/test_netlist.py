@@ -1,10 +1,12 @@
 """Unit tests for repro.logic.netlist."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.logic.blif import write_blif
 from repro.logic.gates import GateType
 from repro.logic.generators import random_logic
 from repro.logic.netlist import Latch, NetlistError, Network, Node
@@ -94,10 +96,15 @@ class TestEvaluation:
         net.set_output("o")
         assert net.evaluate({"d": 0})["o"] == 1
 
-    def test_step_enable(self):
+    @staticmethod
+    def _enabled_latch(init):
         net = Network()
         net.add_inputs(["d", "en"])
-        net.add_latch("d", "q", init=0, enable="en")
+        net.add_latch("d", "q", init=init, enable="en")
+        return net
+
+    def test_step_enable(self):
+        net = self._enabled_latch(0)
         step = get_compiled(net).step
         state = net.initial_state()
         state, _ = step(state, {"d": 1, "en": 0}, 1)
@@ -108,10 +115,11 @@ class TestEvaluation:
         # it, lane by lane.
         state, _ = step({}, {"d": 0b11, "en": 0b01}, 0b11)
         assert state["q"] == 0b01
-        net.latches[0].init = 1
-        state, _ = get_compiled(net).step({}, {"d": 0b00, "en": 0b01},
-                                          0b11)
+        state, _ = get_compiled(self._enabled_latch(1)).step(
+            {}, {"d": 0b00, "en": 0b01}, 0b11)
         assert state["q"] == 0b10
+        with pytest.raises(AttributeError):
+            net.latches[0].init = 1     # latches are rewired by Network
 
     def test_sequential_counter_behaviour(self):
         net = Network()
@@ -214,6 +222,70 @@ class TestStructure:
         net = small_net()
         with pytest.raises(TypeError):
             net.nodes["g"].fanins[0] = "b"
+
+    def test_node_fields_are_read_only(self):
+        net = small_net()
+        net.add_sop("s", ["a"], Cover.one(1))
+        for name, field, value in [("s", "cover", Cover.one(1)),
+                                   ("g", "gtype", GateType.OR),
+                                   ("g", "fanins", ("a", "a")),
+                                   ("g", "name", "x"),
+                                   ("g", "kind", "sop")]:
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(net.nodes[name], field, value)
+        net.nodes["g"].attrs["size"] = 2.0      # attrs stay writable
+        assert net.nodes["g"].gtype is GateType.AND
+
+    def test_set_function(self):
+        net = small_net()
+        net.add_sop("s", ["a", "b"], Cover.one(2))
+        net.set_function("g", GateType.XOR)
+        net.set_function("s", Cover.one(2).complement())
+        assert net.evaluate({"a": 1, "b": 1})["h"] == 1
+        assert net.evaluate({"a": 1, "b": 1})["s"] == 0
+        for name, function in [("g", GateType.NOT),       # arity
+                               ("s", Cover.one(3)),       # arity
+                               ("g", Cover.one(2)),       # kind
+                               ("s", GateType.AND),       # kind
+                               ("a", GateType.BUF)]:      # a source
+            with pytest.raises(NetlistError):
+                net.set_function(name, function)
+        net.set_function("g", GateType.NOT, fanins=["b"])
+        assert net.nodes["g"].fanins == ("b",)
+        assert net.readers("a") == {"s": 1}
+        with pytest.raises(NetlistError):
+            net.set_function("g", GateType.MUX, fanins=["a", "b"])
+        assert net.nodes["g"].gtype is GateType.NOT
+
+    def test_edit_record(self):
+        net = small_net()
+        mark = net.edit_mark()
+        assert net.edits_since(mark) == []
+        net.set_function("g", GateType.OR)
+        net.set_function("h", GateType.BUF)
+        net.set_function("g", GateType.AND)
+        assert net.edits_since(mark) == ["g", "h", "g"]
+        later = net.edit_mark()
+        assert net.edits_since(later) == []
+        assert net.copy().edits_since(later) is None    # another network
+        net.set_function("g", GateType.XOR, fanins=["a", "a"])
+        assert net.edits_since(later) is None           # structural edit
+
+    def test_pickle_round_trip(self):
+        net = small_net()
+        net.add_sop("s", ["a", "g"], Cover.one(2).complement())
+        net.add_latch("s", "q", init=1, enable="h")
+        net.nodes["g"].attrs["size"] = 2.5
+        back = pickle.loads(pickle.dumps(net))
+        assert write_blif(back) == write_blif(net)
+        assert back.nodes["g"].attrs == {"size": 2.5}
+        assert back.latches == net.latches
+        assert {n: back.readers(n) for n in back.nodes} == \
+            {n: net.readers(n) for n in net.nodes}
+        with pytest.raises(AttributeError):
+            back.nodes["s"].cover = Cover.one(2)
+        back.set_function("s", Cover.one(2))
+        assert back.evaluate({"a": 0, "b": 0})["s"] == 1
 
     def test_set_node_keeps_position(self):
         net = small_net()

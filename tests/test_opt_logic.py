@@ -168,10 +168,9 @@ def _reference_dontcare(net: Network, input_probs=None,
     probs = signal_probability_propagation(net, input_probs)
     sim_cache = SimulationCache()
 
-    def total_cost(dirty=None, cache=None):
+    def total_cost(cache=sim_cache):
         act, _p = activity_from_simulation(
-            net, num_vectors, seed, input_probs,
-            reuse=cache if cache is not None else sim_cache, dirty=dirty)
+            net, num_vectors, seed, input_probs, reuse=cache)
         cap = 0.0
         lits = 0
         for name, node in net.nodes.items():
@@ -214,18 +213,19 @@ def _reference_dontcare(net: Network, input_probs=None,
         best = min(candidates,
                    key=lambda c: _node_cost(c, fanin_probs, load))
         if best is not on and not best.is_equivalent(on):
-            before_cap, _lits = total_cost(dirty=())
-            node.cover = best
+            before_cap, _lits = total_cost()
+            net.set_function(name, best)
             trial = sim_cache.copy()
-            after_cap, _lits = total_cost(dirty=(name,), cache=trial)
+            after_cap, _lits = total_cost(trial)
             if after_cap < before_cap:
                 sim_cache.adopt(trial)
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
                 funcs = network_bdds(net)
             else:
-                node.cover = on
-    cap_after, lits_after = total_cost()
+                net.set_function(name, on)
+    # A fresh cache: the closing estimate is a full re-simulation.
+    cap_after, lits_after = total_cost(SimulationCache())
     return DontCareResult(nodes_changed=changed,
                           switched_cap_before=cap_before,
                           switched_cap_after=cap_after,

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.library.cells import generic_library
-from repro.logic.gates import GateType
+from repro.logic.gates import GateType, gate_arity_ok
 from repro.logic.generators import (comparator, parity_tree, random_logic,
                                     ripple_carry_adder)
 from repro.logic.netlist import NetlistError, Network, Node
 from repro.logic.sop import Cover
 from repro.opt.logic.mapping import tech_map
-from repro.power.activity import (activity_from_probability,
+from repro.power.activity import (SimulationCache,
+                                  activity_from_probability,
                                   activity_from_simulation,
                                   sequential_activity,
                                   signal_probability_exact,
@@ -23,6 +24,8 @@ from repro.power.activity import (activity_from_probability,
 from repro.power.glitch import glitch_report
 from repro.power.model import (PowerParameters, average_power,
                                node_capacitance, power_report)
+from repro.sim.compiled import get_compiled
+from repro.sim.vectors import random_words
 
 
 class TestProbabilities:
@@ -291,9 +294,33 @@ def _assert_index_exact(net, params):
         for n in net.nodes}
 
 
+def _other_function(node, rng):
+    """A random local function of ``node``'s kind and arity."""
+    if node.kind == "gate":
+        return rng.choice([g for g in GateType
+                           if gate_arity_ok(g, len(node.fanins))])
+    n = len(node.fanins)
+    return rng.choice([node.cover.complement(), Cover.one(n), Cover(n)])
+
+
+def _assert_simulation_exact(net, cache):
+    sources = [n for n, node in net.nodes.items() if node.is_source()]
+    words = random_words(sources, 32, 7)
+    mask = (1 << 32) - 1
+    try:
+        want = net.evaluate_words(words, mask)
+    except NetlistError:                  # a cycle or a dangling fanin
+        with pytest.raises(NetlistError):
+            get_compiled(net).evaluate_words(words, mask)
+        return
+    assert get_compiled(net).evaluate_words(words, mask) == want
+    assert activity_from_simulation(net, 32, 7, reuse=cache) == \
+        activity_from_simulation(net, 32, 7)
+
+
 def _mutate(net, op, rng, fresh):
-    """Apply one public structural edit; returns the network to keep
-    checking (``copy`` hands back a new one)."""
+    """Apply one public edit; returns the network to keep checking
+    (``copy`` hands back a new one)."""
     names = list(net.nodes)
     gates = [n for n, node in net.nodes.items()
              if node.kind in ("gate", "sop")]
@@ -315,6 +342,18 @@ def _mutate(net, op, rng, fresh):
         name = rng.choice(gates)
         net.set_fanins(name, [rng.choice(names)
                               for _ in net.nodes[name].fanins])
+    elif op == "set_function" and gates:
+        name = rng.choice(gates)
+        net.set_function(name, _other_function(net.nodes[name], rng))
+    elif op == "set_function_undo" and gates:
+        node = net.nodes[rng.choice(gates)]
+        old = node.gtype if node.kind == "gate" else node.cover
+        net.set_function(node.name, _other_function(node, rng))
+        net.set_function(node.name, old)
+    elif op == "set_function_rewire" and gates:
+        node = net.nodes[rng.choice(gates)]
+        net.set_function(node.name, _other_function(node, rng),
+                         fanins=[rng.choice(names) for _ in node.fanins])
     elif op == "set_node" and gates:
         name = rng.choice(gates)
         node = Node(name, "gate", GateType.OR,
@@ -364,7 +403,8 @@ _MUTATIONS = ["add_gate", "add_input", "add_latch",
               "add_sop_reading_ghost", "set_fanins", "set_node",
               "replace_fanin", "replace_everywhere", "insert_buffer",
               "remove_node", "sweep", "set_latch_pins", "set_outputs",
-              "set_output", "copy", "take_over"]
+              "set_output", "copy", "take_over", "set_function",
+              "set_function_undo", "set_function_rewire"]
 
 
 class TestReaderIndexDifferential:
@@ -453,6 +493,49 @@ class TestReaderIndexDifferential:
         assert node_capacitance(net, "h", params) == \
             self_cap + 4.0 + 1.5 + 1.5
 
+
+
+class TestEditRecord:
+    """Function edits reach the compiled program and the activity
+    cache through the network's edit record."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 30), st.booleans(),
+           st.lists(st.sampled_from(_MUTATIONS + ["set_function"] * 4
+                                    + ["set_function_undo"] * 4),
+                    max_size=12))
+    def test_mutations_keep_simulation_exact(self, seed, gates, mapped,
+                                             ops):
+        """After every edit the cached compiled program evaluates like
+        the interpreted walk, and an activity cache carried across the
+        edits gives what a fresh simulation gives."""
+        net = _power_case(seed, gates, mapped, False)
+        rng = random.Random(seed)
+        counter = iter(range(10**6))
+        cache = SimulationCache()
+
+        def fresh():
+            return f"m{next(counter)}"
+
+        _assert_simulation_exact(net, cache)
+        for op in ops:
+            net = _mutate(net, op, rng, fresh)
+            _assert_simulation_exact(net, cache)
+
+    def test_cache_from_another_network_is_not_reused(self):
+        a = ripple_carry_adder(3)
+        b = a.copy()
+        b.set_function("s0", GateType.XNOR)
+        cache = SimulationCache()
+        want_a = activity_from_simulation(a, 64, 0, reuse=cache)
+        got_b = activity_from_simulation(b, 64, 0, reuse=cache)
+        assert got_b == activity_from_simulation(b, 64, 0)
+        assert got_b != want_a
+        # the same holds across a structural edit of one network
+        b.add_gate("spare", GateType.NOT, ["s0"])
+        b.set_function("s0", GateType.XOR)
+        assert activity_from_simulation(b, 64, 0, reuse=cache) == \
+            activity_from_simulation(b, 64, 0)
 
 
 class TestGlitch:

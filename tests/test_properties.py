@@ -280,7 +280,7 @@ def test_incremental_resimulation_agrees_after_random_edit(
     prev = get_compiled(net).evaluate_words(words, mask)
     gates = [n for n in net.gate_nodes() if n.gtype in flip]
     gate = gates[random.Random(edit_seed).randrange(len(gates))]
-    gate.gtype = flip[gate.gtype]
+    net.set_function(gate.name, flip[gate.gtype])
     inc = get_compiled(net).evaluate_incremental(prev, [gate.name],
                                                  words, mask)
     assert inc == net.evaluate_words(words, mask)
@@ -303,12 +303,11 @@ def test_equivalence_verdict_invariant_under_output_order(
     if corrupt:
         victim = other.nodes[other.outputs[0]]
         if victim.kind == "gate":
-            victim.gtype = GateType.NOT if victim.gtype is not GateType.NOT \
-                else GateType.BUF
-            other.set_fanins(victim.name, victim.fanins[:1])
+            other.set_function(
+                victim.name, GateType.NOT if victim.gtype is not
+                GateType.NOT else GateType.BUF, fanins=victim.fanins[:1])
         else:
-            victim.cover = victim.cover.complement()
-        other._invalidate()
+            other.set_function(victim.name, victim.cover.complement())
     expected = verify_equivalence(net, other, num_vectors=64)
     expected_exact = verify_equivalence_exact(net, other)
     other.set_outputs([other.outputs[i] for i in perm])

@@ -11,8 +11,8 @@ from repro.sim.event import EventSimulator, timed_transitions
 from repro.sim.functional import (node_one_counts, sequential_transitions,
                                   simulate_transitions,
                                   verify_equivalence)
-from repro.sim.vectors import (counter_bus_stream, hamming,
-                               random_bus_stream, random_words,
+from repro.sim.vectors import (counter_bus_stream, exhaustive_words,
+                               hamming, random_bus_stream, random_words,
                                stream_transitions, vectors_from_words,
                                words_from_vectors)
 
@@ -43,6 +43,13 @@ class TestVectors:
 
     def test_hamming(self):
         assert hamming(0b1010, 0b0110) == 2
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_exhaustive_words_match_minterm_loop(self, n):
+        names = [f"x{i}" for i in range(n)]
+        want = {name: sum(1 << m for m in range(1 << n) if (m >> i) & 1)
+                for i, name in enumerate(names)}
+        assert exhaustive_words(names) == want
 
 
 class TestFunctional:
@@ -85,7 +92,7 @@ class TestFunctional:
         a = ripple_carry_adder(2)
         b = ripple_carry_adder(2)
         # Corrupt one gate.
-        b.nodes["s0"].gtype = GateType.XNOR
+        b.set_function("s0", GateType.XNOR)
         assert not verify_equivalence(a, b, 128)
 
     def test_verify_different_inputs_raises(self):

@@ -27,7 +27,7 @@ class TestExactEquivalence:
     def test_negative(self):
         a = ripple_carry_adder(3)
         b = ripple_carry_adder(3)
-        b.nodes["s1"].gtype = GateType.XNOR
+        b.set_function("s1", GateType.XNOR)
         assert not verify_equivalence_exact(a, b)
 
     def test_catches_rare_difference(self):
@@ -38,7 +38,7 @@ class TestExactEquivalence:
         a.add_gate("f", GateType.AND, [f"x{i}" for i in range(8)])
         a.set_output("f")
         b = a.copy()
-        b.nodes["f"].gtype = GateType.NAND
+        b.set_function("f", GateType.NAND)
         assert not verify_equivalence_exact(a, b)
 
     def test_structurally_different_equal_functions(self):

@@ -22,7 +22,7 @@ class TestCombinational:
     def test_negative(self):
         a = ripple_carry_adder(2)
         b = ripple_carry_adder(2)
-        b.nodes["s0"].gtype = GateType.XNOR
+        b.set_function("s0", GateType.XNOR)
         assert not verify_equivalence_exact(a, b)
 
 
@@ -51,7 +51,7 @@ class TestSequentialChecker:
     def test_different_function_detected(self):
         a = self.simple_counter()
         b = self.simple_counter()
-        b.nodes["nq"].gtype = GateType.XNOR
+        b.set_function("nq", GateType.XNOR)
         res = sequential_equivalent(a, b)
         assert not res.equivalent
         # Counterexample names the differing output pair.
@@ -64,8 +64,8 @@ class TestSequentialChecker:
         b.outputs.reverse()
         assert a.outputs != b.outputs
         assert sequential_equivalent(a, b).equivalent
-        b.nodes[b.outputs[0]].cover = \
-            b.nodes[b.outputs[0]].cover.complement()
+        b.set_function(b.outputs[0],
+                       b.nodes[b.outputs[0]].cover.complement())
         res = sequential_equivalent(a, b)
         assert not res.equivalent
         assert res.counterexample["output"] == (b.outputs[0],
@@ -131,9 +131,6 @@ class TestFormalVerificationOfOptimizations:
         gate = self_loop_clock_gating(stg, encode_natural(stg))
         bad = gate.network
         # Invert the enable: latches load exactly when they must hold.
-        from repro.logic.sop import Cover
-
-        node = bad.nodes["_fa_n"]
-        node.cover = node.cover.complement()
+        bad.set_function("_fa_n", bad.nodes["_fa_n"].cover.complement())
         res = sequential_equivalent(gate.baseline, bad)
         assert not res.equivalent
