@@ -20,7 +20,7 @@ from repro.opt.seq.stg import STG
 from repro.sim.functional import simulate_transitions
 from repro.sim.vectors import words_from_vectors
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -93,7 +93,7 @@ def residue_rows(count=200):
 
 
 def run(params=None):
-    quick, _seed = bench_params(params)
+    quick, _seed = harness_params(params)
     iterations = scaled(3000, quick, floor=800)
     count = scaled(200, quick, floor=100)
     prows = precompute_selection_rows()

@@ -15,7 +15,7 @@ from repro.power.activity import (activity_from_simulation,
                                   signal_probability_exact,
                                   signal_probability_propagation)
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -53,7 +53,7 @@ def estimation_rows(vectors=2048, seed=1):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(2048, quick)
     rows = estimation_rows(vectors=vectors, seed=seed + 1)
     metrics = {}

@@ -14,7 +14,7 @@ from repro.bench.profiling import PHASE_EST, PHASE_SIM, phase
 from repro.core.report import format_table
 from repro.logic.generators import array_multiplier, ripple_carry_adder
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C14",)
 
@@ -56,7 +56,7 @@ def model_fidelity_rows(vectors=256, seed=1):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(256, quick, floor=64)
     rows = model_fidelity_rows(vectors=vectors, seed=seed + 1)
     metrics = {}

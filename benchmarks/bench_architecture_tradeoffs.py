@@ -20,7 +20,7 @@ from repro.power.model import average_power
 from repro.sw.cpu import CPU, big_cpu_profile
 from repro.sw.programs import binary_search, linear_search
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -85,7 +85,7 @@ def scheduler_rows():
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(512, quick)
     with phase(PHASE_EST):
         arows = adder_rows(vectors=vectors, seed=seed + 3)

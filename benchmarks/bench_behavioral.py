@@ -16,7 +16,7 @@ from repro.arch.transforms import (transform_and_scale,
 from repro.bench.profiling import PHASE_OPT, PHASE_SIM, phase
 from repro.core.report import format_table
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C13",)
 
@@ -136,7 +136,7 @@ def rtl_validation_rows(vectors=120):
 
 
 def run(params=None):
-    quick, _seed = bench_params(params)
+    quick, _seed = harness_params(params)
     vectors = scaled(120, quick, floor=40)
     with phase(PHASE_OPT):
         vrows = voltage_scaling_rows()

@@ -15,7 +15,7 @@ from repro.opt.datapath.bus_coding import (bus_invert, gray_code_stream,
                                            partitioned_bus_invert)
 from repro.sim.vectors import counter_bus_stream, random_bus_stream
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C9",)
 
@@ -49,7 +49,7 @@ def coding_sweep(length=4000, seed=0):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     length = scaled(4000, quick, floor=500)
     with phase(PHASE_OPT):
         rows = coding_sweep(length=length, seed=seed)

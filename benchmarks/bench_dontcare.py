@@ -12,7 +12,7 @@ from repro.logic.generators import random_logic
 from repro.opt.logic.dontcare import dontcare_power_optimization
 from repro.sim.functional import verify_equivalence
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C5",)
 
@@ -36,7 +36,7 @@ def dontcare_sweep(seeds=tuple(SEEDS), vectors=256):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(256, quick, floor=128)
     seeds = tuple(s + seed for s in (SEEDS[:2] if quick else SEEDS))
     rows = dontcare_sweep(seeds=seeds, vectors=vectors)

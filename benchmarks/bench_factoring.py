@@ -16,7 +16,7 @@ from repro.logic.sop import Cover
 from repro.opt.logic.kernels import extract_kernels
 from repro.sim.functional import verify_equivalence
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C6",)
 
@@ -97,7 +97,7 @@ def factoring_sweep(cover_seeds=(1, 3, 5, 8), vectors=128):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(128, quick, floor=64)
     cover_seeds = tuple(s + seed for s in ((1, 3) if quick
                                            else (1, 3, 5, 8)))

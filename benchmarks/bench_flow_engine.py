@@ -24,7 +24,7 @@ from repro.logic.generators import ripple_carry_adder
 from repro.logic.transform import to_sop_network
 from repro.sim.functional import verify_equivalence
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -104,7 +104,7 @@ def engine_exercise(vectors=256, seed=0):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(512, quick, floor=256)
     metrics, default_trace, _rows = engine_exercise(vectors=vectors,
                                                     seed=seed)

@@ -20,7 +20,7 @@ from repro.power.activity import sequential_activity
 from repro.power.model import power_report
 from repro.sim.functional import sequential_transitions
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C11",)
 
@@ -73,7 +73,7 @@ def gating_sweep(cycles=800, seed=0):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     cycles = scaled(800, quick, floor=200)
     rows = gating_sweep(cycles=cycles, seed=seed)
     metrics = {}

@@ -21,7 +21,7 @@ from repro.logic import generators as G
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network
 
-from conftest import bench_params, emit
+from conftest import emit, harness_params
 
 CLAIMS = ()
 
@@ -121,7 +121,7 @@ def lint_exercise(seed=0):
 
 
 def run(params=None):
-    _quick, seed = bench_params(params)
+    _quick, seed = harness_params(params)
     metrics, _rows = lint_exercise(seed=seed)
     return {"metrics": metrics, "vectors": 0}
 

@@ -16,7 +16,7 @@ from repro.logic.generators import (array_multiplier, parity_tree,
 from repro.opt.logic.balance import balance_paths
 from repro.power.glitch import glitch_report, timed_average_power
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C2",)
 
@@ -58,7 +58,7 @@ def balance_sweep(vectors=96, seed=3):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(96, quick, floor=48)
     rows = balance_sweep(vectors=vectors, seed=seed + 3)
     metrics = {}

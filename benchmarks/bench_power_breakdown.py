@@ -15,7 +15,7 @@ from repro.logic.generators import (alu_slice, array_multiplier,
 from repro.power.glitch import timed_average_power
 from repro.power.model import average_power
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C1",)
 
@@ -43,7 +43,7 @@ def breakdown_table(vectors=512, seed=1):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(512, quick)
     rows = breakdown_table(vectors=vectors, seed=seed + 1)
     metrics = {}

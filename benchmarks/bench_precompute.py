@@ -22,7 +22,7 @@ from repro.power.model import power_report
 from repro.sim.functional import (sequential_transitions,
                                   verify_equivalence)
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C12",)
 
@@ -129,7 +129,7 @@ def guarded_rows(vectors=2048, verify_vectors=512):
 
 
 def run(params=None):
-    quick, _seed = bench_params(params)
+    quick, _seed = harness_params(params)
     cycles = scaled(400, quick, floor=100)
     act_vectors = scaled(2048, quick, floor=256)
     sizes = (4, 8) if quick else (4, 8, 16)

@@ -25,7 +25,7 @@ from repro.power.model import power_report
 from repro.sim.event import timed_sequential_transitions
 from repro.sim.functional import sequential_transitions
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C10",)
 
@@ -90,7 +90,7 @@ def retime_experiment(cycles=800, seed=11):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     cycles = scaled(800, quick, floor=200)
     rows = retime_experiment(cycles=cycles, seed=seed + 11)
     metrics = {}

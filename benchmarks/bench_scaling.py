@@ -17,7 +17,7 @@ from repro.opt.logic.mapping import tech_map
 from repro.power.activity import activity_from_simulation
 from repro.power.glitch import glitch_report
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -47,7 +47,7 @@ def scaling_rows(sizes=tuple(SIZES), mc_vectors=512, ev_vectors=48):
 
 
 def run(params=None):
-    quick, _seed = bench_params(params)
+    quick, _seed = harness_params(params)
     sizes = (50, 100) if quick else tuple(SIZES)
     mc_vectors = scaled(512, quick, floor=128)
     ev_vectors = scaled(48, quick, floor=16)

@@ -18,7 +18,7 @@ from repro.power.activity import (activity_from_simulation,
 from repro.power.model import power_report
 from repro.power.sequential import exact_sequential_activity
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -62,7 +62,7 @@ def estimation_rows(cycles=30000, comb_vectors=4096, seed=7):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     cycles = scaled(30000, quick, floor=4000)
     comb_vectors = scaled(4096, quick, floor=1024)
     rows = estimation_rows(cycles=cycles, comb_vectors=comb_vectors,

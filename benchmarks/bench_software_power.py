@@ -17,7 +17,7 @@ from repro.sw.programs import (dot_product, fir_kernel, mixed_block,
                                scale_by_constant)
 from repro.sw.schedule import cold_schedule, control_path_switching
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C15",)
 
@@ -87,7 +87,7 @@ def model_rows(repetitions=80):
 
 
 def run(params=None):
-    quick, _seed = bench_params(params)
+    quick, _seed = harness_params(params)
     repetitions = scaled(80, quick, floor=20)
     mrows = model_rows(repetitions=repetitions)
     with phase(PHASE_SIM):

@@ -15,7 +15,7 @@ from repro.opt.seq.encoding import (encode_anneal, encode_greedy,
                                     evaluate_encoding)
 from repro.opt.seq.stg import STG
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C8",)
 
@@ -68,7 +68,7 @@ def encoding_sweep(iterations=2500, sequence_length=800):
 
 
 def run(params=None):
-    quick, _seed = bench_params(params)
+    quick, _seed = harness_params(params)
     iterations = scaled(2500, quick, floor=600)
     sequence_length = scaled(800, quick, floor=200)
     rows = encoding_sweep(iterations=iterations,

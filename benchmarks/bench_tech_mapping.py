@@ -15,7 +15,7 @@ from repro.opt.logic.mapping import tech_map
 from repro.power.model import average_power
 from repro.sim.functional import verify_equivalence
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C7",)
 
@@ -95,7 +95,7 @@ def decomposition_rows(vectors=1024):
 
 
 def run(params=None):
-    quick, _seed = bench_params(params)
+    quick, _seed = harness_params(params)
     vectors = scaled(512, quick, floor=128)
     rows = mapping_sweep(vectors=vectors,
                          verify_vectors=scaled(128, quick, floor=64))

@@ -28,7 +28,7 @@ from repro.sim.event import (timed_sequential_transitions,
 from repro.sim.timed import get_timed
 from repro.sim.vectors import random_words, vectors_from_words
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ()
 
@@ -135,7 +135,7 @@ def timed_rows(vectors=256, seed=4, repeats=3):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(256, quick, floor=96)
     rows = timed_rows(vectors=vectors, seed=seed + 4)
     metrics = {}

@@ -13,7 +13,7 @@ from repro.logic.generators import (array_multiplier, comparator,
 from repro.opt.circuit.sizing import size_for_power
 from repro.power.activity import activity_from_simulation
 
-from conftest import bench_params, emit, scaled
+from conftest import emit, harness_params, scaled
 
 CLAIMS = ("C4",)
 
@@ -39,7 +39,7 @@ def sizing_sweep(vectors=512, seed=2):
 
 
 def run(params=None):
-    quick, seed = bench_params(params)
+    quick, seed = harness_params(params)
     vectors = scaled(512, quick)
     rows = sizing_sweep(vectors=vectors, seed=seed + 2)
     metrics = {}

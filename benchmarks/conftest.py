@@ -15,7 +15,7 @@ index (E1–E15 plus ablations).  Conventions:
   ``BENCH_*.json`` artifacts.
 
 ``run(params)`` contract: ``params`` is a plain dict understood via
-:func:`bench_params` — ``{"quick": bool, "seed": int}`` — and the
+:func:`harness_params` — ``{"quick": bool, "seed": int}`` — and the
 return value is ``{"metrics": {str: number}, "vectors": int}``.  With
 ``seed=0`` the metrics reproduce the tables in EXPERIMENTS.md (each
 bench offsets the harness seed by its historical constants).  Metric
@@ -32,7 +32,7 @@ def emit(title: str, table: str) -> None:
     print(f"\n=== {title} ===\n{table}")
 
 
-def bench_params(params):
+def harness_params(params):
     """Decode a harness params dict into ``(quick, seed)``."""
     p = dict(params or {})
     return bool(p.get("quick", False)), int(p.get("seed", 0))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bdd.bdd import BDD, BDDFunction
 from repro.logic.cube import Cube
@@ -51,14 +51,11 @@ def cover_function(manager: BDD, cover: Cover,
     return acc
 
 
-def network_bdds(net: Network, bdd: Optional[BDD] = None,
-                 nodes: Optional[Iterable[str]] = None
+def network_bdds(net: Network, bdd: Optional[BDD] = None
                  ) -> Dict[str, BDDFunction]:
     """Global BDD of every node over primary inputs and latch outputs.
 
     Latch outputs are treated as free variables (combinational view).
-    Pass ``nodes`` to limit which results are retained (all are computed —
-    intermediate functions are needed anyway).
     """
     manager = bdd if bdd is not None else BDD()
     funcs: Dict[str, BDDFunction] = {}
@@ -69,7 +66,4 @@ def network_bdds(net: Network, bdd: Optional[BDD] = None,
             continue
         funcs[name] = cover_function(
             manager, node_cover(node), [funcs[fi] for fi in node.fanins])
-    if nodes is not None:
-        wanted = set(nodes)
-        return {k: v for k, v in funcs.items() if k in wanted}
     return funcs

@@ -144,8 +144,8 @@ class Network:
 
     A function edit (:meth:`set_function` without ``fanins``) appends
     the node to the edit record.  Every other edit is structural: it
-    drops the cached topological order and compiled programs and starts
-    a new record.
+    drops the cached topological order, compiled programs and stored
+    simulation run and starts a new record.
     """
 
     def __init__(self, name: str = "top"):
@@ -166,9 +166,12 @@ class Network:
         #: structural edit, in edit order
         self._edits: List[str] = []
         #: compiled evaluation programs (repro.sim.compiled /
-        #: repro.sim.timed); opaque here to avoid a layering cycle.
+        #: repro.sim.timed) and the last Monte-Carlo run
+        #: (repro.power.activity); opaque here to avoid a layering
+        #: cycle.  Structural edits drop all three; ``copy`` carries none.
         self._compiled: Optional[object] = None
         self._timed: Optional[object] = None
+        self._sim: Optional[object] = None
 
     # -- the reader index -------------------------------------------------
 
@@ -177,6 +180,7 @@ class Network:
         self._topo_cache = None
         self._compiled = None
         self._timed = None
+        self._sim = None
 
     def _link(self, reader: str, names: Iterable[str]) -> None:
         """Record one pin of ``reader`` on each of ``names``."""

@@ -20,8 +20,7 @@ from repro.bdd.circuit import bdd_to_cover, cover_function, network_bdds
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
 from repro.logic.transform import gates_to_sop, node_cover
-from repro.power.activity import (SimulationCache,
-                                  activity_from_probability,
+from repro.power.activity import (activity_from_probability,
                                   activity_from_simulation,
                                   signal_probability_propagation)
 from repro.power.model import PowerParameters, node_capacitance
@@ -146,16 +145,12 @@ def dontcare_power_optimization(net: Network,
 
     probs = signal_probability_propagation(net, input_probs)
 
-    # Monte-Carlo state shared across the pass: the global cost check
-    # after each candidate rewrite re-simulates only the rewritten
-    # node's transitive fanout cone (repro.sim.compiled) instead of the
-    # whole network.
-    sim_cache = SimulationCache()
-
-    def total_cost(cache: SimulationCache = sim_cache
-                   ) -> Tuple[float, int]:
+    def total_cost() -> Tuple[float, int]:
+        # Incremental after a function edit: the network's stored
+        # Monte-Carlo run re-simulates only the edited nodes' transitive
+        # fanout cones (repro.power.activity).
         act, _p = activity_from_simulation(
-            net, num_vectors, seed, input_probs, reuse=cache)
+            net, num_vectors, seed, input_probs)
         cap = 0.0
         lits = 0
         for name, node in net.nodes.items():
@@ -166,6 +161,7 @@ def dontcare_power_optimization(net: Network,
         return cap, lits
 
     cap_before, lits_before = total_cost()
+    cost = cap_before
     funcs = network_bdds(net)
     changed = 0
     for name in net.topo_order():
@@ -198,15 +194,11 @@ def dontcare_power_optimization(net: Network,
         if best is not on and not best.is_equivalent(on):
             # Accept only if the *global* estimate improves: a changed
             # node shifts the statistics of its whole transitive fanout
-            # (the refinement of [19]).  The trial re-simulates only
-            # that cone, on a cache snapshot so a rejected rewrite
-            # costs no resynchronization.
-            before_cap, _lits = total_cost()
-            trial = sim_cache.copy()
+            # (the refinement of [19]).
             net.set_function(name, best)
-            after_cap, _lits = total_cost(trial)
-            if after_cap < before_cap:
-                sim_cache.adopt(trial)
+            after_cap, _lits = total_cost()
+            if after_cap < cost:
+                cost = after_cap
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
                 funcs = network_bdds(net)

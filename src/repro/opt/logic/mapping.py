@@ -28,20 +28,13 @@ from repro.library.cells import Cell, Library
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network, Node
-from repro.logic.sop import Cover
+from repro.logic.sop import truth_table
 from repro.logic.transform import decompose_to_primitives, \
     collapse_buffers, propagate_constants
 from repro.power.activity import activity_from_simulation
+from repro.sim.vectors import exhaustive_words
 
 Cut = Tuple[str, ...]  # ordered leaf names
-
-
-def _cover_truth_table(cover: Cover, num_vars: int) -> int:
-    tt = 0
-    for m in range(1 << num_vars):
-        if cover.evaluate(m):
-            tt |= 1 << m
-    return tt
 
 
 def _permute_tt(tt: int, n: int, perm: Sequence[int]) -> int:
@@ -69,7 +62,7 @@ def _library_patterns(library: Library, max_inputs: int
         n = cell.num_inputs
         if n == 0 or n > max_inputs:
             continue
-        base_tt = _cover_truth_table(cell.cover, n)
+        base_tt = truth_table(cell.cover)
         for perm in permutations(range(n)):
             tt = _permute_tt(base_tt, n, perm)
             patterns.setdefault((n, tt), []).append((cell, perm))
@@ -112,16 +105,8 @@ def _enumerate_cuts(net: Network, k: int,
 def _cut_function(net: Network, root: str, cut: Cut) -> Optional[int]:
     """Truth table of ``root`` over the cut leaves, or None if the cone
     reads signals outside the cut."""
-    n = len(cut)
-    leaf_words = {}
-    for i, leaf in enumerate(cut):
-        w = 0
-        for m in range(1 << n):
-            if (m >> i) & 1:
-                w |= 1 << m
-        leaf_words[leaf] = w
-    mask = (1 << (1 << n)) - 1
-    memo: Dict[str, int] = dict(leaf_words)
+    mask = (1 << (1 << len(cut))) - 1
+    memo: Dict[str, int] = exhaustive_words(cut)
 
     def value(name: str) -> Optional[int]:
         if name in memo:

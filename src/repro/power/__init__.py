@@ -1,7 +1,6 @@
 """Power analysis: switching activity estimation and CMOS power models."""
 
-from repro.power.activity import (SimulationCache,
-                                  activity_from_simulation,
+from repro.power.activity import (activity_from_simulation,
                                   signal_probability_propagation,
                                   signal_probability_exact,
                                   transition_density,
@@ -11,8 +10,7 @@ from repro.power.model import (PowerParameters, PowerReport,
                                average_power)
 from repro.power.glitch import GlitchReport, glitch_report
 
-__all__ = ["SimulationCache",
-           "activity_from_simulation", "signal_probability_propagation",
+__all__ = ["activity_from_simulation", "signal_probability_propagation",
            "signal_probability_exact", "transition_density",
            "activity_from_probability", "PowerParameters",
            "PowerReport",

@@ -12,8 +12,7 @@ Activities are in *transitions per clock cycle* at each node output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
 from repro.logic.transform import node_cover
@@ -95,42 +94,20 @@ def transition_density(net: Network,
     return densities
 
 
-@dataclass
-class SimulationCache:
-    """Reusable Monte-Carlo simulation state for incremental estimation.
+class _Run(NamedTuple):
+    """The last Monte-Carlo run of a network (``Network._sim``)."""
 
-    Pass one instance through repeated ``activity_from_simulation``
-    calls over the *same* stimulus (vectors/seed/probabilities) while an
-    optimizer edits node functions (``Network.set_function``): the
-    estimator then re-simulates only the transitive fanout cone of the
-    nodes edited since the cache was filled and reuses the cached words,
-    transition counts and one-counts everywhere else.  A changed
-    stimulus, a structural edit or another network gets a full pass.
-    """
-
-    key: Optional[Tuple] = None           # stimulus identity
-    mark: Optional[Tuple] = None          # Network.edit_mark() when filled
-    words: Dict[str, int] = field(default_factory=dict)      # PI stimulus
-    values: Dict[str, int] = field(default_factory=dict)     # node words
-    transitions: Dict[str, int] = field(default_factory=dict)
-    ones: Dict[str, int] = field(default_factory=dict)
-
-    def copy(self) -> "SimulationCache":
-        """Cheap snapshot (words are immutable ints; dicts are copied)."""
-        return replace(self, words=dict(self.words),
-                       values=dict(self.values),
-                       transitions=dict(self.transitions),
-                       ones=dict(self.ones))
-
-    def adopt(self, other: "SimulationCache") -> None:
-        """Take over another cache's state in place (commit a trial)."""
-        self.__dict__.update(vars(other))
+    key: Tuple                      # stimulus identity
+    mark: Tuple[List[str], int]     # Network.edit_mark() when run
+    words: Dict[str, int]           # source stimulus
+    values: Dict[str, int]          # node words
+    transitions: Dict[str, int]
+    ones: Dict[str, int]
 
 
 def activity_from_simulation(net: Network, num_vectors: int = 2048,
                              seed: int = 0,
-                             input_probs: Optional[Dict[str, float]] = None,
-                             reuse: Optional[SimulationCache] = None
+                             input_probs: Optional[Dict[str, float]] = None
                              ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Monte-Carlo activity and probability estimates.
 
@@ -139,11 +116,12 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
     ``(activity, probability)`` dictionaries.
 
     Evaluation runs on the compiled engine (:mod:`repro.sim.compiled`),
-    bit-exact with the interpreted path.  ``reuse`` (a
-    :class:`SimulationCache`, updated in place) enables incremental
-    re-simulation: when it was filled from this network under the same
-    stimulus, only the transitive fanout cone of the nodes edited since
-    (``Network.edits_since``) is recomputed.
+    bit-exact with the interpreted path.  The run is stored on the
+    network; a later call under the same stimulus (vectors, seed,
+    probabilities) re-simulates only the transitive fanout cone of the
+    nodes edited since (``Network.edits_since``) and reuses the stored
+    words, transition counts and one-counts everywhere else.  A
+    structural edit drops the stored run.
     """
     sources = [n for n in net.nodes.values() if n.is_source()]
     mask = (1 << num_vectors) - 1
@@ -151,23 +129,19 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
                 None if input_probs is None
                 else tuple(sorted(input_probs.items())))
 
-    values: Optional[Dict[str, int]] = None
-    old_values: Dict[str, int] = {}
-    if reuse is not None and reuse.key == stim_key:
-        dirty = net.edits_since(reuse.mark)
-        if dirty is not None:
-            words = reuse.words
-            old_values = reuse.values
-            values = get_compiled(net).evaluate_incremental(
-                old_values, dirty, words, mask)
-    if values is None:
+    run = net._sim
+    if run is not None and run.key == stim_key:
+        words = run.words
+        old_values, old_t, old_o = run.values, run.transitions, run.ones
+        values = get_compiled(net).evaluate_incremental(
+            old_values, net.edits_since(run.mark), words, mask)
+    else:
         words = random_words([s.name for s in sources], num_vectors,
                              seed, input_probs)
+        old_values, old_t, old_o = {}, {}, {}
         values = get_compiled(net).evaluate_words(words, mask)
 
     pair_mask = (1 << (num_vectors - 1)) - 1 if num_vectors >= 2 else 0
-    old_t, old_o = (reuse.transitions, reuse.ones) if reuse is not None \
-        else ({}, {})
     transitions: Dict[str, int] = {}
     ones: Dict[str, int] = {}
     for name, w in values.items():
@@ -186,13 +160,8 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
     p_denom = num_vectors if num_vectors >= 1 else 1
     activity = {k: v / t_denom for k, v in transitions.items()}
     probability = {k: v / p_denom for k, v in ones.items()}
-    if reuse is not None:
-        reuse.key = stim_key
-        reuse.mark = net.edit_mark()
-        reuse.words = words
-        reuse.values = values
-        reuse.transitions = transitions
-        reuse.ones = ones
+    net._sim = _Run(stim_key, net.edit_mark(), words, values,
+                    transitions, ones)
     return activity, probability
 
 

@@ -28,10 +28,10 @@ On top of the flat program, :meth:`CompiledNetwork.evaluate_incremental`
 re-simulates only the transitive fanout cone of a set of *dirty* nodes,
 reusing the previous pattern words everywhere else, with value-based
 early cut-off (a recomputed node whose word is unchanged stops the
-propagation).  This is the engine behind
-``activity_from_simulation(..., reuse=...)``, which reads the dirty set
-from the network's edit record: an optimizer that edits one node pays
-only for that node's cone instead of a full re-simulation.
+propagation).  This is the engine behind ``activity_from_simulation``,
+which keeps its last run on the network and reads the dirty set from
+the network's edit record: an optimizer that edits one node pays only
+for that node's cone instead of a full re-simulation.
 
 All paths are bit-exact with the interpreted ``Network.evaluate_words``
 (pure integer logic, identical cube/literal semantics), which the tests

@@ -35,12 +35,14 @@ cycles) — a canonical, order-independent transport-delay semantics —
 and both compute event timestamps with the same float additions, so
 even path-dependent float sums land in the same buckets.
 
-The compiled timed program is cached on the network
-(``Network._timed``, dropped by every structural edit) and keyed by
-the zero-delay program snapshot — a function edit yields a new
-snapshot from ``get_compiled`` — plus the exact resolved per-node
-delay tuple, so a mutated ``attrs["delay"]`` or a different ``delays``
-argument can never hit a stale program.
+The network keeps one compiled timed program (``Network._timed``,
+dropped by every structural edit), keyed by the zero-delay program
+snapshot — a function edit yields a new snapshot from ``get_compiled``
+— plus the exact resolved per-node delay tuple, so a mutated
+``attrs["delay"]`` or a different ``delays`` argument can never hit a
+stale program.  Clocked simulation steps the zero-delay program
+(``CompiledNetwork.step``) for the register trajectory, then times
+every cycle's settle on the word-parallel engine.
 """
 
 from __future__ import annotations
@@ -51,16 +53,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.logic.netlist import Network
 from repro.sim.compiled import CompiledNetwork, get_compiled
 
-#: retain at most this many delay variants per network snapshot
-_MAX_DELAY_VARIANTS = 8
-
 
 class CompiledTimedNetwork:
     """Immutable time-wheel evaluation program for one network snapshot
     under one resolved delay map.  Obtain through :func:`get_timed`."""
 
     __slots__ = ("base", "delay_key", "kernel_of", "fanout_plan",
-                 "source_slots", "seq_ops")
+                 "source_slots")
 
     def __init__(self, base: CompiledNetwork,
                  delay_key: Tuple[float, ...]):
@@ -86,8 +85,6 @@ class CompiledTimedNetwork:
         self.source_slots: Tuple[Tuple[int, str], ...] = tuple(
             list(base.input_slots)
             + [(s, base.names[s]) for s, _d, _e, _i in base.latches])
-        #: ops of the latch data/enable cones (built lazily)
-        self.seq_ops: Optional[Tuple] = None
 
     # -- combinational ---------------------------------------------------
 
@@ -195,68 +192,29 @@ class CompiledTimedNetwork:
         """Clocked timed counts, bit-identical to
         ``EventSimulator.run_sequential`` on the same vector sequence.
 
-        Phase 1 recovers the register trajectory with cheap zero-delay
-        scalar steps restricted to the latch data/enable cones (the
-        settled values a latch samples are exactly the zero-delay
-        values).  Phase 2 packs the per-cycle source values — primary
-        inputs plus latch outputs — into words and reuses the
-        word-parallel combinational engine: every cycle's settle is one
-        lane.
+        Phase 1 recovers the register trajectory with zero-delay scalar
+        steps of the base program (the settled values a latch samples
+        are exactly the zero-delay values); an input missing from a
+        vector holds its last value.  Phase 2 packs the per-cycle
+        source values — primary inputs plus latch outputs — into words
+        and reuses the word-parallel combinational engine: every
+        cycle's settle is one lane.
         """
         base = self.base
-        if self.seq_ops is None:
-            self.seq_ops = self._latch_cone_ops()
-        seq_ops = self.seq_ops
-        latches = base.latches
-        count = len(vectors)
-        input_names = [name for _s, name in base.input_slots]
-        input_slot = {name: s for s, name in base.input_slots}
-
-        # Phase 1: scalar trajectory (mask = 1).
-        num = base.num_slots
-        values = [0] * num
-        state = {lslot: init for lslot, _d, _e, init in latches}
-        drive_words = [0] * num       # per source slot, bit k = cycle k
-        cur_in = {name: 0 for name in input_names}
+        held = {name: 0 for _s, name in base.input_slots}
+        state = {base.names[s]: init for s, _d, _e, init in base.latches}
+        words = {name: 0 for _s, name in self.source_slots}
         for k, vec in enumerate(vectors):
-            for name in input_names:
+            for name in held:
                 v = vec.get(name)
                 if v is not None:
-                    cur_in[name] = v & 1
-            for name in input_names:
-                if cur_in[name]:
-                    drive_words[input_slot[name]] |= 1 << k
-                values[input_slot[name]] = cur_in[name]
-            for lslot, _dslot, _eslot, _init in latches:
-                if state[lslot]:
-                    drive_words[lslot] |= 1 << k
-                values[lslot] = state[lslot]
-            for out_slot, _fanins, kernel in seq_ops:
-                values[out_slot] = kernel(values, 1)
-            for lslot, dslot, eslot, _init in latches:
-                if eslot is not None and not values[eslot]:
-                    continue
-                state[lslot] = values[dslot]
-
-        # Phase 2: word-parallel timed settles across all cycles.
-        words = {name: drive_words[slot]
-                 for slot, name in self.source_slots}
-        return self.transition_counts(words, count)
-
-    def _latch_cone_ops(self) -> Tuple:
-        """The base program's ops restricted to the transitive fanin
-        cones of the latch data and enable slots."""
-        base = self.base
-        needed = set()
-        for _out, dslot, eslot, _init in base.latches:
-            needed.add(dslot)
-            if eslot is not None:
-                needed.add(eslot)
-        # Transitive fanin closure over the op list (reverse topo).
-        for out_slot, fanin_slots, _kernel in reversed(base.ops):
-            if out_slot in needed:
-                needed.update(fanin_slots)
-        return tuple(op for op in base.ops if op[0] in needed)
+                    held[name] = v & 1
+            for source in (held, state):
+                for name, bit in source.items():
+                    if bit:
+                        words[name] |= 1 << k
+            state, _values = base.step(state, held, 1)
+        return self.transition_counts(words, len(vectors))
 
 
 def _resolve_delays(net: Network, base: CompiledNetwork,
@@ -281,28 +239,21 @@ def get_timed(net: Network, delays: Optional[Dict[str, float]] = None
               ) -> CompiledTimedNetwork:
     """Cached compiled timed program for ``net`` under ``delays``.
 
-    The cache lives on the network (``Network._timed``, dropped by
-    every structural edit) and is keyed by the zero-delay program
-    snapshot — ``get_compiled`` returns a new snapshot after a node
-    function edit, so the timed program is rebuilt then too — plus the
-    exact resolved delay tuple (covering both the ``delays`` argument
-    and in-place ``attrs["delay"]`` edits), resolved on every call.  Up to
-    ``_MAX_DELAY_VARIANTS`` delay maps are retained per snapshot.
+    The network keeps one program (``Network._timed``, dropped by every
+    structural edit), keyed by the zero-delay program snapshot —
+    ``get_compiled`` returns a new snapshot after a node function edit,
+    so the timed program is rebuilt then too — plus the exact resolved
+    delay tuple (covering both the ``delays`` argument and in-place
+    ``attrs["delay"]`` edits), resolved on every call.  Another delay
+    map replaces the program.
     """
     base = get_compiled(net)
     delay_key = _resolve_delays(net, base, delays)
-    cache = getattr(net, "_timed", None)
-    if cache is not None and cache[0] is base:
-        variants = cache[1]
-        prog = variants.get(delay_key)
-        if prog is None:
-            if len(variants) >= _MAX_DELAY_VARIANTS:
-                variants.clear()
-            prog = CompiledTimedNetwork(base, delay_key)
-            variants[delay_key] = prog
-    else:
+    prog = net._timed
+    if prog is None or prog.base is not base or \
+            prog.delay_key != delay_key:
         prog = CompiledTimedNetwork(base, delay_key)
-        net._timed = (base, {delay_key: prog})
+        net._timed = prog
     return prog
 
 

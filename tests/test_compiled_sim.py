@@ -19,8 +19,7 @@ from repro.logic.sop import Cover
 from repro.opt.seq.encoding import encode_natural
 from repro.opt.seq.fsm_benchmarks import benchmark_names, load_benchmark
 from repro.opt.seq.gated_clock import self_loop_clock_gating
-from repro.power.activity import (SimulationCache,
-                                  activity_from_simulation,
+from repro.power.activity import (activity_from_simulation,
                                   sequential_activity)
 from repro.sim.compiled import compile_network, get_compiled
 from repro.sim.functional import verify_equivalence, verify_equivalence_exact
@@ -251,8 +250,7 @@ def test_incremental_treats_missing_nodes_as_dirty():
 
 def test_activity_reuse_dirty_matches_fresh():
     net = random_logic(8, 40, seed=3)
-    cache = SimulationCache()
-    activity_from_simulation(net, 128, 1, reuse=cache)
+    activity_from_simulation(net, 128, 1)
     gate = next(n for n in net.gate_nodes()
                 if n.gtype in (GateType.AND, GateType.OR,
                                GateType.NAND, GateType.NOR))
@@ -260,33 +258,18 @@ def test_activity_reuse_dirty_matches_fresh():
                                  GateType.NAND: GateType.AND,
                                  GateType.OR: GateType.NOR,
                                  GateType.NOR: GateType.OR}[gate.gtype])
-    inc_act, inc_p = activity_from_simulation(net, 128, 1, reuse=cache)
-    fresh_act, fresh_p = activity_from_simulation(net, 128, 1)
+    inc_act, inc_p = activity_from_simulation(net, 128, 1)
+    fresh_act, fresh_p = activity_from_simulation(net.copy(), 128, 1)
     assert inc_act == fresh_act
     assert inc_p == fresh_p
 
 
-def test_activity_cache_trial_commit_semantics():
-    net = ripple_carry_adder(4)
-    cache = SimulationCache()
-    act0, _ = activity_from_simulation(net, 64, 0, reuse=cache)
-    trial = cache.copy()
-    trial.values["s0"] = ~trial.values["s0"]     # corrupt the trial only
-    assert cache.values["s0"] != trial.values["s0"]
-    committed = cache.copy()
-    cache.adopt(trial)
-    assert cache.values["s0"] == trial.values["s0"]
-    cache.adopt(committed)
-    act1, _ = activity_from_simulation(net, 64, 0, reuse=cache)
-    assert act1 == act0
-
-
 def test_activity_cache_stimulus_change_forces_full_pass():
     net = ripple_carry_adder(4)
-    cache = SimulationCache()
-    activity_from_simulation(net, 64, 0, reuse=cache)
-    act, _ = activity_from_simulation(net, 64, 1, reuse=cache)
-    fresh, _ = activity_from_simulation(net, 64, 1)
+    activity_from_simulation(net, 64, 0)
+    net.set_function("s0", GateType.XNOR)
+    act, _ = activity_from_simulation(net, 64, 1)
+    fresh, _ = activity_from_simulation(net.copy(), 64, 1)
     assert act == fresh
 
 

@@ -25,8 +25,7 @@ from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
                                       observability_dont_cares)
 from repro.opt.logic.kernels import extract_kernels
 from repro.opt.logic.mapping import tech_map
-from repro.power.activity import (SimulationCache,
-                                  activity_from_simulation,
+from repro.power.activity import (activity_from_simulation,
                                   signal_probability_propagation)
 from repro.power.glitch import glitch_report
 from repro.power.model import PowerParameters, node_capacitance
@@ -166,11 +165,11 @@ def _reference_dontcare(net: Network, input_probs=None,
             net.set_node(new)
     params = PowerParameters()
     probs = signal_probability_propagation(net, input_probs)
-    sim_cache = SimulationCache()
 
-    def total_cost(cache=sim_cache):
+    def total_cost():
+        # net.copy() carries no stored run: a full re-simulation.
         act, _p = activity_from_simulation(
-            net, num_vectors, seed, input_probs, reuse=cache)
+            net.copy(), num_vectors, seed, input_probs)
         cap = 0.0
         lits = 0
         for name, node in net.nodes.items():
@@ -215,17 +214,14 @@ def _reference_dontcare(net: Network, input_probs=None,
         if best is not on and not best.is_equivalent(on):
             before_cap, _lits = total_cost()
             net.set_function(name, best)
-            trial = sim_cache.copy()
-            after_cap, _lits = total_cost(trial)
+            after_cap, _lits = total_cost()
             if after_cap < before_cap:
-                sim_cache.adopt(trial)
                 changed += 1
                 probs = signal_probability_propagation(net, input_probs)
                 funcs = network_bdds(net)
             else:
                 net.set_function(name, on)
-    # A fresh cache: the closing estimate is a full re-simulation.
-    cap_after, lits_after = total_cost(SimulationCache())
+    cap_after, lits_after = total_cost()
     return DontCareResult(nodes_changed=changed,
                           switched_cap_before=cap_before,
                           switched_cap_after=cap_after,

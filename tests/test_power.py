@@ -13,8 +13,7 @@ from repro.logic.generators import (comparator, parity_tree, random_logic,
 from repro.logic.netlist import NetlistError, Network, Node
 from repro.logic.sop import Cover
 from repro.opt.logic.mapping import tech_map
-from repro.power.activity import (SimulationCache,
-                                  activity_from_probability,
+from repro.power.activity import (activity_from_probability,
                                   activity_from_simulation,
                                   sequential_activity,
                                   signal_probability_exact,
@@ -303,7 +302,7 @@ def _other_function(node, rng):
     return rng.choice([node.cover.complement(), Cover.one(n), Cover(n)])
 
 
-def _assert_simulation_exact(net, cache):
+def _assert_simulation_exact(net):
     sources = [n for n, node in net.nodes.items() if node.is_source()]
     words = random_words(sources, 32, 7)
     mask = (1 << 32) - 1
@@ -314,8 +313,9 @@ def _assert_simulation_exact(net, cache):
             get_compiled(net).evaluate_words(words, mask)
         return
     assert get_compiled(net).evaluate_words(words, mask) == want
-    assert activity_from_simulation(net, 32, 7, reuse=cache) == \
-        activity_from_simulation(net, 32, 7)
+    # net.copy() carries no stored run: a full re-simulation
+    assert activity_from_simulation(net, 32, 7) == \
+        activity_from_simulation(net.copy(), 32, 7)
 
 
 def _mutate(net, op, rng, fresh):
@@ -496,8 +496,8 @@ class TestReaderIndexDifferential:
 
 
 class TestEditRecord:
-    """Function edits reach the compiled program and the activity
-    cache through the network's edit record."""
+    """Function edits reach the compiled program and the network's
+    stored simulation run through the network's edit record."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(4, 30), st.booleans(),
@@ -507,35 +507,35 @@ class TestEditRecord:
     def test_mutations_keep_simulation_exact(self, seed, gates, mapped,
                                              ops):
         """After every edit the cached compiled program evaluates like
-        the interpreted walk, and an activity cache carried across the
+        the interpreted walk, and the run the network stored across the
         edits gives what a fresh simulation gives."""
         net = _power_case(seed, gates, mapped, False)
         rng = random.Random(seed)
         counter = iter(range(10**6))
-        cache = SimulationCache()
 
         def fresh():
             return f"m{next(counter)}"
 
-        _assert_simulation_exact(net, cache)
+        _assert_simulation_exact(net)
         for op in ops:
             net = _mutate(net, op, rng, fresh)
-            _assert_simulation_exact(net, cache)
+            _assert_simulation_exact(net)
 
-    def test_cache_from_another_network_is_not_reused(self):
-        a = ripple_carry_adder(3)
-        b = a.copy()
-        b.set_function("s0", GateType.XNOR)
-        cache = SimulationCache()
-        want_a = activity_from_simulation(a, 64, 0, reuse=cache)
-        got_b = activity_from_simulation(b, 64, 0, reuse=cache)
-        assert got_b == activity_from_simulation(b, 64, 0)
-        assert got_b != want_a
-        # the same holds across a structural edit of one network
-        b.add_gate("spare", GateType.NOT, ["s0"])
-        b.set_function("s0", GateType.XOR)
-        assert activity_from_simulation(b, 64, 0, reuse=cache) == \
-            activity_from_simulation(b, 64, 0)
+    def test_structural_edit_and_copy_drop_the_stored_run(self):
+        net = ripple_carry_adder(3)
+        activity_from_simulation(net, 64, 0)
+        assert net._sim is not None
+        assert net.copy()._sim is None
+        net.set_function("s0", GateType.XNOR)     # a function edit keeps it
+        assert net._sim is not None
+        net.add_gate("spare", GateType.NOT, ["s0"])
+        assert net._sim is None
+        assert activity_from_simulation(net, 64, 0) == \
+            activity_from_simulation(net.copy(), 64, 0)
+        other = net.copy()
+        activity_from_simulation(other, 64, 0)
+        net.take_over(other)
+        assert net._sim is None
 
 
 class TestGlitch:
