@@ -89,16 +89,13 @@ class BDD:
         hit = self._ite_cache.get(key)
         if hit is not None:
             return hit
-        top = min(self._level[f], self._level[g], self._level[h])
-
-        def cof(n: int, phase: int) -> int:
-            if self._level[n] != top:
-                return n
-            return self._hi[n] if phase else self._lo[n]
-
-        hi = self._ite(cof(f, 1), cof(g, 1), cof(h, 1))
-        lo = self._ite(cof(f, 0), cof(g, 0), cof(h, 0))
-        result = self._mk(top, lo, hi)
+        level, lo, hi = self._level, self._lo, self._hi
+        lf, lg, lh = level[f], level[g], level[h]
+        top = min(lf, lg, lh)
+        f0, f1 = (lo[f], hi[f]) if lf == top else (f, f)
+        g0, g1 = (lo[g], hi[g]) if lg == top else (g, g)
+        h0, h1 = (lo[h], hi[h]) if lh == top else (h, h)
+        result = self._mk(top, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
         self._ite_cache[key] = result
         return result
 
@@ -123,10 +120,26 @@ class BDD:
         cache[f] = result
         return result
 
-    def _exists_one(self, f: int, level: int) -> int:
-        lo = self._restrict(f, level, 0, {})
-        hi = self._restrict(f, level, 1, {})
-        return self._ite(lo, BDD.TRUE, hi)
+    def _exists_set(self, f: int, levels: frozenset, last: int,
+                    cache: Dict[int, int]) -> int:
+        """Quantify every variable whose level is in ``levels`` (the
+        deepest being ``last``) out of ``f`` in one memoised pass."""
+        level = self._level[f]
+        if level > last:
+            return f
+        hit = cache.get(f)
+        if hit is not None:
+            return hit
+        lo = self._exists_set(self._lo[f], levels, last, cache)
+        if level in levels:
+            result = lo if lo == BDD.TRUE else self._ite(
+                lo, BDD.TRUE, self._exists_set(self._hi[f], levels, last,
+                                               cache))
+        else:
+            result = self._mk(level, lo, self._exists_set(
+                self._hi[f], levels, last, cache))
+        cache[f] = result
+        return result
 
     def _compose(self, f: int, level: int, g: int,
                  cache: Dict[int, int]) -> int:
@@ -248,16 +261,17 @@ class BDDFunction:
         return BDDFunction(self.bdd, node)
 
     def exists(self, variables: Iterable[str]) -> "BDDFunction":
-        node = self.node
-        for name in variables:
-            node = self.bdd._exists_one(node, self.bdd.var_level[name])
-        return BDDFunction(self.bdd, node)
+        """Existential quantification over ``variables``, all in one
+        memoised pass."""
+        levels = frozenset(self.bdd.var_level[name] for name in variables)
+        if not levels:
+            return self
+        return BDDFunction(self.bdd, self.bdd._exists_set(
+            self.node, levels, max(levels), {}))
 
     def forall(self, variables: Iterable[str]) -> "BDDFunction":
-        inv = self.bdd._not(self.node)
-        for name in variables:
-            inv = self.bdd._exists_one(inv, self.bdd.var_level[name])
-        return BDDFunction(self.bdd, self.bdd._not(inv))
+        """Universal quantification over ``variables``: not-exists-not."""
+        return ~(~self).exists(variables)
 
     def compose(self, name: str, g: "BDDFunction") -> "BDDFunction":
         level = self.bdd.var_level[name]

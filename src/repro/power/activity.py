@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.logic.netlist import Network
+from repro.logic.netlist import Network, Node
 from repro.logic.transform import node_cover
 from repro.sim.compiled import get_compiled
 from repro.sim.vectors import random_words
@@ -41,10 +41,14 @@ def signal_probability_propagation(net: Network,
         if node.is_source():
             probs[name] = input_probs.get(name, 0.5)
         else:
-            cover = node_cover(node)
-            fanin_p = [probs[fi] for fi in node.fanins]
-            probs[name] = cover.probability(fanin_p)
+            probs[name] = node_probability(node, probs)
     return probs
+
+
+def node_probability(node: Node, probs: Dict[str, float]) -> float:
+    """P(node = 1) from its fanins' entries in ``probs``, taken as
+    independent: one step of :func:`signal_probability_propagation`."""
+    return node_cover(node).probability([probs[fi] for fi in node.fanins])
 
 
 def signal_probability_exact(net: Network,

@@ -1,6 +1,7 @@
 """Unit tests for the ROBDD package."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd.bdd import BDD
 
@@ -83,6 +84,32 @@ class TestOperators:
             mgr.var("a") & other.var("x")
 
 
+_QVARS = [f"v{i}" for i in range(6)]
+
+
+def _from_truth_table(bdd, names, table):
+    """The function of ``names`` whose value on minterm ``m`` (bit ``i``
+    of ``m`` is ``names[i]``) is bit ``m`` of ``table``."""
+    f = bdd.false
+    for m in range(1 << len(names)):
+        if table >> m & 1:
+            term = bdd.true
+            for i, name in enumerate(names):
+                v = bdd.var(name)
+                term = term & (v if m >> i & 1 else ~v)
+            f = f | term
+    return f
+
+
+def _iterated(f, names, kind):
+    """Quantification by definition, one variable at a time:
+    f|v=0 OR f|v=1 (exists), f|v=0 AND f|v=1 (forall)."""
+    for v in names:
+        lo, hi = f.restrict({v: 0}), f.restrict({v: 1})
+        f = (lo | hi) if kind == "exists" else (lo & hi)
+    return f
+
+
 class TestQuantification:
     def test_exists(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
@@ -95,6 +122,24 @@ class TestQuantification:
         assert f.node == a.node
         g = (a & b).forall(["b"])
         assert g.is_false
+
+    def test_empty_set_is_identity(self, mgr):
+        f = mgr.var("a") ^ mgr.var("c")
+        assert f.exists([]) is f
+        assert f.forall([]).node == f.node
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, (1 << 16) - 1),
+           st.lists(st.sampled_from(_QVARS), unique=True))
+    def test_set_quantifier_matches_iterated_restrict(self, table,
+                                                      variables):
+        # f is a random function of v0..v3; v4 and v5 exist in the
+        # manager but lie outside its support.
+        bdd = BDD(_QVARS)
+        f = _from_truth_table(bdd, _QVARS[:4], table)
+        for order in (variables, variables[::-1]):
+            assert f.exists(order).equiv(_iterated(f, order, "exists"))
+            assert f.forall(order).equiv(_iterated(f, order, "forall"))
 
     def test_restrict(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")

@@ -2,10 +2,11 @@
 kernel extraction, technology mapping)."""
 
 import random
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import Dict, List, Set, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit import network_bdds
@@ -18,6 +19,7 @@ from repro.logic.generators import (alu_slice, array_multiplier,
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
 from repro.logic.transform import gate_cover, node_cover
+from repro.opt.logic import dontcare as dontcare_module
 from repro.opt.logic.balance import balance_paths
 from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
                                       controllability_dont_cares,
@@ -267,6 +269,116 @@ class TestDontCareDifferential:
                              ids=["mult4", "rca6", "cmp8"])
     def test_datapath(self, make):
         _assert_matches_reference(make())
+
+    def test_flow_logic_largest_class(self):
+        # flow-logic's largest circuits: 16 inputs, 120 gates.
+        _assert_matches_reference(random_logic(16, 120, seed=5))
+
+
+def _transitive_fanout(net: Network, name: str) -> Set[str]:
+    """``name`` and every node reached from it through gate and SOP
+    readers (a latch ends the walk)."""
+    cone, todo = {name}, [name]
+    while todo:
+        for reader in net.readers(todo.pop()):
+            if reader not in cone and not net.nodes[reader].is_source():
+                cone.add(reader)
+                todo.append(reader)
+    return cone
+
+
+def _assert_odcs_match_reference(net: Network) -> None:
+    funcs = network_bdds(net)
+    for name in net.nodes:
+        got = observability_dont_cares(net, name, funcs)
+        assert got.equiv(_ref_odc(net, name, funcs)), name
+
+
+def latch_net() -> Network:
+    """A node (``d``) feeding a latch data pin, another (``e``) a latch
+    enable pin, and a primary input (``a``) that is also an output."""
+    net = Network()
+    net.add_inputs(["a", "b", "c"])
+    net.add_latch("d", "q")
+    net.add_latch("g", "q2", enable="e")
+    net.add_gate("g", GateType.AND, ["a", "q"])
+    net.add_gate("d", GateType.OR, ["g", "b"])
+    net.add_gate("e", GateType.XOR, ["g", "c"])
+    net.add_gate("out", GateType.AND, ["d", "c"])
+    net.add_gate("h", GateType.OR, ["q2", "a"])
+    net.set_outputs(["out", "a", "h"])
+    return net
+
+
+class TestConeObservability:
+    """The ODC computed on the node's fanout cone equals the one from
+    re-composing the whole network with a free variable."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(3, 16), st.integers(4, 120))
+    @example(seed=1, inputs=16, gates=120)
+    def test_random_logic(self, seed, inputs, gates):
+        _assert_odcs_match_reference(random_logic(inputs, gates,
+                                                  seed=seed))
+
+    def test_latches_and_input_outputs(self):
+        net = latch_net()
+        net.check()
+        _assert_odcs_match_reference(net)
+        funcs = network_bdds(net)
+        # d reaches an output only through out; the latch hides it
+        # from the next cycle.
+        odc_d = observability_dont_cares(net, "d", funcs)
+        assert odc_d.equiv(~funcs["c"])
+        assert observability_dont_cares(net, "a", funcs).is_false
+
+
+class TestDontCareWork:
+    """The pass does work in proportion to fanout cones."""
+
+    def test_odc_query_evaluates_the_cone_twice(self, monkeypatch):
+        evaluated: List[str] = []
+        calls = [0]
+        real_cover_function = dontcare_module.cover_function
+        real_node_cover = dontcare_module.node_cover
+
+        def counting_cover_function(*args):
+            calls[0] += 1
+            return real_cover_function(*args)
+
+        def recording_node_cover(node):
+            evaluated.append(node.name)
+            return real_node_cover(node)
+
+        monkeypatch.setattr(dontcare_module, "cover_function",
+                            counting_cover_function)
+        monkeypatch.setattr(dontcare_module, "node_cover",
+                            recording_node_cover)
+        net = random_logic(8, 60, seed=3)
+        funcs = network_bdds(net)
+        sizes = set()
+        for name in net.nodes:
+            calls[0] = 0
+            evaluated.clear()
+            observability_dont_cares(net, name, funcs)
+            cone = _transitive_fanout(net, name)
+            sizes.add(len(cone))
+            assert calls[0] == 2 * (len(cone) - 1), name
+            assert Counter(evaluated) == {n: 2 for n in cone - {name}}
+        assert 1 in sizes and max(sizes) < len(net.nodes)
+
+    def test_pass_builds_network_bdds_once(self, monkeypatch):
+        calls = []
+        real = dontcare_module.network_bdds
+
+        def counting(net, *args):
+            calls.append(net)
+            return real(net, *args)
+
+        monkeypatch.setattr(dontcare_module, "network_bdds", counting)
+        res = dontcare_power_optimization(random_logic(16, 100, seed=0))
+        assert res.nodes_changed >= 2
+        assert len(calls) == 1
 
 
 class TestBalance:
