@@ -51,7 +51,10 @@ def exact_sequential_activity(net: Network,
 
     ``input_probs[pi]`` is P(pi = 1) per cycle (inputs temporally and
     spatially independent).  Raises if the reachable state space
-    exceeds ``max_states``.
+    exceeds ``max_states``.  When the reachable states hold more than
+    one closed class the stationary distribution is not unique; the
+    one returned is the limit from the uniform distribution over the
+    reachable states.
     """
     input_probs = input_probs or {}
     pis = list(net.inputs)
@@ -103,19 +106,28 @@ def exact_sequential_activity(net: Network,
         frontier = nxt_frontier
 
     num_states = len(states)
-    # Stationary distribution by power iteration.
+    # Stationary distribution by power iteration.  A periodic chain
+    # oscillates under it and never settles; then iterate the lazy
+    # chain (P + I)/2, which is aperiodic and has the same stationary
+    # distribution.
     pi_dist = [1.0 / num_states] * num_states
-    for _ in range(iterations):
-        nxt = [0.0] * num_states
-        for s in range(num_states):
-            ps = pi_dist[s]
-            if ps == 0.0:
-                continue
-            row = successors[s]
-            for m in range(num_minterms):
-                nxt[row[m]] += ps * minterm_prob[m]
-        delta = sum(abs(a - b) for a, b in zip(nxt, pi_dist))
-        pi_dist = nxt
+    delta = 1.0
+    for lazy in (False, True):
+        for _ in range(iterations):
+            nxt = [0.0] * num_states
+            for s in range(num_states):
+                ps = pi_dist[s]
+                if ps == 0.0:
+                    continue
+                row = successors[s]
+                for m in range(num_minterms):
+                    nxt[row[m]] += ps * minterm_prob[m]
+            if lazy:
+                nxt = [0.5 * (a + b) for a, b in zip(nxt, pi_dist)]
+            delta = sum(abs(a - b) for a, b in zip(nxt, pi_dist))
+            pi_dist = nxt
+            if delta < 1e-13:
+                break
         if delta < 1e-13:
             break
 

@@ -44,6 +44,29 @@ class TestExactActivity:
             assert analysis.activities[name] == \
                 pytest.approx(sim[name], abs=0.02), name
 
+    def test_periodic_machine(self):
+        """Every cycle of this machine has even length, so plain power
+        iteration from the uniform distribution oscillates."""
+        stg = STG(1, 1)
+        for src, on0, on1, out in [("s0", "s1", "s1", "1"),
+                                   ("s1", "s0", "s2", "0"),
+                                   ("s2", "s3", "s3", "0"),
+                                   ("s3", "s4", "s0", "1"),
+                                   ("s4", "s1", "s3", "1")]:
+            stg.add_transition("0", src, on0, out)
+            stg.add_transition("1", src, on1, out)
+        net = synthesize_fsm(stg, encode_natural(stg))
+        analysis = exact_sequential_activity(net)
+        for latch in net.latches:
+            assert analysis.activities[latch.output] == pytest.approx(
+                analysis.activities[latch.data])
+        rng = random.Random(2)
+        vecs = [{"x0": rng.getrandbits(1)} for _ in range(30000)]
+        sim = sequential_activity(net, vecs)
+        for name in sim:
+            assert analysis.activities[name] == \
+                pytest.approx(sim[name], abs=0.02), name
+
     def test_reachable_states_only(self):
         """A 4-state one-hot machine reaches 4 of 16 codes."""
         stg = STG(1, 1)
