@@ -16,10 +16,10 @@ Two engines implement the same semantics:
   stimulus — independent of heap insertion order — and it preserves
   the static-hazard pulses that path balancing exists to remove.
 * ``repro.sim.timed`` — a compiled, word-parallel engine that buckets
-  the same schedule onto a time wheel and evaluates 64 stimulus
-  transitions per machine word.  Bit-identical per-node counts, much
-  faster; the default for :func:`timed_transitions` and
-  :func:`timed_sequential_transitions`.
+  the same schedule onto a time wheel and settles the whole stimulus
+  in one pass, one lane per stimulus transition.  Bit-identical
+  per-node counts, much faster; the default for
+  :func:`timed_transitions` and :func:`timed_sequential_transitions`.
 """
 
 from __future__ import annotations

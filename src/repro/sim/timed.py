@@ -17,12 +17,15 @@ program:
 * the event schedule is bucketed onto a **time wheel**: a dict keyed
   by exact event timestamps, each bucket mapping a node slot to the
   set of stimulus *lanes* in which that node must re-evaluate;
-* 64 stimulus transitions are simulated per machine word.  Lane *k*
-  carries the settle from vector *k* to vector *k+1* — valid because a
-  transport-delay settle always quiesces at the zero-delay values of
+* one pass of the time wheel settles the whole stimulus: every
+  stimulus transition is one lane of an unbounded Python int, lane *k*
+  carrying the settle from vector *k* to vector *k+1* — valid because
+  a transport-delay settle always quiesces at the zero-delay values of
   its final vector, so consecutive settles decompose exactly, and the
   starting states of all lanes come from one word-parallel zero-delay
-  pass;
+  pass.  A wider word is cheaper than several narrow ones because the
+  per-event interpreter overhead dominates, while the wide-int
+  bitwise ops and popcounts run in C;
 * transitions are counted with XOR + ``int.bit_count`` popcounts, and
   a node commits a re-evaluated value only in its triggered lanes, so
   untriggered lanes never observe a fanin change "early".
@@ -96,26 +99,17 @@ class CompiledTimedNetwork:
         input (bit *k* = value in vector *k*); latch-output words are
         optional (a missing one holds the latch's init value, like a
         source never driven by the oracle's vectors)."""
-        counts = [0] * self.base.num_slots
-        if count >= 2:
-            for start in range(0, count - 1, 64):
-                lanes = min(64, count - 1 - start)
-                self._run_chunk(input_words, start, lanes, counts)
-        return dict(zip(self.base.names, counts))
-
-    def _run_chunk(self, input_words: Dict[str, int], start: int,
-                   lanes: int, counts: List[int]) -> None:
-        """Simulate settles ``start .. start+lanes-1`` (lane *j* is the
-        transition from vector ``start+j`` to ``start+j+1``)."""
         base = self.base
-        lane_mask = (1 << lanes) - 1
-        # Starting state: zero-delay stable values of the previous
-        # vectors, one word-parallel pass over the shared compiled
-        # program; a latch without a word holds its init value.
-        prev = {name: input_words[name] >> start
-                for _slot, name in self.source_slots
-                if name in input_words}
-        values = base.evaluate_slots(prev, lane_mask, prev)
+        counts = [0] * base.num_slots
+        if count < 2:
+            return dict(zip(base.names, counts))
+        # Lane k is the settle from vector k to vector k+1, for every
+        # transition of the stimulus at once.
+        lane_mask = (1 << (count - 1)) - 1
+        # Starting state: zero-delay stable values of vectors 0..count-2,
+        # one word-parallel pass over the shared compiled program; a
+        # latch without a word holds its init value.
+        values = base.evaluate_slots(input_words, lane_mask, input_words)
 
         fanout_plan = self.fanout_plan
         kernel_of = self.kernel_of
@@ -125,12 +119,11 @@ class CompiledTimedNetwork:
         times: List[float] = []
 
         # t = 0: the new vectors reach the sources.
-        shift = start + 1
         for slot, name in self.source_slots:
             w = input_words.get(name)
             if w is None:
                 continue
-            new = (w >> shift) & lane_mask
+            new = (w >> 1) & lane_mask
             changed = new ^ values[slot]
             if not changed:
                 continue
@@ -184,6 +177,7 @@ class CompiledTimedNetwork:
                             heappush(times, t2)
                         else:
                             b[fo_slot] = b.get(fo_slot, 0) | changed
+        return dict(zip(base.names, counts))
 
     # -- clocked sequential ----------------------------------------------
 

@@ -7,11 +7,12 @@ enables — and its cached program must never go stale."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network
 from repro.power.glitch import glitch_report, timed_average_power
+from repro.sim.compiled import CompiledNetwork
 from repro.sim.event import (EventSimulator, timed_sequential_transitions,
                              timed_transitions)
 from repro.sim.timed import get_timed
@@ -46,33 +47,84 @@ def _stimulus(net, count, seed):
     return vectors_from_words(words, count)
 
 
-@st.composite
-def comb_cases(draw):
-    seed = draw(st.integers(0, 10 ** 6))
-    net = _random_comb(seed, draw(st.integers(2, 5)),
-                       draw(st.integers(1, 14)))
-    vecs = _stimulus(net, draw(st.integers(2, 40)), seed + 1)
-    return net, vecs, seed
+#: stimulus lengths around the old 64-lane word boundary: empty, a
+#: single vector (no transition), one transition, and 63 / 64 / 65 /
+#: 128 transitions
+BOUNDARY_COUNTS = (0, 1, 2, 64, 65, 66, 129)
 
 
-@given(comb_cases())
+def boundary_examples(test):
+    """Pin one case per ``BOUNDARY_COUNTS`` stimulus length."""
+    for k, count in enumerate(BOUNDARY_COUNTS):
+        test = example(seed=1000 + k, num_inputs=4, num_gates=12,
+                       count=count)(test)
+    return test
+
+
+COMB_ARGS = dict(seed=st.integers(0, 10 ** 6),
+                 num_inputs=st.integers(2, 5),
+                 num_gates=st.integers(1, 14),
+                 count=st.integers(0, 200))
+
+
+@given(**COMB_ARGS)
+@boundary_examples
 @SETTINGS
-def test_timed_matches_oracle_unit_delays(case):
-    net, vecs, _seed = case
+def test_timed_matches_oracle_unit_delays(seed, num_inputs, num_gates,
+                                          count):
+    net = _random_comb(seed, num_inputs, num_gates)
+    vecs = _stimulus(net, count, seed + 1)
     assert timed_transitions(net, vecs, engine="compiled") == \
         timed_transitions(net, vecs, engine="event")
 
 
-@given(comb_cases())
+@given(**COMB_ARGS)
+@boundary_examples
 @SETTINGS
-def test_timed_matches_oracle_float_delays(case):
-    net, vecs, seed = case
+def test_timed_matches_oracle_float_delays(seed, num_inputs, num_gates,
+                                           count):
+    net = _random_comb(seed, num_inputs, num_gates)
+    vecs = _stimulus(net, count, seed + 1)
     rng = random.Random(seed + 2)
     delays = {n.name: rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.5])
               for n in net.nodes.values() if not n.is_source()}
     assert timed_transitions(net, vecs, delays=delays,
                              engine="compiled") == \
         timed_transitions(net, vecs, delays=delays, engine="event")
+
+
+def test_input_words_wider_than_stimulus():
+    """Bits past ``count`` are ignored: the counts equal those of the
+    masked words and the oracle's on the first ``count`` vectors."""
+    net = _random_comb(41, 4, 14)
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    words = random_words(sources, 300, 5)
+    prog = get_timed(net)
+    wide = prog.transition_counts(words, 200)
+    mask = (1 << 200) - 1
+    assert wide == prog.transition_counts(
+        {name: w & mask for name, w in words.items()}, 200)
+    oracle = EventSimulator(net).run(vectors_from_words(words, 200))
+    assert wide == oracle
+
+
+def test_one_settle_pass_per_stimulus(monkeypatch):
+    """The whole stimulus is one word: one zero-delay starting-state
+    pass, however many transitions it holds."""
+    net = _random_comb(43, 4, 14)
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    words = random_words(sources, 300, 6)
+    prog = get_timed(net)
+    calls = []
+    real = CompiledNetwork.evaluate_slots
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledNetwork, "evaluate_slots", counting)
+    prog.transition_counts(words, 300)
+    assert len(calls) == 1
 
 
 def _random_seq(seed):
@@ -105,7 +157,9 @@ def _random_seq(seed):
     return net
 
 
-@given(st.integers(0, 10 ** 6), st.integers(2, 30))
+@given(seed=st.integers(0, 10 ** 6), cycles=st.integers(2, 150))
+@example(seed=2000, cycles=65)
+@example(seed=2001, cycles=130)
 @SETTINGS
 def test_timed_sequential_matches_oracle(seed, cycles):
     net = _random_seq(seed)
