@@ -25,9 +25,11 @@ last-arriving input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-from typing import List, Optional, Sequence
+from repro.power.markov import limit_distribution
 
 
 @dataclass(frozen=True)
@@ -102,56 +104,40 @@ class SeriesStack:
             prev = states
         return energy
 
-    def expected_energy(self, probs: Sequence[float],
-                        iterations: int = 200) -> float:
+    def expected_energy(self, probs: Sequence[float]) -> float:
         """Exact expected charging energy per cycle in steady state.
 
         Inputs are spatially and temporally independent with
         ``probs[i] = P(input i = 1)``.  Because floating internal nodes
         retain state, the stack is a Markov chain over node-state
-        vectors; the stationary distribution is found by power
-        iteration (state spaces are tiny for realistic stack widths).
+        vectors, walked once from its settled state under the first
+        input vector of nonzero probability and solved exactly by
+        :func:`~repro.power.markov.limit_distribution`.
         """
-        n = self.n
         caps = self._node_caps()
         vdd2 = self.model.vdd ** 2
-
-        def vec_prob(v: int) -> float:
-            p = 1.0
-            for i in range(n):
-                p *= probs[i] if (v >> i) & 1 else 1.0 - probs[i]
-            return p
-
-        input_probs = [(v, vec_prob(v)) for v in range(1 << n)
-                       if vec_prob(v) > 0.0]
-        bits = lambda v: [(v >> i) & 1 for i in range(n)]
-
-        # Stationary distribution over node-state tuples.
-        start = tuple(self.node_states(bits(input_probs[0][0])))
-        dist = {start: 1.0}
-        for _ in range(iterations):
-            nxt: dict = {}
-            for state, p_s in dist.items():
-                for v, p_v in input_probs:
-                    s1 = tuple(self.node_states(bits(v),
-                                                previous=list(state)))
-                    nxt[s1] = nxt.get(s1, 0.0) + p_s * p_v
-            delta = sum(abs(nxt.get(s, 0.0) - dist.get(s, 0.0))
-                        for s in set(nxt) | set(dist))
-            dist = nxt
-            if delta < 1e-12:
-                break
-
-        energy = 0.0
-        for state, p_s in dist.items():
-            for v, p_v in input_probs:
-                s1 = self.node_states(bits(v), previous=list(state))
-                e = 0.0
-                for c, before, after in zip(caps, state, s1):
-                    if after > before:
-                        e += c * (after - before) * vdd2
-                energy += p_s * p_v * e
-        return energy
+        inputs = []
+        for v in range(1 << self.n):
+            bits = [(v >> i) & 1 for i in range(self.n)]
+            p_v = math.prod(q if b else 1.0 - q for q, b in zip(probs, bits))
+            if p_v > 0.0:
+                inputs.append((bits, p_v))
+        states = [tuple(self.node_states(inputs[0][0]))]
+        index = {states[0]: 0}
+        rows: List[List[Tuple[int, float]]] = []
+        energy = []                 # per state: Σ_v P(v)·E(state → v)
+        for state in states:
+            rows.append([])
+            energy.append(0.0)
+            for bits, p_v in inputs:
+                s1 = tuple(self.node_states(bits, previous=list(state)))
+                if s1 not in index:
+                    index[s1] = len(states)
+                    states.append(s1)
+                rows[-1].append((index[s1], p_v))
+                energy[-1] += p_v * vdd2 * sum(
+                    c * (a - b) for c, b, a in zip(caps, state, s1) if a > b)
+        return sum(p * e for p, e in zip(limit_distribution(rows), energy))
 
     # -- delay ----------------------------------------------------------------
 

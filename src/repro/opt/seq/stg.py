@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.logic.cube import Cube
-
 from repro.logic.netlist import Network
 from repro.logic.sop import Cover
+from repro.power.markov import limit_distribution
 
 
 @dataclass(frozen=True)
@@ -101,33 +101,28 @@ class STG:
 
     def stationary_distribution(self,
                                 input_probs: Optional[Sequence[float]]
-                                = None, iterations: int = 500
-                                ) -> Dict[str, float]:
-        """Stationary state probabilities by power iteration."""
-        matrix = self.transition_matrix(input_probs)
-        pi = {s: 1.0 / len(self.states) for s in self.states}
-        for _ in range(iterations):
-            nxt = {s: 0.0 for s in self.states}
-            for s, row in matrix.items():
-                ps = pi[s]
-                for t, p in row.items():
-                    nxt[t] += ps * p
-            delta = sum(abs(nxt[s] - pi[s]) for s in self.states)
-            pi = nxt
-            if delta < 1e-12:
-                break
-        return pi
+                                = None) -> Dict[str, float]:
+        """State probabilities in the long run from ``reset_state``
+        (``states[0]`` when unset), by
+        :func:`~repro.power.markov.limit_distribution`."""
+        return self._limit(self.transition_matrix(input_probs))
+
+    def _limit(self, matrix: Dict[str, Dict[str, float]]
+               ) -> Dict[str, float]:
+        start = self.reset_state or self.states[0]
+        order = [start] + [s for s in self.states if s != start]
+        index = {s: i for i, s in enumerate(order)}
+        pi = limit_distribution([[(index[t], p) for t, p in
+                                  matrix[s].items()] for s in order])
+        return {s: pi[index[s]] for s in self.states}
 
     def edge_weights(self, input_probs: Optional[Sequence[float]] = None
                      ) -> Dict[Tuple[str, str], float]:
         """w(s, t) = π(s)·P(s→t): expected traversals per cycle."""
         matrix = self.transition_matrix(input_probs)
-        pi = self.stationary_distribution(input_probs)
-        weights: Dict[Tuple[str, str], float] = {}
-        for s, row in matrix.items():
-            for t, p in row.items():
-                weights[(s, t)] = pi[s] * p
-        return weights
+        pi = self._limit(matrix)
+        return {(s, t): pi[s] * p
+                for s, row in matrix.items() for t, p in row.items()}
 
     def self_loop_probability(self,
                               input_probs: Optional[Sequence[float]]

@@ -4,7 +4,7 @@ Monteiro & Devadas: the average power of a sequential machine under
 stationary input statistics is an expectation over the chain's
 stationary distribution, not over uniform random states.  This module
 enumerates the reachable state space of a :class:`Network`, solves for
-the stationary distribution of the (state × input) Markov chain, and
+the distribution the (state × input) Markov chain reaches from reset, and
 computes *exact* per-node switching activities:
 
     act(n) = Σ_{s,x} π(s)·P(x) · E_{x'}[ v_n(s,x) ≠ v_n(δ(s,x), x') ]
@@ -19,12 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.logic.netlist import Network
+from repro.power.markov import limit_distribution
 from repro.sim.compiled import get_compiled
 from repro.sim.vectors import exhaustive_words
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 @dataclass
@@ -44,17 +41,15 @@ class SequentialAnalysis:
 def exact_sequential_activity(net: Network,
                               input_probs: Optional[Dict[str, float]]
                               = None,
-                              max_states: int = 4096,
-                              iterations: int = 2000
+                              max_states: int = 4096
                               ) -> SequentialAnalysis:
     """Exact node activities of a sequential network.
 
     ``input_probs[pi]`` is P(pi = 1) per cycle (inputs temporally and
     spatially independent).  Raises if the reachable state space
-    exceeds ``max_states``.  When the reachable states hold more than
-    one closed class the stationary distribution is not unique; the
-    one returned is the limit from the uniform distribution over the
-    reachable states.
+    exceeds ``max_states``.  The state distribution is the limit
+    reached from reset, solved exactly by
+    :func:`~repro.power.markov.limit_distribution`.
     """
     input_probs = input_probs or {}
     pis = list(net.inputs)
@@ -79,57 +74,27 @@ def exact_sequential_activity(net: Network,
     states: List[Tuple[int, ...]] = [init]
     value_words: List[Dict[str, int]] = []
     successors: List[List[int]] = []       # [state][minterm] -> state idx
-    frontier = [init]
-    while frontier:
-        nxt_frontier = []
-        for state in frontier:
-            state_words = {name: (mask if bit else 0)
-                           for name, bit in zip(latches, state)}
-            nxt, values = compiled.step(state_words, input_words, mask)
-            value_words.append(values)
-            succ_row = []
-            for m in range(num_minterms):
-                succ = tuple((nxt[l] >> m) & 1 for l in latches)
-                if succ not in index:
-                    if len(states) >= max_states:
-                        raise RuntimeError(
-                            f"reachable state space exceeds "
-                            f"{max_states} states")
-                    index[succ] = len(states)
-                    states.append(succ)
-                    nxt_frontier.append(succ)
-                succ_row.append(index[succ])
-            successors.append(succ_row)
-        # value_words/successors are appended in BFS discovery order,
-        # which matches `states` ordering because each state is
-        # processed exactly once.
-        frontier = nxt_frontier
+    for state in states:            # grows while it is walked: BFS order
+        state_words = {name: (mask if bit else 0)
+                       for name, bit in zip(latches, state)}
+        nxt, values = compiled.step(state_words, input_words, mask)
+        value_words.append(values)
+        succ_row = []
+        for m in range(num_minterms):
+            succ = tuple((nxt[l] >> m) & 1 for l in latches)
+            if succ not in index:
+                if len(states) >= max_states:
+                    raise RuntimeError(
+                        f"reachable state space exceeds "
+                        f"{max_states} states")
+                index[succ] = len(states)
+                states.append(succ)
+            succ_row.append(index[succ])
+        successors.append(succ_row)
 
     num_states = len(states)
-    # Stationary distribution by power iteration.  A periodic chain
-    # oscillates under it and never settles; then iterate the lazy
-    # chain (P + I)/2, which is aperiodic and has the same stationary
-    # distribution.
-    pi_dist = [1.0 / num_states] * num_states
-    delta = 1.0
-    for lazy in (False, True):
-        for _ in range(iterations):
-            nxt = [0.0] * num_states
-            for s in range(num_states):
-                ps = pi_dist[s]
-                if ps == 0.0:
-                    continue
-                row = successors[s]
-                for m in range(num_minterms):
-                    nxt[row[m]] += ps * minterm_prob[m]
-            if lazy:
-                nxt = [0.5 * (a + b) for a, b in zip(nxt, pi_dist)]
-            delta = sum(abs(a - b) for a, b in zip(nxt, pi_dist))
-            pi_dist = nxt
-            if delta < 1e-13:
-                break
-        if delta < 1e-13:
-            break
+    pi_dist = limit_distribution([zip(row, minterm_prob)
+                                  for row in successors])
 
     # Per node: W[s] = Σ_x P(x)·v(s, x), then
     # act = Σ_{s,x} π(s) P(x) (v ? 1-W[succ] : W[succ]).

@@ -1,9 +1,38 @@
 """Unit tests for the technology library and switch-level stack model."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro.library.cells import Library, generic_library
 from repro.library.transistors import SeriesStack, StackEnergyModel
+
+
+def exact_stack_energy(probs):
+    """Expected charging energy per cycle of an identity-order stack,
+    in exact arithmetic.  Inputs are independent from cycle to cycle,
+    so each node is a two-state chain of its own and the energy is a
+    sum over nodes.  The output charges when the stack stops
+    conducting.  Internal node i is charged by a cycle with inputs
+    0..i-1 on and i..n-1 not all on, discharged by one with i..n-1 all
+    on, and floats otherwise: in the long run it was last discharged
+    with probability D/(C + D), and a charging cycle follows with
+    probability C."""
+    model = StackEnergyModel()
+    p = [Fraction(q) for q in probs]
+
+    def all_on(ps):
+        return math.prod(ps, start=Fraction(1))
+
+    q = all_on(p)
+    energy = Fraction(model.c_output) * q * (1 - q)
+    for i in range(1, len(p)):
+        charge = all_on(p[:i]) * (1 - all_on(p[i:]))
+        discharge = all_on(p[i:])
+        energy += (Fraction(model.c_internal) * discharge * charge
+                   / (charge + discharge))
+    return energy * Fraction(model.vdd) ** 2
 
 
 class TestCells:
@@ -78,8 +107,37 @@ class TestSeriesStack:
         vectors = [[int(rng.random() < p) for p in probs]
                    for _ in range(20000)]
         sim = stack.energy_of_sequence(vectors) / (len(vectors) - 1)
-        # The analytic value uses a 2-step window; allow modest slack.
+        # The analytic value is exact; the slack is for sampling noise.
         assert sim == pytest.approx(analytic, rel=0.15)
+
+    @pytest.mark.parametrize("probs", [[0.002] * 4,
+                                       [0.1 * k for k in range(1, 9)]])
+    def test_expected_energy_is_exact(self, probs):
+        got = SeriesStack(len(probs)).expected_energy(probs)
+        assert got == pytest.approx(float(exact_stack_energy(probs)),
+                                    rel=1e-9)
+
+    def test_expected_energy_steps_each_state_once(self, monkeypatch):
+        probs = [0.1 * k for k in range(1, 9)]
+        stack = SeriesStack(len(probs))
+        vectors = [[(v >> i) & 1 for i in range(len(probs))]
+                   for v in range(1 << len(probs))]
+        states = [tuple(stack.node_states(vectors[0]))]
+        for state in states:
+            for vec in vectors:
+                nxt = tuple(stack.node_states(vec, list(state)))
+                if nxt not in states:
+                    states.append(nxt)
+        calls = []
+        node_states = SeriesStack.node_states
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return node_states(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeriesStack, "node_states", counted)
+        stack.expected_energy(probs)
+        assert len(calls) <= len(states) * len(vectors) + 1
 
     def test_ordering_changes_energy(self):
         probs = [0.95, 0.5, 0.05]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.logic.cube import Cube
 from repro.opt.seq.stg import STG, read_kiss, synthesize_fsm, write_kiss
 from repro.sim.compiled import get_compiled
 
@@ -71,6 +70,31 @@ class TestSTG:
         stg = four_state_counter_stg()
         w = stg.edge_weights()
         assert sum(w.values()) == pytest.approx(1.0)
+
+    def test_periodic_stg(self):
+        """s0 -> s1; s1 -> s0 | s2; s2 -> s1 has period 2: iterating
+        from the uniform vector only oscillates around the limit."""
+        stg = STG(1, 0)
+        stg.add_transition("-", "s0", "s1", "")
+        stg.add_transition("0", "s1", "s0", "")
+        stg.add_transition("1", "s1", "s2", "")
+        stg.add_transition("-", "s2", "s1", "")
+        pi = stg.stationary_distribution()
+        assert [pi["s0"], pi["s1"], pi["s2"]] == \
+            pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
+        assert stg.edge_weights()[("s0", "s1")] == \
+            pytest.approx(0.25, abs=1e-12)
+        assert stg.self_loop_probability() == 0.0
+
+    def test_states_unreachable_from_reset_get_zero(self):
+        stg = STG(1, 0, reset_state="b")
+        stg.add_transition("-", "a", "a", "")
+        stg.add_transition("0", "b", "b", "")
+        stg.add_transition("1", "b", "c", "")
+        stg.add_transition("-", "c", "b", "")
+        pi = stg.stationary_distribution()
+        assert pi == pytest.approx({"a": 0.0, "b": 2 / 3, "c": 1 / 3},
+                                   abs=1e-12)
 
 
 class TestKiss:
