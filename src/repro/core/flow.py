@@ -2,44 +2,27 @@
 
 Chains the combinational optimizations of Sections II–III on a netlist
 and reports power after every stage.  Both flows run on the fail-soft
-pass engine of :mod:`repro.core.passes`: each stage executes on a trial
-copy, is verified (equivalence + optional power gate), and is adopted
-or rolled back — a crashing stage is recorded in the structured
-:class:`~repro.core.passes.FlowTrace` instead of aborting the flow
-(``strict=True`` restores the legacy raise).
+pass engine of :mod:`repro.core.passes`: each stage runs through its
+one stage path, which times it and records it in the structured
+:class:`~repro.core.passes.FlowTrace`; a crashing stage is rolled back
+instead of aborting the flow (``strict=True`` raises).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional
 
-from repro.core.passes import (ADOPTED, FlowSpec, FlowTrace, PassContext,
-                               StageRunner, measure, run_network_passes)
+from repro.core.passes import (ADOPTED, FlowSpec, FlowStage, FlowTrace,
+                               PassContext, _run_stage,
+                               run_network_passes)
 from repro.library.cells import Library, generic_library
 from repro.logic.netlist import Latch, Network
-from repro.power.model import PowerParameters, PowerReport
+from repro.power.model import PowerParameters
 
 __all__ = ["FlowStage", "FlowResult", "SequentialFlowResult",
            "low_power_flow", "fsm_low_power_flow", "run_flow"]
-
-
-@dataclass
-class FlowStage:
-    """Power snapshot after one optimization stage.
-
-    ``outcome`` records what the engine did: ``adopted`` (the stage's
-    result was kept), ``skipped`` (guard fired — e.g. ``size-cap``), or
-    ``rolled_back`` (the stage failed; the snapshot is of the unchanged
-    adopted state)."""
-
-    name: str
-    report: PowerReport
-    gates: int
-    transistors: int
-    depth: float
-    outcome: str = ADOPTED
-    reason: str = ""
 
 
 @dataclass
@@ -80,8 +63,6 @@ def low_power_flow(net: Network,
                    input_probs: Optional[Dict[str, float]] = None,
                    params: Optional[PowerParameters] = None,
                    num_vectors: int = 1024, seed: int = 0,
-                   use_dontcares: bool = True,
-                   use_extraction: bool = True,
                    use_mapping: bool = True,
                    use_sizing: bool = True,
                    dontcare_size_cap: Optional[int] = 120,
@@ -96,17 +77,20 @@ def low_power_flow(net: Network,
     rolled back — with the failure recorded in ``result.trace`` — when
     it raises or breaks equivalence.  ``dontcare_size_cap`` skips the
     (expensive) don't-care stage above that many gates, recording the
-    skip; ``None`` removes the cap.  ``strict=True`` re-raises stage
-    failures instead of rolling back.  ``strict_lint=True`` runs the
-    structural invariant linter on every candidate network and rolls
-    back stages that break an invariant (trace reason ``lint``).
+    skip; ``None`` removes the cap.  ``use_mapping``/``use_sizing``
+    drop the last two stages; any other pass list is a
+    :class:`~repro.core.passes.FlowSpec` for :func:`run_flow`.
+    ``strict=True`` re-raises stage failures instead of rolling back.
+    ``strict_lint=True`` runs the structural invariant linter on every
+    candidate network and rolls back stages that break an invariant
+    (trace reason ``lint``).
     """
-    stages: List[Tuple[str, Dict[str, Any], bool]] = [
-        ("dontcare", {"size_cap": dontcare_size_cap}, use_dontcares),
-        ("extract", {}, use_extraction),
-        ("map", {}, use_mapping),
-        ("size", {}, use_sizing)]
-    passes = [(name, p) for name, p, used in stages if used]
+    passes = [("dontcare", {"size_cap": dontcare_size_cap}),
+              ("extract", {})]
+    if use_mapping:
+        passes.append(("map", {}))
+    if use_sizing:
+        passes.append(("size", {}))
     spec = FlowSpec(name="low_power_flow", passes=passes,
                     num_vectors=num_vectors, seed=seed, strict=strict,
                     strict_lint=strict_lint)
@@ -117,12 +101,13 @@ def run_flow(net: Network, spec: FlowSpec,
              library: Optional[Library] = None,
              input_probs: Optional[Dict[str, float]] = None,
              params: Optional[PowerParameters] = None) -> FlowResult:
-    """Run a declarative :class:`~repro.core.passes.FlowSpec`: measure,
-    run the pass list, and fold the engine's outcomes into a
-    :class:`FlowResult` (one stage entry per pass, whatever its
-    outcome, after the ``initial`` snapshot)."""
+    """Run a declarative :class:`~repro.core.passes.FlowSpec`.  The
+    result holds the engine's stages: ``initial``, then one per pass
+    whatever its outcome.  The passes are built first, so a bad pass
+    name or parameter raises ``ValueError`` before anything runs."""
     from repro.logic.transform import to_sop_network
 
+    passes = spec.build()
     ctx = PassContext(original=net, library=library or generic_library(),
                       input_probs=input_probs, params=params,
                       num_vectors=spec.num_vectors, seed=spec.seed,
@@ -133,23 +118,9 @@ def run_flow(net: Network, spec: FlowSpec,
     work = to_sop_network(net)
     trace = FlowTrace(flow=spec.name, num_vectors=ctx.num_vectors,
                       seed=ctx.seed, strict=spec.strict)
-    initial = measure(work, ctx)
-    result = FlowResult(trace=trace)
-    result.stages.append(FlowStage(
-        name="initial", report=initial.report, gates=initial.gates,
-        transistors=initial.transistors, depth=initial.depth))
-    final, trace, outcomes = run_network_passes(
-        work, spec.build(), ctx, strict=spec.strict, trace=trace,
-        initial=initial)
-    for oc in outcomes:
-        snap = oc.snapshot
-        result.stages.append(FlowStage(
-            name=oc.record.name, report=snap.report,
-            gates=snap.gates, transistors=snap.transistors,
-            depth=snap.depth, outcome=oc.record.outcome,
-            reason=oc.record.reason))
-    result.final = final
-    return result
+    final, trace, stages = run_network_passes(
+        work, passes, ctx, strict=spec.strict, trace=trace)
+    return FlowResult(stages=stages, final=final, trace=trace)
 
 
 # -- the sequential (FSM) flow ------------------------------------------
@@ -205,36 +176,36 @@ def fsm_low_power_flow(stg, sequence_length: int = 1500, seed: int = 0,
     self-loop clock gating, measured against the naturally-encoded,
     un-gated baseline (clock-tree power included).
 
-    Runs on the fail-soft stage engine: a stage that raises is recorded
-    in the trace and replaced by its safe fallback (unminimized STG,
-    natural encoding, un-gated machine) so the flow still produces a
-    result; ``strict=True`` re-raises.
+    Every stage runs through the engine's one stage path: a stage that
+    raises is recorded in the trace and replaced by its safe fallback
+    (unminimized STG, natural encoding, un-gated machine) so the flow
+    still produces a result; ``strict=True`` re-raises.  The gated
+    machine is simulated once: the ``simulate`` stage yields both its
+    enable rate and the activity ``measure`` prices.
     """
     from repro.opt.seq.encoding import encode_anneal, encode_natural
     from repro.opt.seq.gated_clock import (clock_power,
                                            self_loop_clock_gating)
     from repro.opt.seq.minimize_fsm import minimize_stg
     from repro.opt.seq.stg import synthesize_fsm
-    from repro.power.activity import sequential_activity
+    from repro.power.activity import (sequential_activity,
+                                      transition_activity)
     from repro.power.model import power_report
     from repro.sim.functional import sequential_transitions
 
     trace = FlowTrace(flow="fsm_low_power_flow",
                       num_vectors=sequence_length, seed=seed,
                       strict=strict)
-    runner = StageRunner(trace, strict=strict)
+    stage = partial(_run_stage, trace, strict)
 
-    reduced = runner.run("minimize", lambda: minimize_stg(stg),
-                         fallback=stg)
-    encoding = runner.run(
+    reduced = stage("minimize", lambda _: minimize_stg(stg), stg)
+    encoding = stage(
         "encode",
-        lambda: encode_anneal(reduced, iterations=anneal_iterations,
-                              seed=seed),
-        fallback=lambda: encode_natural(reduced))
-    gres = runner.run(
-        "clock-gate",
-        lambda: self_loop_clock_gating(reduced, encoding),
-        fallback=None)
+        lambda _: encode_anneal(reduced, iterations=anneal_iterations,
+                                seed=seed),
+        lambda: encode_natural(reduced))
+    gres = stage("clock-gate",
+                 lambda _: self_loop_clock_gating(reduced, encoding), None)
     if gres is not None:
         gated_net = gres.network
         activation = gres.activation_probability
@@ -249,26 +220,27 @@ def fsm_low_power_flow(stg, sequence_length: int = 1500, seed: int = 0,
     vectors = [{f"x{i}": (v >> i) & 1 for i in range(stg.num_inputs)}
                for v in seq]
 
-    def simulate():
-        _, values = sequential_transitions(gated_net, vectors)
-        return _enable_rate(values, gated_net.latches)
+    def simulate(_):
+        transitions, values = sequential_transitions(gated_net, vectors)
+        return (_enable_rate(values, gated_net.latches),
+                transition_activity(transitions, len(vectors)))
 
-    enable_rate = runner.run("simulate", simulate, fallback=1.0)
+    enable_rate, gated_activity = stage("simulate", simulate, (1.0, None))
 
-    def power_pair():
+    def power_pair(_):
         p_before = power_report(
             baseline, sequential_activity(baseline, vectors),
             params).total + clock_power(baseline, {}, params)
         p_after = power_report(
-            gated_net, sequential_activity(gated_net, vectors),
+            gated_net, gated_activity if gated_activity is not None
+            else sequential_activity(gated_net, vectors),
             params).total + clock_power(
                 gated_net,
                 {l.output: enable_rate for l in gated_net.latches},
                 params)
         return p_before, p_after
 
-    p_before, p_after = runner.run("measure", power_pair,
-                                   fallback=(0.0, 0.0))
+    p_before, p_after = stage("measure", power_pair, (0.0, 0.0))
     return SequentialFlowResult(
         states_before=len(stg.states),
         states_after=len(reduced.states),

@@ -9,14 +9,15 @@ engine underneath them now:
   copy** of the working network;
 * the result is verified (random-simulation equivalence against the
   flow's original, plus an optional power-regression tolerance) and
-  either **adopted** or **rolled back** — exceptions, equivalence
-  breaks and power regressions all degrade to a ``rolled_back`` /
-  ``skipped`` trace entry while the remaining passes still run
-  (``strict=True`` preserves the old raise-on-failure behaviour);
-* every pass emits a structured :class:`TraceRecord` (wall time, power
-  before/after, gate/transistor/depth deltas, verification strength,
-  outcome, reason) collected into a :class:`FlowTrace` that serializes
-  to JSONL.
+  either **adopted** or **rolled back** — exceptions (the pass's guard
+  included), equivalence breaks and power regressions all degrade to a
+  ``rolled_back`` trace entry while the remaining passes still run
+  (``strict=True`` raises instead);
+* every stage of either flow — network pass or STG-level step of the
+  sequential flow — runs through one recording path that emits a
+  structured :class:`TraceRecord` (wall time, power before/after,
+  gate/transistor/depth deltas, verification strength, outcome,
+  reason) into a :class:`FlowTrace` that serializes to JSONL.
 
 Concrete pass adapters live in :mod:`repro.opt.adapters`; declarative
 flows (pass list + per-pass params, loadable from JSON) are described
@@ -28,7 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -276,54 +278,97 @@ class FlowTrace:
 # -- measurement ---------------------------------------------------------
 
 @dataclass
-class Snapshot:
-    """Power/size measurement of one network state."""
+class FlowStage:
+    """Power/size measurement of the design after one flow stage.
 
+    ``outcome`` records what the engine did: ``adopted`` (the stage's
+    result was kept), ``skipped`` (guard fired — e.g. ``size-cap``), or
+    ``rolled_back`` (the stage failed; the measurement is of the
+    unchanged adopted state).  :func:`measure` returns an unnamed
+    stage."""
+
+    name: str
     report: PowerReport
     gates: int
     transistors: int
     depth: float
+    outcome: str = ADOPTED
+    reason: str = ""
 
 
-def measure(net: Network, ctx: PassContext) -> Snapshot:
+def measure(net: Network, ctx: PassContext) -> FlowStage:
     activity, _ = activity_from_simulation(net, ctx.num_vectors,
                                            ctx.seed, ctx.input_probs)
     rep = power_report(net, activity, ctx.params)
-    return Snapshot(report=rep, gates=net.num_gates(),
-                    transistors=net.num_transistors(),
-                    depth=net.depth())
+    return FlowStage(name="", report=rep, gates=net.num_gates(),
+                     transistors=net.num_transistors(),
+                     depth=net.depth())
 
 
 # -- the engine ----------------------------------------------------------
 
-@dataclass
-class StageOutcome:
-    """Engine output per pass: trace record + adopted-state snapshot."""
+def _run_stage(trace: FlowTrace, strict: bool, name: str,
+               body: Callable[[TraceRecord], Any], fallback: Any,
+               at: Optional[FlowStage] = None) -> Any:
+    """Run one stage of either flow and record it: the engine's only
+    failure-recording path.
 
-    record: TraceRecord
-    snapshot: Snapshot
+    Creates the stage's :class:`TraceRecord` (before = after = ``at``
+    when the stage starts from a measured network), times ``body(rec)``
+    and appends the record to ``trace``.  A failed gate
+    (:class:`_Rollback`) or any exception marks the record
+    ``rolled_back`` and returns ``fallback`` (called first when
+    callable); under ``strict`` it raises instead — :class:`FlowError`
+    for a gate, the original exception otherwise.
+    """
+    rec = TraceRecord(index=len(trace.records), name=name,
+                      outcome=ADOPTED)
+    if at is not None:
+        rec.power_before = rec.power_after = at.report.total
+        rec.gates_before = rec.gates_after = at.gates
+        rec.transistors_before = rec.transistors_after = at.transistors
+        rec.depth_before = rec.depth_after = at.depth
+    start = time.perf_counter()
+    failure: Optional[Exception] = None
+    try:
+        value = body(rec)
+    except _Rollback as exc:
+        rec.outcome, rec.reason = ROLLED_BACK, exc.reason
+        failure = FlowError(str(exc))
+    except Exception as exc:
+        # A network pass's partial mutation died with its trial copy;
+        # the adopted state is untouched.
+        rec.outcome = ROLLED_BACK
+        rec.reason = f"exception: {type(exc).__name__}: {exc}"
+        failure = exc
+    rec.wall_s = time.perf_counter() - start
+    trace.add(rec)
+    if failure is None:
+        return value
+    if strict:
+        raise failure
+    return fallback() if callable(fallback) else fallback
 
 
 def run_network_passes(net: Network, passes: Sequence[Pass],
                        ctx: PassContext, strict: bool = False,
-                       trace: Optional[FlowTrace] = None,
-                       initial: Optional[Snapshot] = None
-                       ) -> Tuple[Network, FlowTrace,
-                                  List[StageOutcome]]:
+                       trace: Optional[FlowTrace] = None
+                       ) -> Tuple[Network, FlowTrace, List[FlowStage]]:
     """Run ``passes`` over ``net`` with trial-copy/adopt semantics.
 
     ``net`` itself is never mutated: each pass runs on a copy of the
     current working network, and the copy is adopted only when the pass
     succeeds, verifies, and clears its power gate.  Returns the final
-    network, the trace, and one :class:`StageOutcome` per pass (the
-    snapshot is of the *adopted* state — unchanged when the pass was
+    network, the trace, and the stages: ``initial`` then one per pass,
+    each measuring the *adopted* state (unchanged when the pass was
     skipped or rolled back).
 
-    With ``strict=True`` a failed gate (equivalence, lint or power)
-    raises :class:`FlowError`, and an exception inside a pass
-    re-raises, after the failure is recorded.  A network with latches
-    raises ``ValueError``: equivalence checking would treat latch
-    outputs as free inputs.
+    A pass's guard runs inside the recorded stage, so a raising guard
+    rolls the pass back like a raising ``apply``.  With ``strict=True``
+    a failed gate (equivalence, lint or power) raises
+    :class:`FlowError`, and an exception re-raises, after the failure
+    is recorded.  A network with latches raises ``ValueError``:
+    equivalence checking would treat latch outputs as free inputs.
     """
     if net.latches:
         raise ValueError(
@@ -338,55 +383,30 @@ def run_network_passes(net: Network, passes: Sequence[Pass],
             raise FlowError(
                 "input network fails invariant lint: "
                 + "; ".join(d.render() for d in entry_errors[:3]))
-    current = initial if initial is not None else measure(work, ctx)
-    outcomes: List[StageOutcome] = []
-
+    current = replace(measure(work, ctx), name="initial")
+    stages = [current]
     for p in passes:
-        index = len(trace.records)
-        rec = TraceRecord(
-            index=index, name=p.name, outcome=ADOPTED,
-            power_before=current.report.total,
-            power_after=current.report.total,
-            gates_before=current.gates, gates_after=current.gates,
-            transistors_before=current.transistors,
-            transistors_after=current.transistors,
-            depth_before=current.depth, depth_after=current.depth)
-        start = time.perf_counter()
-        failure: Optional[Exception] = None
-
-        skip = p.guard(work, ctx, p.params) if p.guard else None
-        if skip is not None:
-            rec.outcome, rec.reason = SKIPPED, skip
-        else:
-            try:
-                candidate, after = _try_pass(p, work, current, ctx, rec)
-            except _Rollback as exc:
-                rec.outcome, rec.reason = ROLLED_BACK, exc.reason
-                failure = FlowError(str(exc))
-            except Exception as exc:
-                # A partial mutation died with the trial copy; the
-                # adopted state is untouched.
-                rec.outcome = ROLLED_BACK
-                rec.reason = f"exception: {type(exc).__name__}: {exc}"
-                failure = exc
-            else:
-                work, current = candidate, after
-        rec.wall_s = time.perf_counter() - start
-        trace.add(rec)
-        outcomes.append(StageOutcome(rec, current))
-        if strict and failure is not None:
-            raise failure
-
-    return work, trace, outcomes
+        work, current = _run_stage(
+            trace, strict, p.name, partial(_try_pass, p, work, current, ctx),
+            (work, current), at=current)
+        rec = trace.records[-1]
+        stages.append(replace(current, name=p.name, outcome=rec.outcome,
+                              reason=rec.reason))
+    return work, trace, stages
 
 
-def _try_pass(p: Pass, work: Network, current: Snapshot,
+def _try_pass(p: Pass, work: Network, current: FlowStage,
               ctx: PassContext, rec: TraceRecord
-              ) -> Tuple[Network, Snapshot]:
+              ) -> Tuple[Network, FlowStage]:
     """Run ``p`` on a trial copy of ``work`` and gate the candidate;
-    returns it with its measurement, or raises :class:`_Rollback`.
-    ``rec`` receives the verification strength, the lint findings and
-    the candidate's measurement."""
+    returns it with its measurement (``work`` and ``current`` when the
+    guard skips the pass), or raises :class:`_Rollback`.  ``rec``
+    receives the skip, the verification strength, the lint findings
+    and the candidate's measurement."""
+    skip = p.guard(work, ctx, p.params) if p.guard else None
+    if skip is not None:
+        rec.outcome, rec.reason = SKIPPED, skip
+        return work, current
     trial = work.copy()
     replacement = p.apply(trial, ctx, p.params)
     candidate = replacement if replacement is not None else trial
@@ -436,40 +456,6 @@ def _lint_errors(net: Network):
     """Error-severity invariant diagnostics (lazy analysis import)."""
     from repro.analysis import check_invariants
     return check_invariants(net)
-
-
-class StageRunner:
-    """Fail-soft execution of arbitrary (non-network) flow stages.
-
-    The sequential flow's stages transform STGs and encodings, not
-    networks, so trial-copy/verify does not apply — but the same trace
-    discipline does.  ``run`` executes a stage, records it, and on
-    failure returns the ``fallback`` value (recording ``rolled_back``)
-    instead of aborting the flow; ``strict=True`` re-raises.
-    """
-
-    def __init__(self, trace: FlowTrace, strict: bool = False):
-        self.trace = trace
-        self.strict = strict
-
-    def run(self, name: str, fn: Callable[[], Any],
-            fallback: Any = None):
-        rec = TraceRecord(index=len(self.trace.records), name=name,
-                          outcome=ADOPTED)
-        start = time.perf_counter()
-        try:
-            value = fn()
-        except Exception as exc:
-            rec.outcome = ROLLED_BACK
-            rec.reason = f"exception: {type(exc).__name__}: {exc}"
-            rec.wall_s = time.perf_counter() - start
-            self.trace.add(rec)
-            if self.strict:
-                raise
-            return fallback() if callable(fallback) else fallback
-        rec.wall_s = time.perf_counter() - start
-        self.trace.add(rec)
-        return value
 
 
 # -- declarative flow specs ---------------------------------------------

@@ -26,16 +26,21 @@ from repro.power.activity import activity_from_simulation
 
 @register_pass("dontcare")
 def _dontcare(params: Dict[str, Any]) -> Pass:
-    """Don't-care re-minimization (§II-B).  ``size_cap`` skips the pass
-    (outcome ``skipped``, reason ``size-cap``) on larger networks
-    instead of silently omitting it."""
+    """Don't-care re-minimization (§II-B).  ``size_cap`` (``None`` or a
+    non-negative int) skips the pass (outcome ``skipped``, reason
+    ``size-cap``) on larger networks instead of silently omitting it."""
     from repro.opt.logic.dontcare import dontcare_power_optimization
 
     size_cap = params.get("size_cap")
+    if size_cap is not None and (isinstance(size_cap, bool) or
+                                 not isinstance(size_cap, int) or
+                                 size_cap < 0):
+        raise ValueError(f"pass 'dontcare': size_cap must be a "
+                         f"non-negative int or null, got {size_cap!r}")
 
     def guard(net: Network, ctx: PassContext,
               p: Dict[str, Any]) -> Optional[str]:
-        if size_cap is not None and net.num_gates() > int(size_cap):
+        if size_cap is not None and net.num_gates() > size_cap:
             return "size-cap"
         return None
 

@@ -181,10 +181,16 @@ def sequential_activity(net: Network,
     from repro.sim.functional import sequential_transitions
 
     transitions, _trace = sequential_transitions(net, input_sequence)
-    if len(input_sequence) < 2:
+    return transition_activity(transitions, len(input_sequence))
+
+
+def transition_activity(transitions: Dict[str, int],
+                        length: int) -> Dict[str, float]:
+    """Per-cycle activity from the transition counts of a clocked
+    simulation ``length`` vectors long (0 everywhere below two)."""
+    if length < 2:
         return {k: 0.0 for k in transitions}
-    cycles = len(input_sequence) - 1
-    return {k: v / cycles for k, v in transitions.items()}
+    return {k: v / (length - 1) for k, v in transitions.items()}
 
 
 def weighted_switching(net: Network, activity: Dict[str, float],

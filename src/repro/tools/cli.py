@@ -338,14 +338,19 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
                   f"metrics are only comparable at equal parameters",
                   file=sys.stderr)
     if args.filter:
+        # Every substring must match: a renamed bench fails its gate
+        # instead of silently dropping out of it.
         subs = [s.strip() for s in args.filter.split(",") if s.strip()]
+        names = [r.name for report in (base, cur) for r in report.results]
+        missing = [s for s in subs if not any(s in n for n in names)]
+        if missing or not subs:
+            print(f"error: --filter {', '.join(missing) or args.filter!r}"
+                  f" matches no benchmark in either report",
+                  file=sys.stderr)
+            return 2
         for report in (base, cur):
             report.results = [r for r in report.results
                               if any(s in r.name for s in subs)]
-        if not base.results and not cur.results:
-            print(f"error: --filter {args.filter!r} matches no "
-                  f"benchmark in either report", file=sys.stderr)
-            return 2
     cmp = compare_reports(base, cur, rel_tol=args.tol,
                           abs_tol=args.abs_tol)
     print(cmp.summary())
@@ -363,6 +368,15 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for ``--dontcare-cap`` (the pass rejects a
+    negative cap)."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-lint", action="store_true",
                    help="invariant-lint every candidate network; "
                    "passes that break an invariant roll back")
-    p.add_argument("--dontcare-cap", type=int, default=120,
+    p.add_argument("--dontcare-cap", type=_non_negative_int, default=120,
                    metavar="N", help="skip the don't-care stage above "
                    "N gates (recorded in the trace; default 120)")
     p.set_defaults(func=_cmd_optimize)

@@ -313,3 +313,24 @@ def test_compare_tolerates_tiny_absolute_noise():
     cur = _report(a={"metrics": {"zeroish": 1e-12}})
     assert compare_reports(base, cur, abs_tol=1e-9).ok
     assert not compare_reports(base, cur, abs_tol=0.0).ok
+
+
+def test_compare_filter_fails_on_any_unmatched_substring(tmp_path,
+                                                         capsys):
+    from repro.tools.cli import main
+
+    rep = _report(alpha={"metrics": {"x": 1.0}},
+                  beta={"metrics": {"y": 2.0}})
+    path = str(tmp_path / "BENCH_r.json")
+    rep.write(path)
+    assert main(["bench", "compare", "--filter", "alpha,beta",
+                 "--tol", "0", "--abs-tol", "0", path, path]) == 0
+    capsys.readouterr()
+    # One renamed bench must not silently drop out of a multi-bench
+    # gate while the others still match.
+    assert main(["bench", "compare", "--filter", "alpha,gamma",
+                 path, path]) == 2
+    err = capsys.readouterr().err
+    assert "gamma" in err and "alpha" not in err
+    assert main(["bench", "compare", "--filter", "zzz", path,
+                 path]) == 2

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.flow import low_power_flow
+from repro.core.flow import low_power_flow, run_flow
+from repro.core.passes import FlowSpec
 from repro.core.report import format_table
 from repro.logic.generators import random_logic, ripple_carry_adder
 from repro.sim.functional import verify_equivalence
@@ -37,9 +38,12 @@ class TestFlow:
 
     def test_stage_selection_flags(self):
         res = low_power_flow(ripple_carry_adder(2), num_vectors=128,
-                             use_dontcares=False, use_extraction=False,
                              use_mapping=False, use_sizing=False)
-        assert [s.name for s in res.stages] == ["initial"]
+        assert [s.name for s in res.stages] == \
+            ["initial", "dontcare", "extract"]
+        empty = run_flow(ripple_carry_adder(2),
+                         FlowSpec(passes=[], num_vectors=128))
+        assert [s.name for s in empty.stages] == ["initial"]
 
     def test_summary_renders(self):
         res = low_power_flow(ripple_carry_adder(2), num_vectors=128)
@@ -50,8 +54,8 @@ class TestFlow:
         """The simulation-gated don't-care pass must not regress the
         measured power between its own before/after snapshots."""
         net = random_logic(7, 25, seed=11)
-        res = low_power_flow(net, num_vectors=512, use_extraction=False,
-                             use_mapping=False, use_sizing=False)
+        res = run_flow(net, FlowSpec(passes=[("dontcare", {})],
+                                     num_vectors=512))
         by_name = {s.name: s for s in res.stages}
         if "dontcare" in by_name:
             assert by_name["dontcare"].report.total <= \

@@ -65,6 +65,22 @@ class TestRollback:
         with pytest.raises(RuntimeError, match="boom"):
             _engine(net, passes, strict=True)
 
+    def test_raising_guard_rolls_back_and_flow_continues(self):
+        net = ripple_carry_adder(2)
+        passes = [Pass(name="bad-guard", apply=_complement_output,
+                       guard=_raise),
+                  make_pass("map")]
+        final, trace, stages = _engine(net, passes)
+        assert [(r.name, r.outcome) for r in trace.records] == \
+            [("bad-guard", ROLLED_BACK), ("map", ADOPTED)]
+        assert trace.records[0].reason == "exception: RuntimeError: boom"
+        assert [(s.name, s.outcome) for s in stages] == \
+            [("initial", ADOPTED), ("bad-guard", ROLLED_BACK),
+             ("map", ADOPTED)]
+        assert verify_equivalence(net, final, 512)
+        with pytest.raises(RuntimeError, match="boom"):
+            _engine(net, passes, strict=True)
+
     def test_equivalence_break_rolls_back(self):
         net = ripple_carry_adder(2)
         passes = [Pass(name="breaker", apply=_complement_output),
@@ -184,10 +200,10 @@ class TestTrace:
 class TestSizeCap:
     def test_skip_is_recorded(self):
         res = low_power_flow(ripple_carry_adder(2), num_vectors=128,
-                             dontcare_size_cap=0,
-                             use_extraction=False, use_mapping=False,
+                             dontcare_size_cap=0, use_mapping=False,
                              use_sizing=False)
-        assert [s.name for s in res.stages] == ["initial", "dontcare"]
+        assert [s.name for s in res.stages] == \
+            ["initial", "dontcare", "extract"]
         stage = res.stages[1]
         assert stage.outcome == SKIPPED
         assert stage.reason == "size-cap"
@@ -197,17 +213,46 @@ class TestSizeCap:
         assert rec.outcome == SKIPPED and rec.reason == "size-cap"
 
     def test_cap_is_a_parameter(self):
-        res = low_power_flow(ripple_carry_adder(2), num_vectors=128,
-                             dontcare_size_cap=None,
-                             use_extraction=False, use_mapping=False,
-                             use_sizing=False)
+        res = run_flow(ripple_carry_adder(2), FlowSpec(
+            passes=[("dontcare", {"size_cap": None})], num_vectors=128))
         assert res.stages[1].outcome == ADOPTED
 
     def test_default_flag_behaviour_unchanged(self):
-        res = low_power_flow(ripple_carry_adder(2), num_vectors=128,
-                             use_dontcares=False, use_extraction=False,
-                             use_mapping=False, use_sizing=False)
-        assert [s.name for s in res.stages] == ["initial"]
+        res = low_power_flow(ripple_carry_adder(2), num_vectors=128)
+        assert [s.name for s in res.stages] == \
+            ["initial", "dontcare", "extract", "map", "size"]
+
+    def test_cap_validated_when_built(self):
+        for cap in ("abc", -1, True, 2.5, "120"):
+            with pytest.raises(ValueError, match="'dontcare': size_cap"):
+                make_pass("dontcare", {"size_cap": cap})
+        for cap in (None, 0, 120):
+            assert make_pass("dontcare", {"size_cap": cap}).params == \
+                {"size_cap": cap}
+
+    @pytest.mark.parametrize("cap", ["abc", -1, True])
+    def test_bad_cap_exits_2_before_measuring(self, cap, comb_blif,
+                                              tmp_path, capsys,
+                                              monkeypatch):
+        import repro.core.passes as passes
+
+        simulated = []
+        real = passes.activity_from_simulation
+        monkeypatch.setattr(passes, "activity_from_simulation",
+                            lambda *a: simulated.append(1) or real(*a))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"passes": [{"pass": "dontcare",
+                         "params": {"size_cap": cap}}]}))
+        assert main(["flow", comb_blif, "--spec", str(spec)]) == 2
+        assert "size_cap" in capsys.readouterr().err
+        assert simulated == []
+
+    def test_negative_cli_cap_exits_2(self, comb_blif, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", comb_blif, "--dontcare-cap", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
 
 class TestVerifyScaling:
@@ -220,9 +265,8 @@ class TestVerifyScaling:
         assert ctx.verify_vectors == 256
 
     def test_trace_records_verify_strength(self):
-        res = low_power_flow(ripple_carry_adder(2), num_vectors=2048,
-                             use_dontcares=False, use_extraction=False,
-                             use_sizing=False)
+        res = run_flow(ripple_carry_adder(2),
+                       FlowSpec(passes=[("map", {})], num_vectors=2048))
         assert res.trace.records[0].verify_vectors == 512
 
 
@@ -343,6 +387,26 @@ class TestEnableRate:
         with pytest.raises(RuntimeError, match="minimize crashed"):
             fsm_low_power_flow(load_benchmark("traffic"),
                                sequence_length=100, strict=True)
+
+    def test_fsm_flow_simulates_gated_machine_once(self, monkeypatch):
+        import repro.sim.functional as functional
+        from repro.opt.seq.fsm_benchmarks import load_benchmark
+
+        calls = []
+        real = functional.sequential_transitions
+
+        def counting(net, *args, **kw):
+            calls.append(net.name)
+            return real(net, *args, **kw)
+
+        monkeypatch.setattr(functional, "sequential_transitions",
+                            counting)
+        res = fsm_low_power_flow(load_benchmark("traffic"),
+                                 sequence_length=100, seed=0)
+        # one run of the gated machine (enable rate and activity), one
+        # of the baseline
+        assert sorted(calls) == ["fsm_gated", "fsm_reference"]
+        assert all(r.outcome == ADOPTED for r in res.trace.records)
 
     def test_fsm_flow_trace_present(self):
         from repro.opt.seq.fsm_benchmarks import load_benchmark
