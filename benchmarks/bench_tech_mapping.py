@@ -9,7 +9,8 @@ from repro.bench.profiling import (PHASE_EST, PHASE_OPT, PHASE_VERIFY,
                                    phase)
 from repro.core.report import format_table
 from repro.library.cells import generic_library
-from repro.logic.generators import (comparator, equality_checker,
+from repro.logic.generators import (array_multiplier, comparator,
+                                    equality_checker, random_logic,
                                     ripple_carry_adder)
 from repro.opt.logic.mapping import tech_map
 from repro.power.model import average_power
@@ -48,6 +49,34 @@ def mapping_sweep(vectors=512, verify_vectors=128):
                      p_area * 1e6, p_power * 1e6,
                      1 - p_power / p_area])
     return rows
+
+
+#: Circuits whose mapped costs are gated exactly: a change to cut
+#: enumeration or matching that picks a different cover shows here.
+EXACT_CIRCUITS = [
+    ("mult8", lambda: array_multiplier(8)),
+    ("rand140_0", lambda: random_logic(16, 140, 0)),
+    ("rand140_2", lambda: random_logic(16, 140, 2)),
+]
+
+
+def exact_metrics():
+    """Area and arrival under every objective, and the power cost under
+    the power objective (the only one that prices activity; the others
+    report 0)."""
+    lib = generic_library()
+    metrics = {}
+    for name, make in EXACT_CIRCUITS:
+        net = make()
+        for objective in ("area", "power", "delay"):
+            with phase(PHASE_OPT):
+                res = tech_map(net, lib, objective, seed=1)
+            key = f"{name}.{objective}"
+            metrics[f"{key}.total_area"] = res.total_area
+            metrics[f"{key}.arrival"] = res.arrival
+            if objective == "power":
+                metrics[f"{key}.power_cost"] = res.power_cost
+    return metrics
 
 
 def decomposition_rows(vectors=1024):
@@ -108,6 +137,7 @@ def run(params=None):
     for style, p_subject, area, p_mapped in drows:
         metrics[f"decomp.{style}.subject_power_uW"] = p_subject
         metrics[f"decomp.{style}.mapped_power_uW"] = p_mapped
+    metrics.update(exact_metrics())
     return {"metrics": metrics, "vectors": vectors}
 
 

@@ -16,12 +16,24 @@ seed-0 stimulus, whatever the flow's vectors and seed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.passes import Pass, PassContext, register_pass
 from repro.library.cells import generic_library
 from repro.logic.netlist import Network
 from repro.power.activity import activity_from_simulation
+
+
+def _objective(name: str, params: Dict[str, Any],
+               choices: Tuple[str, ...]) -> str:
+    """``params["objective"]`` (default ``"power"``), checked against
+    ``choices`` when the pass is built."""
+    objective = params.get("objective", "power")
+    if not isinstance(objective, str) or objective not in choices:
+        allowed = ", ".join(choices[:-1]) + " or " + choices[-1]
+        raise ValueError(f"pass {name!r}: objective must be {allowed}, "
+                         f"got {objective!r}")
+    return objective
 
 
 @register_pass("dontcare")
@@ -53,27 +65,31 @@ def _dontcare(params: Dict[str, Any]) -> Pass:
 
 @register_pass("extract")
 def _extract(params: Dict[str, Any]) -> Pass:
-    """Power-aware kernel extraction (§II-C)."""
+    """Power-aware kernel extraction (§II-C); ``objective`` is area
+    or power."""
     from repro.opt.logic.kernels import extract_kernels
+
+    objective = _objective("extract", params, ("area", "power"))
 
     def apply(net: Network, ctx: PassContext,
               p: Dict[str, Any]) -> None:
-        extract_kernels(net, p.get("objective", "power"),
-                        ctx.input_probs)
+        extract_kernels(net, objective, ctx.input_probs)
 
     return Pass(name="extract", apply=apply, params=params)
 
 
 @register_pass("map")
 def _map(params: Dict[str, Any]) -> Pass:
-    """Power-driven technology mapping (§II-D)."""
+    """Power-driven technology mapping (§II-D); ``objective`` is area,
+    power or delay."""
     from repro.opt.logic.mapping import tech_map
+
+    objective = _objective("map", params, ("area", "power", "delay"))
 
     def apply(net: Network, ctx: PassContext,
               p: Dict[str, Any]) -> Network:
         library = ctx.library or generic_library()
-        res = tech_map(net, library, p.get("objective", "power"),
-                       seed=ctx.seed)
+        res = tech_map(net, library, objective, seed=ctx.seed)
         return res.mapped
 
     return Pass(name="map", apply=apply, params=params)

@@ -2,10 +2,16 @@
 (Section III-B; DAGON [20] extended to power as in [43], [48], [26]).
 
 The input network is first decomposed into a 2-input AND/OR/NOT subject
-graph.  For every node we enumerate k-feasible cuts, compute the cut
-function's truth table, and match it against the library (all input
-permutations of every cell are pre-tabulated).  A bottom-up dynamic
-program then selects, per node, the match minimizing the chosen cost:
+graph.  One topological walk enumerates every node's k-feasible cuts
+and matches them against the library (all input permutations of every
+cell are pre-tabulated).  Each cut carries its truth table: a kept
+cut's table is the node's gate applied to its two fanin cuts' tables,
+expanded to the union's leaf order, so no table is recomputed from the
+cone.  Where a union cut has a leaf inside the other fanin cut's cone,
+this table can differ from the cone's (which frees that leaf) on leaf
+assignments that cannot occur; both agree on every one that can.  The
+same walk's dynamic program selects, per node, the match minimizing the
+chosen cost:
 
 * ``"area"``  — Σ cell area (the classical objective),
 * ``"power"`` — Σ (activity at the match output) · (cell output cap)
@@ -26,7 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.library.cells import Cell, Library
 
-from repro.logic.gates import GateType
+from repro.logic.gates import GateType, eval_gate
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import truth_table
 from repro.logic.transform import decompose_to_primitives, \
@@ -35,6 +41,9 @@ from repro.power.activity import activity_from_simulation
 from repro.sim.vectors import exhaustive_words
 
 Cut = Tuple[str, ...]  # ordered leaf names
+# A cut with its leaf set and its root's truth table over the leaves
+# (leaf i is variable i).
+_Cut = Tuple[Cut, FrozenSet[str], int]
 
 
 def _permute_tt(tt: int, n: int, perm: Sequence[int]) -> int:
@@ -69,67 +78,93 @@ def _library_patterns(library: Library, max_inputs: int
     return patterns
 
 
-def _enumerate_cuts(net: Network, k: int,
-                    max_cuts_per_node: int = 12) -> Dict[str, List[Cut]]:
-    """Bottom-up k-feasible cut enumeration (priority: fewer leaves)."""
-    cuts: Dict[str, List[Cut]] = {}
-    for name in net.topo_order():
-        node = net.nodes[name]
-        if node.is_source() or not node.fanins:
-            cuts[name] = [(name,)]
-            continue
-        merged: List[FrozenSet[str]] = []
-        sets = [[frozenset(c) for c in cuts[fi]] for fi in node.fanins]
-        if len(sets) == 1:
-            combos = [s for s in sets[0]]
-        else:
-            combos = []
-            for c1 in sets[0]:
-                for c2 in sets[1]:
-                    u = c1 | c2
-                    if len(u) <= k:
-                        combos.append(u)
-        seen = set()
-        out: List[FrozenSet[str]] = [frozenset([name])]
-        for u in sorted(combos, key=len):
-            if u in seen:
-                continue
-            seen.add(u)
-            out.append(u)
+def _trivial_cut(name: str) -> _Cut:
+    """The cut of ``name`` by itself: one leaf, the identity."""
+    return (name,), frozenset((name,)), 0b10
+
+
+def _expand(tt: int, pos: Tuple[int, ...], n: int) -> int:
+    """Re-express ``tt`` (over ``len(pos)`` variables) over ``n``
+    variables: old variable i becomes new variable ``pos[i]``."""
+    out = 0
+    for m in range(1 << n):
+        src = 0
+        for i, p in enumerate(pos):
+            if (m >> p) & 1:
+                src |= 1 << i
+        if (tt >> src) & 1:
+            out |= 1 << m
+    return out
+
+
+def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]], k: int,
+               expanded: Dict[Tuple[int, Tuple[int, ...], int], int],
+               max_cuts_per_node: int = 12) -> List[_Cut]:
+    """``node``'s k-feasible cuts (priority: fewer leaves), its trivial
+    cut first, from its fanins' cuts in ``cuts``.
+
+    Each kept cut's truth table is the node's gate applied to its
+    fanin cuts' tables, each expanded to the union's leaf order
+    (``expanded`` memoises the expansions).
+    """
+    if len(node.fanins) > 2:
+        raise ValueError(f"subject node {name!r} has {len(node.fanins)} "
+                         f"fanins; cut enumeration needs at most two "
+                         f"(decompose_to_primitives first)")
+    # Leaf count -> {leaf set: the first fanin cuts whose union it is};
+    # walking the buckets in order is a stable sort by size.
+    buckets: List[Dict[FrozenSet[str], Tuple[_Cut, ...]]] = \
+        [{} for _ in range(k + 1)]
+    if len(node.fanins) == 1:
+        for c in cuts[node.fanins[0]]:
+            buckets[len(c[0])].setdefault(c[1], (c,))
+    else:
+        right = [(c2[1], c2) for c2 in cuts[node.fanins[1]]]
+        for c1 in cuts[node.fanins[0]]:
+            s1 = c1[1]
+            for s2, c2 in right:
+                u = s1 | s2
+                n = len(u)
+                if n <= k and u not in buckets[n]:
+                    buckets[n][u] = (c1, c2)
+    out: List[_Cut] = [_trivial_cut(name)]
+    for bucket in buckets:
+        for u, parts in bucket.items():
+            leaves = tuple(sorted(u))
+            n = len(leaves)
+            words = []
+            for c in parts:
+                tt = c[2]
+                if len(c[0]) < n:
+                    pos = tuple(leaves.index(l) for l in c[0])
+                    key = (tt, pos, n)
+                    if key not in expanded:
+                        expanded[key] = _expand(tt, pos, n)
+                    tt = expanded[key]
+                words.append(tt)
+            out.append((leaves, u, _apply(node, words, n)))
             if len(out) >= max_cuts_per_node:
-                break
-        cuts[name] = [tuple(sorted(c)) for c in out]
-    return cuts
+                return out
+    return out
 
 
-def _cut_function(net: Network, root: str, cut: Cut) -> Optional[int]:
-    """Truth table of ``root`` over the cut leaves, or None if the cone
-    reads signals outside the cut."""
-    mask = (1 << (1 << len(cut))) - 1
-    memo: Dict[str, int] = exhaustive_words(cut)
+def _apply(node: Node, words: List[int], n: int) -> int:
+    """``node``'s function on its fanins' tables over ``n`` variables."""
+    mask = (1 << (1 << n)) - 1
+    if node.kind == "gate":
+        return eval_gate(node.gtype, words, mask)
+    return node.cover.evaluate_words(words, mask)
 
-    def value(name: str) -> Optional[int]:
-        if name in memo:
-            return memo[name]
-        node = net.nodes[name]
-        if node.is_source():
-            return None
-        from repro.logic.gates import eval_gate
 
-        ins = []
-        for fi in node.fanins:
-            v = value(fi)
-            if v is None:
-                return None
-            ins.append(v)
-        if node.kind == "gate":
-            out = eval_gate(node.gtype, ins, mask)
-        else:
-            out = node.cover.evaluate_words(ins, mask)
-        memo[name] = out
-        return out
-
-    return value(root)
+def _subject_graph(net: Network, decomposition: str,
+                   input_probs: Optional[Dict[str, float]]) -> Network:
+    """The 2-input AND/OR/NOT subject graph that is mapped."""
+    subject = decompose_to_primitives(net, input_probs=input_probs,
+                                      decomposition=decomposition)
+    collapse_buffers(subject)
+    propagate_constants(subject)
+    collapse_buffers(subject)
+    return subject
 
 
 @dataclass
@@ -160,11 +195,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     """
     if objective not in ("area", "power", "delay"):
         raise ValueError("objective must be area, power or delay")
-    subject = decompose_to_primitives(net, input_probs=input_probs,
-                                      decomposition=decomposition)
-    collapse_buffers(subject)
-    propagate_constants(subject)
-    collapse_buffers(subject)
+    subject = _subject_graph(net, decomposition, input_probs)
     if objective == "power" and activity is None:
         activity, _ = activity_from_simulation(subject, num_vectors=1024,
                                                seed=seed,
@@ -173,64 +204,83 @@ def tech_map(net: Network, library: Library, objective: str = "area",
 
     max_inputs = max(c.num_inputs for c in library)
     patterns = _library_patterns(library, min(k, max_inputs))
-    cuts = _enumerate_cuts(subject, k)
+    consts = {name for name, node in subject.nodes.items()
+              if node.kind == "gate" and
+              node.gtype in (GateType.CONST0, GateType.CONST1)}
 
     INF = float("inf")
     best_cost: Dict[str, float] = {}
     best_match: Dict[str, Tuple[Cell, Tuple[int, ...], Cut]] = {}
     arrival: Dict[str, float] = {}
+    cuts: Dict[str, List[_Cut]] = {}
+    expanded: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
 
+    def match(name: str, cut: _Cut) -> None:
+        """Price every library match of ``cut`` as the cover of
+        ``name``, keeping the best in ``best_match``."""
+        leaves, leafset, tt = cut
+        matches = patterns.get((len(leaves), tt))
+        if not matches or not consts.isdisjoint(leafset) or \
+                any(best_cost.get(l, INF) == INF for l in leaves):
+            return
+        leaf_cost = sum(best_cost[l] for l in leaves)
+        leaf_arr = max((arrival[l] for l in leaves), default=0.0)
+        own_act = activity.get(name, 0.0)
+        leaf_acts = [activity.get(l, 0.0) for l in leaves]
+        for cell, perm in matches:
+            arr = leaf_arr + cell.delay(4.0)
+            if objective == "area":
+                cost = leaf_cost + cell.area
+            elif objective == "power":
+                own = own_act * cell.output_cap
+                pins = sum(a * cell.input_cap for a in leaf_acts)
+                cost = leaf_cost + own + pins
+            else:
+                cost = arr
+            better = cost < best_cost[name] or \
+                (cost == best_cost[name] and arr < arrival[name])
+            if better:
+                best_cost[name] = cost
+                arrival[name] = arr
+                best_match[name] = (cell, perm, leaves)
+
+    # Readers yet to merge each node's cuts; a node's cuts are dropped
+    # once the last one has.
+    unread: Dict[str, int] = {}
+    for node in subject.nodes.values():
+        if not node.is_source():
+            for fi in set(node.fanins):
+                unread[fi] = unread.get(fi, 0) + 1
+
+    # One topological walk: a node's cuts come from its fanins' cuts,
+    # and it is matched as soon as they are known.
     for name in subject.topo_order():
         node = subject.nodes[name]
-        if node.is_source():
-            best_cost[name] = 0.0
-            arrival[name] = 0.0
-            continue
-        if node.kind == "gate" and node.gtype in (GateType.CONST0,
-                                                  GateType.CONST1):
+        if node.is_source() or not node.fanins:
+            cuts[name] = [_trivial_cut(name)]
+        else:
+            cuts[name] = _node_cuts(name, node, cuts, k, expanded)
+            for fi in set(node.fanins):
+                unread[fi] -= 1
+                if not unread[fi]:
+                    del cuts[fi]
+        if node.is_source() or name in consts:
             best_cost[name] = 0.0
             arrival[name] = 0.0
             continue
         best_cost[name] = INF
         arrival[name] = INF
-        # Heavy reconvergence can fill the truncated cut set with cuts
-        # the library cannot match; the fanin cut is the last resort.
-        fanin_cut = tuple(sorted(set(node.fanins)))
-        for cut in cuts[name] + [fanin_cut]:
-            if cut is fanin_cut and best_cost[name] < INF:
-                break
-            if cut == (name,):
-                continue
-            if any(subject.nodes[l].kind == "gate" and
-                   subject.nodes[l].gtype in (GateType.CONST0,
-                                              GateType.CONST1)
-                   for l in cut):
-                continue
-            tt = _cut_function(subject, name, cut)
-            if tt is None:
-                continue
-            for cell, perm in patterns.get((len(cut), tt), ()):
-                if any(l not in best_cost or best_cost[l] == INF
-                       for l in cut):
-                    continue
-                leaf_cost = sum(best_cost[l] for l in cut)
-                leaf_arr = max((arrival[l] for l in cut), default=0.0)
-                arr = leaf_arr + cell.delay(4.0)
-                if objective == "area":
-                    cost = leaf_cost + cell.area
-                elif objective == "power":
-                    own = activity.get(name, 0.0) * cell.output_cap
-                    pins = sum(activity.get(l, 0.0) * cell.input_cap
-                               for l in cut)
-                    cost = leaf_cost + own + pins
-                else:
-                    cost = arr
-                better = cost < best_cost[name] or \
-                    (cost == best_cost[name] and arr < arrival[name])
-                if better:
-                    best_cost[name] = cost
-                    arrival[name] = arr
-                    best_match[name] = (cell, perm, cut)
+        for cut in cuts[name][1:]:
+            match(name, cut)
+        if best_cost[name] == INF:
+            # Heavy reconvergence can fill the truncated cut set with
+            # cuts the library cannot match; the fanin cut is the last
+            # resort.
+            leaves = tuple(sorted(set(node.fanins)))
+            words = exhaustive_words(leaves)
+            match(name, (leaves, frozenset(leaves),
+                         _apply(node, [words[fi] for fi in node.fanins],
+                                len(leaves))))
         if best_cost[name] == INF:
             raise RuntimeError(
                 f"no library match for node {name!r}; the library must "
@@ -283,6 +333,9 @@ def tech_map(net: Network, library: Library, objective: str = "area",
         [l.enable for l in subject.latches if l.enable]
     for root in roots:
         emit(root)
+    # ``emit`` reaches itself through its closure; clearing it frees the
+    # subject graph now instead of at a later cycle collection.
+    del emit
     mapped.set_outputs(subject.outputs)
     mapped.check()
     worst_arrival = max((arrival[r] for r in roots), default=0.0)

@@ -168,6 +168,9 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
     try:
         spec = load_flow_spec(args.spec)
+        # Unknown pass names and bad pass parameters fail here, before
+        # anything is simulated.
+        spec.build()
     except (OSError, ValueError) as exc:
         print(f"error: bad flow spec: {exc}", file=sys.stderr)
         return 2
@@ -184,10 +187,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         return 1
     try:
         result = run_flow(net, spec)
-    except ValueError as exc:
-        # unknown pass names surface here, before anything runs
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: flow failed in strict mode: {exc}",
               file=sys.stderr)

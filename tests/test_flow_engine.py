@@ -486,6 +486,60 @@ class TestCli:
                      str(unknown)]) == 2
         assert "unknown pass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, objective", [
+        ("map", "speed"), ("map", 3), ("extract", "delay"),
+        ("extract", None)])
+    def test_objective_validated_when_built(self, name, objective):
+        with pytest.raises(ValueError, match=f"'{name}': objective"):
+            make_pass(name, {"objective": objective})
+
+    @pytest.mark.parametrize("name, good, bad", [
+        ("map", ("area", "power", "delay"), "speed"),
+        ("extract", ("area", "power"), "delay")])
+    def test_bad_objective_exits_2_before_measuring(
+            self, comb_blif, tmp_path, capsys, monkeypatch, name, good,
+            bad):
+        import repro.core.passes as passes
+
+        for objective in good:
+            assert make_pass(name, {"objective": objective}).params == \
+                {"objective": objective}
+        simulated = []
+        real = passes.activity_from_simulation
+        monkeypatch.setattr(passes, "activity_from_simulation",
+                            lambda *a: simulated.append(1) or real(*a))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"passes": [{"pass": name, "params": {"objective": bad}}]}))
+        for strict in ([], ["--strict"]):
+            assert main(["flow", comb_blif, "--spec", str(spec)] +
+                        strict) == 2
+            err = capsys.readouterr().err
+            assert "bad flow spec" in err and "objective" in err
+        assert simulated == []
+
+    def test_strict_pass_failure_exits_1(self, comb_blif, tmp_path,
+                                         capsys, monkeypatch):
+        import repro.core.passes as passes
+
+        def failing(net, ctx, params):
+            raise ValueError("pass blew up")
+
+        passes._ensure_adapters()
+        monkeypatch.setitem(passes._REGISTRY, "map",
+                            lambda params: Pass("map", failing, params))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"num_vectors": 64,
+                                    "passes": ["map"]}))
+        # A spec that builds, then a pass raising ValueError mid-flow:
+        # a run failure (1), not bad input (2).
+        assert main(["flow", comb_blif, "--spec", str(spec),
+                     "--strict"]) == 1
+        assert "pass blew up" in capsys.readouterr().err
+        # Not strict: the failure is a rolled-back stage.
+        assert main(["flow", comb_blif, "--spec", str(spec)]) == 0
+        assert "rolled_back=1" in capsys.readouterr().out
+
     @pytest.mark.parametrize("spec, field", [
         ({"passes": ["map"], "num_vectors": 64,
           "check_equivalence": False}, "check_equivalence"),

@@ -1,6 +1,7 @@
 """Unit tests for logic-level optimizations (don't-cares, balancing,
 kernel extraction, technology mapping)."""
 
+import hashlib
 import random
 from collections import Counter
 from typing import Dict, List, Set, Tuple
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit import network_bdds
 from repro.library.cells import generic_library
-from repro.logic.gates import GateType
+from repro.logic.blif import write_blif
+from repro.logic.gates import GateType, eval_gate
 from repro.logic.cube import Cube
 from repro.logic.generators import (alu_slice, array_multiplier,
                                     comparator, parity_tree,
@@ -26,12 +28,15 @@ from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
                                       dontcare_power_optimization,
                                       observability_dont_cares)
 from repro.opt.logic.kernels import extract_kernels
-from repro.opt.logic.mapping import tech_map
+from repro.opt.logic.mapping import (_node_cuts, _subject_graph,
+                                     _trivial_cut, tech_map)
 from repro.power.activity import (activity_from_simulation,
                                   signal_probability_propagation)
 from repro.power.glitch import glitch_report
 from repro.power.model import PowerParameters, node_capacitance
+from repro.sim.compiled import get_compiled
 from repro.sim.functional import verify_equivalence
+from repro.sim.vectors import exhaustive_words, random_words
 
 
 def reconvergent_net():
@@ -591,3 +596,156 @@ class TestTechMapping:
 """)
         res = tech_map(net, lib, objective)
         assert verify_equivalence_exact(net, res.mapped)
+
+
+def _kept_cuts(subject: Network, k: int = 4):
+    """Every node's kept cuts, enumerated as ``tech_map`` does."""
+    cuts: Dict[str, list] = {}
+    expanded: Dict = {}
+    for name in subject.topo_order():
+        node = subject.nodes[name]
+        if node.is_source() or not node.fanins:
+            cuts[name] = [_trivial_cut(name)]
+        else:
+            cuts[name] = _node_cuts(name, node, cuts, k, expanded)
+    return cuts
+
+
+def _table_at(tt: int, leaf_words: List[int], mask: int) -> int:
+    """The function with truth table ``tt`` evaluated on words."""
+    out = 0
+    for m in range(1 << len(leaf_words)):
+        if (tt >> m) & 1:
+            term = mask
+            for i, w in enumerate(leaf_words):
+                term &= w if (m >> i) & 1 else ~w
+            out |= term
+    return out & mask
+
+
+def _cone_table(net: Network, root: str, leaves: Tuple[str, ...]) -> int:
+    """Reference: ``root``'s truth table over ``leaves``, recomputed by
+    recursion through its cone (every leaf a free variable)."""
+    mask = (1 << (1 << len(leaves))) - 1
+    memo = exhaustive_words(leaves)
+
+    def value(name: str) -> int:
+        if name not in memo:
+            node = net.nodes[name]
+            memo[name] = eval_gate(node.gtype,
+                                   [value(fi) for fi in node.fanins],
+                                   mask)
+        return memo[name]
+
+    return value(root)
+
+
+def _fanin_closure(net: Network) -> Dict[str, Set[str]]:
+    """Strict transitive fanin of every node."""
+    tfi: Dict[str, Set[str]] = {}
+    for name in net.topo_order():
+        node = net.nodes[name]
+        tfi[name] = set()
+        if not node.is_source():
+            for fi in node.fanins:
+                tfi[name] |= tfi[fi] | {fi}
+    return tfi
+
+
+class TestCarriedCutTables:
+    """Cut truth tables are merged from the fanin cuts' tables during
+    enumeration, never recomputed from the cone."""
+
+    CIRCUITS = [("mult4", lambda: array_multiplier(4)),
+                ("mult6", lambda: array_multiplier(6))] + [
+        (f"rand{g}_{s}", lambda g=g, s=s: random_logic(16, g, s))
+        for g, s in ((60, 0), (60, 1), (90, 2), (125, 3), (140, 0),
+                     (140, 2))]
+
+    @pytest.mark.parametrize("name, make", CIRCUITS,
+                             ids=[c[0] for c in CIRCUITS])
+    def test_tables_reproduce_simulation(self, name, make):
+        subject = _subject_graph(make(), "balanced", None)
+        mask = (1 << 256) - 1
+        words = get_compiled(subject).evaluate_words(
+            random_words(subject.inputs, 256, seed=7), mask)
+        tfi = _fanin_closure(subject)
+        independent = 0
+        for root, kept in _kept_cuts(subject).items():
+            assert kept[0][0] == (root,)
+            assert len(kept) <= 12
+            for leaves, leafset, tt in kept:
+                assert leafset == set(leaves)
+                assert list(leaves) == sorted(leaves)
+                assert _table_at(tt, [words[l] for l in leaves],
+                                 mask) == words[root], (root, leaves)
+                if leaves != (root,) and \
+                        not any(tfi[l] & leafset for l in leaves):
+                    independent += 1
+                    assert tt == _cone_table(subject, root, leaves), \
+                        (root, leaves)
+        assert independent > 0
+
+    def test_node_with_three_fanins_rejected(self):
+        net = Network()
+        net.add_inputs(["a", "b", "c"])
+        net.add_gate("z", GateType.AND, ["a", "b", "c"])
+        net.set_output("z")
+        with pytest.raises(ValueError, match="'z' has 3 fanins"):
+            _kept_cuts(net)
+
+    # SHA-256 of the mapped BLIF and the costs (area, power cost,
+    # arrival), recorded before the tables were carried with the cuts
+    # (seed 1).  The random circuits hold union cuts with a leaf inside
+    # another fanin cut's cone, where the merged and cone tables
+    # differ off the consistent assignments.
+    PINNED = {
+        ("mult8", "area"): (
+            "355df9a3d640df43c9a0a6a173984c2a1d408894ce6905b401a75173d2cb420f",
+            2912.0, 0.0, 65.28000000000007),
+        ("mult8", "power"): (
+            "355df9a3d640df43c9a0a6a173984c2a1d408894ce6905b401a75173d2cb420f",
+            4076.80000000002, 621.8572336265883, 102.41599999999997),
+        ("mult8", "delay"): (
+            "c0be8288646b3a37a2de0237dd91c7da7f99e83c1297ea90316875083e0ba1b4",
+            7504.0, 0.0, 52.079999999999984),
+        ("rand140_0", "area"): (
+            "925a3dd8c9be753aec98c759e92dbb6d30beec7dccd0973bb207c00996801553",
+            1014.0, 0.0, 12.000000000000002),
+        ("rand140_0", "power"): (
+            "6deb8c6688874f4b2ad581ef4ddc6098b9b2dae71d8b9ed08d343966d95ace05",
+            1461.6, 306.4590909090909, 19.0),
+        ("rand140_0", "delay"): (
+            "04d9217f2e6aad9ad7e78c55011f89a6b3130735e80144ce3dfe654659966cb0",
+            2656.0, 0.0, 9.06),
+        ("rand140_2", "area"): (
+            "23b7bb0021f537ec84484f2865909d76b037e03c3297ae4fe1572b882620bd0e",
+            1058.0, 0.0, 10.440000000000001),
+        ("rand140_2", "power"): (
+            "594d0ede308387838b004014991953f501717927d3eae5c4a135a53dd88bbebc",
+            1383.2000000000003, 292.3575757575758, 16.618000000000002),
+        ("rand140_2", "delay"): (
+            "9ee3684164342374863d411df121c109c9b1e77fb0c1d31c579de3ee4ba3b29d",
+            2640.0, 0.0, 8.200000000000001),
+    }
+    MAKE = {"mult8": lambda: array_multiplier(8),
+            "rand140_0": lambda: random_logic(16, 140, 0),
+            "rand140_2": lambda: random_logic(16, 140, 2)}
+
+    @pytest.mark.parametrize("circuit", ["rand140_0", "rand140_2"])
+    def test_pinned_circuits_hold_merged_only_tables(self, circuit):
+        subject = _subject_graph(self.MAKE[circuit](), "balanced", None)
+        differ = [(root, leaves)
+                  for root, kept in _kept_cuts(subject).items()
+                  for leaves, _, tt in kept[1:]
+                  if tt != _cone_table(subject, root, leaves)]
+        assert differ
+
+    @pytest.mark.parametrize("circuit, objective", sorted(PINNED),
+                             ids=[f"{c}-{o}" for c, o in sorted(PINNED)])
+    def test_mapped_blif_pinned(self, circuit, objective):
+        res = tech_map(self.MAKE[circuit](), generic_library(),
+                       objective, seed=1)
+        digest = hashlib.sha256(write_blif(res.mapped).encode())
+        assert (digest.hexdigest(), res.total_area, res.power_cost,
+                res.arrival) == self.PINNED[circuit, objective]
