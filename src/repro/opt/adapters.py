@@ -98,7 +98,9 @@ def _map(params: Dict[str, Any]) -> Pass:
 @register_pass("size")
 def _size(params: Dict[str, Any]) -> Pass:
     """Slack-recycling transistor sizing (§III-B): downsizing may only
-    recycle slack, so the unsized design's critical delay is held."""
+    recycle slack, so the unsized design's critical delay is held.
+    That target is the all-minimum sizing's own delay, so this pass
+    returns the unsized (all-minimum) design and saves exactly 0."""
     from repro.opt.circuit.sizing import (critical_path_delay,
                                           size_for_power)
 

@@ -2,12 +2,14 @@
 
 Each gate carries a size factor (``node.attrs["size"]``).  Upsizing a
 gate speeds it up (its drive resistance falls) but raises the load it
-presents to its fanins and the energy it switches.  The optimizer starts
-from a sizing that meets the delay target and walks downhill in power:
-it repeatedly downsizes the gate with positive slack whose shrink saves
-the most switched capacitance while keeping the circuit at or under the
-delay constraint — the "reduce sizes until slack becomes zero" loop the
-paper describes.
+presents to its fanins and the energy it switches.  Switched
+capacitance never falls when a size grows, so the all-minimum sizing is
+the power optimum whenever it meets the delay target, and the optimizer
+returns it at once.  Otherwise it starts from the all-maximum sizing and
+walks downhill in power: it repeatedly downsizes the gate with positive
+slack whose shrink saves switched capacitance while keeping the circuit
+at or under the delay constraint — the "reduce sizes until slack
+becomes zero" loop the paper describes.
 
 Timing is static: a gate's delay is ``INTRINSIC_DELAY + DRIVE_PER_LOAD ·
 load / size``, where the load sums its readers' size-scaled pin caps and
@@ -175,6 +177,7 @@ class _Move:
 class _Walk:
     """The greedy walk's timing and power state, kept current per move.
 
+    The walk runs only when the all-minimum sizing misses the target.
     Holds every node's load, delay, arrival, required time, slack and
     power term (``activity · (self cap + load)``, the summand of
     :func:`switched_capacitance`).  A trial re-times only the fanout
@@ -336,61 +339,11 @@ class _Walk:
         return changed
 
 
-@dataclass
-class SizingResult:
-    """Outcome of the sizing optimization."""
-
-    sizes: Dict[str, float]
-    delay_target: float
-    delay_before: float
-    delay_after: float
-    power_before: float        # switched capacitance at initial sizing
-    power_after: float
-    moves: int = 0
-
-    @property
-    def power_saving(self) -> float:
-        if self.power_before == 0.0:
-            return 0.0
-        return 1.0 - self.power_after / self.power_before
-
-
-def size_for_power(net: Network,
-                   activity: Dict[str, float],
-                   delay_target: Optional[float] = None,
-                   allowed_sizes: Sequence[float] = (1.0, 2.0, 4.0),
-                   params: Optional[PowerParameters] = None,
-                   apply: bool = True) -> SizingResult:
-    """Greedy slack-recycling downsizer.
-
-    Starts with every gate at the largest allowed size (the
-    delay-optimal starting point), then repeatedly takes a downsizing
-    move that saves power and keeps the critical delay within
-    ``delay_target`` (default: the all-max-size delay + 5%).  Each round
-    tries the gates with positive slack, largest slack first (ties in
-    ``net.nodes`` order), one size step down, and commits the first
-    move that passes.  When ``apply`` is set the final sizes are
-    written to node attrs.  ``allowed_sizes`` must be non-empty and
-    positive (``ValueError`` otherwise).
-
-    ``activity`` maps nodes to switching activity; sizing moves never
-    change any node's logic function, so one estimate serves the whole
-    downhill walk.
-    """
-    if not allowed_sizes:
-        raise ValueError("allowed_sizes is empty")
-    for s in allowed_sizes:
-        if not s > 0:
-            raise ValueError(f"allowed size {s!r} is not positive")
-    params = params or PowerParameters()
-    ordered = sorted(allowed_sizes)
-    sizes = {name: float(ordered[-1])
-             for name, node in net.nodes.items() if not node.is_source()}
-    delay_before = critical_path_delay(net, sizes, params)
-    target = delay_target if delay_target is not None \
-        else delay_before * 1.05
-    power_before = switched_capacitance(net, sizes, activity, params)
-
+def _walk_down(net: Network, sizes: Dict[str, float],
+               ordered: List[float], activity: Dict[str, float],
+               params: PowerParameters, target: float) -> int:
+    """The greedy downhill walk from ``sizes`` (updated in place);
+    returns the number of one-step downsizes it committed."""
     walk = _Walk(net, sizes, activity, params, target)
     index = {name: i for i, name in enumerate(net.nodes)}
     version = dict.fromkeys(sizes, 0)
@@ -430,15 +383,80 @@ def size_for_power(net: Network,
         moves += 1
     if slacks(net, sizes, target, params) != walk.slack:
         raise RuntimeError("incremental slacks diverged from full STA")
-    power_after = switched_capacitance(net, sizes, activity, params)
-    # The greedy walk can strand gates at large sizes; if the
-    # all-minimum sizing meets the target and beats it, take that.
+    return moves
+
+
+@dataclass
+class SizingResult:
+    """Outcome of the sizing optimization."""
+
+    sizes: Dict[str, float]
+    delay_target: float
+    delay_before: float
+    delay_after: float
+    power_before: float        # switched capacitance at initial sizing
+    power_after: float
+    moves: int = 0
+
+    @property
+    def power_saving(self) -> float:
+        if self.power_before == 0.0:
+            return 0.0
+        return 1.0 - self.power_after / self.power_before
+
+
+def size_for_power(net: Network,
+                   activity: Dict[str, float],
+                   delay_target: Optional[float] = None,
+                   allowed_sizes: Sequence[float] = (1.0, 2.0, 4.0),
+                   params: Optional[PowerParameters] = None,
+                   apply: bool = True) -> SizingResult:
+    """Greedy slack-recycling downsizer.
+
+    The target is ``delay_target`` (default: the all-max-size delay +
+    5%).  When the all-minimum sizing meets it, that sizing is the power
+    optimum (no size increase lowers switched capacitance) and is
+    returned without a walk.  Otherwise every gate starts at the
+    largest allowed size (the delay-optimal starting point), and the
+    walk repeatedly takes a downsizing move that saves power and keeps
+    the critical delay within the target.  Each round tries the gates
+    with positive slack, largest slack first (ties in ``net.nodes``
+    order), one size step down, and commits the first move that
+    passes.  ``moves`` counts one-step downsizes from the all-max
+    start, so the all-minimum result reports every step of every gate.
+    When ``apply`` is set the final sizes are written to node attrs.
+    ``allowed_sizes`` must be non-empty and positive (``ValueError``
+    otherwise).
+
+    ``activity`` maps nodes to switching activity; sizing moves never
+    change any node's logic function, so one estimate serves the whole
+    downhill walk.
+    """
+    if not allowed_sizes:
+        raise ValueError("allowed_sizes is empty")
+    for s in allowed_sizes:
+        if not s > 0:
+            raise ValueError(f"allowed size {s!r} is not positive")
+    params = params or PowerParameters()
+    ordered = sorted(allowed_sizes)
+    sizes = {name: float(ordered[-1])
+             for name, node in net.nodes.items() if not node.is_source()}
+    delay_before = critical_path_delay(net, sizes, params)
+    target = delay_target if delay_target is not None \
+        else delay_before * 1.05
+    power_before = switched_capacitance(net, sizes, activity, params)
+
+    # No size increase lowers switched capacitance, so the all-minimum
+    # sizing is the power optimum whenever it meets the target.
     ones = {name: float(ordered[0]) for name in sizes}
-    if critical_path_delay(net, ones, params) <= target:
-        ones_power = switched_capacitance(net, ones, activity, params)
-        if ones_power < power_after:
-            sizes, power_after = ones, ones_power
-    delay_after = critical_path_delay(net, sizes, params)
+    delay_after = critical_path_delay(net, ones, params)
+    if delay_after <= target:
+        sizes = ones
+        moves = (len(set(ordered)) - 1) * len(sizes)
+    else:
+        moves = _walk_down(net, sizes, ordered, activity, params, target)
+        delay_after = critical_path_delay(net, sizes, params)
+    power_after = switched_capacitance(net, sizes, activity, params)
     if apply:
         for name, s in sizes.items():
             net.nodes[name].attrs["size"] = s

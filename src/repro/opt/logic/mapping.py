@@ -3,15 +3,15 @@
 
 The input network is first decomposed into a 2-input AND/OR/NOT subject
 graph.  One topological walk enumerates every node's k-feasible cuts
-and matches them against the library (all input permutations of every
-cell are pre-tabulated).  Each cut carries its truth table: a kept
-cut's table is the node's gate applied to its two fanin cuts' tables,
-expanded to the union's leaf order, so no table is recomputed from the
-cone.  Where a union cut has a leaf inside the other fanin cut's cone,
-this table can differ from the cone's (which frees that leaf) on leaf
-assignments that cannot occur; both agree on every one that can.  The
-same walk's dynamic program selects, per node, the match minimizing the
-chosen cost:
+and matches them against the library (each cell's distinct permuted
+truth tables are tabulated once per library content).  Each cut
+carries its truth table: a kept cut's table is the node's gate applied
+to its two fanin cuts' tables, expanded to the union's leaf order, so
+no table is recomputed from the cone.  Where a union cut has a leaf
+inside the other fanin cut's cone, this table can differ from the
+cone's (which frees that leaf) on leaf assignments that cannot occur;
+both agree on every one that can.  The same walk's dynamic program
+selects, per node, the match minimizing the chosen cost:
 
 * ``"area"``  — Σ cell area (the classical objective),
 * ``"power"`` — Σ (activity at the match output) · (cell output cap)
@@ -27,6 +27,7 @@ carrying ``attrs["cell"]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -59,23 +60,43 @@ def _permute_tt(tt: int, n: int, perm: Sequence[int]) -> int:
     return out
 
 
+_Pins = Tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _pattern_table(cells: Tuple[Tuple[str, int, int], ...], max_inputs: int
+                   ) -> Dict[Tuple[int, int], Tuple[Tuple[str, _Pins], ...]]:
+    """(num_inputs, truth_table) -> ((cell name, pin permutation), ...)
+    for cells given as (name, num_inputs, truth table).
+
+    Only a cell's first permutation per table is kept: a match's cost
+    and arrival do not depend on the permutation, and ``tech_map``
+    keeps the first of equal (cost, arrival), so a later one never wins.
+    """
+    patterns: Dict[Tuple[int, int], List[Tuple[str, _Pins]]] = {}
+    for name, n, base_tt in cells:
+        if n == 0 or n > max_inputs:
+            continue
+        for perm in permutations(range(n)):
+            entries = patterns.setdefault(
+                (n, _permute_tt(base_tt, n, perm)), [])
+            if all(cell != name for cell, _ in entries):
+                entries.append((name, perm))
+    return {key: tuple(entries) for key, entries in patterns.items()}
+
+
 def _library_patterns(library: Library, max_inputs: int
-                      ) -> Dict[Tuple[int, int], List[Tuple[Cell, Tuple[int, ...]]]]:
+                      ) -> Dict[Tuple[int, int], List[Tuple[Cell, _Pins]]]:
     """Map (num_inputs, truth_table) -> [(cell, pin permutation)].
 
     ``perm`` maps cut-leaf positions to cell pins: leaf i connects to
-    cell pin perm[i].
+    cell pin perm[i].  The table is built once per library content.
     """
-    patterns: Dict[Tuple[int, int], List[Tuple[Cell, Tuple[int, ...]]]] = {}
-    for cell in library:
-        n = cell.num_inputs
-        if n == 0 or n > max_inputs:
-            continue
-        base_tt = truth_table(cell.cover)
-        for perm in permutations(range(n)):
-            tt = _permute_tt(base_tt, n, perm)
-            patterns.setdefault((n, tt), []).append((cell, perm))
-    return patterns
+    table = _pattern_table(
+        tuple((c.name, c.num_inputs, truth_table(c.cover)) for c in library),
+        max_inputs)
+    return {key: [(library[name], perm) for name, perm in entries]
+            for key, entries in table.items()}
 
 
 def _trivial_cut(name: str) -> _Cut:

@@ -14,7 +14,7 @@ from repro.core.passes import (ADOPTED, FlowError, FlowSpec,
                                run_network_passes)
 from repro.logic.blif import write_blif
 from repro.logic.gates import GateType
-from repro.logic.generators import ripple_carry_adder
+from repro.logic.generators import random_logic, ripple_carry_adder
 from repro.logic.netlist import Latch, Network
 from repro.logic.transform import to_sop_network
 from repro.sim.functional import verify_equivalence
@@ -253,6 +253,22 @@ class TestSizeCap:
             main(["optimize", comb_blif, "--dontcare-cap", "-1"])
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
+
+
+class TestSizeStage:
+    def test_unsized_target_keeps_the_unsized_design(self):
+        """The flow's size target is the unsized delay, so its size
+        stage returns the all-minimum design and saves exactly 0."""
+        res = low_power_flow(random_logic(16, 125, 7), num_vectors=256,
+                             seed=1)
+        rec = {r.name: r for r in res.trace.records}["size"]
+        assert rec.outcome == ADOPTED
+        assert rec.power_after == rec.power_before
+        assert res.stages[-1].report.total == res.stages[-2].report.total
+        sizes = [node.attrs.get("size")
+                 for node in res.final.nodes.values()
+                 if not node.is_source()]
+        assert sizes and all(s == 1.0 for s in sizes)
 
 
 class TestVerifyScaling:

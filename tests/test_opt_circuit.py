@@ -9,10 +9,11 @@ from repro.logic.gates import GateType
 from repro.logic.generators import (array_multiplier, random_logic,
                                     ripple_carry_adder)
 from repro.logic.netlist import Network
+from repro.opt.circuit import sizing
 from repro.opt.circuit.reorder import (ReorderResult, greedy_order,
                                        optimize_stack_order)
 from repro.opt.circuit.sizing import (DRIVE_PER_LOAD, INTRINSIC_DELAY,
-                                      SizingResult, arrival_times,
+                                      SizingResult, _Walk, arrival_times,
                                       critical_path_delay,
                                       size_for_power, slacks,
                                       switched_capacitance)
@@ -195,16 +196,9 @@ def _ref_switched_capacitance(net, sizes, activity, params):
     return total
 
 
-def _reference_size_for_power(net, activity, delay_target=None,
-                              allowed_sizes=(1.0, 2.0, 4.0)):
-    params = PowerParameters()
-    ordered = sorted(allowed_sizes)
-    sizes = {name: float(ordered[-1])
-             for name, node in net.nodes.items() if not node.is_source()}
-    delay_before = _ref_critical_path_delay(net, sizes, params)
-    target = delay_target if delay_target is not None \
-        else delay_before * 1.05
-    power_before = _ref_switched_capacitance(net, sizes, activity, params)
+def _ref_walk(net, sizes, ordered, activity, target, params):
+    """The full-STA greedy walk from ``sizes``; returns its end sizing
+    and the number of moves."""
     moves = 0
     improved = True
     while improved:
@@ -227,11 +221,23 @@ def _reference_size_for_power(net, activity, delay_target=None,
                     moves += 1
                     improved = True
                     break
+    return sizes, moves
+
+
+def _ref_start(net, activity, delay_target, allowed_sizes, params):
+    ordered = sorted(allowed_sizes)
+    sizes = {name: float(ordered[-1])
+             for name, node in net.nodes.items() if not node.is_source()}
+    delay_before = _ref_critical_path_delay(net, sizes, params)
+    target = delay_target if delay_target is not None \
+        else delay_before * 1.05
+    power_before = _ref_switched_capacitance(net, sizes, activity, params)
     ones = {name: float(ordered[0]) for name in sizes}
-    if _ref_critical_path_delay(net, ones, params) <= target:
-        if _ref_switched_capacitance(net, ones, activity, params) < \
-                _ref_switched_capacitance(net, sizes, activity, params):
-            sizes = ones
+    return ordered, sizes, ones, target, delay_before, power_before
+
+
+def _ref_result(net, activity, sizes, target, delay_before, power_before,
+                moves, params):
     return SizingResult(
         sizes=sizes, delay_target=target, delay_before=delay_before,
         delay_after=_ref_critical_path_delay(net, sizes, params),
@@ -239,6 +245,40 @@ def _reference_size_for_power(net, activity, delay_target=None,
         power_after=_ref_switched_capacitance(net, sizes, activity,
                                               params),
         moves=moves)
+
+
+def _reference_size_for_power(net, activity, delay_target=None,
+                              allowed_sizes=(1.0, 2.0, 4.0)):
+    """All-minimum when it meets the target, else the greedy walk;
+    ``moves`` counts one-step downsizes from the all-max start."""
+    params = PowerParameters()
+    ordered, sizes, ones, target, delay_before, power_before = \
+        _ref_start(net, activity, delay_target, allowed_sizes, params)
+    if _ref_critical_path_delay(net, ones, params) <= target:
+        sizes = ones
+        moves = (len(set(ordered)) - 1) * len(ones)
+    else:
+        sizes, moves = _ref_walk(net, sizes, ordered, activity, target,
+                                 params)
+    return _ref_result(net, activity, sizes, target, delay_before,
+                       power_before, moves, params)
+
+
+def _walk_then_fallback_size_for_power(net, activity, delay_target,
+                                       allowed_sizes):
+    """The sizer's earlier spec: walk from all-max, then take the
+    all-minimum sizing if it meets the target and has strictly lower
+    power than where the walk ended."""
+    params = PowerParameters()
+    ordered, sizes, ones, target, delay_before, power_before = \
+        _ref_start(net, activity, delay_target, allowed_sizes, params)
+    sizes, moves = _ref_walk(net, sizes, ordered, activity, target, params)
+    if _ref_critical_path_delay(net, ones, params) <= target:
+        if _ref_switched_capacitance(net, ones, activity, params) < \
+                _ref_switched_capacitance(net, sizes, activity, params):
+            sizes = ones
+    return _ref_result(net, activity, sizes, target, delay_before,
+                       power_before, moves, params)
 
 
 def _assert_matches_reference(net, activity, delay_target, allowed):
@@ -269,17 +309,20 @@ def _enable_chain():
     return net
 
 
-@st.composite
-def _sizing_cases(draw):
+def _draw_net(draw):
     kind = draw(st.sampled_from(["random", "mult4", "rca6"]))
     if kind == "random":
-        net = random_logic(draw(st.integers(2, 8)),
-                           draw(st.integers(1, 40)),
-                           draw(st.integers(0, 2 ** 16)))
-    elif kind == "mult4":
-        net = array_multiplier(4)
-    else:
-        net = ripple_carry_adder(6)
+        return random_logic(draw(st.integers(2, 8)),
+                            draw(st.integers(1, 40)),
+                            draw(st.integers(0, 2 ** 16)))
+    if kind == "mult4":
+        return array_multiplier(4)
+    return ripple_carry_adder(6)
+
+
+@st.composite
+def _sizing_cases(draw):
+    net = _draw_net(draw)
     allowed = draw(st.sampled_from([(1, 2, 4), (1, 4), (0.5, 1, 3)]))
     target = draw(st.sampled_from(["all-max", "default", "loose"]))
     return net, allowed, target, draw(st.integers(0, 2 ** 16))
@@ -298,6 +341,13 @@ class TestSizingMatchesReference:
                       if not nd.is_source()}, params),
             "default": None, "loose": 1e9}[target]
         res = _assert_matches_reference(net, act, delay_target, allowed)
+        # Never worse than the walk-then-fallback spec, and the same
+        # sizing wherever that one ended at all-minimum.
+        old = _walk_then_fallback_size_for_power(net, act, delay_target,
+                                                 allowed)
+        assert res.power_after <= old.power_after
+        if all(s == min(allowed) for s in old.sizes.values()):
+            assert res.sizes == old.sizes
         # The public STA functions agree exactly with the O(n²) ones,
         # at the greedy's result and at a random sizing.
         rng = random.Random(seed)
@@ -317,6 +367,86 @@ class TestSizingMatchesReference:
         act, _ = activity_from_simulation(net, 128, seed=0)
         for target in (None, 3.0, 1e9):
             _assert_matches_reference(net, act, target, (1, 2, 4))
+
+
+@st.composite
+def _mixed_sizings(draw):
+    net = _draw_net(draw)
+    gates = [n for n, nd in net.nodes.items() if not nd.is_source()]
+    allowed = draw(st.sampled_from([(1, 2, 4), (1, 4), (0.5, 1, 3)]))
+    sizes = {n: float(draw(st.sampled_from(allowed))) for n in gates}
+    rates = st.floats(0.0, 1.0, allow_nan=False)
+    activity = {n: draw(rates) for n in net.nodes}
+    grown = draw(st.sampled_from(gates))
+    bigger = [s for s in allowed if s > sizes[grown]]
+    new_size = float(draw(st.sampled_from(bigger))) if bigger \
+        else 2.0 * sizes[grown]
+    return net, sizes, activity, grown, new_size
+
+
+class TestAllMinimumShortcut:
+    """The sizer returns the all-minimum sizing without a walk when it
+    meets the target; that is sound because power is monotone in every
+    gate's size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mixed_sizings())
+    def test_growing_a_gate_never_lowers_power(self, case):
+        net, sizes, activity, grown, new_size = case
+        params = PowerParameters()
+        before = switched_capacitance(net, sizes, activity, params)
+        after = switched_capacitance(net, {**sizes, grown: new_size},
+                                     activity, params)
+        assert after >= before
+
+    @pytest.fixture
+    def rca6(self):
+        """The adder, its activity and its all-max-size delay."""
+        net = ripple_carry_adder(6)
+        act, _ = activity_from_simulation(net, 512, seed=0)
+        fastest = critical_path_delay(
+            net, {n: 4.0 for n, nd in net.nodes.items()
+                  if not nd.is_source()}, PowerParameters())
+        return net, act, fastest
+
+    def test_walk_runs_only_when_all_minimum_misses(self, monkeypatch,
+                                                    rca6):
+        net, act, fastest = rca6
+
+        class Refused:
+            def __init__(self, *args):
+                raise AssertionError("walk built")
+
+        monkeypatch.setattr(sizing, "_Walk", Refused)
+        res = size_for_power(net, act, apply=False)
+        assert set(res.sizes.values()) == {1.0}
+        assert res.moves == 2 * len(res.sizes)
+
+        built = []
+
+        class Recorded(_Walk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(sizing, "_Walk", Recorded)
+        res = size_for_power(net, act, delay_target=fastest, apply=False)
+        assert len(built) == 1 and res.moves > 0
+        assert set(res.sizes.values()) != {1.0}
+        assert res.delay_after <= fastest
+
+    def test_walk_keeps_the_full_sta_check(self, monkeypatch, rca6):
+        net, act, fastest = rca6
+
+        class Drifting(_Walk):
+            def commit(self, move):
+                changed = super().commit(move)
+                self.slack[move.name] += 1.0
+                return changed
+
+        monkeypatch.setattr(sizing, "_Walk", Drifting)
+        with pytest.raises(RuntimeError, match="full STA"):
+            size_for_power(net, act, delay_target=fastest, apply=False)
 
 
 class TestLatchEnableTiming:

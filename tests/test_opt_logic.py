@@ -2,6 +2,7 @@
 kernel extraction, technology mapping)."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 from typing import Dict, List, Set, Tuple
@@ -19,7 +20,7 @@ from repro.logic.generators import (alu_slice, array_multiplier,
                                     comparator, parity_tree,
                                     random_logic, ripple_carry_adder)
 from repro.logic.netlist import Network, Node
-from repro.logic.sop import Cover
+from repro.logic.sop import Cover, truth_table
 from repro.logic.transform import gate_cover, node_cover
 from repro.opt.logic import dontcare as dontcare_module
 from repro.opt.logic.balance import balance_paths
@@ -28,8 +29,10 @@ from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
                                       dontcare_power_optimization,
                                       observability_dont_cares)
 from repro.opt.logic.kernels import extract_kernels
-from repro.opt.logic.mapping import (_node_cuts, _subject_graph,
-                                     _trivial_cut, tech_map)
+from repro.opt.logic.mapping import (_library_patterns, _node_cuts,
+                                     _pattern_table, _permute_tt,
+                                     _subject_graph, _trivial_cut,
+                                     tech_map)
 from repro.power.activity import (activity_from_simulation,
                                   signal_probability_propagation)
 from repro.power.glitch import glitch_report
@@ -749,3 +752,31 @@ class TestCarriedCutTables:
         digest = hashlib.sha256(write_blif(res.mapped).encode())
         assert (digest.hexdigest(), res.total_area, res.power_cost,
                 res.arrival) == self.PINNED[circuit, objective]
+
+
+class TestLibraryPatterns:
+    def test_built_once_per_library_content(self):
+        _library_patterns(generic_library(), 4)
+        hits = _pattern_table.cache_info().hits
+        library = generic_library()
+        patterns = _library_patterns(library, 4)
+        assert _pattern_table.cache_info().hits == hits + 1
+        cells = {id(c) for c in library}
+        assert all(id(cell) in cells
+                   for entries in patterns.values() for cell, _ in entries)
+
+    def test_first_permutation_of_each_cell(self):
+        library = generic_library()
+        every: Dict[Tuple[int, int], List[Tuple[str, tuple]]] = {}
+        for cell in library:
+            n = cell.num_inputs
+            if 0 < n <= 4:
+                for perm in itertools.permutations(range(n)):
+                    tt = _permute_tt(truth_table(cell.cover), n, perm)
+                    every.setdefault((n, tt), []).append((cell.name, perm))
+        first = {key: [e for i, e in enumerate(entries)
+                       if all(e[0] != f[0] for f in entries[:i])]
+                 for key, entries in every.items()}
+        patterns = _library_patterns(library, 4)
+        assert {key: [(c.name, perm) for c, perm in entries]
+                for key, entries in patterns.items()} == first
