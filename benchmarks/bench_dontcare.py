@@ -3,7 +3,8 @@
 Paper (§III-A.1, [38]/[19]): re-minimizing nodes against their
 controllability/observability don't-cares, with the cover chosen for
 switching activity, reduces power.  Workload: reconvergent random
-networks (rich in CDCs/ODCs).
+networks (rich in CDCs/ODCs), plus one circuit of the largest size the
+flow's don't-care cap admits.
 """
 
 from repro.bench.profiling import PHASE_OPT, PHASE_VERIFY, phase
@@ -20,15 +21,19 @@ SEEDS = [2, 7, 11, 21]
 
 
 def dontcare_sweep(seeds=tuple(SEEDS), vectors=256):
+    circuits = [(f"rand{seed}", seed, random_logic(7, 22, seed=seed))
+                for seed in seeds]
+    # A circuit of perfbench flow-logic's largest class (16 inputs, 120
+    # gates), where the pass sees wide fanout cones and deep BDDs.
+    circuits.append(("rand16x120s5", 5, random_logic(16, 120, seed=5)))
     rows = []
-    for seed in seeds:
-        net = random_logic(7, 22, seed=seed)
+    for label, seed, net in circuits:
         ref = net.copy()
         with phase(PHASE_OPT):
             res = dontcare_power_optimization(net, num_vectors=vectors)
         with phase(PHASE_VERIFY):
             assert verify_equivalence(ref, net, 2 * vectors, seed=seed)
-        rows.append([f"rand{seed}", res.nodes_changed,
+        rows.append([label, res.nodes_changed,
                      res.switched_cap_before, res.switched_cap_after,
                      res.power_saving, res.literals_before,
                      res.literals_after])

@@ -1,9 +1,10 @@
 """A compact hash-consed ROBDD package.
 
-Provides the usual operations (ITE-based apply, quantification,
-composition, restriction) plus *weighted satisfy counting*, which gives
-exact signal probabilities for switching-activity analysis — the role BDDs
-play in refs [3], [16], [30] of the surveyed paper.
+Provides the usual operations (dedicated AND/OR/XOR/NOT apply, ITE,
+quantification, composition, restriction) plus *weighted satisfy
+counting*, which gives exact signal probabilities for switching-activity
+analysis — the role BDDs play in refs [3], [16], [30] of the surveyed
+paper.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ class BDD:
 
     Node 0 is constant FALSE, node 1 constant TRUE.  Internal nodes are
     triples ``(level, lo, hi)`` hash-consed in a unique table.
+
+    ``&``, ``|`` and ``^`` each have their own recursive apply and memo
+    table, keyed on the operand pair in ascending order so that ``f & g``
+    and ``g & f`` share one entry; so does the emptiness test of
+    ``f & g`` (:meth:`_disjoint`), which builds no node.  ``~`` memoises
+    both directions of every complement it builds.  The general
+    three-operand ITE serves only :meth:`BDDFunction.ite`, ``implies``
+    and ``compose``.
     """
 
     FALSE = 0
@@ -29,6 +38,11 @@ class BDD:
         self._hi: List[int] = [0, 1]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        self._and_cache: Dict[Tuple[int, int], int] = {}
+        self._or_cache: Dict[Tuple[int, int], int] = {}
+        self._xor_cache: Dict[Tuple[int, int], int] = {}
+        self._not_cache: Dict[int, int] = {}
+        self._disjoint_cache: Dict[Tuple[int, int], bool] = {}
         for v in variables:
             self.add_variable(v)
 
@@ -41,6 +55,14 @@ class BDD:
         level = len(self.var_names)
         self.var_names.append(name)
         self.var_level[name] = level
+        return level
+
+    def level_of(self, name: str) -> int:
+        """Level of an existing variable; ``ValueError`` names an
+        unknown one."""
+        level = self.var_level.get(name)
+        if level is None:
+            raise ValueError(f"unknown BDD variable {name!r}")
         return level
 
     def var(self, name: str) -> "BDDFunction":
@@ -99,8 +121,111 @@ class BDD:
         self._ite_cache[key] = result
         return result
 
+    def _and(self, f: int, g: int) -> int:
+        if f == g:
+            return f
+        if f > g:
+            f, g = g, f
+        if f <= 1:
+            return g if f else f
+        key = (f, g)
+        hit = self._and_cache.get(key)
+        if hit is not None:
+            return hit
+        level, lo, hi = self._level, self._lo, self._hi
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            result = self._mk(lf, self._and(lo[f], lo[g]),
+                              self._and(hi[f], hi[g]))
+        elif lf < lg:
+            result = self._mk(lf, self._and(lo[f], g), self._and(hi[f], g))
+        else:
+            result = self._mk(lg, self._and(f, lo[g]), self._and(f, hi[g]))
+        self._and_cache[key] = result
+        return result
+
+    def _or(self, f: int, g: int) -> int:
+        if f == g:
+            return f
+        if f > g:
+            f, g = g, f
+        if f <= 1:
+            return BDD.TRUE if f else g
+        key = (f, g)
+        hit = self._or_cache.get(key)
+        if hit is not None:
+            return hit
+        level, lo, hi = self._level, self._lo, self._hi
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            result = self._mk(lf, self._or(lo[f], lo[g]),
+                              self._or(hi[f], hi[g]))
+        elif lf < lg:
+            result = self._mk(lf, self._or(lo[f], g), self._or(hi[f], g))
+        else:
+            result = self._mk(lg, self._or(f, lo[g]), self._or(f, hi[g]))
+        self._or_cache[key] = result
+        return result
+
+    def _xor(self, f: int, g: int) -> int:
+        if f == g:
+            return BDD.FALSE
+        if f > g:
+            f, g = g, f
+        if f <= 1:
+            return self._not(g) if f else g
+        key = (f, g)
+        hit = self._xor_cache.get(key)
+        if hit is not None:
+            return hit
+        level, lo, hi = self._level, self._lo, self._hi
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            result = self._mk(lf, self._xor(lo[f], lo[g]),
+                              self._xor(hi[f], hi[g]))
+        elif lf < lg:
+            result = self._mk(lf, self._xor(lo[f], g), self._xor(hi[f], g))
+        else:
+            result = self._mk(lg, self._xor(f, lo[g]), self._xor(f, hi[g]))
+        self._xor_cache[key] = result
+        return result
+
+    def _disjoint(self, f: int, g: int) -> bool:
+        """Whether ``f & g`` is FALSE, found without building it."""
+        if f == g:
+            return f == BDD.FALSE
+        if f > g:
+            f, g = g, f
+        if f <= 1:
+            return f == BDD.FALSE
+        key = (f, g)
+        hit = self._disjoint_cache.get(key)
+        if hit is not None:
+            return hit
+        level, lo, hi = self._level, self._lo, self._hi
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            result = self._disjoint(lo[f], lo[g]) and \
+                self._disjoint(hi[f], hi[g])
+        elif lf < lg:
+            result = self._disjoint(lo[f], g) and self._disjoint(hi[f], g)
+        else:
+            result = self._disjoint(f, lo[g]) and self._disjoint(f, hi[g])
+        self._disjoint_cache[key] = result
+        return result
+
     def _not(self, f: int) -> int:
-        return self._ite(f, BDD.FALSE, BDD.TRUE)
+        if f <= 1:
+            return f ^ 1
+        hit = self._not_cache.get(f)
+        if hit is not None:
+            return hit
+        result = self._mk(self._level[f], self._not(self._lo[f]),
+                          self._not(self._hi[f]))
+        # ~~f is f: one entry serves both directions.
+        self._not_cache[f] = result
+        self._not_cache[result] = f
+        return result
 
     # -- quantification / substitution -------------------------------------
 
@@ -132,9 +257,8 @@ class BDD:
             return hit
         lo = self._exists_set(self._lo[f], levels, last, cache)
         if level in levels:
-            result = lo if lo == BDD.TRUE else self._ite(
-                lo, BDD.TRUE, self._exists_set(self._hi[f], levels, last,
-                                               cache))
+            result = lo if lo == BDD.TRUE else self._or(
+                lo, self._exists_set(self._hi[f], levels, last, cache))
         else:
             result = self._mk(level, lo, self._exists_set(
                 self._hi[f], levels, last, cache))
@@ -208,19 +332,15 @@ class BDDFunction:
 
     def __and__(self, other) -> "BDDFunction":
         o = self._coerce(other)
-        return BDDFunction(self.bdd,
-                           self.bdd._ite(self.node, o.node, BDD.FALSE))
+        return BDDFunction(self.bdd, self.bdd._and(self.node, o.node))
 
     def __or__(self, other) -> "BDDFunction":
         o = self._coerce(other)
-        return BDDFunction(self.bdd,
-                           self.bdd._ite(self.node, BDD.TRUE, o.node))
+        return BDDFunction(self.bdd, self.bdd._or(self.node, o.node))
 
     def __xor__(self, other) -> "BDDFunction":
         o = self._coerce(other)
-        return BDDFunction(self.bdd,
-                           self.bdd._ite(self.node,
-                                         self.bdd._not(o.node), o.node))
+        return BDDFunction(self.bdd, self.bdd._xor(self.node, o.node))
 
     def __invert__(self) -> "BDDFunction":
         return BDDFunction(self.bdd, self.bdd._not(self.node))
@@ -256,14 +376,14 @@ class BDDFunction:
         """Cofactor with respect to a partial variable assignment."""
         node = self.node
         for name, phase in assignment.items():
-            level = self.bdd.var_level[name]
+            level = self.bdd.level_of(name)
             node = self.bdd._restrict(node, level, 1 if phase else 0, {})
         return BDDFunction(self.bdd, node)
 
     def exists(self, variables: Iterable[str]) -> "BDDFunction":
         """Existential quantification over ``variables``, all in one
         memoised pass."""
-        levels = frozenset(self.bdd.var_level[name] for name in variables)
+        levels = frozenset(self.bdd.level_of(name) for name in variables)
         if not levels:
             return self
         return BDDFunction(self.bdd, self.bdd._exists_set(
@@ -274,7 +394,7 @@ class BDDFunction:
         return ~(~self).exists(variables)
 
     def compose(self, name: str, g: "BDDFunction") -> "BDDFunction":
-        level = self.bdd.var_level[name]
+        level = self.bdd.level_of(name)
         return BDDFunction(self.bdd,
                            self.bdd._compose(self.node, level, g.node, {}))
 

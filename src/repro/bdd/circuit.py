@@ -37,18 +37,20 @@ def bdd_to_cover(func: BDDFunction, var_order: Sequence[str]) -> Cover:
 def cover_function(manager: BDD, cover: Cover,
                    fanin_funcs: Sequence[BDDFunction]) -> BDDFunction:
     """BDD of an SOP ``cover`` whose variable ``i`` is ``fanin_funcs[i]``."""
-    acc = manager.false
+    nodes = [func.node for func in fanin_funcs]
+    and_, or_, not_ = manager._and, manager._or, manager._not
+    acc = BDD.FALSE
     for cube in cover:
-        term = manager.true
+        term = BDD.TRUE
         for var, phase in cube.literals():
-            lit = fanin_funcs[var]
-            term = term & (lit if phase else ~lit)
-            if term.is_false:
+            lit = nodes[var]
+            term = and_(term, lit if phase else not_(lit))
+            if term == BDD.FALSE:
                 break
-        acc = acc | term
-        if acc.is_true:
+        acc = or_(acc, term)
+        if acc == BDD.TRUE:
             break
-    return acc
+    return BDDFunction(manager, acc)
 
 
 def network_bdds(net: Network, bdd: Optional[BDD] = None

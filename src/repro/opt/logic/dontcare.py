@@ -3,7 +3,13 @@
 For each internal node we compute its *controllability* don't-cares
 (fanin combinations that can never occur) and *observability*
 don't-cares (fanin combinations under which the node's value cannot
-reach any output), both via global BDDs.  The node's cover is then
+reach any output), both via global BDDs.  Both come from images on the
+node's fanin space, built straight from the fanins' global functions:
+each fanin in turn splits a care set into the points where it is 1 and
+where it is 0, and the image holds the fanin assignments whose part is
+non-empty.  The CDCs are the complement of the whole source space's
+image; the ODC-only combinations are in the image of the ODC but not
+in that of its complement.  The node's cover is then
 re-minimized against the don't-care set, choosing among the legal covers
 the one that minimizes the node's expected switching contribution
 ``2·p·(1−p)·C`` — the power-aware exploitation of don't-cares from
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.bdd.bdd import BDDFunction
+from repro.bdd.bdd import BDD, BDDFunction
 from repro.bdd.circuit import bdd_to_cover, cover_function, network_bdds
 from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
@@ -30,24 +36,47 @@ from repro.power.model import PowerParameters, node_capacitance
 MAX_FANINS = 10
 
 
-def _sources(net: Network) -> List[str]:
-    return [n.name for n in net.nodes.values() if n.is_source()]
+def _fanin_space(bdd: BDD, node: Node, funcs: Dict[str, BDDFunction]
+                 ) -> Tuple[List[str], List[Tuple[int, int]]]:
+    """The node's fanin space: one ``__cdc_*`` variable per fanin (made
+    on first use), and ``(level, global function node)`` of each fanin
+    in level order, the order in which :func:`_fanin_image` builds."""
+    aux = [f"__cdc_{node.name}_{i}" for i in range(len(node.fanins))]
+    fanins = []
+    for name, fi in zip(aux, node.fanins):
+        bdd.var(name)
+        fanins.append((bdd.var_level[name], funcs[fi].node))
+    fanins.sort()
+    return aux, fanins
 
 
-def _fanin_relation(node: Node, funcs: Dict[str, BDDFunction],
-                    aux_names: List[str]) -> BDDFunction:
-    """Relation between the source space and the node's fanin space:
-    1 where each auxiliary variable of ``aux_names`` (one per fanin)
-    equals its fanin's global function."""
-    bdd = next(iter(funcs.values())).bdd
-    relation = bdd.true
-    for aux, fi in zip(aux_names, node.fanins):
-        relation = relation & ~(bdd.var(aux) ^ funcs[fi])
-    return relation
-
-
-def _aux_names(node: Node) -> List[str]:
-    return [f"__cdc_{node.name}_{i}" for i in range(len(node.fanins))]
+def _fanin_image(bdd: BDD, care: int, fanins: List[Tuple[int, int]],
+                 i: int, memo: Dict[Tuple[int, int], int]) -> int:
+    """Image of the source-space set ``care`` on the fanin space of
+    ``fanins[i:]`` (from :func:`_fanin_space`): the fanin assignments
+    that some point of ``care`` produces.  Each fanin splits the care
+    set by its function, and an empty part prunes its branch; at the
+    last fanin only the parts' emptiness matters, so neither is built."""
+    if care == BDD.FALSE:
+        return BDD.FALSE
+    if not fanins:
+        return BDD.TRUE
+    key = (i, care)
+    hit = memo.get(key)
+    if hit is None:
+        level, func = fanins[i]
+        neg = bdd._not(func)
+        if i + 1 == len(fanins):
+            lo = BDD.FALSE if bdd._disjoint(care, neg) else BDD.TRUE
+            hi = BDD.FALSE if bdd._disjoint(care, func) else BDD.TRUE
+        else:
+            lo = _fanin_image(bdd, bdd._and(care, neg), fanins, i + 1,
+                              memo)
+            hi = _fanin_image(bdd, bdd._and(care, func), fanins, i + 1,
+                              memo)
+        hit = bdd._mk(level, lo, hi)
+        memo[key] = hit
+    return hit
 
 
 def controllability_dont_cares(net: Network, node_name: str,
@@ -58,9 +87,10 @@ def controllability_dont_cares(net: Network, node_name: str,
     node = net.node(node_name)
     if funcs is None:
         funcs = network_bdds(net)
-    aux = _aux_names(node)
-    image = _fanin_relation(node, funcs, aux).exists(_sources(net))
-    return bdd_to_cover(~image, aux)
+    bdd = next(iter(funcs.values())).bdd
+    aux, fanins = _fanin_space(bdd, node, funcs)
+    image = _fanin_image(bdd, BDD.TRUE, fanins, 0, {})
+    return bdd_to_cover(BDDFunction(bdd, bdd._not(image)), aux)
 
 
 def _fanout_cone(net: Network, name: str) -> List[str]:
@@ -167,7 +197,6 @@ def dontcare_power_optimization(net: Network,
     # Work on the SOP view so the new covers can be installed in place.
     gates_to_sop(net)
     params = PowerParameters()
-    sources = _sources(net)
 
     probs = signal_probability_propagation(net, input_probs)
 
@@ -189,6 +218,7 @@ def dontcare_power_optimization(net: Network,
     cap_before, lits_before = total_cost()
     cost = cap_before
     funcs = network_bdds(net)
+    bdd = next(iter(funcs.values())).bdd
     changed = 0
     for name in net.topo_order():
         node = net.nodes[name]
@@ -196,16 +226,22 @@ def dontcare_power_optimization(net: Network,
             continue
         if len(node.fanins) > MAX_FANINS:
             continue
-        aux = _aux_names(node)
-        relation = _fanin_relation(node, funcs, aux)
-        reachable = relation.exists(sources)
-        dc = bdd_to_cover(~reachable, aux)
-        odc_global = observability_dont_cares(net, name, funcs)
-        if not odc_global.is_false:
+        aux, fanins = _fanin_space(bdd, node, funcs)
+        odc = observability_dont_cares(net, name, funcs).node
+        memo: Dict[Tuple[int, int], int] = {}
+        odc_only: Optional[Cover] = None
+        if odc == BDD.FALSE:
+            reachable = _fanin_image(bdd, BDD.TRUE, fanins, 0, memo)
+        else:
+            img = _fanin_image(bdd, odc, fanins, 0, memo)
+            non_odc = _fanin_image(bdd, bdd._not(odc), fanins, 0, memo)
+            reachable = bdd._or(img, non_odc)
             # Fanin combos reachable *only* under the ODC condition.
-            img = (relation & odc_global).exists(sources)
-            non_odc = (relation & ~odc_global).exists(sources)
-            dc = dc.union(bdd_to_cover(img & ~non_odc, aux))
+            odc_only = bdd_to_cover(
+                BDDFunction(bdd, bdd._and(img, bdd._not(non_odc))), aux)
+        dc = bdd_to_cover(BDDFunction(bdd, bdd._not(reachable)), aux)
+        if odc_only is not None:
+            dc = dc.union(odc_only)
         if dc.is_empty():
             continue
         on = node.cover
@@ -229,7 +265,7 @@ def dontcare_power_optimization(net: Network,
                 # Only the node's fanout cone changed: refresh its
                 # functions and probabilities in place.
                 cone = _fanout_cone(net, name)
-                head = cover_function(funcs[name].bdd, best,
+                head = cover_function(bdd, best,
                                       [funcs[fi] for fi in node.fanins])
                 funcs.update(_cone_functions(net, cone, head, funcs))
                 for member in cone:

@@ -208,20 +208,20 @@ def tech_map(net: Network, library: Library, objective: str = "area",
              ) -> MappingResult:
     """Map a network onto ``library`` minimizing ``objective``.
 
-    ``activity`` (per subject-graph node, transitions/cycle) is needed
-    for the power objective; it is estimated by simulation of the
-    subject graph when absent.  ``decomposition`` selects the subject
-    graph style (``"balanced"`` or the probability-ordered ``"power"``
-    chains of [48]; the latter uses ``input_probs``).
+    ``activity`` (per subject-graph node, transitions/cycle) prices the
+    power objective and, under every objective, the chosen cells'
+    ``power_cost``; it is estimated by simulation of the subject graph
+    when absent.  ``decomposition`` selects the subject graph style
+    (``"balanced"`` or the probability-ordered ``"power"`` chains of
+    [48]; the latter uses ``input_probs``).
     """
     if objective not in ("area", "power", "delay"):
         raise ValueError("objective must be area, power or delay")
     subject = _subject_graph(net, decomposition, input_probs)
-    if objective == "power" and activity is None:
+    if activity is None:
         activity, _ = activity_from_simulation(subject, num_vectors=1024,
                                                seed=seed,
                                                input_probs=input_probs)
-    activity = activity or {}
 
     max_inputs = max(c.num_inputs for c in library)
     patterns = _library_patterns(library, min(k, max_inputs))

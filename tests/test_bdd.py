@@ -154,6 +154,158 @@ class TestQuantification:
         assert g.equiv(a & (c | a))
 
 
+_KVARS = [f"x{i}" for i in range(6)]
+_FULL = (1 << 64) - 1
+#: Truth table of each variable over the 64 minterms of x0..x5 (bit i
+#: of a minterm is x_i).
+_VAR_TT = [sum(1 << m for m in range(64) if m >> i & 1) for i in range(6)]
+
+
+def _shannon(bdd, levels, table, depth, minterm):
+    """ROBDD of ``table`` built straight from the truth table by Shannon
+    expansion with ``_mk``, involving no apply operation; ``minterm``
+    holds the values of the variables above ``depth``."""
+    if depth == len(levels):
+        return table >> minterm & 1
+    lo = _shannon(bdd, levels, table, depth + 1, minterm)
+    hi = _shannon(bdd, levels, table, depth + 1, minterm | 1 << depth)
+    return bdd._mk(levels[depth], lo, hi)
+
+
+def _cofactor(table, i, phase):
+    bit = 1 << i
+    return sum((table >> ((m & ~bit) | (bit if phase else 0)) & 1) << m
+               for m in range(64))
+
+
+def _leaves():
+    return st.one_of(st.sampled_from(range(6)).map(lambda i: ("var", i)),
+                     st.sampled_from([("const", 0), ("const", 1)]))
+
+
+def _grow(kids):
+    subset = st.lists(st.sampled_from(_KVARS), unique=True, max_size=3)
+    return st.one_of(
+        st.tuples(st.just("not"), kids),
+        st.tuples(st.sampled_from(["and", "or", "xor"]), kids, kids),
+        st.tuples(st.just("ite"), kids, kids, kids),
+        st.tuples(st.sampled_from(["exists", "forall"]), kids, subset),
+        st.tuples(st.just("restrict"), kids,
+                  st.dictionaries(st.sampled_from(_KVARS),
+                                  st.integers(0, 1), max_size=3)),
+        st.tuples(st.just("compose"), kids, st.sampled_from(range(6)),
+                  kids))
+
+
+_EXPRESSIONS = st.recursive(_leaves(), _grow, max_leaves=12)
+
+
+class TestKernelProperty:
+    """Every operation gives the canonical node of its truth table."""
+
+    def _check(self, bdd, levels, expr):
+        """(function, truth table) of ``expr``, asserting at every
+        subexpression that the function's node is the one built from
+        its truth table."""
+        op = expr[0]
+        if op == "var":
+            f, t = bdd.var(_KVARS[expr[1]]), _VAR_TT[expr[1]]
+        elif op == "const":
+            f, t = (bdd.true, _FULL) if expr[1] else (bdd.false, 0)
+        elif op == "not":
+            a, ta = self._check(bdd, levels, expr[1])
+            f, t = ~a, _FULL ^ ta
+        elif op in ("and", "or", "xor"):
+            a, ta = self._check(bdd, levels, expr[1])
+            b, tb = self._check(bdd, levels, expr[2])
+            if op == "and":
+                f, t = a & b, ta & tb
+            elif op == "or":
+                f, t = a | b, ta | tb
+            else:
+                f, t = a ^ b, ta ^ tb
+            assert a.implies(b) == (ta & ~tb == 0)
+            assert bdd._disjoint(a.node, b.node) == (ta & tb == 0)
+        elif op == "ite":
+            a, ta = self._check(bdd, levels, expr[1])
+            b, tb = self._check(bdd, levels, expr[2])
+            c, tc = self._check(bdd, levels, expr[3])
+            f, t = a.ite(b, c), (ta & tb) | (~ta & tc & _FULL)
+        elif op in ("exists", "forall"):
+            a, t = self._check(bdd, levels, expr[1])
+            for name in expr[2]:
+                lo, hi = (_cofactor(t, _KVARS.index(name), p)
+                          for p in (0, 1))
+                t = (lo | hi) if op == "exists" else (lo & hi)
+            f = a.exists(expr[2]) if op == "exists" else a.forall(expr[2])
+        elif op == "restrict":
+            a, t = self._check(bdd, levels, expr[1])
+            for name, phase in expr[2].items():
+                t = _cofactor(t, _KVARS.index(name), phase)
+            f = a.restrict(expr[2])
+        else:
+            a, ta = self._check(bdd, levels, expr[1])
+            g, tg = self._check(bdd, levels, expr[3])
+            i = expr[2]
+            f = a.compose(_KVARS[i], g)
+            t = (tg & _cofactor(ta, i, 1)) | \
+                (~tg & _cofactor(ta, i, 0) & _FULL)
+        assert f.node == _shannon(bdd, levels, t, 0, 0), expr
+        return f, t
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EXPRESSIONS)
+    def test_result_is_canonical_node_of_truth_table(self, expr):
+        bdd = BDD(_KVARS)
+        levels = [bdd.level_of(name) for name in _KVARS]
+        self._check(bdd, levels, expr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_EXPRESSIONS, _EXPRESSIONS)
+    def test_commuted_and_double_negated_reuse_the_cache(self, ef, eg):
+        # The swapped operands and the complement of a complement hit
+        # the memo tables: same node, no new node, no new entry.
+        bdd = BDD(_KVARS)
+        levels = [bdd.level_of(name) for name in _KVARS]
+        f, _ = self._check(bdd, levels, ef)
+        g, _ = self._check(bdd, levels, eg)
+        for op, cache in ((lambda x, y: x & y, bdd._and_cache),
+                          (lambda x, y: x | y, bdd._or_cache),
+                          (lambda x, y: x ^ y, bdd._xor_cache)):
+            h = op(f, g)
+            work = (bdd.num_nodes(), len(cache))
+            assert op(g, f).node == h.node
+            assert (bdd.num_nodes(), len(cache)) == work
+        disjoint = bdd._disjoint(f.node, g.node)
+        entries = len(bdd._disjoint_cache)
+        assert bdd._disjoint(g.node, f.node) == disjoint
+        assert len(bdd._disjoint_cache) == entries
+        nf = ~f
+        work = (bdd.num_nodes(), len(bdd._not_cache))
+        assert (~nf).node == f.node
+        assert (bdd.num_nodes(), len(bdd._not_cache)) == work
+
+
+class TestUnknownVariable:
+    """Naming a variable the manager does not know is a diagnostic."""
+
+    def test_restrict(self, mgr):
+        with pytest.raises(ValueError, match="'zz'"):
+            mgr.var("a").restrict({"zz": 1})
+
+    def test_exists(self, mgr):
+        with pytest.raises(ValueError, match="'zz'"):
+            mgr.var("a").exists(["b", "zz"])
+
+    def test_forall(self, mgr):
+        with pytest.raises(ValueError, match="'zz'"):
+            mgr.var("a").forall(["zz"])
+
+    def test_compose(self, mgr):
+        with pytest.raises(ValueError, match="'zz'"):
+            mgr.var("a").compose("zz", mgr.var("b"))
+
+
 class TestAnalysis:
     def test_probability_uniform(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
