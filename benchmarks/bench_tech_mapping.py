@@ -63,7 +63,8 @@ EXACT_CIRCUITS = [
 def exact_metrics():
     """Area, arrival and power cost under every objective (each prices
     its chosen cells with the same estimated activity; only the power
-    objective also chooses by it)."""
+    objective also chooses by it), and the walk's work: the cuts kept
+    and the (cut, cell) pairs priced."""
     lib = generic_library()
     metrics = {}
     for name, make in EXACT_CIRCUITS:
@@ -75,6 +76,8 @@ def exact_metrics():
             metrics[f"{key}.total_area"] = res.total_area
             metrics[f"{key}.arrival"] = res.arrival
             metrics[f"{key}.power_cost"] = res.power_cost
+            metrics[f"{key}.cuts"] = res.cuts
+            metrics[f"{key}.matches"] = res.matches
     return metrics
 
 

@@ -4,10 +4,14 @@
 The input network is first decomposed into a 2-input AND/OR/NOT subject
 graph.  One topological walk enumerates every node's k-feasible cuts
 and matches them against the library (each cell's distinct permuted
-truth tables are tabulated once per library content).  Each cut
-carries its truth table: a kept cut's table is the node's gate applied
-to its two fanin cuts' tables, expanded to the union's leaf order, so
-no table is recomputed from the cone.  Where a union cut has a leaf
+truth tables are tabulated once per library content).  A node's
+distinct fitting unions of fanin cuts are sorted by leaf count and
+truncated before any truth table is built.  Each cut carries its truth
+table: a kept cut's table is the node's gate applied to its two fanin
+cuts' tables, each expanded to the union's leaf order by one lookup in
+a table per (union size, leaf positions), built on first use, so no
+table is recomputed from the cone.  Only cuts whose table has a library
+pattern are priced.  Where a union cut has a leaf
 inside the other fanin cut's cone, this table can differ from the
 cone's (which frees that leaf) on leaf assignments that cannot occur;
 both agree on every one that can.  The same walk's dynamic program
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.library.cells import Cell, Library
 
@@ -64,38 +68,49 @@ _Pins = Tuple[int, ...]
 
 
 @lru_cache(maxsize=8)
-def _pattern_table(cells: Tuple[Tuple[str, int, int], ...], max_inputs: int
-                   ) -> Dict[Tuple[int, int], Tuple[Tuple[str, _Pins], ...]]:
-    """(num_inputs, truth_table) -> ((cell name, pin permutation), ...)
-    for cells given as (name, num_inputs, truth table).
+def _pattern_table(cells: Tuple[Tuple[str, int, int, float], ...],
+                   max_inputs: int
+                   ) -> Dict[Tuple[int, int],
+                             Tuple[Tuple[str, _Pins, float], ...]]:
+    """(num_inputs, truth_table) -> ((cell name, pin permutation,
+    delay), ...) for cells given as (name, num_inputs, truth table,
+    delay at the mapping load).
 
     Only a cell's first permutation per table is kept: a match's cost
     and arrival do not depend on the permutation, and ``tech_map``
     keeps the first of equal (cost, arrival), so a later one never wins.
     """
-    patterns: Dict[Tuple[int, int], List[Tuple[str, _Pins]]] = {}
-    for name, n, base_tt in cells:
+    patterns: Dict[Tuple[int, int], List[Tuple[str, _Pins, float]]] = {}
+    for name, n, base_tt, delay in cells:
         if n == 0 or n > max_inputs:
             continue
         for perm in permutations(range(n)):
             entries = patterns.setdefault(
                 (n, _permute_tt(base_tt, n, perm)), [])
-            if all(cell != name for cell, _ in entries):
-                entries.append((name, perm))
+            if all(cell != name for cell, _, _ in entries):
+                entries.append((name, perm, delay))
     return {key: tuple(entries) for key, entries in patterns.items()}
 
 
+#: The load every match's delay is taken at (``Cell.delay``).
+_MATCH_LOAD = 4.0
+
+
 def _library_patterns(library: Library, max_inputs: int
-                      ) -> Dict[Tuple[int, int], List[Tuple[Cell, _Pins]]]:
-    """Map (num_inputs, truth_table) -> [(cell, pin permutation)].
+                      ) -> Dict[Tuple[int, int],
+                                List[Tuple[Cell, _Pins, float]]]:
+    """Map (num_inputs, truth_table) -> [(cell, pin permutation, cell
+    delay at ``_MATCH_LOAD``)].
 
     ``perm`` maps cut-leaf positions to cell pins: leaf i connects to
     cell pin perm[i].  The table is built once per library content.
     """
     table = _pattern_table(
-        tuple((c.name, c.num_inputs, truth_table(c.cover)) for c in library),
+        tuple((c.name, c.num_inputs, truth_table(c.cover),
+               c.delay(_MATCH_LOAD)) for c in library),
         max_inputs)
-    return {key: [(library[name], perm) for name, perm in entries]
+    return {key: [(library[name], perm, delay)
+                  for name, perm, delay in entries]
             for key, entries in table.items()}
 
 
@@ -118,54 +133,115 @@ def _expand(tt: int, pos: Tuple[int, ...], n: int) -> int:
     return out
 
 
+def _positions(sel: int) -> Tuple[int, ...]:
+    """The set bits of ``sel``, lowest first."""
+    return tuple(i for i in range(sel.bit_length()) if (sel >> i) & 1)
+
+
+#: Unions of at most this many leaves expand their fanin cuts' tables
+#: by ``_EXPANSION`` lookup; wider ones through ``_expand_wide``.
+_TABLE_LEAVES = 4
+
+#: (n, sel) -> the table, indexed by a truth table over popcount(sel)
+#: variables, of the same function over n variables: old variable i
+#: becomes the i-th set bit of ``sel``.  Each is built on first use by
+#: ``_expansion`` (at most 256 entries, as sel has fewer than n bits).
+_EXPANSION: Dict[Tuple[int, int], List[int]] = {}
+
+
+def _expansion(n: int, sel: int) -> List[int]:
+    """The ``_EXPANSION`` table of ``(n, sel)``, built on first use."""
+    table = _EXPANSION.get((n, sel))
+    if table is None:
+        pos = _positions(sel)
+        # Expansion distributes over OR: a table's expansion is its
+        # lowest minterm's joined with the rest's.
+        minterm = [_expand(1 << m, pos, n) for m in range(1 << len(pos))]
+        table = [0] * (1 << (1 << len(pos)))
+        for tt in range(1, len(table)):
+            low = tt & -tt
+            table[tt] = table[tt ^ low] | minterm[low.bit_length() - 1]
+        _EXPANSION[n, sel] = table
+    return table
+
+
+@lru_cache(maxsize=4096)
+def _expand_wide(tt: int, sel: int, n: int) -> int:
+    """``_expand`` onto the set bits of ``sel``, memoised, for unions
+    wider than ``_TABLE_LEAVES`` (whose tables would be too large)."""
+    return _expand(tt, _positions(sel), n)
+
+
+def _expanded(tt: int, cut_leaves: Cut, leaves: Cut) -> int:
+    """``tt`` over ``cut_leaves`` re-expressed over ``leaves``, a sorted
+    superset of the sorted ``cut_leaves``."""
+    n = len(leaves)
+    sel = 0
+    for leaf in cut_leaves:
+        sel |= 1 << leaves.index(leaf)
+    if n > _TABLE_LEAVES:
+        return _expand_wide(tt, sel, n)
+    return _expansion(n, sel)[tt]
+
+
 def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]], k: int,
-               expanded: Dict[Tuple[int, Tuple[int, ...], int], int],
                max_cuts_per_node: int = 12) -> List[_Cut]:
     """``node``'s k-feasible cuts (priority: fewer leaves), its trivial
     cut first, from its fanins' cuts in ``cuts``.
 
-    Each kept cut's truth table is the node's gate applied to its
-    fanin cuts' tables, each expanded to the union's leaf order
-    (``expanded`` memoises the expansions).
+    The distinct unions of one cut per fanin that fit in ``k`` leaves
+    are sorted stably by leaf count (first-seen order within a count)
+    and cut to ``max_cuts_per_node - 1`` before any table is built.  A
+    kept cut's truth table is the node's gate applied to the first
+    fanin cuts whose union it is, each table expanded to the union's
+    leaf order (``_expanded``).
     """
-    if len(node.fanins) > 2:
-        raise ValueError(f"subject node {name!r} has {len(node.fanins)} "
+    fanins = node.fanins
+    if len(fanins) > 2:
+        raise ValueError(f"subject node {name!r} has {len(fanins)} "
                          f"fanins; cut enumeration needs at most two "
                          f"(decompose_to_primitives first)")
-    # Leaf count -> {leaf set: the first fanin cuts whose union it is};
-    # walking the buckets in order is a stable sort by size.
-    buckets: List[Dict[FrozenSet[str], Tuple[_Cut, ...]]] = \
-        [{} for _ in range(k + 1)]
-    if len(node.fanins) == 1:
-        for c in cuts[node.fanins[0]]:
-            buckets[len(c[0])].setdefault(c[1], (c,))
+    # Leaf set -> the first fanin cuts whose union it is.
+    unions: Dict[FrozenSet[str], Tuple[_Cut, ...]] = {}
+    if len(fanins) == 1:
+        for c in cuts[fanins[0]]:
+            unions.setdefault(c[1], (c,))
     else:
-        right = [(c2[1], c2) for c2 in cuts[node.fanins[1]]]
-        for c1 in cuts[node.fanins[0]]:
+        right = cuts[fanins[1]]
+        for c1 in cuts[fanins[0]]:
             s1 = c1[1]
-            for s2, c2 in right:
-                u = s1 | s2
-                n = len(u)
-                if n <= k and u not in buckets[n]:
-                    buckets[n][u] = (c1, c2)
+            for c2 in right:
+                u = s1 | c2[1]
+                if len(u) <= k and u not in unions:
+                    unions[u] = (c1, c2)
+    kept = sorted(unions, key=len)[:max_cuts_per_node - 1]
+    gtype = node.gtype if node.kind == "gate" else None
     out: List[_Cut] = [_trivial_cut(name)]
-    for bucket in buckets:
-        for u, parts in bucket.items():
-            leaves = tuple(sorted(u))
-            n = len(leaves)
-            words = []
-            for c in parts:
-                tt = c[2]
-                if len(c[0]) < n:
-                    pos = tuple(leaves.index(l) for l in c[0])
-                    key = (tt, pos, n)
-                    if key not in expanded:
-                        expanded[key] = _expand(tt, pos, n)
-                    tt = expanded[key]
-                words.append(tt)
-            out.append((leaves, u, _apply(node, words, n)))
-            if len(out) >= max_cuts_per_node:
-                return out
+    if len(fanins) == 1:
+        # A one-fanin union is the fanin cut itself: same leaves.
+        for u in kept:
+            leaves, _, tt = unions[u][0]
+            if gtype is GateType.NOT:
+                tt ^= (1 << (1 << len(leaves))) - 1
+            else:
+                tt = _apply(node, [tt], len(leaves))
+            out.append((leaves, u, tt))
+        return out
+    for u in kept:
+        (l1, _, t1), (l2, _, t2) = unions[u]
+        leaves = tuple(sorted(u))
+        n = len(leaves)
+        if len(l1) < n:
+            t1 = _expanded(t1, l1, leaves)
+        if len(l2) < n:
+            t2 = _expanded(t2, l2, leaves)
+        if gtype is GateType.AND:
+            tt = t1 & t2
+        elif gtype is GateType.OR:
+            tt = t1 | t2
+        else:
+            tt = _apply(node, [t1, t2], n)
+        out.append((leaves, u, tt))
     return out
 
 
@@ -190,7 +266,11 @@ def _subject_graph(net: Network, decomposition: str,
 
 @dataclass
 class MappingResult:
-    """Cost summary of a mapping."""
+    """Cost summary of a mapping.
+
+    ``cuts`` counts the non-trivial cuts kept over all subject nodes,
+    and ``matches`` the (cut, cell) pairs priced; both are the walk's
+    work, independent of the host."""
 
     mapped: Network
     objective: str
@@ -198,6 +278,8 @@ class MappingResult:
     power_cost: float
     arrival: float
     cells_used: Dict[str, int]
+    cuts: int
+    matches: int
 
 
 def tech_map(net: Network, library: Library, objective: str = "area",
@@ -211,7 +293,12 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     ``activity`` (per subject-graph node, transitions/cycle) prices the
     power objective and, under every objective, the chosen cells'
     ``power_cost``; it is estimated by simulation of the subject graph
-    when absent.  ``decomposition`` selects the subject graph style
+    when absent.  ``k`` bounds a cut's leaves (the default 4 is the
+    generic library's widest cell).  A smaller ``k`` never matches the
+    wider cells; a larger one keeps cuts wider than any cell, which take
+    kept-cut slots but never match.  Tables of cuts over at most four
+    leaves are expanded by table lookup, wider ones by a memoised
+    recomputation.  ``decomposition`` selects the subject graph style
     (``"balanced"`` or the probability-ordered ``"power"`` chains of
     [48]; the latter uses ``input_probs``).
     """
@@ -225,7 +312,8 @@ def tech_map(net: Network, library: Library, objective: str = "area",
 
     max_inputs = max(c.num_inputs for c in library)
     patterns = _library_patterns(library, min(k, max_inputs))
-    consts = {name for name, node in subject.nodes.items()
+    nodes = subject.nodes
+    consts = {name for name, node in nodes.items()
               if node.kind == "gate" and
               node.gtype in (GateType.CONST0, GateType.CONST1)}
 
@@ -234,74 +322,92 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     best_match: Dict[str, Tuple[Cell, Tuple[int, ...], Cut]] = {}
     arrival: Dict[str, float] = {}
     cuts: Dict[str, List[_Cut]] = {}
-    expanded: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
+    num_cuts = 0
+    num_matches = 0
 
-    def match(name: str, cut: _Cut) -> None:
-        """Price every library match of ``cut`` as the cover of
-        ``name``, keeping the best in ``best_match``."""
-        leaves, leafset, tt = cut
-        matches = patterns.get((len(leaves), tt))
-        if not matches or not consts.isdisjoint(leafset) or \
-                any(best_cost.get(l, INF) == INF for l in leaves):
-            return
-        leaf_cost = sum(best_cost[l] for l in leaves)
-        leaf_arr = max((arrival[l] for l in leaves), default=0.0)
-        own_act = activity.get(name, 0.0)
-        leaf_acts = [activity.get(l, 0.0) for l in leaves]
-        for cell, perm in matches:
-            arr = leaf_arr + cell.delay(4.0)
+    def match(name: str, leaves: Cut,
+              entries: List[Tuple[Cell, _Pins, float]]) -> None:
+        """Price ``entries``, the library matches of the cut ``leaves``,
+        as the cover of ``name``, keeping the best in ``best_match``."""
+        nonlocal num_matches
+        leaf_costs = []
+        leaf_arr = 0.0
+        for leaf in leaves:
+            cost = best_cost.get(leaf, INF)
+            if cost == INF or leaf in consts:
+                return
+            leaf_costs.append(cost)
+            if arrival[leaf] > leaf_arr:
+                leaf_arr = arrival[leaf]
+        # ``sum`` rather than a running ``+=``: from Python 3.12 the two
+        # round floats differently, and every cost here is a ``sum``.
+        leaf_cost = sum(leaf_costs)
+        num_matches += len(entries)
+        if objective == "power":
+            own_act = activity.get(name, 0.0)
+            leaf_acts = [activity.get(leaf, 0.0) for leaf in leaves]
+        best = best_cost[name]
+        best_arr = arrival[name]
+        chosen = None
+        for cell, perm, delay in entries:
+            arr = leaf_arr + delay
             if objective == "area":
                 cost = leaf_cost + cell.area
             elif objective == "power":
-                own = own_act * cell.output_cap
-                pins = sum(a * cell.input_cap for a in leaf_acts)
-                cost = leaf_cost + own + pins
+                cost = leaf_cost + own_act * cell.output_cap + \
+                    sum([a * cell.input_cap for a in leaf_acts])
             else:
                 cost = arr
-            better = cost < best_cost[name] or \
-                (cost == best_cost[name] and arr < arrival[name])
-            if better:
-                best_cost[name] = cost
-                arrival[name] = arr
-                best_match[name] = (cell, perm, leaves)
+            if cost < best or (cost == best and arr < best_arr):
+                best, best_arr, chosen = cost, arr, (cell, perm, leaves)
+        if chosen is not None:
+            best_cost[name] = best
+            arrival[name] = best_arr
+            best_match[name] = chosen
 
     # Readers yet to merge each node's cuts; a node's cuts are dropped
     # once the last one has.
     unread: Dict[str, int] = {}
-    for node in subject.nodes.values():
+    for node in nodes.values():
         if not node.is_source():
             for fi in set(node.fanins):
                 unread[fi] = unread.get(fi, 0) + 1
 
     # One topological walk: a node's cuts come from its fanins' cuts,
-    # and it is matched as soon as they are known.
+    # and the ones with a library pattern are priced as soon as they
+    # are known.
     for name in subject.topo_order():
-        node = subject.nodes[name]
+        node = nodes[name]
         if node.is_source() or not node.fanins:
-            cuts[name] = [_trivial_cut(name)]
+            node_cuts = [_trivial_cut(name)]
         else:
-            cuts[name] = _node_cuts(name, node, cuts, k, expanded)
+            node_cuts = _node_cuts(name, node, cuts, k)
+            num_cuts += len(node_cuts) - 1
             for fi in set(node.fanins):
                 unread[fi] -= 1
                 if not unread[fi]:
                     del cuts[fi]
+        cuts[name] = node_cuts
         if node.is_source() or name in consts:
             best_cost[name] = 0.0
             arrival[name] = 0.0
             continue
         best_cost[name] = INF
         arrival[name] = INF
-        for cut in cuts[name][1:]:
-            match(name, cut)
+        for leaves, _, tt in node_cuts[1:]:
+            entries = patterns.get((len(leaves), tt))
+            if entries:
+                match(name, leaves, entries)
         if best_cost[name] == INF:
             # Heavy reconvergence can fill the truncated cut set with
             # cuts the library cannot match; the fanin cut is the last
             # resort.
             leaves = tuple(sorted(set(node.fanins)))
             words = exhaustive_words(leaves)
-            match(name, (leaves, frozenset(leaves),
-                         _apply(node, [words[fi] for fi in node.fanins],
-                                len(leaves))))
+            entries = patterns.get((len(leaves), _apply(
+                node, [words[fi] for fi in node.fanins], len(leaves))))
+            if entries:
+                match(name, leaves, entries)
         if best_cost[name] == INF:
             raise RuntimeError(
                 f"no library match for node {name!r}; the library must "
@@ -315,51 +421,53 @@ def tech_map(net: Network, library: Library, objective: str = "area",
         mapped.add_latch(latch.data, latch.output, latch.init,
                          latch.enable)
 
-    emitted: Dict[str, bool] = {}
+    emitted: Set[str] = set()
     cells_used: Dict[str, int] = {}
     total_area = 0.0
     power_cost = 0.0
-
-    def emit(name: str) -> None:
-        if emitted.get(name):
-            return
-        node = subject.nodes[name]
-        if node.is_source():
-            emitted[name] = True
-            return
-        if node.kind == "gate" and node.gtype in (GateType.CONST0,
-                                                  GateType.CONST1):
-            mapped.add_gate(name, node.gtype, [])
-            emitted[name] = True
-            return
-        cell, perm, cut = best_match[name]
-        for leaf in cut:
-            emit(leaf)
-        # Cut leaf i drives cell pin perm[i]; the mapped node's fanin
-        # list is in pin order.
-        pin_src = [""] * cell.num_inputs
-        for i, leaf in enumerate(cut):
-            pin_src[perm[i]] = leaf
-        new = Node(name, "sop", fanins=pin_src, cover=cell.cover.copy())
-        new.attrs["cell"] = cell
-        mapped.set_node(new)
-        emitted[name] = True
-        nonlocal total_area, power_cost
-        total_area += cell.area
-        cells_used[cell.name] = cells_used.get(cell.name, 0) + 1
-        power_cost += activity.get(name, 0.0) * cell.output_cap + \
-            sum(activity.get(l, 0.0) * cell.input_cap for l in cut)
-
     roots = list(subject.outputs) + [l.data for l in subject.latches] + \
         [l.enable for l in subject.latches if l.enable]
+    # Depth-first post-order from each root in turn, a match's leaves in
+    # cut order, on an explicit stack so that depth is unbounded: (node,
+    # index of the next leaf to emit).
     for root in roots:
-        emit(root)
-    # ``emit`` reaches itself through its closure; clearing it frees the
-    # subject graph now instead of at a later cycle collection.
-    del emit
+        stack = [(root, 0)]
+        while stack:
+            name, i = stack.pop()
+            if i == 0:
+                if name in emitted:
+                    continue
+                node = nodes[name]
+                if node.is_source():
+                    emitted.add(name)
+                    continue
+                if node.kind == "gate" and node.gtype in (GateType.CONST0,
+                                                          GateType.CONST1):
+                    mapped.add_gate(name, node.gtype, [])
+                    emitted.add(name)
+                    continue
+            cell, perm, cut = best_match[name]
+            if i < len(cut):
+                stack.append((name, i + 1))
+                stack.append((cut[i], 0))
+                continue
+            # Cut leaf j drives cell pin perm[j]; the mapped node's fanin
+            # list is in pin order.
+            pin_src = [""] * cell.num_inputs
+            for j, leaf in enumerate(cut):
+                pin_src[perm[j]] = leaf
+            new = Node(name, "sop", fanins=pin_src, cover=cell.cover.copy())
+            new.attrs["cell"] = cell
+            mapped.set_node(new)
+            emitted.add(name)
+            total_area += cell.area
+            cells_used[cell.name] = cells_used.get(cell.name, 0) + 1
+            power_cost += activity.get(name, 0.0) * cell.output_cap + \
+                sum(activity.get(l, 0.0) * cell.input_cap for l in cut)
     mapped.set_outputs(subject.outputs)
     mapped.check()
     worst_arrival = max((arrival[r] for r in roots), default=0.0)
     return MappingResult(mapped=mapped, objective=objective,
                          total_area=total_area, power_cost=power_cost,
-                         arrival=worst_arrival, cells_used=cells_used)
+                         arrival=worst_arrival, cells_used=cells_used,
+                         cuts=num_cuts, matches=num_matches)

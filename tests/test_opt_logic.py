@@ -29,10 +29,11 @@ from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
                                       dontcare_power_optimization,
                                       observability_dont_cares)
 from repro.opt.logic.kernels import extract_kernels
-from repro.opt.logic.mapping import (_library_patterns, _node_cuts,
-                                     _pattern_table, _permute_tt,
-                                     _subject_graph, _trivial_cut,
-                                     tech_map)
+from repro.opt.logic.mapping import (_EXPANSION, _expand, _expand_wide,
+                                     _expansion, _library_patterns,
+                                     _node_cuts, _pattern_table,
+                                     _permute_tt, _positions, _subject_graph,
+                                     _trivial_cut, tech_map)
 from repro.power.activity import (activity_from_simulation,
                                   signal_probability_propagation)
 from repro.power.glitch import glitch_report
@@ -665,17 +666,46 @@ class TestTechMapping:
         assert verify_equivalence_exact(net, res.mapped)
 
 
-def _kept_cuts(subject: Network, k: int = 4):
-    """Every node's kept cuts, enumerated as ``tech_map`` does."""
+def _kept_cuts(subject: Network, k: int = 4, node_cuts=_node_cuts):
+    """Every node's kept cuts, enumerated as ``tech_map`` does (by
+    ``node_cuts``)."""
     cuts: Dict[str, list] = {}
-    expanded: Dict = {}
     for name in subject.topo_order():
         node = subject.nodes[name]
         if node.is_source() or not node.fanins:
             cuts[name] = [_trivial_cut(name)]
         else:
-            cuts[name] = _node_cuts(name, node, cuts, k, expanded)
+            cuts[name] = node_cuts(name, node, cuts, k)
     return cuts
+
+
+def _reference_node_cuts(name: str, node: Node, cuts: Dict[str, list],
+                         k: int, max_cuts_per_node: int = 12) -> list:
+    """Reference enumeration: leaf-count buckets of frozensets in
+    first-seen order, leaf positions by ``leaves.index`` and every
+    expansion recomputed by ``_expand``."""
+    buckets: List[Dict] = [{} for _ in range(k + 1)]
+    if len(node.fanins) == 1:
+        for c in cuts[node.fanins[0]]:
+            buckets[len(c[0])].setdefault(c[1], (c,))
+    else:
+        for c1 in cuts[node.fanins[0]]:
+            for c2 in cuts[node.fanins[1]]:
+                u = c1[1] | c2[1]
+                if len(u) <= k and u not in buckets[len(u)]:
+                    buckets[len(u)][u] = (c1, c2)
+    out = [_trivial_cut(name)]
+    for bucket in buckets:
+        for u, parts in bucket.items():
+            leaves = tuple(sorted(u))
+            n = len(leaves)
+            words = [_expand(c[2], tuple(leaves.index(l) for l in c[0]), n)
+                     for c in parts]
+            mask = (1 << (1 << n)) - 1
+            out.append((leaves, u, eval_gate(node.gtype, words, mask)))
+            if len(out) >= max_cuts_per_node:
+                return out
+    return out
 
 
 def _table_at(tt: int, leaf_words: List[int], mask: int) -> int:
@@ -830,7 +860,7 @@ class TestLibraryPatterns:
         assert _pattern_table.cache_info().hits == hits + 1
         cells = {id(c) for c in library}
         assert all(id(cell) in cells
-                   for entries in patterns.values() for cell, _ in entries)
+                   for entries in patterns.values() for cell, _, _ in entries)
 
     def test_first_permutation_of_each_cell(self):
         library = generic_library()
@@ -845,5 +875,140 @@ class TestLibraryPatterns:
                        if all(e[0] != f[0] for f in entries[:i])]
                  for key, entries in every.items()}
         patterns = _library_patterns(library, 4)
-        assert {key: [(c.name, perm) for c, perm in entries]
+        assert {key: [(c.name, perm) for c, perm, _ in entries]
                 for key, entries in patterns.items()} == first
+        assert all(delay == cell.delay(4.0)
+                   for entries in patterns.values()
+                   for cell, _, delay in entries)
+
+
+class TestCutEnumerationReference:
+    """The table-driven enumeration keeps exactly the reference's cuts:
+    the same leaves, in the same order, with the same truth tables."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_in=st.integers(2, 16), gates=st.integers(5, 150),
+           seed=st.integers(0, 2 ** 16), k=st.integers(2, 5),
+           consts=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                     st.booleans()), max_size=4))
+    @example(n_in=16, gates=140, seed=0, k=4, consts=[])
+    @example(n_in=4, gates=60, seed=3, k=5, consts=[(7, True), (9, False)])
+    def test_kept_cuts_match_reference(self, n_in, gates, seed, k, consts):
+        subject = _subject_graph(random_logic(n_in, gates, seed),
+                                 "balanced", None)
+        # propagate_constants leaves no constant inside a subject graph
+        # built this way, so constant gates are wired in afterwards.
+        two = [name for name, node in subject.nodes.items()
+               if len(node.fanins) == 2]
+        for pick, value in consts:
+            name = two[pick % len(two)]
+            const = subject.add_gate(
+                subject.fresh_name("k"),
+                GateType.CONST1 if value else GateType.CONST0, [])
+            subject.set_fanins(name, [const, subject.nodes[name].fanins[1]])
+        assert _kept_cuts(subject, k) == \
+            _kept_cuts(subject, k, _reference_node_cuts)
+
+    def test_expansion_tables_exhaustive(self):
+        for n in range(2, 5):
+            # Every selection of fewer than n of the n positions.
+            for sel in range(1, (1 << n) - 1):
+                pos = _positions(sel)
+                assert list(pos) == sorted(pos)
+                assert sum(1 << p for p in pos) == sel
+                table = _expansion(n, sel)
+                assert _EXPANSION[n, sel] is table
+                assert len(table) == 1 << (1 << len(pos))
+                assert table == [_expand(tt, pos, n)
+                                 for tt in range(len(table))]
+
+    def test_wide_expansion_matches_expand(self):
+        rng = random.Random(5)
+        for n in (5, 6):
+            for _ in range(200):
+                sel = rng.randrange(1, (1 << n) - 1)
+                tt = rng.randrange(1 << (1 << bin(sel).count("1")))
+                assert _expand_wide(tt, sel, n) == \
+                    _expand(tt, _positions(sel), n)
+
+    def test_no_table_built_at_import(self):
+        import subprocess
+        import sys
+
+        code = ("import repro.opt.logic.mapping as m; "
+                "assert not m._EXPANSION, len(m._EXPANSION)")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+class TestCutWidth:
+    """``k`` off the default: below the widest cell (3) and above it
+    (5).  SHA-256 of the mapped BLIF, the costs (area, power cost,
+    arrival) and the work counters (cuts, matches) of the power mapping,
+    seed 1, recorded before expansion by table lookup.  comparator(6)
+    keeps no five-leaf cut at k=5 (its smaller cuts fill the twelve);
+    rand140_0 does, so its k=5 mapping takes the memoised wide path."""
+
+    PINNED = {
+        ("cmp6", 3): (
+            "03ead6d92a5c8aba0d96e0f528f2893bbb3256dab87867cff331c1c2b53d8cc4",
+            221.20000000000002, 49.84775171065493, 23.049999999999997,
+            150, 207),
+        ("cmp6", 5): (
+            "03ead6d92a5c8aba0d96e0f528f2893bbb3256dab87867cff331c1c2b53d8cc4",
+            221.20000000000002, 49.84775171065493, 23.049999999999997,
+            224, 207),
+        ("rand140_0", 5): (
+            "6deb8c6688874f4b2ad581ef4ddc6098b9b2dae71d8b9ed08d343966d95ace05",
+            1461.6, 306.4590909090909, 19.0, 4589, 4536),
+    }
+    MAKE = {"cmp6": lambda: comparator(6),
+            "rand140_0": lambda: random_logic(16, 140, 0)}
+
+    @pytest.mark.parametrize("circuit, k", sorted(PINNED),
+                             ids=[f"{c}-k{k}" for c, k in sorted(PINNED)])
+    def test_mapped_blif_pinned(self, circuit, k):
+        _expand_wide.cache_clear()
+        res = tech_map(self.MAKE[circuit](), generic_library(), "power",
+                       k=k, seed=1)
+        digest = hashlib.sha256(write_blif(res.mapped).encode())
+        assert (digest.hexdigest(), res.total_area, res.power_cost,
+                res.arrival, res.cuts, res.matches) == \
+            self.PINNED[circuit, k]
+        assert _expand_wide.cache_info().misses > 0 if \
+            circuit == "rand140_0" else \
+            _expand_wide.cache_info().misses == 0
+
+
+class TestDeepMapping:
+    """Reconstruction of the mapped netlist has no recursion limit."""
+
+    @staticmethod
+    def _chain(gates: int) -> Network:
+        # Each gate reads the two signals before it.  The chain
+        # reconverges so heavily that the kept cuts soon stop reaching
+        # the inputs, and the cover is thousands of cells deep.
+        net = Network("chain")
+        net.add_inputs(["a", "b"])
+        before, last = "b", "a"
+        for i in range(gates):
+            gtype = GateType.NAND if i % 2 == 0 else GateType.XOR
+            before, last = last, net.add_gate(f"g{i}", gtype, [last, before])
+        net.set_output(last)
+        return net
+
+    def test_deep_chain_maps_and_flow_adopts(self):
+        import sys
+
+        from repro.core.flow import run_flow
+        from repro.core.passes import FlowSpec
+        from repro.sim.functional import verify_equivalence_exact
+
+        net = self._chain(6000)
+        # The delay objective: area and power costs, summed over cut
+        # leaves, overflow the float range on a chain this reconvergent.
+        flow = run_flow(net, FlowSpec(passes=[("map",
+                                               {"objective": "delay"})]))
+        stage = {s.name: s for s in flow.stages}["map"]
+        assert (stage.outcome, stage.reason) == ("adopted", "")
+        assert flow.final.depth() > sys.getrecursionlimit()
+        assert verify_equivalence_exact(net, flow.final)
