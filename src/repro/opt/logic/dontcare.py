@@ -1,24 +1,24 @@
 """Don't-care based node optimization targeting power (Section III-A.1).
 
-For each internal node we compute its *controllability* don't-cares
-(fanin combinations that can never occur) and *observability*
-don't-cares (fanin combinations under which the node's value cannot
-reach any output), both via global BDDs.  Both come from images on the
-node's fanin space, built straight from the fanins' global functions:
-each fanin in turn splits a care set into the points where it is 1 and
-where it is 0, and the image holds the fanin assignments whose part is
-non-empty.  The CDCs are the complement of the whole source space's
-image; the ODC-only combinations are in the image of the ODC but not
-in that of its complement.  The node's cover is then
-re-minimized against the don't-care set, choosing among the legal covers
-the one that minimizes the node's expected switching contribution
-``2·p·(1−p)·C`` — the power-aware exploitation of don't-cares from
-[38] (Shen et al.) refined by [19] (Iman & Pedram).
+A node's *care set* holds the source assignments under which flipping
+it changes some primary output; its complement is the node's
+*observability* don't-care set, built from global BDDs of its fanout
+cone.  The node's don't-care set is the complement of the care set's
+image on the fanin space: the fanin combinations that never occur
+(*controllability* don't-cares) or occur only where the node is
+unobservable.  The image is built straight from the fanins' global
+functions: each fanin in turn splits the care set into the points where
+it is 1 and where it is 0, and the image holds the fanin assignments
+whose part is non-empty.  The node's cover is then re-minimized against
+the don't-care set, choosing among the legal covers the one that
+minimizes its expected switching contribution ``2·p·(1−p)·C`` — the
+power-aware exploitation of don't-cares from [38] (Shen et al.) refined
+by [19] (Iman & Pedram).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bdd.bdd import BDD, BDDFunction
@@ -36,27 +36,13 @@ from repro.power.model import PowerParameters, node_capacitance
 MAX_FANINS = 10
 
 
-def _fanin_space(bdd: BDD, node: Node, funcs: Dict[str, BDDFunction]
-                 ) -> Tuple[List[str], List[Tuple[int, int]]]:
-    """The node's fanin space: one ``__cdc_*`` variable per fanin (made
-    on first use), and ``(level, global function node)`` of each fanin
-    in level order, the order in which :func:`_fanin_image` builds."""
-    aux = [f"__cdc_{node.name}_{i}" for i in range(len(node.fanins))]
-    fanins = []
-    for name, fi in zip(aux, node.fanins):
-        bdd.var(name)
-        fanins.append((bdd.var_level[name], funcs[fi].node))
-    fanins.sort()
-    return aux, fanins
-
-
 def _fanin_image(bdd: BDD, care: int, fanins: List[Tuple[int, int]],
                  i: int, memo: Dict[Tuple[int, int], int]) -> int:
     """Image of the source-space set ``care`` on the fanin space of
-    ``fanins[i:]`` (from :func:`_fanin_space`): the fanin assignments
-    that some point of ``care`` produces.  Each fanin splits the care
-    set by its function, and an empty part prunes its branch; at the
-    last fanin only the parts' emptiness matters, so neither is built."""
+    ``fanins[i:]`` (``(level, global function node)`` in level order):
+    the fanin assignments that some point of ``care`` produces.  Each
+    fanin splits the care set by its function, and an empty part prunes
+    its branch; at the last fanin only the parts' emptiness matters."""
     if care == BDD.FALSE:
         return BDD.FALSE
     if not fanins:
@@ -79,6 +65,21 @@ def _fanin_image(bdd: BDD, care: int, fanins: List[Tuple[int, int]],
     return hit
 
 
+def _unreached(bdd: BDD, node: Node, funcs: Dict[str, BDDFunction],
+               care: int) -> Cover:
+    """Complement of the image of ``care`` as a cover over the fanins of
+    ``node``.  Fanin ``i`` is the variable ``__cdc_i``: one set shared
+    by every node, made on first use in index order, so that fanin
+    order is level order."""
+    aux = [f"__cdc_{i}" for i in range(len(node.fanins))]
+    fanins = []
+    for name, fi in zip(aux, node.fanins):
+        bdd.var(name)
+        fanins.append((bdd.var_level[name], funcs[fi].node))
+    image = _fanin_image(bdd, care, fanins, 0, {})
+    return bdd_to_cover(BDDFunction(bdd, bdd._not(image)), aux)
+
+
 def controllability_dont_cares(net: Network, node_name: str,
                                funcs: Optional[Dict[str, BDDFunction]]
                                = None) -> Cover:
@@ -88,9 +89,7 @@ def controllability_dont_cares(net: Network, node_name: str,
     if funcs is None:
         funcs = network_bdds(net)
     bdd = next(iter(funcs.values())).bdd
-    aux, fanins = _fanin_space(bdd, node, funcs)
-    image = _fanin_image(bdd, BDD.TRUE, fanins, 0, {})
-    return bdd_to_cover(BDDFunction(bdd, bdd._not(image)), aux)
+    return _unreached(bdd, node, funcs, BDD.TRUE)
 
 
 def _fanout_cone(net: Network, name: str) -> List[str]:
@@ -128,35 +127,54 @@ def _cone_functions(net: Network, cone: List[str], head: BDDFunction,
     return alt
 
 
+def _care_set(net: Network, node_name: str,
+              funcs: Dict[str, BDDFunction]) -> int:
+    """The node's care set: the OR of ``f1 ^ f0`` over the primary
+    outputs of its fanout cone, evaluated with the node fixed to 1 and
+    to 0 (only outputs inside the cone can see the node)."""
+    bdd = next(iter(funcs.values())).bdd
+    cone = _fanout_cone(net, node_name)
+    f1 = _cone_functions(net, cone, bdd.true, funcs)
+    f0 = _cone_functions(net, cone, bdd.false, funcs)
+    care = BDD.FALSE
+    for name in cone:
+        if net.is_output(name):
+            care = bdd._or(care, bdd._xor(f1[name].node, f0[name].node))
+    return care
+
+
 def observability_dont_cares(net: Network, node_name: str,
                              funcs: Optional[Dict[str, BDDFunction]]
                              = None) -> BDDFunction:
     """ODC set over the primary inputs: assignments under which flipping
-    the node changes no primary output."""
+    the node changes no primary output, the complement of its care
+    set."""
     if funcs is None:
         funcs = network_bdds(net)
     bdd = next(iter(funcs.values())).bdd
-    # Evaluate the node's fanout cone with the node fixed to each
-    # constant; only outputs inside the cone can see the node.
-    cone = _fanout_cone(net, node_name)
-    f1 = _cone_functions(net, cone, bdd.true, funcs)
-    f0 = _cone_functions(net, cone, bdd.false, funcs)
-    odc = bdd.true
-    for name in cone:
-        if net.is_output(name):
-            odc = odc & ~(f1[name] ^ f0[name])
-    return odc
+    return BDDFunction(bdd, bdd._not(_care_set(net, node_name, funcs)))
+
+
+def _dont_care_cover(net: Network, node_name: str,
+                     funcs: Dict[str, BDDFunction]) -> Cover:
+    """The node's don't-care set as a cover over its fanins: the CDCs
+    and the fanin assignments produced only under its ODC."""
+    return _unreached(next(iter(funcs.values())).bdd, net.nodes[node_name],
+                      funcs, _care_set(net, node_name, funcs))
 
 
 @dataclass
 class DontCareResult:
-    """Summary of a don't-care optimization pass."""
+    """Summary of a don't-care optimization pass.  ``bdd_nodes`` (the
+    size of the pass's BDD manager at its end) counts work, so it is
+    left out of ``repr`` and ``==``."""
 
     nodes_changed: int
     switched_cap_before: float
     switched_cap_after: float
     literals_before: int
     literals_after: int
+    bdd_nodes: int = field(default=0, repr=False, compare=False)
 
     @property
     def power_saving(self) -> float:
@@ -165,18 +183,19 @@ class DontCareResult:
         return 1.0 - self.switched_cap_after / self.switched_cap_before
 
 
+def _self_cap(cover: Cover) -> float:
+    """A node's literal-dependent self capacitance."""
+    return 0.5 * (2 * cover.num_literals() + 2)
+
+
 def _node_cost(cover: Cover, fanin_probs: List[float],
                load_cap: float) -> float:
-    """Local power cost of one candidate cover.
-
-    The node's switched capacitance is its (literal-dependent) self
-    capacitance plus the external load it drives; a small literal term
-    breaks ties toward smaller covers.
-    """
-    p = cover.probability(fanin_probs)
-    activity = activity_from_probability(p)
-    self_cap = 0.5 * (2 * cover.num_literals() + 2)
-    return activity * (self_cap + load_cap) + 0.05 * cover.num_literals()
+    """Local power cost of one candidate cover: its activity times its
+    self capacitance plus the load it drives, and a small literal term
+    that breaks ties toward smaller covers."""
+    activity = activity_from_probability(cover.probability(fanin_probs))
+    return activity * (_self_cap(cover) + load_cap) + \
+        0.05 * cover.num_literals()
 
 
 def dontcare_power_optimization(net: Network,
@@ -187,8 +206,8 @@ def dontcare_power_optimization(net: Network,
     """In-place don't-care re-minimization of every eligible node.
 
     Nodes of at most :data:`MAX_FANINS` fanins are visited in
-    topological order and re-minimized against their CDCs plus the
-    fanin combinations reachable only under their ODCs.  Candidate
+    topological order and re-minimized against their don't-care set,
+    the complement of their care set's fanin image.  Candidate
     covers are scored with the fast probability-propagation model, but
     each rewrite is accepted only if the *global* switched capacitance,
     estimated by Monte-Carlo simulation (``num_vectors``/``seed``),
@@ -200,23 +219,21 @@ def dontcare_power_optimization(net: Network,
 
     probs = signal_probability_propagation(net, input_probs)
 
-    def total_cost() -> Tuple[float, int]:
+    def total_cost() -> float:
         # Incremental after a function edit: the network's stored
         # Monte-Carlo run re-simulates only the edited nodes' transitive
         # fanout cones (repro.power.activity).
         act, _p = activity_from_simulation(
             net, num_vectors, seed, input_probs)
         cap = 0.0
-        lits = 0
         for name, node in net.nodes.items():
             if node.is_source():
                 continue
             cap += act.get(name, 0.0) * node_capacitance(net, name, params)
-            lits += node.cover.num_literals() if node.cover else 0
-        return cap, lits
+        return cap
 
-    cap_before, lits_before = total_cost()
-    cost = cap_before
+    cost = cap_before = total_cost()
+    lits_before = net.num_literals()
     funcs = network_bdds(net)
     bdd = next(iter(funcs.values())).bdd
     changed = 0
@@ -226,31 +243,13 @@ def dontcare_power_optimization(net: Network,
             continue
         if len(node.fanins) > MAX_FANINS:
             continue
-        aux, fanins = _fanin_space(bdd, node, funcs)
-        odc = observability_dont_cares(net, name, funcs).node
-        memo: Dict[Tuple[int, int], int] = {}
-        odc_only: Optional[Cover] = None
-        if odc == BDD.FALSE:
-            reachable = _fanin_image(bdd, BDD.TRUE, fanins, 0, memo)
-        else:
-            img = _fanin_image(bdd, odc, fanins, 0, memo)
-            non_odc = _fanin_image(bdd, bdd._not(odc), fanins, 0, memo)
-            reachable = bdd._or(img, non_odc)
-            # Fanin combos reachable *only* under the ODC condition.
-            odc_only = bdd_to_cover(
-                BDDFunction(bdd, bdd._and(img, bdd._not(non_odc))), aux)
-        dc = bdd_to_cover(BDDFunction(bdd, bdd._not(reachable)), aux)
-        if odc_only is not None:
-            dc = dc.union(odc_only)
+        dc = _dont_care_cover(net, name, funcs)
         if dc.is_empty():
             continue
         on = node.cover
         fanin_probs = [probs[fi] for fi in node.fanins]
-        self_cap = 0.5 * (2 * on.num_literals() + 2)
-        load = node_capacitance(net, name, params) - self_cap
-        candidates = [on,
-                      on.minimize(dc),
-                      on.union(dc).minimize()]
+        load = node_capacitance(net, name, params) - _self_cap(on)
+        candidates = [on, on.minimize(dc), on.union(dc).minimize()]
         best = min(candidates,
                    key=lambda c: _node_cost(c, fanin_probs, load))
         if best is not on and not best.is_equivalent(on):
@@ -258,7 +257,7 @@ def dontcare_power_optimization(net: Network,
             # node shifts the statistics of its whole transitive fanout
             # (the refinement of [19]).
             net.set_function(name, best)
-            after_cap, _lits = total_cost()
+            after_cap = total_cost()
             if after_cap < cost:
                 cost = after_cap
                 changed += 1
@@ -273,9 +272,9 @@ def dontcare_power_optimization(net: Network,
                                                      probs)
             else:
                 net.set_function(name, on)
-    cap_after, lits_after = total_cost()
     return DontCareResult(nodes_changed=changed,
                           switched_cap_before=cap_before,
-                          switched_cap_after=cap_after,
+                          switched_cap_after=total_cost(),
                           literals_before=lits_before,
-                          literals_after=lits_after)
+                          literals_after=net.num_literals(),
+                          bdd_nodes=bdd.num_nodes())

@@ -324,12 +324,15 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     cuts: Dict[str, List[_Cut]] = {}
     num_cuts = 0
     num_matches = 0
+    # Whether the current node has had a match priced from finite leaf
+    # costs: if so and none came out finite, its cost overflowed.
+    priced = False
 
     def match(name: str, leaves: Cut,
               entries: List[Tuple[Cell, _Pins, float]]) -> None:
         """Price ``entries``, the library matches of the cut ``leaves``,
         as the cover of ``name``, keeping the best in ``best_match``."""
-        nonlocal num_matches
+        nonlocal num_matches, priced
         leaf_costs = []
         leaf_arr = 0.0
         for leaf in leaves:
@@ -343,6 +346,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
         # round floats differently, and every cost here is a ``sum``.
         leaf_cost = sum(leaf_costs)
         num_matches += len(entries)
+        priced = True
         if objective == "power":
             own_act = activity.get(name, 0.0)
             leaf_acts = [activity.get(leaf, 0.0) for leaf in leaves]
@@ -394,6 +398,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
             continue
         best_cost[name] = INF
         arrival[name] = INF
+        priced = False
         for leaves, _, tt in node_cuts[1:]:
             entries = patterns.get((len(leaves), tt))
             if entries:
@@ -408,6 +413,10 @@ def tech_map(net: Network, library: Library, objective: str = "area",
                 node, [words[fi] for fi in node.fanins], len(leaves))))
             if entries:
                 match(name, leaves, entries)
+        if best_cost[name] == INF and priced:
+            raise RuntimeError(
+                f"the {objective} cost overflowed to inf at node {name!r}: "
+                f"every match was priced from finite leaf costs")
         if best_cost[name] == INF:
             raise RuntimeError(
                 f"no library match for node {name!r}; the library must "

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit import network_bdds
-from repro.library.cells import generic_library
+from repro.library.cells import Library, generic_library
 from repro.logic.blif import write_blif
 from repro.logic.gates import GateType, eval_gate
 from repro.logic.cube import Cube
@@ -164,6 +164,26 @@ def _ref_odc(net: Network, node_name: str, funcs):
     return odc
 
 
+def _ref_dc(net: Network, node_name: str, funcs) -> Cover:
+    """The CDCs united with the fanin combinations reachable only under
+    the ODC, each image from an auxiliary relation."""
+    node = net.node(node_name)
+    dc = _ref_cdc(net, node_name, funcs)
+    odc_global = _ref_odc(net, node_name, funcs)
+    if not odc_global.is_false:
+        bdd = odc_global.bdd
+        aux = [f"__odcimg_{node_name}_{i}" for i in range(len(node.fanins))]
+        relation = bdd.true
+        for a, fi in zip(aux, node.fanins):
+            relation = relation & ~(bdd.var(a) ^ funcs[fi])
+        sources = [n.name for n in net.nodes.values() if n.is_source()]
+        img = (relation & odc_global).exists(sources)
+        reach_all = relation.exists(sources)
+        non_odc = (relation & ~odc_global).exists(sources)
+        dc = dc.union(_ref_bdd_to_cover(reach_all & img & ~non_odc, aux))
+    return dc
+
+
 def _reference_dontcare(net: Network, input_probs=None,
                         num_vectors: int = 512,
                         seed: int = 0) -> DontCareResult:
@@ -199,20 +219,7 @@ def _reference_dontcare(net: Network, input_probs=None,
             continue
         if len(node.fanins) > 10:
             continue
-        dc = _ref_cdc(net, name, funcs)
-        odc_global = _ref_odc(net, name, funcs)
-        if not odc_global.is_false:
-            bdd = odc_global.bdd
-            aux = [f"__odcimg_{name}_{i}" for i in range(len(node.fanins))]
-            relation = bdd.true
-            for a, fi in zip(aux, node.fanins):
-                relation = relation & ~(bdd.var(a) ^ funcs[fi])
-            sources = [n.name for n in net.nodes.values() if n.is_source()]
-            img = (relation & odc_global).exists(sources)
-            reach_all = relation.exists(sources)
-            non_odc = (relation & ~odc_global).exists(sources)
-            dc = dc.union(_ref_bdd_to_cover(reach_all & img & ~non_odc,
-                                            aux))
+        dc = _ref_dc(net, name, funcs)
         if dc.is_empty():
             continue
         on = node.cover
@@ -254,7 +261,9 @@ def _assert_matches_reference(net: Network, input_probs=None,
     got = dontcare_power_optimization(got_net, input_probs, num_vectors,
                                       seed)
     want = _reference_dontcare(ref_net, input_probs, num_vectors, seed)
-    assert got == want
+    for field in ("nodes_changed", "switched_cap_before",
+                  "switched_cap_after", "literals_before", "literals_after"):
+        assert getattr(got, field) == getattr(want, field), field
     assert _node_views(got_net) == _node_views(ref_net)
 
 
@@ -392,6 +401,30 @@ class TestConeObservability:
         assert observability_dont_cares(net, "a", funcs).is_false
 
 
+def _assert_dc_covers_match_reference(net: Network) -> None:
+    funcs = network_bdds(net)
+    for name, node in net.nodes.items():
+        if node.is_source() or not node.fanins:
+            continue
+        got = dontcare_module._dont_care_cover(net, name, funcs)
+        assert got.is_equivalent(_ref_dc(net, name, funcs)), name
+
+
+class TestDontCareCover:
+    """Each node's don't-care cover, the complement of its care set's
+    image, is the set of the reference's CDCs and ODC-only fanin
+    combinations."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(4, 60))
+    def test_random_logic(self, seed, inputs, gates):
+        _assert_dc_covers_match_reference(random_logic(inputs, gates,
+                                                       seed=seed))
+
+    def test_latches_and_input_outputs(self):
+        _assert_dc_covers_match_reference(latch_net())
+
+
 class TestDontCareWork:
     """The pass does work in proportion to fanout cones."""
 
@@ -425,6 +458,53 @@ class TestDontCareWork:
             assert calls[0] == 2 * (len(cone) - 1), name
             assert Counter(evaluated) == {n: 2 for n in cone - {name}}
         assert 1 in sizes and max(sizes) < len(net.nodes)
+
+    def test_one_image_and_one_cover_per_visited_node(self, monkeypatch):
+        images: List[int] = []
+        covers = [0]
+        real_image = dontcare_module._fanin_image
+        real_to_cover = dontcare_module.bdd_to_cover
+
+        def counting_image(bdd, care, fanins, i, memo):
+            if i == 0:
+                images.append(len(fanins))
+            return real_image(bdd, care, fanins, i, memo)
+
+        def counting_to_cover(*args):
+            covers[0] += 1
+            return real_to_cover(*args)
+
+        monkeypatch.setattr(dontcare_module, "_fanin_image",
+                            counting_image)
+        monkeypatch.setattr(dontcare_module, "bdd_to_cover",
+                            counting_to_cover)
+        net = random_logic(12, 80, seed=4)
+        order = [net.nodes[name] for name in net.topo_order()]
+        visited = [len(n.fanins) for n in order if not n.is_source() and
+                   0 < len(n.fanins) <= dontcare_module.MAX_FANINS]
+        dontcare_power_optimization(net)
+        assert images == visited
+        assert covers[0] == len(visited)
+
+    def test_fanin_variables_are_shared(self, monkeypatch):
+        managers = []
+        real = dontcare_module.network_bdds
+
+        def capturing(net, *args):
+            funcs = real(net, *args)
+            managers.append(next(iter(funcs.values())).bdd)
+            return funcs
+
+        monkeypatch.setattr(dontcare_module, "network_bdds", capturing)
+        net = random_logic(16, 100, seed=0)
+        sources = [n for n in net.nodes.values() if n.is_source()]
+        fanins = sum(len(n.fanins) for n in net.nodes.values())
+        res = dontcare_power_optimization(net)
+        bdd, = managers
+        assert fanins > dontcare_module.MAX_FANINS
+        assert len(bdd.var_names) <= len(sources) + \
+            dontcare_module.MAX_FANINS
+        assert res.bdd_nodes == bdd.num_nodes()
 
     def test_pass_builds_network_bdds_once(self, monkeypatch):
         calls = []
@@ -1012,3 +1092,25 @@ class TestDeepMapping:
         assert (stage.outcome, stage.reason) == ("adopted", "")
         assert flow.final.depth() > sys.getrecursionlimit()
         assert verify_equivalence_exact(net, flow.final)
+
+    def test_cost_overflow_is_diagnosed(self):
+        from repro.core.flow import run_flow
+        from repro.core.passes import FlowSpec
+
+        # Every node has a library match, but the leaf-summed area cost
+        # leaves the float range about 1,500 levels down the chain.
+        flow = run_flow(self._chain(6000),
+                        FlowSpec(passes=[("map", {"objective": "area"})]))
+        stage = {s.name: s for s in flow.stages}["map"]
+        assert stage.outcome == "rolled_back"
+        assert "the area cost overflowed to inf at node" in stage.reason
+
+    def test_missing_cell_is_diagnosed(self):
+        net = Network("inv")
+        net.add_input("a")
+        net.add_gate("z", GateType.NOT, ["a"])
+        net.set_output("z")
+        no_inverter = Library([c for c in generic_library()
+                               if not c.name.startswith("inv")])
+        with pytest.raises(RuntimeError, match="no library match for node"):
+            tech_map(net, no_inverter, "area")
