@@ -8,9 +8,10 @@ topological order).  Rules register themselves at import via the
 :mod:`repro.analysis.structural` and :mod:`repro.analysis.power_rules`
 and is imported lazily so this module stays cycle-free.
 
-The :class:`Linter` establishes two gate facts before anything else —
+The :class:`Linter` establishes three gate facts before anything else —
 is every reference *driven* (complete), is the combinational graph
-*acyclic* — and skips rules whose prerequisites fail (recorded in
+*acyclic*, is every cover well-formed — from the errors of the rules
+that check them, and skips rules whose prerequisites fail (recorded in
 ``LintReport.skipped_rules``) instead of crashing on a broken input.
 
 :func:`check_invariants` is the fast structural-error subset the pass
@@ -22,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.diagnostics import (Diagnostic, LintReport,
+from repro.analysis.diagnostics import (ERROR, Diagnostic, LintReport,
                                         sort_diagnostics)
-from repro.analysis.graph import nontrivial_sccs
 from repro.analysis.hazards import DEFAULT_MAX_VARS
 from repro.logic.netlist import Network
 
@@ -154,6 +154,11 @@ def select_rules(spec: Optional[str]) -> List[Rule]:
     return out
 
 
+#: The rules whose errors decide the gate facts ``complete``,
+#: ``acyclic`` and ``covers_ok``.
+_GATE_RULES = ("undriven-net", "combinational-cycle", "invalid-cover")
+
+
 @dataclass
 class Linter:
     """Drives a rule set over networks."""
@@ -168,19 +173,23 @@ class Linter:
     def run(self, net: Network) -> LintReport:
         ctx = RuleContext(net, self.config)
         report = LintReport(network=net.name)
-        # Gate facts: completeness and acyclicity are established
-        # first so downstream rules never crash on a broken input.
-        ctx.complete = not _undriven_references(net)
-        ctx.acyclic = ctx.complete and \
-            not nontrivial_sccs(ctx.adjacency())
-        ctx.covers_ok = not _malformed_covers(net)
+        # Gate facts are established first so downstream rules never
+        # crash on a broken input.  Each gate rule runs once: a selected
+        # one reports the findings it gave here.
+        _ensure_rules()
+        found = {rid: _REGISTRY[rid].check(ctx) for rid in _GATE_RULES}
+        clean = {rid: all(d.severity != ERROR for d in found[rid])
+                 for rid in _GATE_RULES}
+        ctx.complete = clean["undriven-net"]
+        ctx.acyclic = ctx.complete and clean["combinational-cycle"]
+        ctx.covers_ok = clean["invalid-cover"]
         diags: List[Diagnostic] = []
         for r in self.rules:
             if r.needs_complete and not ctx.complete:
                 report.skipped_rules.append(
                     (r.id, "network has undriven references"))
                 continue
-            if r.needs_dag and not (ctx.acyclic and ctx.complete):
+            if r.needs_dag and not ctx.acyclic:
                 report.skipped_rules.append(
                     (r.id, "network is cyclic or incomplete"))
                 continue
@@ -188,7 +197,7 @@ class Linter:
                 report.skipped_rules.append(
                     (r.id, "network has malformed covers"))
                 continue
-            diags.extend(r.check(ctx))
+            diags.extend(found[r.id] if r.id in found else r.check(ctx))
         report.diagnostics = sort_diagnostics(diags)
         return report
 
@@ -214,35 +223,3 @@ def check_invariants(net: Network,
                           config or LintConfig())
     return report.errors
 
-
-def _malformed_covers(net: Network) -> List[str]:
-    """SOP nodes whose cover would crash evaluation (mirrors the
-    error conditions of the ``invalid-cover`` rule)."""
-    bad: List[str] = []
-    for node in net.nodes.values():
-        if node.kind != "sop":
-            continue
-        cover = node.cover
-        if cover is None or cover.num_vars != len(node.fanins) or \
-                any(c.num_vars != cover.num_vars or
-                    c.value & ~c.mask for c in cover.cubes):
-            bad.append(node.name)
-    return bad
-
-
-def _undriven_references(net: Network) -> List[str]:
-    """Names referenced (fanin/latch/output) but not defined."""
-    missing: List[str] = []
-    for node in net.nodes.values():
-        for fi in node.fanins:
-            if fi not in net.nodes:
-                missing.append(fi)
-    for latch in net.latches:
-        if latch.data not in net.nodes:
-            missing.append(latch.data)
-        if latch.enable is not None and latch.enable not in net.nodes:
-            missing.append(latch.enable)
-    for out in net.outputs:
-        if out not in net.nodes:
-            missing.append(out)
-    return missing

@@ -1,15 +1,14 @@
 """A compact hash-consed ROBDD package.
 
-Provides the usual operations (dedicated AND/OR/XOR/NOT apply, ITE,
-quantification, composition, restriction) plus *weighted satisfy
-counting*, which gives exact signal probabilities for switching-activity
-analysis — the role BDDs play in refs [3], [16], [30] of the surveyed
-paper.
+Provides the operations the flows use (dedicated AND/OR/XOR/NOT apply,
+quantification, restriction) plus *weighted satisfy counting*, which
+gives exact signal probabilities for switching-activity analysis —
+the role BDDs play in refs [3], [16], [30] of the surveyed paper.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class BDD:
@@ -22,9 +21,7 @@ class BDD:
     table, keyed on the operand pair in ascending order so that ``f & g``
     and ``g & f`` share one entry; so does the emptiness test of
     ``f & g`` (:meth:`_disjoint`), which builds no node.  ``~`` memoises
-    both directions of every complement it builds.  The general
-    three-operand ITE serves only :meth:`BDDFunction.ite`, ``implies``
-    and ``compose``.
+    both directions of every complement it builds.
     """
 
     FALSE = 0
@@ -37,7 +34,6 @@ class BDD:
         self._lo: List[int] = [0, 1]
         self._hi: List[int] = [0, 1]
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._and_cache: Dict[Tuple[int, int], int] = {}
         self._or_cache: Dict[Tuple[int, int], int] = {}
         self._xor_cache: Dict[Tuple[int, int], int] = {}
@@ -97,29 +93,6 @@ class BDD:
             self._hi.append(hi)
             self._unique[key] = node
         return node
-
-    def _ite(self, f: int, g: int, h: int) -> int:
-        if f == BDD.TRUE:
-            return g
-        if f == BDD.FALSE:
-            return h
-        if g == h:
-            return g
-        if g == BDD.TRUE and h == BDD.FALSE:
-            return f
-        key = (f, g, h)
-        hit = self._ite_cache.get(key)
-        if hit is not None:
-            return hit
-        level, lo, hi = self._level, self._lo, self._hi
-        lf, lg, lh = level[f], level[g], level[h]
-        top = min(lf, lg, lh)
-        f0, f1 = (lo[f], hi[f]) if lf == top else (f, f)
-        g0, g1 = (lo[g], hi[g]) if lg == top else (g, g)
-        h0, h1 = (lo[h], hi[h]) if lh == top else (h, h)
-        result = self._mk(top, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
-        self._ite_cache[key] = result
-        return result
 
     def _and(self, f: int, g: int) -> int:
         if f == g:
@@ -227,7 +200,7 @@ class BDD:
         self._not_cache[result] = f
         return result
 
-    # -- quantification / substitution -------------------------------------
+    # -- quantification / restriction --------------------------------------
 
     def _restrict(self, f: int, level: int, phase: int,
                   cache: Dict[int, int]) -> int:
@@ -265,23 +238,6 @@ class BDD:
         cache[f] = result
         return result
 
-    def _compose(self, f: int, level: int, g: int,
-                 cache: Dict[int, int]) -> int:
-        if self._level[f] > level:
-            return f
-        hit = cache.get(f)
-        if hit is not None:
-            return hit
-        if self._level[f] == level:
-            result = self._ite(g, self._hi[f], self._lo[f])
-        else:
-            lo = self._compose(self._lo[f], level, g, cache)
-            hi = self._compose(self._hi[f], level, g, cache)
-            top_var = self._mk(self._level[f], BDD.FALSE, BDD.TRUE)
-            result = self._ite(top_var, hi, lo)
-        cache[f] = result
-        return result
-
     # -- analysis -----------------------------------------------------------
 
     def _prob(self, f: int, level_probs: List[float],
@@ -298,15 +254,6 @@ class BDD:
             (1.0 - p) * self._prob(self._lo[f], level_probs, cache)
         cache[f] = val
         return val
-
-    def _support(self, f: int, out: set, seen: set) -> None:
-        if f <= 1 or f in seen:
-            return
-        seen.add(f)
-        out.add(self._level[f])
-        self._support(self._lo[f], out, seen)
-        self._support(self._hi[f], out, seen)
-
 
 class BDDFunction:
     """A Boolean function: a node handle within a :class:`BDD` manager."""
@@ -349,16 +296,8 @@ class BDDFunction:
     __ror__ = __or__
     __rxor__ = __xor__
 
-    def ite(self, g: "BDDFunction", h: "BDDFunction") -> "BDDFunction":
-        return BDDFunction(self.bdd,
-                           self.bdd._ite(self.node, g.node, h.node))
-
     def equiv(self, other: "BDDFunction") -> bool:
         return self.node == self._coerce(other).node
-
-    def implies(self, other: "BDDFunction") -> bool:
-        o = self._coerce(other)
-        return self.bdd._ite(self.node, o.node, BDD.TRUE) == BDD.TRUE
 
     # -- predicates -----------------------------------------------------------
 
@@ -370,7 +309,7 @@ class BDDFunction:
     def is_false(self) -> bool:
         return self.node == BDD.FALSE
 
-    # -- quantification / substitution ----------------------------------------
+    # -- quantification / restriction -----------------------------------------
 
     def restrict(self, assignment: Dict[str, int]) -> "BDDFunction":
         """Cofactor with respect to a partial variable assignment."""
@@ -393,11 +332,6 @@ class BDDFunction:
         """Universal quantification over ``variables``: not-exists-not."""
         return ~(~self).exists(variables)
 
-    def compose(self, name: str, g: "BDDFunction") -> "BDDFunction":
-        level = self.bdd.level_of(name)
-        return BDDFunction(self.bdd,
-                           self.bdd._compose(self.node, level, g.node, {}))
-
     # -- analysis ---------------------------------------------------------------
 
     def evaluate(self, assignment: Dict[str, int]) -> bool:
@@ -417,16 +351,6 @@ class BDDFunction:
             if name in self.bdd.var_level:
                 level_probs[self.bdd.var_level[name]] = p
         return self.bdd._prob(self.node, level_probs, {})
-
-    def sat_count(self, num_vars: Optional[int] = None) -> float:
-        n = num_vars if num_vars is not None else len(self.bdd.var_names)
-        uniform = {name: 0.5 for name in self.bdd.var_names}
-        return self.probability(uniform) * (2 ** n)
-
-    def support(self) -> List[str]:
-        levels: set = set()
-        self.bdd._support(self.node, levels, set())
-        return [self.bdd.var_names[l] for l in sorted(levels)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BDDFunction) and \

@@ -15,10 +15,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Tuple
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 class Cube:
     """An immutable product term over ``num_vars`` variables."""
 
@@ -83,7 +79,7 @@ class Cube:
         return 1 if self.value & bit else 0
 
     def num_literals(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def is_universe(self) -> bool:
         return self.mask == 0
@@ -98,7 +94,8 @@ class Cube:
 
     def distance(self, other: "Cube") -> int:
         """Number of variables on which the cubes conflict."""
-        return _popcount(self.mask & other.mask & (self.value ^ other.value))
+        return (self.mask & other.mask & (self.value ^ other.value)
+                ).bit_count()
 
     def literals(self) -> Iterator[Tuple[int, int]]:
         m = self.mask
@@ -125,7 +122,7 @@ class Cube:
     def consensus(self, other: "Cube") -> Optional["Cube"]:
         """Distance-1 consensus cube, or None when distance != 1."""
         conflict = self.mask & other.mask & (self.value ^ other.value)
-        if _popcount(conflict) != 1:
+        if conflict.bit_count() != 1:
             return None
         mask = (self.mask | other.mask) & ~conflict
         value = (self.value | other.value) & mask

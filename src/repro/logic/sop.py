@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.logic.cube import Cube, _popcount
+from repro.logic.cube import Cube
 
 
 class Cover:

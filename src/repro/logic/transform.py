@@ -91,14 +91,13 @@ def gates_to_sop(net: Network) -> None:
             net.set_node(new)
 
 
-def decompose_to_primitives(net: Network, max_fanin: int = 2,
+def decompose_to_primitives(net: Network,
                             input_probs: Optional[Dict[str, float]]
                             = None,
                             decomposition: str = "balanced"
                             ) -> Network:
-    """Copy of ``net`` where every node is an AND/OR/NOT gate with at
-    most ``max_fanin`` inputs — the *subject graph* for technology
-    mapping.
+    """Copy of ``net`` where every node is a two-input AND or OR, a NOT,
+    a buffer or a constant — the *subject graph* for technology mapping.
 
     ``decomposition`` chooses how wide terms become 2-input trees:
 

@@ -416,9 +416,9 @@ def size_for_power(net: Network,
     The target is ``delay_target`` (default: the all-max-size delay +
     5%).  When the all-minimum sizing meets it, that sizing is the power
     optimum (no size increase lowers switched capacitance) and is
-    returned without a walk.  Otherwise every gate starts at the
-    largest allowed size (the delay-optimal starting point), and the
-    walk repeatedly takes a downsizing move that saves power and keeps
+    returned without a walk.  Otherwise the walk begins at the
+    largest-size start, every gate at the largest allowed size, and
+    repeatedly takes a downsizing move that saves power and keeps
     the critical delay within the target.  Each round tries the gates
     with positive slack, largest slack first (ties in ``net.nodes``
     order), one size step down, and commits the first move that

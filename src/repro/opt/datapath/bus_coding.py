@@ -21,17 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
-def uncoded_transitions(stream: Sequence[int]) -> int:
-    """Baseline: total bit flips between consecutive words."""
-    total = 0
-    for prev, cur in zip(stream, stream[1:]):
-        total += _popcount(prev ^ cur)
-    return total
+from repro.sim.vectors import stream_transitions
 
 
 @dataclass
@@ -70,7 +60,7 @@ def bus_invert(stream: Sequence[int], width: int) -> BusCodingResult:
         if i == 0:
             bus, e = value, 0
         else:
-            dist = _popcount(prev_bus ^ value)
+            dist = (prev_bus ^ value).bit_count()
             if 2 * dist > width:
                 bus, e = ~value & mask, 1
             elif 2 * dist == width:
@@ -80,14 +70,13 @@ def bus_invert(stream: Sequence[int], width: int) -> BusCodingResult:
                 bus = ~value & mask if e else value
             else:
                 bus, e = value, 0
-            transitions += _popcount(prev_bus ^ bus) + (prev_e ^ e)
+            transitions += (prev_bus ^ bus).bit_count() + (prev_e ^ e)
         encoded.append((bus, e))
         prev_bus, prev_e = bus, e
     return BusCodingResult(
         scheme="bus-invert", width=width, extra_lines=1,
         transfers=len(stream),
-        transitions_uncoded=uncoded_transitions(
-            [v & mask for v in stream]),
+        transitions_uncoded=stream_transitions(v & mask for v in stream),
         transitions_coded=transitions, encoded=encoded)
 
 
@@ -115,8 +104,8 @@ def partitioned_bus_invert(stream: Sequence[int], width: int,
     return BusCodingResult(
         scheme=f"bus-invert/{partitions}", width=width,
         extra_lines=partitions, transfers=len(stream),
-        transitions_uncoded=uncoded_transitions(
-            [v & ((1 << width) - 1) for v in stream]),
+        transitions_uncoded=stream_transitions(
+            v & ((1 << width) - 1) for v in stream),
         transitions_coded=total, encoded=encoded)
 
 
@@ -131,15 +120,14 @@ def gray_code_stream(stream: Sequence[int], width: int
     encoded = [(_to_gray(v & mask), 0) for v in stream]
     return BusCodingResult(
         scheme="gray", width=width, extra_lines=0, transfers=len(stream),
-        transitions_uncoded=uncoded_transitions(
-            [v & mask for v in stream]),
-        transitions_coded=uncoded_transitions([b for b, _ in encoded]),
+        transitions_uncoded=stream_transitions(v & mask for v in stream),
+        transitions_coded=stream_transitions(b for b, _ in encoded),
         encoded=encoded)
 
 
 def _low_weight_codes(width: int, count: int) -> List[int]:
     """The ``count`` lowest-weight codewords of ``width`` bits."""
-    codes = sorted(range(1 << width), key=lambda c: (_popcount(c), c))
+    codes = sorted(range(1 << width), key=lambda c: (c.bit_count(), c))
     if count > len(codes):
         raise ValueError("alphabet larger than the code space")
     return codes[:count]
@@ -167,7 +155,7 @@ def limited_weight_code(stream: Sequence[int], width: int,
         code = book[value]
         if i > 0:
             bus ^= code          # transition signalling
-            transitions += _popcount(code)
+            transitions += code.bit_count()
         else:
             bus = 0
         encoded.append((bus, 0))
@@ -175,6 +163,5 @@ def limited_weight_code(stream: Sequence[int], width: int,
     return BusCodingResult(
         scheme="limited-weight", width=code_width,
         extra_lines=max(0, code_width - width), transfers=len(stream),
-        transitions_uncoded=uncoded_transitions(
-            [v & mask for v in stream]),
+        transitions_uncoded=stream_transitions(v & mask for v in stream),
         transitions_coded=transitions, encoded=encoded)

@@ -15,6 +15,8 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
+from repro.sim import vectors
+
 
 def to_twos_complement(value: int, width: int) -> int:
     mask = (1 << width) - 1
@@ -38,14 +40,7 @@ def stream_transitions(values: Sequence[int], width: int,
     else:
         raise ValueError("representation must be 'twos' or "
                          "'sign-magnitude'")
-    total = 0
-    prev = None
-    for v in values:
-        word = encode(v, width)
-        if prev is not None:
-            total += (prev ^ word).bit_count()
-        prev = word
-    return total
+    return vectors.stream_transitions(encode(v, width) for v in values)
 
 
 def sine_stream(count: int, amplitude: float, period: float,

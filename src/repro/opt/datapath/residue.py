@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import List, Sequence, Tuple
 
+from repro.sim.vectors import stream_transitions
+
 
 def residue_moduli_for(max_value: int,
                        candidates: Sequence[int] = (3, 5, 7, 11, 13, 16,
@@ -96,24 +98,11 @@ class OneHotResidue:
         Each digit change costs exactly two flips; at most
         2·len(moduli) per step regardless of data.
         """
-        total = 0
-        prev = None
-        for v in values:
-            word = self.encode(v).wires(self.moduli)
-            if prev is not None:
-                total += (prev ^ word).bit_count()
-            prev = word
-        return total
+        return stream_transitions(self.encode(v).wires(self.moduli)
+                                  for v in values)
 
     @staticmethod
     def binary_transitions(values: Sequence[int], width: int) -> int:
         """Two's-complement datapath flips for the same stream."""
         mask = (1 << width) - 1
-        total = 0
-        prev = None
-        for v in values:
-            w = v & mask
-            if prev is not None:
-                total += (prev ^ w).bit_count()
-            prev = w
-        return total
+        return stream_transitions(v & mask for v in values)

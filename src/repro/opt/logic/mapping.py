@@ -2,20 +2,20 @@
 (Section III-B; DAGON [20] extended to power as in [43], [48], [26]).
 
 The input network is first decomposed into a 2-input AND/OR/NOT subject
-graph.  One topological walk enumerates every node's k-feasible cuts
-and matches them against the library (each cell's distinct permuted
-truth tables are tabulated once per library content).  A node's
-distinct fitting unions of fanin cuts are sorted by leaf count and
-truncated before any truth table is built.  Each cut carries its truth
-table: a kept cut's table is the node's gate applied to its two fanin
-cuts' tables, each expanded to the union's leaf order by one lookup in
-a table per (union size, leaf positions), built on first use, so no
-table is recomputed from the cone.  Only cuts whose table has a library
-pattern are priced.  Where a union cut has a leaf
-inside the other fanin cut's cone, this table can differ from the
-cone's (which frees that leaf) on leaf assignments that cannot occur;
-both agree on every one that can.  The same walk's dynamic program
-selects, per node, the match minimizing the chosen cost:
+graph.  One topological walk enumerates every node's cuts of at most
+four leaves (the generic library's widest cell) and matches them
+against the library (each cell's distinct permuted truth tables are
+tabulated once per library content).  A node's distinct fitting unions
+of fanin cuts are sorted by leaf count and truncated before any truth
+table is built.  Each cut carries its truth table: a kept cut's table
+is the node's gate applied to its two fanin cuts' tables, each expanded
+to the union's leaf order by one lookup in a table per (union size,
+leaf positions), built on first use, so no table is recomputed from the
+cone.  Only cuts whose table has a library pattern are priced.  Where a
+union cut has a leaf inside the other fanin cut's cone, this table can
+differ from the cone's (which frees that leaf) on leaf assignments that
+cannot occur; both agree on every one that can.  The same walk's
+dynamic program selects, per node, the match minimizing the chosen cost:
 
 * ``"area"``  — Σ cell area (the classical objective),
 * ``"power"`` — Σ (activity at the match output) · (cell output cap)
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.library.cells import Cell, Library
 
@@ -51,30 +51,22 @@ Cut = Tuple[str, ...]  # ordered leaf names
 _Cut = Tuple[Cut, FrozenSet[str], int]
 
 
-def _permute_tt(tt: int, n: int, perm: Sequence[int]) -> int:
-    """Truth table after permuting inputs: new var i = old var perm[i]."""
-    out = 0
-    for m in range(1 << n):
-        src = 0
-        for i in range(n):
-            if (m >> i) & 1:
-                src |= 1 << perm[i]
-        if (tt >> src) & 1:
-            out |= 1 << m
-    return out
-
-
 _Pins = Tuple[int, ...]
+
+#: The most leaves a cut has, and the most cuts a node keeps (its
+#: trivial cut included).
+_CUT_LEAVES = 4
+_MAX_CUTS = 12
 
 
 @lru_cache(maxsize=8)
-def _pattern_table(cells: Tuple[Tuple[str, int, int, float], ...],
-                   max_inputs: int
+def _pattern_table(cells: Tuple[Tuple[str, int, int, float], ...]
                    ) -> Dict[Tuple[int, int],
                              Tuple[Tuple[str, _Pins, float], ...]]:
     """(num_inputs, truth_table) -> ((cell name, pin permutation,
     delay), ...) for cells given as (name, num_inputs, truth table,
-    delay at the mapping load).
+    delay at the mapping load), over the cells of at most
+    ``_CUT_LEAVES`` inputs.
 
     Only a cell's first permutation per table is kept: a match's cost
     and arrival do not depend on the permutation, and ``tech_map``
@@ -82,11 +74,13 @@ def _pattern_table(cells: Tuple[Tuple[str, int, int, float], ...],
     """
     patterns: Dict[Tuple[int, int], List[Tuple[str, _Pins, float]]] = {}
     for name, n, base_tt, delay in cells:
-        if n == 0 or n > max_inputs:
+        if n == 0 or n > _CUT_LEAVES:
             continue
         for perm in permutations(range(n)):
+            # Leaf i drives pin perm[i]: pin j reads leaf inverse[j].
+            inverse = tuple(perm.index(j) for j in range(n))
             entries = patterns.setdefault(
-                (n, _permute_tt(base_tt, n, perm)), [])
+                (n, _expand(base_tt, inverse, n)), [])
             if all(cell != name for cell, _, _ in entries):
                 entries.append((name, perm, delay))
     return {key: tuple(entries) for key, entries in patterns.items()}
@@ -96,7 +90,7 @@ def _pattern_table(cells: Tuple[Tuple[str, int, int, float], ...],
 _MATCH_LOAD = 4.0
 
 
-def _library_patterns(library: Library, max_inputs: int
+def _library_patterns(library: Library
                       ) -> Dict[Tuple[int, int],
                                 List[Tuple[Cell, _Pins, float]]]:
     """Map (num_inputs, truth_table) -> [(cell, pin permutation, cell
@@ -107,8 +101,7 @@ def _library_patterns(library: Library, max_inputs: int
     """
     table = _pattern_table(
         tuple((c.name, c.num_inputs, truth_table(c.cover),
-               c.delay(_MATCH_LOAD)) for c in library),
-        max_inputs)
+               c.delay(_MATCH_LOAD)) for c in library))
     return {key: [(library[name], perm, delay)
                   for name, perm, delay in entries]
             for key, entries in table.items()}
@@ -138,10 +131,6 @@ def _positions(sel: int) -> Tuple[int, ...]:
     return tuple(i for i in range(sel.bit_length()) if (sel >> i) & 1)
 
 
-#: Unions of at most this many leaves expand their fanin cuts' tables
-#: by ``_EXPANSION`` lookup; wider ones through ``_expand_wide``.
-_TABLE_LEAVES = 4
-
 #: (n, sel) -> the table, indexed by a truth table over popcount(sel)
 #: variables, of the same function over n variables: old variable i
 #: becomes the i-th set bit of ``sel``.  Each is built on first use by
@@ -165,33 +154,23 @@ def _expansion(n: int, sel: int) -> List[int]:
     return table
 
 
-@lru_cache(maxsize=4096)
-def _expand_wide(tt: int, sel: int, n: int) -> int:
-    """``_expand`` onto the set bits of ``sel``, memoised, for unions
-    wider than ``_TABLE_LEAVES`` (whose tables would be too large)."""
-    return _expand(tt, _positions(sel), n)
-
-
 def _expanded(tt: int, cut_leaves: Cut, leaves: Cut) -> int:
     """``tt`` over ``cut_leaves`` re-expressed over ``leaves``, a sorted
     superset of the sorted ``cut_leaves``."""
-    n = len(leaves)
     sel = 0
     for leaf in cut_leaves:
         sel |= 1 << leaves.index(leaf)
-    if n > _TABLE_LEAVES:
-        return _expand_wide(tt, sel, n)
-    return _expansion(n, sel)[tt]
+    return _expansion(len(leaves), sel)[tt]
 
 
-def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]], k: int,
-               max_cuts_per_node: int = 12) -> List[_Cut]:
-    """``node``'s k-feasible cuts (priority: fewer leaves), its trivial
-    cut first, from its fanins' cuts in ``cuts``.
+def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]]
+               ) -> List[_Cut]:
+    """``node``'s cuts (priority: fewer leaves), its trivial cut first,
+    from its fanins' cuts in ``cuts``.
 
-    The distinct unions of one cut per fanin that fit in ``k`` leaves
-    are sorted stably by leaf count (first-seen order within a count)
-    and cut to ``max_cuts_per_node - 1`` before any table is built.  A
+    The distinct unions of one cut per fanin that fit in ``_CUT_LEAVES``
+    leaves are sorted stably by leaf count (first-seen order within a
+    count) and cut to ``_MAX_CUTS - 1`` before any table is built.  A
     kept cut's truth table is the node's gate applied to the first
     fanin cuts whose union it is, each table expanded to the union's
     leaf order (``_expanded``).
@@ -212,9 +191,9 @@ def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]], k: int,
             s1 = c1[1]
             for c2 in right:
                 u = s1 | c2[1]
-                if len(u) <= k and u not in unions:
+                if len(u) <= _CUT_LEAVES and u not in unions:
                     unions[u] = (c1, c2)
-    kept = sorted(unions, key=len)[:max_cuts_per_node - 1]
+    kept = sorted(unions, key=len)[:_MAX_CUTS - 1]
     gtype = node.gtype if node.kind == "gate" else None
     out: List[_Cut] = [_trivial_cut(name)]
     if len(fanins) == 1:
@@ -283,8 +262,7 @@ class MappingResult:
 
 
 def tech_map(net: Network, library: Library, objective: str = "area",
-             activity: Optional[Dict[str, float]] = None,
-             k: int = 4, seed: int = 0,
+             activity: Optional[Dict[str, float]] = None, seed: int = 0,
              decomposition: str = "balanced",
              input_probs: Optional[Dict[str, float]] = None
              ) -> MappingResult:
@@ -293,12 +271,8 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     ``activity`` (per subject-graph node, transitions/cycle) prices the
     power objective and, under every objective, the chosen cells'
     ``power_cost``; it is estimated by simulation of the subject graph
-    when absent.  ``k`` bounds a cut's leaves (the default 4 is the
-    generic library's widest cell).  A smaller ``k`` never matches the
-    wider cells; a larger one keeps cuts wider than any cell, which take
-    kept-cut slots but never match.  Tables of cuts over at most four
-    leaves are expanded by table lookup, wider ones by a memoised
-    recomputation.  ``decomposition`` selects the subject graph style
+    when absent.  Cells of more than ``_CUT_LEAVES`` inputs are never
+    matched.  ``decomposition`` selects the subject graph style
     (``"balanced"`` or the probability-ordered ``"power"`` chains of
     [48]; the latter uses ``input_probs``).
     """
@@ -310,8 +284,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
                                                seed=seed,
                                                input_probs=input_probs)
 
-    max_inputs = max(c.num_inputs for c in library)
-    patterns = _library_patterns(library, min(k, max_inputs))
+    patterns = _library_patterns(library)
     nodes = subject.nodes
     consts = {name for name, node in nodes.items()
               if node.kind == "gate" and
@@ -385,7 +358,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
         if node.is_source() or not node.fanins:
             node_cuts = [_trivial_cut(name)]
         else:
-            node_cuts = _node_cuts(name, node, cuts, k)
+            node_cuts = _node_cuts(name, node, cuts)
             num_cuts += len(node_cuts) - 1
             for fi in set(node.fanins):
                 unread[fi] -= 1

@@ -26,17 +26,13 @@ from repro.power.activity import sequential_activity
 from repro.power.model import PowerParameters, PowerReport, power_report
 
 
-def _hamming(a: int, b: int) -> int:
-    return (a ^ b).bit_count()
-
-
 def encoding_cost(stg: STG, encoding: Dict[str, int],
                   weights: Optional[Dict[Tuple[str, str], float]] = None,
                   input_probs: Optional[Sequence[float]] = None) -> float:
     """Expected flip-flop transitions per cycle under the encoding."""
     if weights is None:
         weights = stg.edge_weights(input_probs)
-    return sum(w * _hamming(encoding[s], encoding[t])
+    return sum(w * (encoding[s] ^ encoding[t]).bit_count()
                for (s, t), w in weights.items())
 
 
@@ -84,7 +80,7 @@ def encode_greedy(stg: STG,
         if near is None:
             code = min(free)
         else:
-            code = min(free, key=lambda c: (_hamming(c, near), c))
+            code = min(free, key=lambda c: ((c ^ near).bit_count(), c))
         encoding[state] = code
         free.discard(code)
 

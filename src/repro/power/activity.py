@@ -195,9 +195,9 @@ def transition_activity(transitions: Dict[str, int],
 
 def weighted_switching(net: Network, activity: Dict[str, float],
                        caps: Optional[Dict[str, float]] = None) -> float:
-    """Σ C(node)·activity(node): the cost function used throughout the
-    logic-level optimizations (capacitance defaults to the transistor-count
-    model of ``repro.power.model``)."""
+    """Σ C(node)·activity(node) over every node of ``net``
+    (capacitance defaults to the transistor-count model of
+    ``repro.power.model``)."""
     from repro.power.model import PowerParameters, node_capacitance
 
     if caps is None:

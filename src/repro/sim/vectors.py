@@ -8,6 +8,7 @@ thousands of patterns per netlist traversal.
 from __future__ import annotations
 
 import random
+from itertools import pairwise
 from typing import Dict, Iterable, List, Optional, Sequence
 
 
@@ -123,11 +124,5 @@ def hamming(a: int, b: int) -> int:
 
 
 def stream_transitions(stream: Iterable[int]) -> int:
-    """Total bit transitions along a stream of bus values."""
-    total = 0
-    prev = None
-    for v in stream:
-        if prev is not None:
-            total += hamming(prev, v)
-        prev = v
-    return total
+    """Total bit flips between consecutive words of ``stream``."""
+    return sum(hamming(a, b) for a, b in pairwise(stream))

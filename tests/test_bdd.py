@@ -59,13 +59,6 @@ class TestOperators:
         f2 = ~a | ~b
         assert f1.node == f2.node   # De Morgan, canonical form
 
-    def test_ite(self, mgr):
-        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
-        f = a.ite(b, c)
-        assert f.evaluate({"a": 1, "b": 1, "c": 0})
-        assert f.evaluate({"a": 0, "b": 0, "c": 1})
-        assert not f.evaluate({"a": 1, "b": 0, "c": 1})
-
     def test_bool_coercion(self, mgr):
         a = mgr.var("a")
         assert (a & True).node == a.node
@@ -74,8 +67,9 @@ class TestOperators:
 
     def test_implies_equiv(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
-        assert (a & b).implies(a)
-        assert not a.implies(a & b)
+        # f implies g iff f and not-g are disjoint.
+        assert mgr._disjoint((a & b).node, (~a).node)
+        assert not mgr._disjoint(a.node, (~(a & b)).node)
         assert (a & b).equiv(b & a)
 
     def test_mixing_managers_rejected(self, mgr):
@@ -147,13 +141,6 @@ class TestQuantification:
         assert f.node == b.node
         assert (a & b).restrict({"a": 0}).is_false
 
-    def test_compose(self, mgr):
-        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
-        f = a & b
-        g = f.compose("b", c | a)
-        assert g.equiv(a & (c | a))
-
-
 _KVARS = [f"x{i}" for i in range(6)]
 _FULL = (1 << 64) - 1
 #: Truth table of each variable over the 64 minterms of x0..x5 (bit i
@@ -188,13 +175,10 @@ def _grow(kids):
     return st.one_of(
         st.tuples(st.just("not"), kids),
         st.tuples(st.sampled_from(["and", "or", "xor"]), kids, kids),
-        st.tuples(st.just("ite"), kids, kids, kids),
         st.tuples(st.sampled_from(["exists", "forall"]), kids, subset),
         st.tuples(st.just("restrict"), kids,
                   st.dictionaries(st.sampled_from(_KVARS),
-                                  st.integers(0, 1), max_size=3)),
-        st.tuples(st.just("compose"), kids, st.sampled_from(range(6)),
-                  kids))
+                                  st.integers(0, 1), max_size=3)))
 
 
 _EXPRESSIONS = st.recursive(_leaves(), _grow, max_leaves=12)
@@ -224,13 +208,8 @@ class TestKernelProperty:
                 f, t = a | b, ta | tb
             else:
                 f, t = a ^ b, ta ^ tb
-            assert a.implies(b) == (ta & ~tb == 0)
+            assert bdd._disjoint(a.node, (~b).node) == (ta & ~tb == 0)
             assert bdd._disjoint(a.node, b.node) == (ta & tb == 0)
-        elif op == "ite":
-            a, ta = self._check(bdd, levels, expr[1])
-            b, tb = self._check(bdd, levels, expr[2])
-            c, tc = self._check(bdd, levels, expr[3])
-            f, t = a.ite(b, c), (ta & tb) | (~ta & tc & _FULL)
         elif op in ("exists", "forall"):
             a, t = self._check(bdd, levels, expr[1])
             for name in expr[2]:
@@ -238,18 +217,11 @@ class TestKernelProperty:
                           for p in (0, 1))
                 t = (lo | hi) if op == "exists" else (lo & hi)
             f = a.exists(expr[2]) if op == "exists" else a.forall(expr[2])
-        elif op == "restrict":
+        else:
             a, t = self._check(bdd, levels, expr[1])
             for name, phase in expr[2].items():
                 t = _cofactor(t, _KVARS.index(name), phase)
             f = a.restrict(expr[2])
-        else:
-            a, ta = self._check(bdd, levels, expr[1])
-            g, tg = self._check(bdd, levels, expr[3])
-            i = expr[2]
-            f = a.compose(_KVARS[i], g)
-            t = (tg & _cofactor(ta, i, 1)) | \
-                (~tg & _cofactor(ta, i, 0) & _FULL)
         assert f.node == _shannon(bdd, levels, t, 0, 0), expr
         return f, t
 
@@ -301,11 +273,6 @@ class TestUnknownVariable:
         with pytest.raises(ValueError, match="'zz'"):
             mgr.var("a").forall(["zz"])
 
-    def test_compose(self, mgr):
-        with pytest.raises(ValueError, match="'zz'"):
-            mgr.var("a").compose("zz", mgr.var("b"))
-
-
 class TestAnalysis:
     def test_probability_uniform(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
@@ -317,16 +284,6 @@ class TestAnalysis:
         a, b = mgr.var("a"), mgr.var("b")
         p = (a & b).probability({"a": 0.9, "b": 0.1})
         assert p == pytest.approx(0.09)
-
-    def test_sat_count(self, mgr):
-        a, b = mgr.var("a"), mgr.var("b")
-        assert (a & b).sat_count() == pytest.approx(2.0)  # 3 vars total
-        assert (a | b).sat_count(2) == pytest.approx(3.0)
-
-    def test_support(self, mgr):
-        a, c = mgr.var("a"), mgr.var("c")
-        assert (a & c).support() == ["a", "c"]
-        assert mgr.true.support() == []
 
     def test_num_nodes_grows(self, mgr):
         before = mgr.num_nodes()

@@ -6,10 +6,10 @@ import pytest
 
 from repro.opt.datapath.bus_coding import (bus_invert, gray_code_stream,
                                            limited_weight_code,
-                                           partitioned_bus_invert,
-                                           uncoded_transitions)
+                                           partitioned_bus_invert)
 from repro.opt.datapath.residue import OneHotResidue, residue_moduli_for
-from repro.sim.vectors import counter_bus_stream, random_bus_stream
+from repro.sim.vectors import (counter_bus_stream, random_bus_stream,
+                               stream_transitions)
 
 
 class TestBusInvert:
@@ -87,7 +87,9 @@ class TestLimitedWeight:
             limited_weight_code(list(range(16)), 8, code_width=2)
 
     def test_uncoded_transitions(self):
-        assert uncoded_transitions([0b00, 0b11, 0b01]) == 3
+        assert stream_transitions([0b00, 0b11, 0b01]) == 3
+        assert stream_transitions(iter([0b00, 0b11, 0b01])) == 3
+        assert stream_transitions([]) == stream_transitions([5]) == 0
 
 
 class TestResidue:

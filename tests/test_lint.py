@@ -15,7 +15,9 @@ from repro.analysis import (ERROR, INFO, WARNING, LintConfig, Linter,
                             select_rules)
 from repro.analysis.graph import (cycle_path, nontrivial_sccs,
                                   tarjan_scc)
+from repro.analysis.diagnostics import sort_diagnostics
 from repro.analysis.hazards import hazard_variables
+from repro.analysis.linter import RuleContext
 from repro.core.flow import low_power_flow, run_flow
 from repro.core.passes import (FlowError, FlowSpec, Pass, PassContext,
                                run_network_passes)
@@ -23,7 +25,7 @@ from repro.logic import generators as G
 from repro.logic.blif import write_blif
 from repro.logic.cube import Cube
 from repro.logic.gates import GateType
-from repro.logic.netlist import Network
+from repro.logic.netlist import Network, Node
 from repro.logic.sop import Cover
 from repro.tools.cli import main as cli_main
 
@@ -339,6 +341,89 @@ class TestSelfAudit:
 
 # -- registry / driver ---------------------------------------------------
 
+def injected_defects():
+    """(name, network) pairs: a clean network and one per defect class
+    above, plus the combinations that trip several gate facts."""
+    out = [("clean", small_comb())]
+
+    def edit(name, change):
+        net = small_comb()
+        change(net)
+        out.append((name, net))
+
+    edit("cycle", lambda n: n.set_fanins("g", ["a", "h"]))
+    edit("undriven", lambda n: n.set_fanins("g", ["a", "ghost"]))
+    edit("undriven-output", lambda n: n.set_output("nowhere"))
+    edit("cycle+undriven", lambda n: n.set_fanins("g", ["ghost", "h"]))
+    edit("dangling", lambda n: n.add_gate("dead", GateType.OR,
+                                          ["a", "b"]))
+    edit("unused-input", lambda n: n.add_input("idle"))
+    edit("bad-delay", lambda n: n.nodes["g"].attrs.update(delay=-2.0))
+    edit("duplicate-output", lambda n: n.outputs.append("h"))
+
+    def bad_cover(kind):
+        def change(net):
+            net.add_sop("s", ["a", "b"],
+                        Cover(2, [Cube.from_string("11")]))
+            net.set_output("s")
+            if kind == "arity":
+                net.set_fanins("s", ["a"])
+            elif kind == "cube":
+                net.nodes["s"].cover.cubes[0].mask = 0b01
+            elif kind == "cube-arity":
+                net.nodes["s"].cover.cubes.append(Cube.from_string("1"))
+            else:
+                net.set_node(Node("s", "sop", fanins=["a", "b"],
+                                  cover=None if kind == "none"
+                                  else Cover(2, [])))
+        return change
+
+    for kind in ("arity", "cube", "cube-arity", "none", "empty"):
+        edit(f"cover-{kind}", bad_cover(kind))
+    edit("cover+cycle", lambda n: (bad_cover("arity")(n),
+                                   n.set_fanins("g", ["a", "h"])))
+
+    latched = Network("seq")
+    latched.add_input("d")
+    latched.add_latch("d", "q", enable="ghost_en")
+    latched.set_output("q")
+    out.append(("undriven-enable", latched))
+    out.append(("counter", G.counter(3)))
+    return out
+
+
+def reference_lint(net, rules):
+    """The linter with its gate facts found by scans of their own
+    rather than from the gate rules' errors: every reference defined,
+    no non-trivial SCC among the defined nodes, every cover of its
+    fanins' arity with well-formed cubes."""
+    ctx = RuleContext(net, LintConfig())
+    refs = [fi for node in net.nodes.values() for fi in node.fanins]
+    refs += [latch.data for latch in net.latches]
+    refs += [latch.enable for latch in net.latches
+             if latch.enable is not None]
+    refs += list(net.outputs)
+    complete = all(ref in net.nodes for ref in refs)
+    acyclic = complete and not nontrivial_sccs(ctx.adjacency())
+    covers_ok = all(
+        node.cover is not None and
+        node.cover.num_vars == len(node.fanins) and
+        all(c.num_vars == node.cover.num_vars and not c.value & ~c.mask
+            for c in node.cover.cubes)
+        for node in net.nodes.values() if node.kind == "sop")
+    skipped, diags = [], []
+    for r in rules:
+        if r.needs_complete and not complete:
+            skipped.append((r.id, "network has undriven references"))
+        elif r.needs_dag and not acyclic:
+            skipped.append((r.id, "network is cyclic or incomplete"))
+        elif r.needs_covers and not covers_ok:
+            skipped.append((r.id, "network has malformed covers"))
+        else:
+            diags.extend(r.check(ctx))
+    return skipped, [d.to_json() for d in sort_diagnostics(diags)]
+
+
 class TestDriver:
     def test_catalog_is_stable(self):
         ids = [r.id for r in all_rules()]
@@ -357,6 +442,30 @@ class TestDriver:
         report = lint_network(mux_node_net(),
                               rules=select_rules("hot-net"))
         assert {d.rule for d in report.diagnostics} <= {"hot-net"}
+
+    @pytest.mark.parametrize("name, net", injected_defects(),
+                             ids=[n for n, _ in injected_defects()])
+    def test_gate_facts_match_reference_scans(self, name, net):
+        # Gate facts taken from the gate rules' errors skip the same
+        # rules and report the same findings, to the detail, as facts
+        # from separate scans: for the catalog, the invariant subset,
+        # and each rule alone.
+        catalog = all_rules()
+        selections = [catalog, [r for r in catalog if r.invariant]] + \
+            [[r] for r in catalog]
+        for rules in selections:
+            report = lint_network(net, rules)
+            assert (report.skipped_rules,
+                    [d.to_json() for d in report.diagnostics]) == \
+                reference_lint(net, rules), [r.id for r in rules]
+
+    def test_injected_defects_trip_each_gate(self):
+        skipping = {name for name, net in injected_defects()
+                    if lint_network(net).skipped_rules}
+        assert skipping == {
+            "cycle", "undriven", "undriven-output", "cycle+undriven",
+            "cover-arity", "cover-cube", "cover-cube-arity",
+            "cover-none", "cover+cycle", "undriven-enable"}
 
     def test_check_invariants_fast_path(self):
         assert check_invariants(small_comb()) == []

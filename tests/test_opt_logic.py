@@ -29,11 +29,10 @@ from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
                                       dontcare_power_optimization,
                                       observability_dont_cares)
 from repro.opt.logic.kernels import extract_kernels
-from repro.opt.logic.mapping import (_EXPANSION, _expand, _expand_wide,
-                                     _expansion, _library_patterns,
-                                     _node_cuts, _pattern_table,
-                                     _permute_tt, _positions, _subject_graph,
-                                     _trivial_cut, tech_map)
+from repro.opt.logic.mapping import (_EXPANSION, _expand, _expansion,
+                                     _library_patterns, _node_cuts,
+                                     _pattern_table, _positions,
+                                     _subject_graph, _trivial_cut, tech_map)
 from repro.power.activity import (activity_from_simulation,
                                   signal_probability_propagation)
 from repro.power.glitch import glitch_report
@@ -746,7 +745,7 @@ class TestTechMapping:
         assert verify_equivalence_exact(net, res.mapped)
 
 
-def _kept_cuts(subject: Network, k: int = 4, node_cuts=_node_cuts):
+def _kept_cuts(subject: Network, node_cuts=_node_cuts):
     """Every node's kept cuts, enumerated as ``tech_map`` does (by
     ``node_cuts``)."""
     cuts: Dict[str, list] = {}
@@ -755,12 +754,12 @@ def _kept_cuts(subject: Network, k: int = 4, node_cuts=_node_cuts):
         if node.is_source() or not node.fanins:
             cuts[name] = [_trivial_cut(name)]
         else:
-            cuts[name] = node_cuts(name, node, cuts, k)
+            cuts[name] = node_cuts(name, node, cuts)
     return cuts
 
 
 def _reference_node_cuts(name: str, node: Node, cuts: Dict[str, list],
-                         k: int, max_cuts_per_node: int = 12) -> list:
+                         k: int = 4, max_cuts_per_node: int = 12) -> list:
     """Reference enumeration: leaf-count buckets of frozensets in
     first-seen order, leaf positions by ``leaves.index`` and every
     expansion recomputed by ``_expand``."""
@@ -931,12 +930,22 @@ class TestCarriedCutTables:
                 res.arrival) == self.PINNED[circuit, objective]
 
 
+def _permuted(tt: int, n: int, perm: Tuple[int, ...]) -> int:
+    """Reference: ``tt`` over cell pins re-expressed over cut leaves,
+    leaf i driving pin perm[i]."""
+    out = 0
+    for m in range(1 << n):
+        pins = sum(1 << perm[i] for i in range(n) if (m >> i) & 1)
+        out |= ((tt >> pins) & 1) << m
+    return out
+
+
 class TestLibraryPatterns:
     def test_built_once_per_library_content(self):
-        _library_patterns(generic_library(), 4)
+        _library_patterns(generic_library())
         hits = _pattern_table.cache_info().hits
         library = generic_library()
-        patterns = _library_patterns(library, 4)
+        patterns = _library_patterns(library)
         assert _pattern_table.cache_info().hits == hits + 1
         cells = {id(c) for c in library}
         assert all(id(cell) in cells
@@ -949,12 +958,12 @@ class TestLibraryPatterns:
             n = cell.num_inputs
             if 0 < n <= 4:
                 for perm in itertools.permutations(range(n)):
-                    tt = _permute_tt(truth_table(cell.cover), n, perm)
+                    tt = _permuted(truth_table(cell.cover), n, perm)
                     every.setdefault((n, tt), []).append((cell.name, perm))
         first = {key: [e for i, e in enumerate(entries)
                        if all(e[0] != f[0] for f in entries[:i])]
                  for key, entries in every.items()}
-        patterns = _library_patterns(library, 4)
+        patterns = _library_patterns(library)
         assert {key: [(c.name, perm) for c, perm, _ in entries]
                 for key, entries in patterns.items()} == first
         assert all(delay == cell.delay(4.0)
@@ -968,12 +977,12 @@ class TestCutEnumerationReference:
 
     @settings(max_examples=40, deadline=None)
     @given(n_in=st.integers(2, 16), gates=st.integers(5, 150),
-           seed=st.integers(0, 2 ** 16), k=st.integers(2, 5),
+           seed=st.integers(0, 2 ** 16),
            consts=st.lists(st.tuples(st.integers(0, 10 ** 6),
                                      st.booleans()), max_size=4))
-    @example(n_in=16, gates=140, seed=0, k=4, consts=[])
-    @example(n_in=4, gates=60, seed=3, k=5, consts=[(7, True), (9, False)])
-    def test_kept_cuts_match_reference(self, n_in, gates, seed, k, consts):
+    @example(n_in=16, gates=140, seed=0, consts=[])
+    @example(n_in=4, gates=60, seed=3, consts=[(7, True), (9, False)])
+    def test_kept_cuts_match_reference(self, n_in, gates, seed, consts):
         subject = _subject_graph(random_logic(n_in, gates, seed),
                                  "balanced", None)
         # propagate_constants leaves no constant inside a subject graph
@@ -986,8 +995,8 @@ class TestCutEnumerationReference:
                 subject.fresh_name("k"),
                 GateType.CONST1 if value else GateType.CONST0, [])
             subject.set_fanins(name, [const, subject.nodes[name].fanins[1]])
-        assert _kept_cuts(subject, k) == \
-            _kept_cuts(subject, k, _reference_node_cuts)
+        assert _kept_cuts(subject) == \
+            _kept_cuts(subject, _reference_node_cuts)
 
     def test_expansion_tables_exhaustive(self):
         for n in range(2, 5):
@@ -1002,15 +1011,6 @@ class TestCutEnumerationReference:
                 assert table == [_expand(tt, pos, n)
                                  for tt in range(len(table))]
 
-    def test_wide_expansion_matches_expand(self):
-        rng = random.Random(5)
-        for n in (5, 6):
-            for _ in range(200):
-                sel = rng.randrange(1, (1 << n) - 1)
-                tt = rng.randrange(1 << (1 << bin(sel).count("1")))
-                assert _expand_wide(tt, sel, n) == \
-                    _expand(tt, _positions(sel), n)
-
     def test_no_table_built_at_import(self):
         import subprocess
         import sys
@@ -1018,45 +1018,6 @@ class TestCutEnumerationReference:
         code = ("import repro.opt.logic.mapping as m; "
                 "assert not m._EXPANSION, len(m._EXPANSION)")
         subprocess.run([sys.executable, "-c", code], check=True)
-
-
-class TestCutWidth:
-    """``k`` off the default: below the widest cell (3) and above it
-    (5).  SHA-256 of the mapped BLIF, the costs (area, power cost,
-    arrival) and the work counters (cuts, matches) of the power mapping,
-    seed 1, recorded before expansion by table lookup.  comparator(6)
-    keeps no five-leaf cut at k=5 (its smaller cuts fill the twelve);
-    rand140_0 does, so its k=5 mapping takes the memoised wide path."""
-
-    PINNED = {
-        ("cmp6", 3): (
-            "03ead6d92a5c8aba0d96e0f528f2893bbb3256dab87867cff331c1c2b53d8cc4",
-            221.20000000000002, 49.84775171065493, 23.049999999999997,
-            150, 207),
-        ("cmp6", 5): (
-            "03ead6d92a5c8aba0d96e0f528f2893bbb3256dab87867cff331c1c2b53d8cc4",
-            221.20000000000002, 49.84775171065493, 23.049999999999997,
-            224, 207),
-        ("rand140_0", 5): (
-            "6deb8c6688874f4b2ad581ef4ddc6098b9b2dae71d8b9ed08d343966d95ace05",
-            1461.6, 306.4590909090909, 19.0, 4589, 4536),
-    }
-    MAKE = {"cmp6": lambda: comparator(6),
-            "rand140_0": lambda: random_logic(16, 140, 0)}
-
-    @pytest.mark.parametrize("circuit, k", sorted(PINNED),
-                             ids=[f"{c}-k{k}" for c, k in sorted(PINNED)])
-    def test_mapped_blif_pinned(self, circuit, k):
-        _expand_wide.cache_clear()
-        res = tech_map(self.MAKE[circuit](), generic_library(), "power",
-                       k=k, seed=1)
-        digest = hashlib.sha256(write_blif(res.mapped).encode())
-        assert (digest.hexdigest(), res.total_area, res.power_cost,
-                res.arrival, res.cuts, res.matches) == \
-            self.PINNED[circuit, k]
-        assert _expand_wide.cache_info().misses > 0 if \
-            circuit == "rand140_0" else \
-            _expand_wide.cache_info().misses == 0
 
 
 class TestDeepMapping:
