@@ -9,8 +9,17 @@ image on the fanin space: the fanin combinations that never occur
 unobservable.  The image is built straight from the fanins' global
 functions: each fanin in turn splits the care set into the points where
 it is 1 and where it is 0, and the image holds the fanin assignments
-whose part is non-empty.  The node's cover is then re-minimized against
-the don't-care set, choosing among the legal covers the one that
+whose part is non-empty.
+
+Most nodes have no don't-cares at all, and the pass proves that for
+most of them without BDD work.  The words of its Monte-Carlo power
+estimate are real points of the source space: evaluating the fanout
+cone on them with the node forced to 1 and to 0 shows which vectors
+observe the node, each one a point of the care set.  When every fanin
+assignment occurs at an observable vector, the care set's image is the
+whole fanin space and the don't-care set is empty; otherwise the node
+takes the exact path above.  The node's cover is then re-minimized
+against the don't-care set, choosing among the legal covers the one that
 minimizes its expected switching contribution ``2·p·(1−p)·C`` — the
 power-aware exploitation of don't-cares from [38] (Shen et al.) refined
 by [19] (Iman & Pedram).
@@ -29,7 +38,8 @@ from repro.logic.transform import gates_to_sop, node_cover
 from repro.power.activity import (activity_from_probability,
                                   activity_from_simulation,
                                   node_probability,
-                                  signal_probability_propagation)
+                                  signal_probability_propagation,
+                                  stored_node_words)
 from repro.power.model import PowerParameters, node_capacitance
 
 #: Nodes with more fanins than this are left as they are.
@@ -149,6 +159,7 @@ def observability_dont_cares(net: Network, node_name: str,
     """ODC set over the primary inputs: assignments under which flipping
     the node changes no primary output, the complement of its care
     set."""
+    net.node(node_name)
     if funcs is None:
         funcs = network_bdds(net)
     bdd = next(iter(funcs.values())).bdd
@@ -163,11 +174,66 @@ def _dont_care_cover(net: Network, node_name: str,
                       funcs, _care_set(net, node_name, funcs))
 
 
+def _hits_every_assignment(obs: int, fanin_words: List[int],
+                           i: int) -> bool:
+    """Whether every assignment of the fanins ``fanin_words[i:]`` occurs
+    at some vector of ``obs``.  Each fanin splits the vectors by its
+    word, as in :func:`_fanin_image`; a part with fewer vectors than
+    the assignments left to hit fails at once."""
+    if obs.bit_count() < 1 << (len(fanin_words) - i):
+        return False
+    if i == len(fanin_words):
+        return True
+    w = fanin_words[i]
+    return _hits_every_assignment(obs & w, fanin_words, i + 1) and \
+        _hits_every_assignment(obs & ~w, fanin_words, i + 1)
+
+
+def _witness_empty(net: Network, name: str, words: Dict[str, int],
+                   mask: int) -> bool:
+    """True only if the node's don't-care set is provably empty.
+
+    ``words`` holds every node's value on simulated source vectors (one
+    bit each, ``mask`` wide).  The fanout cone is evaluated on them
+    with the node forced to all ones and to all zeros; a member none of
+    whose fanins changed keeps its word.  A vector where a primary
+    output of the cone differs observes the node, so it is a point of
+    the care set.  If every fanin assignment occurs at an observable
+    vector, the care set's image is the whole fanin space.  False
+    proves nothing."""
+    node = net.nodes[name]
+    if net.is_output(name):
+        obs = mask
+    else:
+        obs = 0
+        nodes = net.nodes
+        hi: Dict[str, int] = {name: mask}
+        lo: Dict[str, int] = {name: 0}
+        for member in _fanout_cone(net, name)[1:]:
+            reader = nodes[member]
+            word = words[member]
+            for forced in (hi, lo):
+                if any(fi in forced for fi in reader.fanins):
+                    w = node_cover(reader).evaluate_words(
+                        [forced.get(fi, words[fi]) for fi in reader.fanins],
+                        mask)
+                    if w != word:
+                        forced[member] = w
+            if net.is_output(member):
+                obs |= hi.get(member, word) ^ lo.get(member, word)
+                if obs == mask:
+                    break
+    return _hits_every_assignment(obs, [words[fi] for fi in node.fanins],
+                                  0)
+
+
 @dataclass
 class DontCareResult:
     """Summary of a don't-care optimization pass.  ``bdd_nodes`` (the
-    size of the pass's BDD manager at its end) counts work, so it is
-    left out of ``repr`` and ``==``."""
+    size of the pass's BDD manager at its end) and ``witnessed`` (the
+    visited nodes whose empty don't-care set simulation proved, with no
+    BDD work) count work, so they are left out of ``repr`` and
+    ``==``."""
 
     nodes_changed: int
     switched_cap_before: float
@@ -175,6 +241,7 @@ class DontCareResult:
     literals_before: int
     literals_after: int
     bdd_nodes: int = field(default=0, repr=False, compare=False)
+    witnessed: int = field(default=0, repr=False, compare=False)
 
     @property
     def power_saving(self) -> float:
@@ -207,7 +274,9 @@ def dontcare_power_optimization(net: Network,
 
     Nodes of at most :data:`MAX_FANINS` fanins are visited in
     topological order and re-minimized against their don't-care set,
-    the complement of their care set's fanin image.  Candidate
+    the complement of their care set's fanin image; a node whose set
+    the Monte-Carlo words prove empty (:func:`_witness_empty`) is
+    skipped without BDD work.  Candidate
     covers are scored with the fast probability-propagation model, but
     each rewrite is accepted only if the *global* switched capacitance,
     estimated by Monte-Carlo simulation (``num_vectors``/``seed``),
@@ -218,6 +287,10 @@ def dontcare_power_optimization(net: Network,
     params = PowerParameters()
 
     probs = signal_probability_propagation(net, input_probs)
+    # A function edit keeps fanins and attrs, so it changes only the
+    # edited node's capacitance; the sum runs in ``net.nodes`` order.
+    caps = {name: node_capacitance(net, name, params)
+            for name, node in net.nodes.items() if not node.is_source()}
 
     def total_cost() -> float:
         # Incremental after a function edit: the network's stored
@@ -226,29 +299,37 @@ def dontcare_power_optimization(net: Network,
         act, _p = activity_from_simulation(
             net, num_vectors, seed, input_probs)
         cap = 0.0
-        for name, node in net.nodes.items():
-            if node.is_source():
-                continue
-            cap += act.get(name, 0.0) * node_capacitance(net, name, params)
+        for name, node_cap in caps.items():
+            cap += act.get(name, 0.0) * node_cap
         return cap
 
+    def current_words() -> Dict[str, int]:
+        # The run total_cost() just stored, at the accepted state.
+        words = stored_node_words(net, num_vectors, seed, input_probs)
+        assert words is not None
+        return words
+
     cost = cap_before = total_cost()
+    words, mask = current_words(), (1 << num_vectors) - 1
     lits_before = net.num_literals()
-    funcs = network_bdds(net)
-    bdd = next(iter(funcs.values())).bdd
-    changed = 0
+    bdd = BDD()
+    funcs = network_bdds(net, bdd)
+    changed = witnessed = 0
     for name in net.topo_order():
         node = net.nodes[name]
         if node.is_source() or node.kind != "sop" or not node.fanins:
             continue
         if len(node.fanins) > MAX_FANINS:
             continue
+        if _witness_empty(net, name, words, mask):
+            witnessed += 1
+            continue
         dc = _dont_care_cover(net, name, funcs)
         if dc.is_empty():
             continue
         on = node.cover
         fanin_probs = [probs[fi] for fi in node.fanins]
-        load = node_capacitance(net, name, params) - _self_cap(on)
+        load = caps[name] - _self_cap(on)
         candidates = [on, on.minimize(dc), on.union(dc).minimize()]
         best = min(candidates,
                    key=lambda c: _node_cost(c, fanin_probs, load))
@@ -257,9 +338,12 @@ def dontcare_power_optimization(net: Network,
             # node shifts the statistics of its whole transitive fanout
             # (the refinement of [19]).
             net.set_function(name, best)
+            on_cap, caps[name] = caps[name], node_capacitance(net, name,
+                                                              params)
             after_cap = total_cost()
             if after_cap < cost:
                 cost = after_cap
+                words = current_words()
                 changed += 1
                 # Only the node's fanout cone changed: refresh its
                 # functions and probabilities in place.
@@ -272,9 +356,11 @@ def dontcare_power_optimization(net: Network,
                                                      probs)
             else:
                 net.set_function(name, on)
+                caps[name] = on_cap
     return DontCareResult(nodes_changed=changed,
                           switched_cap_before=cap_before,
                           switched_cap_after=total_cost(),
                           literals_before=lits_before,
                           literals_after=net.num_literals(),
-                          bdd_nodes=bdd.num_nodes())
+                          bdd_nodes=bdd.num_nodes(),
+                          witnessed=witnessed)

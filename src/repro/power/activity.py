@@ -109,6 +109,14 @@ class _Run(NamedTuple):
     ones: Dict[str, int]
 
 
+def _stimulus_key(sources: List[str], num_vectors: int, seed: int,
+                  input_probs: Optional[Dict[str, float]]) -> Tuple:
+    """Identity of a Monte-Carlo stimulus (``Network._sim``'s key)."""
+    return (tuple(sources), num_vectors, seed,
+            None if input_probs is None
+            else tuple(sorted(input_probs.items())))
+
+
 def activity_from_simulation(net: Network, num_vectors: int = 2048,
                              seed: int = 0,
                              input_probs: Optional[Dict[str, float]] = None
@@ -127,11 +135,9 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
     words, transition counts and one-counts everywhere else.  A
     structural edit drops the stored run.
     """
-    sources = [n for n in net.nodes.values() if n.is_source()]
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
     mask = (1 << num_vectors) - 1
-    stim_key = (tuple(s.name for s in sources), num_vectors, seed,
-                None if input_probs is None
-                else tuple(sorted(input_probs.items())))
+    stim_key = _stimulus_key(sources, num_vectors, seed, input_probs)
 
     run = net._sim
     if run is not None and run.key == stim_key:
@@ -140,8 +146,7 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
         values = get_compiled(net).evaluate_incremental(
             old_values, net.edits_since(run.mark), words, mask)
     else:
-        words = random_words([s.name for s in sources], num_vectors,
-                             seed, input_probs)
+        words = random_words(sources, num_vectors, seed, input_probs)
         old_values, old_t, old_o = {}, {}, {}
         values = get_compiled(net).evaluate_words(words, mask)
 
@@ -167,6 +172,22 @@ def activity_from_simulation(net: Network, num_vectors: int = 2048,
     net._sim = _Run(stim_key, net.edit_mark(), words, values,
                     transitions, ones)
     return activity, probability
+
+
+def stored_node_words(net: Network, num_vectors: int, seed: int,
+                      input_probs: Optional[Dict[str, float]] = None
+                      ) -> Optional[Dict[str, int]]:
+    """The node words of the network's stored Monte-Carlo run (one bit
+    per vector, as :func:`activity_from_simulation` simulated them), or
+    ``None`` unless that run was made under this stimulus and the
+    network has not been edited since.  Read-only."""
+    run = net._sim
+    if run is None or net.edits_since(run.mark) != []:
+        return None
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    if run.key != _stimulus_key(sources, num_vectors, seed, input_probs):
+        return None
+    return run.values
 
 
 def sequential_activity(net: Network,

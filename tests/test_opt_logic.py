@@ -19,9 +19,9 @@ from repro.logic.cube import Cube
 from repro.logic.generators import (alu_slice, array_multiplier,
                                     comparator, parity_tree,
                                     random_logic, ripple_carry_adder)
-from repro.logic.netlist import Network, Node
+from repro.logic.netlist import NetlistError, Network, Node
 from repro.logic.sop import Cover, truth_table
-from repro.logic.transform import gate_cover, node_cover
+from repro.logic.transform import gate_cover, gates_to_sop, node_cover
 from repro.opt.logic import dontcare as dontcare_module
 from repro.opt.logic.balance import balance_paths
 from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
@@ -34,7 +34,8 @@ from repro.opt.logic.mapping import (_EXPANSION, _expand, _expansion,
                                      _pattern_table, _positions,
                                      _subject_graph, _trivial_cut, tech_map)
 from repro.power.activity import (activity_from_simulation,
-                                  signal_probability_propagation)
+                                  signal_probability_propagation,
+                                  stored_node_words)
 from repro.power.glitch import glitch_report
 from repro.power.model import PowerParameters, node_capacitance
 from repro.sim.compiled import get_compiled
@@ -76,6 +77,24 @@ class TestDontCares:
         odc = observability_dont_cares(net, "g")
         assert odc.evaluate({"a": 0, "b": 0, "c": 0})
         assert not odc.evaluate({"a": 1, "b": 0, "c": 0})
+
+    def test_unknown_node_is_an_error(self):
+        net = reconvergent_net()
+        with pytest.raises(NetlistError):
+            observability_dont_cares(net, "no_such_node")
+        with pytest.raises(NetlistError):
+            controllability_dont_cares(net, "no_such_node")
+
+    def test_empty_network_is_left_unchanged(self):
+        # As a network of constants only: nothing to visit, no change.
+        assert dontcare_power_optimization(Network("e")) == \
+            DontCareResult(0, 0.0, 0.0, 0, 0)
+        net = Network("k")
+        net.add_gate("one", GateType.CONST1, [])
+        net.set_output("one")
+        res = dontcare_power_optimization(net)
+        assert res.nodes_changed == 0
+        assert res.switched_cap_before == res.switched_cap_after
 
     def test_optimization_preserves_outputs(self):
         net = reconvergent_net()
@@ -459,10 +478,22 @@ class TestDontCareWork:
         assert 1 in sizes and max(sizes) < len(net.nodes)
 
     def test_one_image_and_one_cover_per_visited_node(self, monkeypatch):
+        """One image and one cover per visited node the simulation
+        witness leaves open."""
+        asked: List[int] = []
+        left_open: List[int] = []
         images: List[int] = []
         covers = [0]
+        real_witness = dontcare_module._witness_empty
         real_image = dontcare_module._fanin_image
         real_to_cover = dontcare_module.bdd_to_cover
+
+        def recording_witness(net, name, words, mask):
+            proved = real_witness(net, name, words, mask)
+            asked.append(len(net.nodes[name].fanins))
+            if not proved:
+                left_open.append(len(net.nodes[name].fanins))
+            return proved
 
         def counting_image(bdd, care, fanins, i, memo):
             if i == 0:
@@ -477,13 +508,17 @@ class TestDontCareWork:
                             counting_image)
         monkeypatch.setattr(dontcare_module, "bdd_to_cover",
                             counting_to_cover)
+        monkeypatch.setattr(dontcare_module, "_witness_empty",
+                            recording_witness)
         net = random_logic(12, 80, seed=4)
         order = [net.nodes[name] for name in net.topo_order()]
         visited = [len(n.fanins) for n in order if not n.is_source() and
                    0 < len(n.fanins) <= dontcare_module.MAX_FANINS]
-        dontcare_power_optimization(net)
-        assert images == visited
-        assert covers[0] == len(visited)
+        res = dontcare_power_optimization(net)
+        assert asked == visited
+        assert images == left_open
+        assert covers[0] == len(left_open)
+        assert res.witnessed == len(visited) - len(left_open) > 0
 
     def test_fanin_variables_are_shared(self, monkeypatch):
         managers = []
@@ -517,6 +552,121 @@ class TestDontCareWork:
         res = dontcare_power_optimization(random_logic(16, 100, seed=0))
         assert res.nodes_changed >= 2
         assert len(calls) == 1
+
+
+def _assert_witness_sound(net: Network, num_vectors: int, seed: int,
+                          input_probs=None) -> int:
+    """Every node the simulation witness proves has an empty exact
+    don't-care cover; returns how many it proved."""
+    gates_to_sop(net)
+    activity_from_simulation(net, num_vectors, seed, input_probs)
+    words = stored_node_words(net, num_vectors, seed, input_probs)
+    funcs = network_bdds(net)
+    proved = 0
+    for name, node in net.nodes.items():
+        if node.is_source() or not node.fanins:
+            continue
+        if dontcare_module._witness_empty(net, name, words,
+                                          (1 << num_vectors) - 1):
+            proved += 1
+            assert dontcare_module._dont_care_cover(
+                net, name, funcs).is_empty(), name
+    return proved
+
+
+class TestDontCareWitness:
+    """The simulation witness in front of the exact path is sound, and
+    a node it cannot prove takes the BDD path."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(4, 60),
+           st.sampled_from([16, 64, 512]), st.booleans())
+    @example(seed=1, inputs=16, gates=120, vectors=512, skewed=False)
+    def test_random_logic(self, seed, inputs, gates, vectors, skewed):
+        net = random_logic(inputs, gates, seed=seed)
+        rng = random.Random(seed)
+        probs = ({pi: rng.uniform(0.05, 0.95) for pi in net.inputs}
+                 if skewed else None)
+        _assert_witness_sound(net, vectors, seed % 7, probs)
+
+    @pytest.mark.parametrize("vectors", [8, 64, 512])
+    def test_latches_and_input_outputs(self, vectors):
+        _assert_witness_sound(latch_net(), vectors, 0)
+
+    def test_a_stuck_input_forces_the_exact_path(self):
+        # ``a`` is 0 on every vector, so no vector shows x = 1 and
+        # neither node is proved; the exact path finds both don't-care
+        # sets empty, as the witness does on unskewed vectors.
+        net = Network()
+        net.add_inputs(["a", "b", "c"])
+        net.add_gate("x", GateType.AND, ["a", "b"])
+        net.add_gate("y", GateType.OR, ["x", "c"])
+        net.set_outputs(["y"])
+        probs = {"a": 0.0}
+        gates_to_sop(net)
+        activity_from_simulation(net, 256, 0, probs)
+        words = stored_node_words(net, 256, 0, probs)
+        funcs = network_bdds(net)
+        for name in ("x", "y"):
+            assert not dontcare_module._witness_empty(net, name, words,
+                                                      (1 << 256) - 1)
+            assert dontcare_module._dont_care_cover(net, name,
+                                                    funcs).is_empty()
+        assert _assert_witness_sound(net.copy(), 256, 0) == 2
+        res = dontcare_power_optimization(net.copy(), probs, 256)
+        assert res.witnessed == 0
+        _assert_matches_reference(net, probs, 256)
+
+    def test_one_vector_proves_nothing(self):
+        net = random_logic(6, 30, seed=1)
+        res = dontcare_power_optimization(net.copy(), num_vectors=1)
+        assert res.witnessed == 0
+        _assert_matches_reference(net, None, 1)
+
+
+def _from_scratch_switched_cap(net: Network, num_vectors: int,
+                               seed: int) -> float:
+    """Σ activity·``node_capacitance`` over the non-source nodes in
+    ``net.nodes`` order, from a fresh simulation of a copy."""
+    act, _p = activity_from_simulation(net.copy(), num_vectors, seed)
+    cap = 0.0
+    for name, node in net.nodes.items():
+        if not node.is_source():
+            cap += act.get(name, 0.0) * node_capacitance(net, name)
+    return cap
+
+
+class TestDontCareCost:
+    """The pass keeps one capacitance per node across its trials; its
+    switched capacitances equal a from-scratch sum, bit for bit."""
+
+    @pytest.mark.parametrize("make,vectors,seed", [
+        (lambda: random_logic(16, 100, seed=0), 512, 3),
+        (lambda: random_logic(7, 22, seed=2), 256, 3),
+        # Rolls back a trial cover with another literal count.
+        (lambda: random_logic(7, 22, seed=4), 128, 4),
+        (lambda: ripple_carry_adder(6), 512, 3),
+        (latch_net, 128, 3)], ids=["rand16_100_0", "rand7_22_2",
+                                   "rand7_22_4", "rca6", "latches"])
+    def test_switched_cap_matches_from_scratch_sum(self, make, vectors,
+                                                   seed):
+        net = make()
+        start = net.copy()
+        gates_to_sop(start)
+        res = dontcare_power_optimization(net, num_vectors=vectors,
+                                          seed=seed)
+        assert res.switched_cap_before == \
+            _from_scratch_switched_cap(start, vectors, seed)
+        assert res.switched_cap_after == \
+            _from_scratch_switched_cap(net, vectors, seed)
+
+    def test_accepted_rewrites_are_priced(self):
+        net = random_logic(16, 100, seed=0)
+        res = dontcare_power_optimization(net)
+        assert res.nodes_changed >= 2
+        assert res.switched_cap_after < res.switched_cap_before
+        assert res.switched_cap_after == \
+            _from_scratch_switched_cap(net, 512, 0)
 
 
 class TestBalance:

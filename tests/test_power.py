@@ -18,6 +18,7 @@ from repro.power.activity import (activity_from_probability,
                                   sequential_activity,
                                   signal_probability_exact,
                                   signal_probability_propagation,
+                                  stored_node_words,
                                   transition_density,
                                   weighted_switching)
 from repro.power.glitch import glitch_report
@@ -536,6 +537,26 @@ class TestEditRecord:
         activity_from_simulation(other, 64, 0)
         net.take_over(other)
         assert net._sim is None
+
+    def test_stored_node_words_only_while_the_run_is_current(self):
+        net = ripple_carry_adder(3)
+        assert stored_node_words(net, 64, 0) is None
+        activity_from_simulation(net, 64, 0, {"a0": 0.3})
+        words = stored_node_words(net, 64, 0, {"a0": 0.3})
+        stimulus = random_words([n.name for n in net.nodes.values()
+                                 if n.is_source()], 64, 0, {"a0": 0.3})
+        assert words == get_compiled(net).evaluate_words(stimulus,
+                                                         (1 << 64) - 1)
+        # Another stimulus: other vectors, seed or probabilities.
+        assert stored_node_words(net, 32, 0, {"a0": 0.3}) is None
+        assert stored_node_words(net, 64, 1, {"a0": 0.3}) is None
+        assert stored_node_words(net, 64, 0) is None
+        # A function edit, even one undone, makes the run stale.
+        net.set_function("s0", GateType.XNOR)
+        net.set_function("s0", GateType.XOR)
+        assert stored_node_words(net, 64, 0, {"a0": 0.3}) is None
+        activity_from_simulation(net, 64, 0, {"a0": 0.3})
+        assert stored_node_words(net, 64, 0, {"a0": 0.3}) == words
 
 
 class TestGlitch:
