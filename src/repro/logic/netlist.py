@@ -55,6 +55,9 @@ _READ_ONLY = frozenset(("name", "kind", "gtype", "fanins", "cover"))
 #: writes a Node or Latch field past its read-only guard
 _set = object.__setattr__
 
+#: node kinds with no fanins to evaluate: primary inputs, latch outputs
+_SOURCE_KINDS = ("input", "latch")
+
 
 def _check_function(name: str, kind: str, function: object,
                     arity: int) -> str:
@@ -106,7 +109,7 @@ class Node:
             _set(self, field, value)
 
     def is_source(self) -> bool:
-        return self.kind in ("input", "latch")
+        return self.kind in _SOURCE_KINDS
 
     def num_transistors(self) -> int:
         """Transistor-count proxy for unmapped area/capacitance."""
@@ -340,12 +343,35 @@ class Network:
     def topo_order(self) -> List[str]:
         """Topological order of all nodes (sources first).
 
+        The order is that of a fanin-first depth-first search from each
+        node in ``nodes`` order.  When ``nodes`` order is already
+        topological (every gate and SOP node comes after all of its
+        fanins, as generators, ``copy`` and most passes build them),
+        that search returns exactly ``list(nodes)``, so one O(N + E)
+        pass checks the insertion order and returns it; otherwise the
+        search runs.  Cached until the next structural edit.
+
         Raises :class:`NetlistError` naming the offending cycle path
         (``combinational cycle: a -> b -> a``) on cyclic networks, and
         the missing node on dangling references.
         """
         if self._topo_cache is not None:
             return self._topo_cache
+        seen: Set[str] = set()
+        add, covers = seen.add, seen.issuperset
+        for name, node in self.nodes.items():
+            if node.kind not in _SOURCE_KINDS and not covers(node.fanins):
+                order = self._search_order()
+                break
+            add(name)
+        else:
+            order = list(self.nodes)
+        self._topo_cache = order
+        return order
+
+    def _search_order(self) -> List[str]:
+        """The depth-first search behind :meth:`topo_order`, with its
+        cycle and dangling-reference diagnostics."""
         order: List[str] = []
         state: Dict[str, int] = {}  # 0=unseen 1=visiting 2=done
 
@@ -377,7 +403,6 @@ class Network:
                 else:
                     state[name] = 2
                     order.append(name)
-        self._topo_cache = order
         return order
 
     def levels(self, delays: Optional[Dict[str, float]] = None

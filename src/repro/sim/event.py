@@ -25,6 +25,7 @@ Two engines implement the same semantics:
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.gates import eval_gate
@@ -40,12 +41,54 @@ def _check_engine(engine: str) -> None:
             f"unknown timed engine {engine!r}; expected one of {ENGINES}")
 
 
+def check_delay(name: str, raw: object) -> float:
+    """``raw`` as the transport delay of node ``name``.
+
+    Raises :class:`ValueError` naming the node unless ``raw`` is a
+    finite non-negative number (not a bool, as the linter's
+    ``malformed-delay`` rule has it): under a NaN, infinite or negative
+    delay the event schedule has no meaningful order, and the two
+    engines would part.
+    """
+    try:
+        d = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        d = math.nan
+    if isinstance(raw, bool) or not 0.0 <= d < math.inf:
+        raise ValueError(f"delay of node {name!r} is {raw!r}; "
+                         f"expected a finite non-negative number")
+    return d
+
+
+def resolve_delays(net: Network, names: Sequence[str],
+                   delays: Optional[Dict[str, float]]) -> List[float]:
+    """Transport delay of each of ``names``, in order: the ``delays``
+    map, then ``attrs["delay"]``, then 1.0; sources are 0.0.  A given
+    delay goes through :func:`check_delay`."""
+    nodes = net.nodes
+    out: List[float] = []
+    for name in names:
+        node = nodes[name]
+        if node.is_source():
+            d = 0.0
+        elif delays is not None and name in delays:
+            d = check_delay(name, delays[name])
+        elif "delay" in node.attrs:
+            d = check_delay(name, node.attrs["delay"])
+        else:
+            d = 1.0
+        out.append(d)
+    return out
+
+
 class EventSimulator:
     """Transport-delay event-driven simulator for combinational networks.
 
     Delays come from, in priority order: the ``delays`` constructor map,
-    each node's ``attrs["delay"]``, then the 1.0 default.  BUF gates added
-    by path balancing carry unit delay like any other gate.
+    each node's ``attrs["delay"]``, then the 1.0 default
+    (:func:`resolve_delays`, which rejects a negative, infinite or NaN
+    delay).  BUF gates added by path balancing carry unit delay like any
+    other gate.
 
     Simultaneous events (equal timestamps — the common case under
     uniform delays) are evaluated in *reverse* topological order, so a
@@ -63,15 +106,8 @@ class EventSimulator:
         self.order = net.topo_order()       # cached on the network
         self.fanouts = net.fanouts()        # from the reader index
         self._topo_index = {name: i for i, name in enumerate(self.order)}
-        self.delays: Dict[str, float] = {}
-        for name in self.order:
-            node = net.nodes[name]
-            if node.is_source():
-                self.delays[name] = 0.0
-            elif delays is not None and name in delays:
-                self.delays[name] = float(delays[name])
-            else:
-                self.delays[name] = float(node.attrs.get("delay", 1.0))
+        self.delays: Dict[str, float] = dict(
+            zip(self.order, resolve_delays(net, self.order, delays)))
         self.values: Dict[str, int] = {}
         self.transition_counts: Dict[str, int] = {name: 0
                                                   for name in net.nodes}

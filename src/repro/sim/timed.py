@@ -17,6 +17,13 @@ program:
 * the event schedule is bucketed onto a **time wheel**: a dict keyed
   by exact event timestamps, each bucket mapping a node slot to the
   set of stimulus *lanes* in which that node must re-evaluate;
+* each bucket is swept once, in decreasing slot order, from one
+  ``sorted`` list.  Only an event that lands on the bucket's own
+  timestamp — a zero delay, or a delay the float sum absorbs
+  (``1e17 + 1.0 == 1e17``) — needs more: the rest of the bucket (the
+  unswept slots plus that delta entry) then goes to a slot heap, which
+  pops in the same decreasing order and takes further delta entries as
+  they come.  A unit-delay run never builds a heap;
 * one pass of the time wheel settles the whole stimulus: every
   stimulus transition is one lane of an unbounded Python int, lane *k*
   carrying the settle from vector *k* to vector *k+1* — valid because
@@ -55,6 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
 from repro.sim.compiled import CompiledNetwork, get_compiled
+from repro.sim.event import resolve_delays
 
 
 class CompiledTimedNetwork:
@@ -141,14 +149,42 @@ class CompiledTimedNetwork:
         # *decreasing* slot (= reverse topological) order.  A node's
         # fanins all sit at smaller slots, so every evaluation at time
         # t reads pre-timestamp values — the delta-cycle semantics of
-        # the oracle.  A zero-delay reader of a time-t change has a
-        # strictly larger slot than its writer and therefore pops
-        # immediately after re-insertion, realising the delta cycle.
+        # the oracle.  One sorted sweep serves a bucket until an event
+        # lands at t itself (a zero delay, or one the float sum
+        # absorbs); its reader has a strictly larger slot, so the rest
+        # of the bucket goes to a slot heap, which pops that reader
+        # next, realising the delta cycle.
         while times:
             t = heappop(times)
             bucket = pending.pop(t, None)
             if bucket is None:        # duplicate heap entry
                 continue
+            delta = False
+            for slot in sorted(bucket, reverse=True):
+                trig = bucket.pop(slot)
+                word = kernel_of[slot](values, lane_mask)
+                changed = (word ^ values[slot]) & trig
+                if not changed:
+                    continue
+                values[slot] ^= changed
+                counts[slot] += bit_count(changed)
+                for fo_slot, fo_d in fanout_plan[slot]:
+                    t2 = t + fo_d
+                    if t2 == t:       # delta cycle: current bucket
+                        bucket[fo_slot] = bucket.get(fo_slot, 0) | changed
+                        delta = True
+                    else:
+                        b = pending.get(t2)
+                        if b is None:
+                            pending[t2] = {fo_slot: changed}
+                            heappush(times, t2)
+                        else:
+                            b[fo_slot] = b.get(fo_slot, 0) | changed
+                if delta:
+                    break
+            if not delta:
+                continue
+            # The unswept slots and the delta entries, largest first.
             slot_heap = [-s for s in bucket]
             heapq.heapify(slot_heap)
             while slot_heap:
@@ -211,24 +247,6 @@ class CompiledTimedNetwork:
         return self.transition_counts(words, len(vectors))
 
 
-def _resolve_delays(net: Network, base: CompiledNetwork,
-                    delays: Optional[Dict[str, float]]
-                    ) -> Tuple[float, ...]:
-    """Per-slot transport delays with the oracle's priority: ``delays``
-    map, then ``attrs["delay"]``, then 1.0; sources are 0.0."""
-    nodes = net.nodes
-    out = []
-    for name in base.names:
-        node = nodes[name]
-        if node.is_source():
-            out.append(0.0)
-        elif delays is not None and name in delays:
-            out.append(float(delays[name]))
-        else:
-            out.append(float(node.attrs.get("delay", 1.0)))
-    return tuple(out)
-
-
 def get_timed(net: Network, delays: Optional[Dict[str, float]] = None
               ) -> CompiledTimedNetwork:
     """Cached compiled timed program for ``net`` under ``delays``.
@@ -238,11 +256,13 @@ def get_timed(net: Network, delays: Optional[Dict[str, float]] = None
     ``get_compiled`` returns a new snapshot after a node function edit,
     so the timed program is rebuilt then too — plus the exact resolved
     delay tuple (covering both the ``delays`` argument and in-place
-    ``attrs["delay"]`` edits), resolved on every call.  Another delay
-    map replaces the program.
+    ``attrs["delay"]`` edits), resolved on every call by
+    :func:`~repro.sim.event.resolve_delays`, which raises
+    :class:`ValueError` on a negative, infinite or NaN delay.  Another
+    delay map replaces the program.
     """
     base = get_compiled(net)
-    delay_key = _resolve_delays(net, base, delays)
+    delay_key = tuple(resolve_delays(net, base.names, delays))
     prog = net._timed
     if prog is None or prog.base is not base or \
             prog.delay_key != delay_key:

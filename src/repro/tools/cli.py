@@ -66,18 +66,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_delays(path: Optional[str]):
-    """Read a ``{"node": delay}`` JSON map for the timed simulators."""
+def _load_delays(path: Optional[str], net: Network):
+    """Read a ``{"node": delay}`` JSON map for the timed simulators:
+    every key a node of ``net``, every value a finite non-negative
+    number."""
     if path is None:
         return None
     import json
+
+    from repro.sim.event import check_delay
 
     with open(path) as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError("delay file must hold a JSON object "
                          "{node: delay}")
-    return {str(k): float(v) for k, v in raw.items()}
+    for name in raw:
+        if name not in net.nodes:
+            raise ValueError(f"no node named {name!r} in the netlist")
+    return {name: check_delay(name, v) for name, v in raw.items()}
 
 
 def _cmd_glitch(args: argparse.Namespace) -> int:
@@ -87,7 +94,7 @@ def _cmd_glitch(args: argparse.Namespace) -> int:
     if _reject_sequential(net, "glitch"):
         return 1
     try:
-        delays = _load_delays(args.delays)
+        delays = _load_delays(args.delays, net)
     except (OSError, ValueError) as exc:
         print(f"error: bad --delays file: {exc}", file=sys.stderr)
         return 2
@@ -405,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "engine (default) or the event-driven oracle")
     p.add_argument("--delays", metavar="FILE.json",
                    help="per-node transport delays as a JSON object "
-                   "{node: delay}; unlisted nodes keep attrs/1.0")
+                   "{node: delay} of finite non-negative numbers; "
+                   "unlisted nodes keep attrs/1.0")
     p.set_defaults(func=_cmd_glitch)
 
     p = sub.add_parser("lint", help="structural + power static "

@@ -430,3 +430,134 @@ class TestSweepDifferential:
         assert net.sweep() == 1
         assert list(net.nodes) == ["a", "b", "g", "h", "d1", "d2", "e1",
                                    "q"]
+
+
+def _reference_topo_order(net):
+    """A fanin-first depth-first search from each node in ``nodes``
+    order, with the cycle and dangling-reference diagnostics: the order
+    ``topo_order`` must return, on in-order and out-of-order networks
+    alike."""
+    order = []
+    state = {}  # 0=unseen 1=visiting 2=done
+    for root in net.nodes:
+        if state.get(root, 0) == 2:
+            continue
+        stack = [(root, 0)]
+        while stack:
+            name, idx = stack.pop()
+            if state.get(name, 0) == 2:
+                continue
+            node = net.nodes.get(name)
+            if node is None:
+                raise NetlistError(f"dangling reference to {name!r}")
+            if node.is_source():
+                state[name] = 2
+                order.append(name)
+                continue
+            if idx == 0:
+                state[name] = 1
+            if idx < len(node.fanins):
+                stack.append((name, idx + 1))
+                fi = node.fanins[idx]
+                st_fi = state.get(fi, 0)
+                if st_fi == 1:
+                    raise net._cycle_error(fi)
+                if st_fi == 0:
+                    stack.append((fi, 0))
+            else:
+                state[name] = 2
+                order.append(name)
+    return order
+
+
+def _fanin_cone(net, name):
+    """``name`` and every node it depends on through gate fanins."""
+    cone, work = set(), [name]
+    while work:
+        n = work.pop()
+        if n in cone:
+            continue
+        cone.add(n)
+        work.extend(net.nodes[n].fanins)
+    return cone
+
+
+def _rewire_onto_later(net, rng, edits):
+    """Make ``edits`` gates read a node added after them, alternately
+    through ``set_fanins`` and by replacing the node with ``set_node``;
+    no edit closes a cycle."""
+    for _ in range(edits):
+        pos = {n: i for i, n in enumerate(net.nodes)}
+        gates = [n for n, node in net.nodes.items() if not node.is_source()]
+        u = rng.choice(gates)
+        later = [v for v in net.nodes
+                 if pos[v] > pos[u] and u not in _fanin_cone(net, v)]
+        if not later:
+            continue
+        node = net.nodes[u]
+        fanins = list(node.fanins)
+        fanins[rng.randrange(len(fanins))] = rng.choice(later)
+        if rng.random() < 0.5:
+            net.set_fanins(u, fanins)
+        else:
+            net.set_node(Node(u, "gate", gtype=node.gtype, fanins=fanins))
+
+
+def _topo_outcome(order_of, net):
+    try:
+        return order_of(net)
+    except NetlistError as exc:
+        return f"NetlistError: {exc}"
+
+
+class TestTopoOrderDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 40))
+    def test_in_order_networks(self, seed, inputs, gates):
+        net = random_logic(inputs, gates, seed)
+        order = net.topo_order()
+        assert order == _reference_topo_order(net) == list(net.nodes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 40), st.integers(1, 6))
+    def test_rewired_onto_later_nodes(self, seed, gates, edits):
+        net = random_logic(4, gates, seed)
+        _rewire_onto_later(net, random.Random(seed), edits)
+        assert net.topo_order() == _reference_topo_order(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 20))
+    def test_latch_added_after_its_readers(self, seed, gates):
+        rng = random.Random(seed)
+        net = Network()
+        pool = net.add_inputs(["a", "b"]) + ["q"]
+        for g in range(gates):
+            pool.append(net.add_gate(f"g{g}", GateType.NAND,
+                                     [rng.choice(pool), rng.choice(pool)]))
+        net.add_latch(pool[-1], "q", enable=rng.choice([None, "a"]))
+        order = net.topo_order()
+        assert order == _reference_topo_order(net)
+        for reader in net.readers("q"):
+            if reader != "q":
+                assert order.index("q") < order.index(reader)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 30),
+           st.sampled_from(["cycle", "self-loop", "dangling"]))
+    def test_diagnostics_match(self, seed, gates, defect):
+        rng = random.Random(seed)
+        net = random_logic(3, gates, seed)
+        names = list(net.nodes)
+        u = rng.choice([n for n in names if not net.nodes[n].is_source()])
+        if defect == "cycle":
+            readers = [n for n in names[names.index(u):]
+                       if u in _fanin_cone(net, n)]
+            bad = rng.choice(readers)
+        else:
+            bad = u if defect == "self-loop" else "missing"
+        fanins = list(net.nodes[u].fanins)
+        fanins[rng.randrange(len(fanins))] = bad
+        net.set_fanins(u, fanins)
+        expected = _topo_outcome(_reference_topo_order, net)
+        assert expected.startswith("NetlistError: ")
+        assert _topo_outcome(Network.topo_order, net) == expected

@@ -4,12 +4,16 @@ combinational networks, under non-uniform float delays (including
 zero-delay delta cycles), and in clocked-sequential mode with latch
 enables — and its cached program must never go stale."""
 
+import heapq
+import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.logic.gates import GateType
+from repro.logic.generators import ripple_carry_adder
 from repro.logic.netlist import Network
 from repro.power.glitch import glitch_report, timed_average_power
 from repro.sim.compiled import CompiledNetwork
@@ -125,6 +129,78 @@ def test_one_settle_pass_per_stimulus(monkeypatch):
     monkeypatch.setattr(CompiledNetwork, "evaluate_slots", counting)
     prog.transition_counts(words, 300)
     assert len(calls) == 1
+
+
+#: delay families that put events on their own bucket's timestamp,
+#: so the sorted sweep hands the bucket to the slot heap
+DELTA_DELAYS = {
+    # once a 1e17 delay is crossed, t + 1.0 == t
+    "absorb": lambda rng: rng.choice([1e17, 1.0]),
+    # zero-delay chains inside a unit-delay network
+    "zero_chain": lambda rng: 0.0 if rng.random() < 0.4 else 1.0,
+    # path-dependent float sums
+    "tenths": lambda rng: rng.choice([0.1, 0.2]),
+}
+
+
+@given(seed=st.integers(0, 10 ** 6), num_inputs=st.integers(2, 5),
+       num_gates=st.integers(1, 20), count=st.integers(2, 120),
+       family=st.sampled_from(sorted(DELTA_DELAYS)))
+@settings(max_examples=60, deadline=None)
+def test_sweep_and_heap_fallback_match_oracle(seed, num_inputs,
+                                              num_gates, count, family):
+    net = _random_comb(seed, num_inputs, num_gates)
+    rng = random.Random(seed + 3)
+    delays = {n.name: DELTA_DELAYS[family](rng)
+              for n in net.nodes.values() if not n.is_source()}
+    vecs = _stimulus(net, count, seed + 1)
+    assert timed_transitions(net, vecs, delays=delays,
+                             engine="compiled") == \
+        timed_transitions(net, vecs, delays=delays, engine="event")
+
+
+def test_unit_delays_never_build_a_slot_heap(monkeypatch):
+    """Under unit delays no event lands on its own bucket's timestamp,
+    so every bucket is one sorted sweep; a zero delay needs the heap."""
+    net = _random_comb(43, 4, 14)
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    words = random_words(sources, 300, 6)
+    heaps = []
+    real = heapq.heapify
+
+    def counting(heap):
+        heaps.append(len(heap))
+        return real(heap)
+
+    monkeypatch.setattr(heapq, "heapify", counting)
+    get_timed(net).transition_counts(words, 300)
+    assert heaps == []
+    zero = {n.name: 0.0 for n in net.gate_nodes()}
+    get_timed(net, zero).transition_counts(words, 300)
+    assert heaps
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0,
+                                 "slow", None, True])
+def test_malformed_delays_raise_in_both_engines(bad):
+    """A delay map or ``attrs["delay"]`` value that is not a finite
+    non-negative number is an error naming the node, not counts."""
+    net = ripple_carry_adder(4)
+    vecs = _stimulus(net, 16, 0)
+    gate = net.gate_nodes()[3].name
+    message = re.escape(f"delay of node {gate!r}")
+    for engine in ("compiled", "event"):
+        with pytest.raises(ValueError, match=message):
+            timed_transitions(net, vecs, delays={gate: bad},
+                              engine=engine)
+    net.nodes[gate].attrs["delay"] = bad
+    for engine in ("compiled", "event"):
+        with pytest.raises(ValueError, match=message):
+            timed_transitions(net, vecs, engine=engine)
+    # A source's delay is 0.0 whatever the map says.
+    assert timed_transitions(net, vecs, delays={gate: 2.0, "a0": bad}) \
+        == timed_transitions(net, vecs, delays={gate: 2.0},
+                             engine="event")
 
 
 def _random_seq(seed):

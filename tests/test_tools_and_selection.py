@@ -151,6 +151,20 @@ class TestCLI:
         assert main(["glitch", blif_file, "--vectors", "64"]) == 0
         assert "glitch fraction" in capsys.readouterr().out
 
+    def test_glitch_delays_file(self, blif_file, tmp_path, capsys):
+        path = tmp_path / "delays.json"
+        path.write_text('{"s0": 0.0, "c1": 2.5}')
+        assert main(["glitch", blif_file, "--vectors", "32",
+                     "--delays", str(path)]) == 0
+        capsys.readouterr()
+        for text in ('{"s0": NaN}', '{"s0": Infinity}', '{"c1": -1}',
+                     '{"s0": "fast"}', '{"s0": 1' + "0" * 400 + "}",
+                     '{"nope": 1.0}', '[1.0]'):
+            path.write_text(text)
+            assert main(["glitch", blif_file, "--vectors", "32",
+                         "--delays", str(path)]) == 2
+            assert "bad --delays file" in capsys.readouterr().err
+
     def test_map_roundtrip(self, blif_file, tmp_path, capsys):
         out_path = str(tmp_path / "mapped.blif")
         assert main(["map", blif_file, "--objective", "area",
