@@ -19,9 +19,8 @@ class BDD:
 
     ``&``, ``|`` and ``^`` each have their own recursive apply and memo
     table, keyed on the operand pair in ascending order so that ``f & g``
-    and ``g & f`` share one entry; so does the emptiness test of
-    ``f & g`` (:meth:`_disjoint`), which builds no node.  ``~`` memoises
-    both directions of every complement it builds.
+    and ``g & f`` share one entry.  ``~`` memoises both directions of
+    every complement it builds.
     """
 
     FALSE = 0
@@ -38,7 +37,6 @@ class BDD:
         self._or_cache: Dict[Tuple[int, int], int] = {}
         self._xor_cache: Dict[Tuple[int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
-        self._disjoint_cache: Dict[Tuple[int, int], bool] = {}
         for v in variables:
             self.add_variable(v)
 
@@ -163,30 +161,6 @@ class BDD:
         self._xor_cache[key] = result
         return result
 
-    def _disjoint(self, f: int, g: int) -> bool:
-        """Whether ``f & g`` is FALSE, found without building it."""
-        if f == g:
-            return f == BDD.FALSE
-        if f > g:
-            f, g = g, f
-        if f <= 1:
-            return f == BDD.FALSE
-        key = (f, g)
-        hit = self._disjoint_cache.get(key)
-        if hit is not None:
-            return hit
-        level, lo, hi = self._level, self._lo, self._hi
-        lf, lg = level[f], level[g]
-        if lf == lg:
-            result = self._disjoint(lo[f], lo[g]) and \
-                self._disjoint(hi[f], hi[g])
-        elif lf < lg:
-            result = self._disjoint(lo[f], g) and self._disjoint(hi[f], g)
-        else:
-            result = self._disjoint(f, lo[g]) and self._disjoint(f, hi[g])
-        self._disjoint_cache[key] = result
-        return result
-
     def _not(self, f: int) -> int:
         if f <= 1:
             return f ^ 1
@@ -308,6 +282,10 @@ class BDDFunction:
     @property
     def is_false(self) -> bool:
         return self.node == BDD.FALSE
+
+    def __bool__(self) -> bool:
+        """True when satisfiable, as an int word is when non-zero."""
+        return self.node != BDD.FALSE
 
     # -- quantification / restriction -----------------------------------------
 

@@ -1,4 +1,11 @@
-"""Building BDDs for netlist nodes (global functions over PIs/latches)."""
+"""Global BDDs of netlist nodes and SOP covers of BDDs.
+
+A BDD function is one more kind of word for the bit-parallel evaluator:
+:func:`network_bdds` evaluates each node's cover with
+:meth:`Cover.evaluate_words` on its fanins' functions, the call that
+``Network.evaluate_words`` makes on int words.  :func:`bdd_to_cover`
+goes back from a function to an SOP cover by path enumeration.
+"""
 
 from __future__ import annotations
 
@@ -34,30 +41,13 @@ def bdd_to_cover(func: BDDFunction, var_order: Sequence[str]) -> Cover:
     return Cover(n, cubes).sccc()
 
 
-def cover_function(manager: BDD, cover: Cover,
-                   fanin_funcs: Sequence[BDDFunction]) -> BDDFunction:
-    """BDD of an SOP ``cover`` whose variable ``i`` is ``fanin_funcs[i]``."""
-    nodes = [func.node for func in fanin_funcs]
-    and_, or_, not_ = manager._and, manager._or, manager._not
-    acc = BDD.FALSE
-    for cube in cover:
-        term = BDD.TRUE
-        for var, phase in cube.literals():
-            lit = nodes[var]
-            term = and_(term, lit if phase else not_(lit))
-            if term == BDD.FALSE:
-                break
-        acc = or_(acc, term)
-        if acc == BDD.TRUE:
-            break
-    return BDDFunction(manager, acc)
-
-
 def network_bdds(net: Network, bdd: Optional[BDD] = None
                  ) -> Dict[str, BDDFunction]:
     """Global BDD of every node over primary inputs and latch outputs.
 
     Latch outputs are treated as free variables (combinational view).
+    Each node's cover is evaluated by :meth:`Cover.evaluate_words` with
+    its fanins' functions as the words.
     """
     manager = bdd if bdd is not None else BDD()
     funcs: Dict[str, BDDFunction] = {}
@@ -66,6 +56,6 @@ def network_bdds(net: Network, bdd: Optional[BDD] = None
         if node.is_source():
             funcs[name] = manager.var(name)
             continue
-        funcs[name] = cover_function(
-            manager, node_cover(node), [funcs[fi] for fi in node.fanins])
+        funcs[name] = node_cover(node).evaluate_words(
+            [funcs[fi] for fi in node.fanins], manager.true)
     return funcs

@@ -81,9 +81,12 @@ class Cover:
         """Bit-parallel evaluation.
 
         ``input_words[i]`` holds one bit per pattern for variable *i*;
-        returns a word with one output bit per pattern.
+        returns a word with one output bit per pattern.  Any words with
+        ``&``, ``|``, ``~`` and truth as a bitwise set do: with
+        :class:`~repro.bdd.bdd.BDDFunction` words and ``width_mask`` its
+        manager's ``true``, the result is the cover's global function.
         """
-        out = 0
+        out = width_mask ^ width_mask
         for c in self.cubes:
             term = width_mask
             m = c.mask
@@ -91,7 +94,9 @@ class Cover:
                 bit = m & -m
                 var = bit.bit_length() - 1
                 w = input_words[var]
-                term &= w if c.value & bit else (~w & width_mask)
+                # ``term`` starts as ``width_mask`` and only shrinks, so
+                # ``~w`` needs no mask of its own.
+                term &= w if c.value & bit else ~w
                 if not term:
                     break
                 m ^= bit

@@ -2,37 +2,41 @@
 
 A node's *care set* holds the source assignments under which flipping
 it changes some primary output; its complement is the node's
-*observability* don't-care set, built from global BDDs of its fanout
-cone.  The node's don't-care set is the complement of the care set's
-image on the fanin space: the fanin combinations that never occur
-(*controllability* don't-cares) or occur only where the node is
-unobservable.  The image is built straight from the fanins' global
-functions: each fanin in turn splits the care set into the points where
-it is 1 and where it is 0, and the image holds the fanin assignments
-whose part is non-empty.
+*observability* don't-care set.  The node's don't-care set is the
+complement of the care set's image on the fanin space: the fanin
+combinations that never occur (*controllability* don't-cares) or occur
+only where the node is unobservable.
+
+One engine computes both, on *words*: a set of source points with
+``&``, ``|``, ``^``, ``~`` and truth.  A word is either an int with one
+bit per simulated vector or a :class:`~repro.bdd.bdd.BDDFunction`, the
+exact set; ``mask`` is the whole space (all vectors, or ``true``).
+:func:`_walk` re-evaluates the node's fanout cone with the node forced
+to ``mask`` and to nothing, :func:`_care` ORs the two evaluations'
+difference over the cone's primary outputs, and :func:`_fanin_image`
+splits the care set by each fanin's word into the fanin assignments
+it reaches.
 
 Most nodes have no don't-cares at all, and the pass proves that for
-most of them without BDD work.  The words of its Monte-Carlo power
-estimate are real points of the source space: evaluating the fanout
-cone on them with the node forced to 1 and to 0 shows which vectors
-observe the node, each one a point of the care set.  When every fanin
-assignment occurs at an observable vector, the care set's image is the
-whole fanin space and the don't-care set is empty; otherwise the node
-takes the exact path above.  The node's cover is then re-minimized
-against the don't-care set, choosing among the legal covers the one that
-minimizes its expected switching contribution ``2·p·(1−p)·C`` — the
-power-aware exploitation of don't-cares from [38] (Shen et al.) refined
-by [19] (Iman & Pedram).
+most of them without BDD work.  Its Monte-Carlo power estimate's
+vectors are real points of the source space, so the image of their
+care set lies inside the exact image; when it is the whole fanin space
+the don't-care set is empty.  Otherwise the same calls on the global
+BDDs give the exact set.  The node's cover is then re-minimized
+against it, choosing among the legal covers the one that minimizes
+its expected switching contribution ``2·p·(1−p)·C`` — the power-aware
+exploitation of don't-cares from [38] (Shen et al.) refined by [19]
+(Iman & Pedram).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.bdd.bdd import BDD, BDDFunction
-from repro.bdd.circuit import bdd_to_cover, cover_function, network_bdds
-from repro.logic.netlist import Network, Node
+from repro.bdd.circuit import bdd_to_cover, network_bdds
+from repro.logic.netlist import Network
 from repro.logic.sop import Cover
 from repro.logic.transform import gates_to_sop, node_cover
 from repro.power.activity import (activity_from_probability,
@@ -44,62 +48,6 @@ from repro.power.model import PowerParameters, node_capacitance
 
 #: Nodes with more fanins than this are left as they are.
 MAX_FANINS = 10
-
-
-def _fanin_image(bdd: BDD, care: int, fanins: List[Tuple[int, int]],
-                 i: int, memo: Dict[Tuple[int, int], int]) -> int:
-    """Image of the source-space set ``care`` on the fanin space of
-    ``fanins[i:]`` (``(level, global function node)`` in level order):
-    the fanin assignments that some point of ``care`` produces.  Each
-    fanin splits the care set by its function, and an empty part prunes
-    its branch; at the last fanin only the parts' emptiness matters."""
-    if care == BDD.FALSE:
-        return BDD.FALSE
-    if not fanins:
-        return BDD.TRUE
-    key = (i, care)
-    hit = memo.get(key)
-    if hit is None:
-        level, func = fanins[i]
-        neg = bdd._not(func)
-        if i + 1 == len(fanins):
-            lo = BDD.FALSE if bdd._disjoint(care, neg) else BDD.TRUE
-            hi = BDD.FALSE if bdd._disjoint(care, func) else BDD.TRUE
-        else:
-            lo = _fanin_image(bdd, bdd._and(care, neg), fanins, i + 1,
-                              memo)
-            hi = _fanin_image(bdd, bdd._and(care, func), fanins, i + 1,
-                              memo)
-        hit = bdd._mk(level, lo, hi)
-        memo[key] = hit
-    return hit
-
-
-def _unreached(bdd: BDD, node: Node, funcs: Dict[str, BDDFunction],
-               care: int) -> Cover:
-    """Complement of the image of ``care`` as a cover over the fanins of
-    ``node``.  Fanin ``i`` is the variable ``__cdc_i``: one set shared
-    by every node, made on first use in index order, so that fanin
-    order is level order."""
-    aux = [f"__cdc_{i}" for i in range(len(node.fanins))]
-    fanins = []
-    for name, fi in zip(aux, node.fanins):
-        bdd.var(name)
-        fanins.append((bdd.var_level[name], funcs[fi].node))
-    image = _fanin_image(bdd, care, fanins, 0, {})
-    return bdd_to_cover(BDDFunction(bdd, bdd._not(image)), aux)
-
-
-def controllability_dont_cares(net: Network, node_name: str,
-                               funcs: Optional[Dict[str, BDDFunction]]
-                               = None) -> Cover:
-    """CDC set of a node as a cover over its fanins: the complement of
-    the image of the source space on the fanin space."""
-    node = net.node(node_name)
-    if funcs is None:
-        funcs = network_bdds(net)
-    bdd = next(iter(funcs.values())).bdd
-    return _unreached(bdd, node, funcs, BDD.TRUE)
 
 
 def _fanout_cone(net: Network, name: str) -> List[str]:
@@ -122,35 +70,92 @@ def _fanout_cone(net: Network, name: str) -> List[str]:
     return order
 
 
-def _cone_functions(net: Network, cone: List[str], head: BDDFunction,
-                    funcs: Dict[str, BDDFunction]
-                    ) -> Dict[str, BDDFunction]:
-    """Global functions of ``cone`` (from :func:`_fanout_cone`) with its
-    head node's function replaced by ``head``; nodes outside the cone
-    keep their function in ``funcs``."""
-    alt = {cone[0]: head}
-    for name in cone[1:]:
-        node = net.nodes[name]
-        alt[name] = cover_function(
-            head.bdd, node_cover(node),
-            [alt[fi] if fi in alt else funcs[fi] for fi in node.fanins])
-    return alt
+def _walk(net: Network, name: str, words: Dict, forced: Sequence[Dict],
+          mask) -> Iterator[str]:
+    """Re-evaluate the fanout cone of ``name`` once per dict of
+    ``forced``, each holding the words that differ from ``words``
+    (``name``'s own among them), and yield each member after the head
+    once its entries are current.  A member none of whose fanins
+    changed is not evaluated, and one whose word comes out unchanged
+    gets no entry."""
+    nodes = net.nodes
+    for member in _fanout_cone(net, name)[1:]:
+        node = nodes[member]
+        for alt in forced:
+            if not alt.keys().isdisjoint(node.fanins):
+                word = node_cover(node).evaluate_words(
+                    [alt.get(fi, words[fi]) for fi in node.fanins], mask)
+                if word != words[member]:
+                    alt[member] = word
+        yield member
 
 
-def _care_set(net: Network, node_name: str,
-              funcs: Dict[str, BDDFunction]) -> int:
-    """The node's care set: the OR of ``f1 ^ f0`` over the primary
-    outputs of its fanout cone, evaluated with the node fixed to 1 and
-    to 0 (only outputs inside the cone can see the node)."""
-    bdd = next(iter(funcs.values())).bdd
-    cone = _fanout_cone(net, node_name)
-    f1 = _cone_functions(net, cone, bdd.true, funcs)
-    f0 = _cone_functions(net, cone, bdd.false, funcs)
-    care = BDD.FALSE
-    for name in cone:
-        if net.is_output(name):
-            care = bdd._or(care, bdd._xor(f1[name].node, f0[name].node))
+def _care(net: Network, name: str, words: Dict, mask):
+    """The node's care set within ``mask``: the OR of ``hi ^ lo`` over
+    the primary outputs of its fanout cone, with the node forced to
+    ``mask`` and to nothing (only outputs inside the cone can see it)."""
+    if net.is_output(name):
+        return mask
+    hi, lo = {name: mask}, {name: mask ^ mask}
+    care = mask ^ mask
+    for member in _walk(net, name, words, (hi, lo), mask):
+        if net.is_output(member):
+            word = words[member]
+            care |= hi.get(member, word) ^ lo.get(member, word)
+            if care == mask:
+                break
     return care
+
+
+def _fanin_image(img: BDD, care, fanin_words: Sequence) -> BDDFunction:
+    """Image of the set ``care`` on the space of the fanins whose words
+    are ``fanin_words``: the fanin assignments that some point of
+    ``care`` produces, as a function in ``img`` of ``__cdc_0 …`` (fanin
+    ``i`` is ``__cdc_i``, at level ``i``).  Each fanin in turn splits the
+    set by its word, and an empty part prunes its branch; at the last
+    fanin only the parts' emptiness matters."""
+    for i in range(len(img.var_names), len(fanin_words)):
+        img.add_variable(f"__cdc_{i}")
+    last = len(fanin_words) - 1
+    memo: Dict = {}
+
+    def image(part, i: int) -> int:
+        if not part:
+            return BDD.FALSE
+        if i > last:
+            return BDD.TRUE
+        key = (i, part)
+        hit = memo.get(key)
+        if hit is None:
+            on = part & fanin_words[i]
+            if i == last:
+                hit = img._mk(i, int(on != part), int(bool(on)))
+            else:
+                hit = img._mk(i, image(part & ~fanin_words[i], i + 1),
+                              image(on, i + 1))
+            memo[key] = hit
+        return hit
+
+    return BDDFunction(img, image(care, 0))
+
+
+def _dont_cares(img: BDD, care, fanin_words: Sequence) -> Cover:
+    """Complement of the image of ``care`` (see :func:`_fanin_image`)
+    as a cover over the fanins."""
+    image = _fanin_image(img, care, fanin_words)
+    return bdd_to_cover(~image, img.var_names[:len(fanin_words)])
+
+
+def controllability_dont_cares(net: Network, node_name: str,
+                               funcs: Optional[Dict[str, BDDFunction]]
+                               = None) -> Cover:
+    """CDC set of a node as a cover over its fanins: the complement of
+    the image of the source space on the fanin space."""
+    node = net.node(node_name)
+    if funcs is None:
+        funcs = network_bdds(net)
+    true = next(iter(funcs.values())).bdd.true
+    return _dont_cares(BDD(), true, [funcs[fi] for fi in node.fanins])
 
 
 def observability_dont_cares(net: Network, node_name: str,
@@ -162,78 +167,18 @@ def observability_dont_cares(net: Network, node_name: str,
     net.node(node_name)
     if funcs is None:
         funcs = network_bdds(net)
-    bdd = next(iter(funcs.values())).bdd
-    return BDDFunction(bdd, bdd._not(_care_set(net, node_name, funcs)))
-
-
-def _dont_care_cover(net: Network, node_name: str,
-                     funcs: Dict[str, BDDFunction]) -> Cover:
-    """The node's don't-care set as a cover over its fanins: the CDCs
-    and the fanin assignments produced only under its ODC."""
-    return _unreached(next(iter(funcs.values())).bdd, net.nodes[node_name],
-                      funcs, _care_set(net, node_name, funcs))
-
-
-def _hits_every_assignment(obs: int, fanin_words: List[int],
-                           i: int) -> bool:
-    """Whether every assignment of the fanins ``fanin_words[i:]`` occurs
-    at some vector of ``obs``.  Each fanin splits the vectors by its
-    word, as in :func:`_fanin_image`; a part with fewer vectors than
-    the assignments left to hit fails at once."""
-    if obs.bit_count() < 1 << (len(fanin_words) - i):
-        return False
-    if i == len(fanin_words):
-        return True
-    w = fanin_words[i]
-    return _hits_every_assignment(obs & w, fanin_words, i + 1) and \
-        _hits_every_assignment(obs & ~w, fanin_words, i + 1)
-
-
-def _witness_empty(net: Network, name: str, words: Dict[str, int],
-                   mask: int) -> bool:
-    """True only if the node's don't-care set is provably empty.
-
-    ``words`` holds every node's value on simulated source vectors (one
-    bit each, ``mask`` wide).  The fanout cone is evaluated on them
-    with the node forced to all ones and to all zeros; a member none of
-    whose fanins changed keeps its word.  A vector where a primary
-    output of the cone differs observes the node, so it is a point of
-    the care set.  If every fanin assignment occurs at an observable
-    vector, the care set's image is the whole fanin space.  False
-    proves nothing."""
-    node = net.nodes[name]
-    if net.is_output(name):
-        obs = mask
-    else:
-        obs = 0
-        nodes = net.nodes
-        hi: Dict[str, int] = {name: mask}
-        lo: Dict[str, int] = {name: 0}
-        for member in _fanout_cone(net, name)[1:]:
-            reader = nodes[member]
-            word = words[member]
-            for forced in (hi, lo):
-                if any(fi in forced for fi in reader.fanins):
-                    w = node_cover(reader).evaluate_words(
-                        [forced.get(fi, words[fi]) for fi in reader.fanins],
-                        mask)
-                    if w != word:
-                        forced[member] = w
-            if net.is_output(member):
-                obs |= hi.get(member, word) ^ lo.get(member, word)
-                if obs == mask:
-                    break
-    return _hits_every_assignment(obs, [words[fi] for fi in node.fanins],
-                                  0)
+    true = next(iter(funcs.values())).bdd.true
+    return ~_care(net, node_name, funcs, true)
 
 
 @dataclass
 class DontCareResult:
     """Summary of a don't-care optimization pass.  ``bdd_nodes`` (the
-    size of the pass's BDD manager at its end) and ``witnessed`` (the
-    visited nodes whose empty don't-care set simulation proved, with no
-    BDD work) count work, so they are left out of ``repr`` and
-    ``==``."""
+    size at the pass's end of its manager of global functions over the
+    sources; the fanin images live in a manager of their own) and
+    ``witnessed`` (the visited nodes whose empty don't-care set
+    simulation proved, with no BDD work) count work, so they are left
+    out of ``repr`` and ``==``."""
 
     nodes_changed: int
     switched_cap_before: float
@@ -275,8 +220,8 @@ def dontcare_power_optimization(net: Network,
     Nodes of at most :data:`MAX_FANINS` fanins are visited in
     topological order and re-minimized against their don't-care set,
     the complement of their care set's fanin image; a node whose set
-    the Monte-Carlo words prove empty (:func:`_witness_empty`) is
-    skipped without BDD work.  Candidate
+    the Monte-Carlo words prove empty (the image of their care set is
+    the whole fanin space) is skipped without BDD work.  Candidate
     covers are scored with the fast probability-propagation model, but
     each rewrite is accepted only if the *global* switched capacitance,
     estimated by Monte-Carlo simulation (``num_vectors``/``seed``),
@@ -312,7 +257,7 @@ def dontcare_power_optimization(net: Network,
     cost = cap_before = total_cost()
     words, mask = current_words(), (1 << num_vectors) - 1
     lits_before = net.num_literals()
-    bdd = BDD()
+    bdd, img = BDD(), BDD()
     funcs = network_bdds(net, bdd)
     changed = witnessed = 0
     for name in net.topo_order():
@@ -321,10 +266,15 @@ def dontcare_power_optimization(net: Network,
             continue
         if len(node.fanins) > MAX_FANINS:
             continue
-        if _witness_empty(net, name, words, mask):
+        if _fanin_image(img, _care(net, name, words, mask),
+                        [words[fi] for fi in node.fanins]).is_true:
             witnessed += 1
             continue
-        dc = _dont_care_cover(net, name, funcs)
+        dc = _dont_cares(img, _care(net, name, funcs, bdd.true),
+                         [funcs[fi] for fi in node.fanins])
+        # The exact image's intersections serve this node only; without
+        # this the AND memo grows with every open node.  Nodes stay valid.
+        bdd._and_cache.clear()
         if dc.is_empty():
             continue
         on = node.cover
@@ -347,13 +297,13 @@ def dontcare_power_optimization(net: Network,
                 changed += 1
                 # Only the node's fanout cone changed: refresh its
                 # functions and probabilities in place.
-                cone = _fanout_cone(net, name)
-                head = cover_function(bdd, best,
-                                      [funcs[fi] for fi in node.fanins])
-                funcs.update(_cone_functions(net, cone, head, funcs))
-                for member in cone:
+                new = {name: best.evaluate_words(
+                    [funcs[fi] for fi in node.fanins], bdd.true)}
+                probs[name] = node_probability(net.nodes[name], probs)
+                for member in _walk(net, name, funcs, (new,), bdd.true):
                     probs[member] = node_probability(net.nodes[member],
                                                      probs)
+                funcs.update(new)
             else:
                 net.set_function(name, on)
                 caps[name] = on_cap

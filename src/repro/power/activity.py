@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.logic.netlist import Network, Node
 from repro.logic.transform import node_cover
 from repro.sim.compiled import get_compiled
-from repro.sim.vectors import random_words
+from repro.sim.vectors import check_probabilities, random_words
 
 
 def activity_from_probability(p: float) -> float:
@@ -32,8 +32,10 @@ def signal_probability_propagation(net: Network,
 
     Fanins of each node are assumed independent (the classical fast
     approximation; exact on trees, optimistic under reconvergence).
-    Latch outputs default to probability 0.5 unless given.
+    Latch outputs default to probability 0.5 unless given.  A
+    probability outside [0, 1] raises ``ValueError``.
     """
+    check_probabilities(input_probs)
     input_probs = input_probs or {}
     probs: Dict[str, float] = {}
     for name in net.topo_order():
@@ -54,9 +56,11 @@ def node_probability(node: Node, probs: Dict[str, float]) -> float:
 def signal_probability_exact(net: Network,
                              input_probs: Optional[Dict[str, float]] = None
                              ) -> Dict[str, float]:
-    """Exact signal probabilities via global BDDs over the PIs."""
+    """Exact signal probabilities via global BDDs over the PIs.  A
+    probability outside [0, 1] raises ``ValueError``."""
     from repro.bdd.circuit import network_bdds
 
+    check_probabilities(input_probs)
     input_probs = input_probs or {}
     funcs = network_bdds(net)
     return {name: f.probability(input_probs)

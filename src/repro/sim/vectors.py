@@ -7,9 +7,21 @@ thousands of patterns per netlist traversal.
 
 from __future__ import annotations
 
+import numbers
 import random
 from itertools import pairwise
 from typing import Dict, Iterable, List, Optional, Sequence
+
+
+def check_probabilities(probs: Optional[Dict[str, float]]) -> None:
+    """Raise ``ValueError`` naming the first signal of ``probs`` whose
+    probability is not a number in [0, 1]: a NaN, a bool or a
+    non-number is not one."""
+    for name, p in (probs or {}).items():
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or \
+                not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability of {name!r} must be a number "
+                             f"in [0, 1], not {p!r}")
 
 
 def random_words(names: Sequence[str], count: int, seed: int = 0,
@@ -21,8 +33,11 @@ def random_words(names: Sequence[str], count: int, seed: int = 0,
     ``probs[name]`` is P(signal = 1), default 0.5.  ``hold[name]`` is
     the per-cycle probability of *keeping* the previous value (lag-one
     correlation, the "known signal statistics" of [21]/[22]); default
-    0.0 gives temporally independent patterns.
+    0.0 gives temporally independent patterns.  A value of either map
+    outside [0, 1] raises ``ValueError`` (:func:`check_probabilities`).
     """
+    check_probabilities(probs)
+    check_probabilities(hold)
     rng = random.Random(seed)
     words: Dict[str, int] = {}
     for name in names:

@@ -27,6 +27,12 @@ class TestBasics:
         a2 = mgr.var("a")
         assert a1.node == a2.node
 
+    def test_truth_is_satisfiability(self, mgr):
+        a, b = mgr.var("a"), mgr.var("b")
+        assert mgr.true and a and a & ~b and not mgr.false
+        assert not (a & ~a) and not (a & b & ~b)
+        assert bool(a ^ a) is False and bool(a | ~a) is True
+
     def test_new_variable_on_demand(self, mgr):
         d = mgr.var("d")
         assert "d" in mgr.var_level
@@ -68,8 +74,8 @@ class TestOperators:
     def test_implies_equiv(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
         # f implies g iff f and not-g are disjoint.
-        assert mgr._disjoint((a & b).node, (~a).node)
-        assert not mgr._disjoint(a.node, (~(a & b)).node)
+        assert not ((a & b) & ~a)
+        assert a & ~(a & b)
         assert (a & b).equiv(b & a)
 
     def test_mixing_managers_rejected(self, mgr):
@@ -208,8 +214,10 @@ class TestKernelProperty:
                 f, t = a | b, ta | tb
             else:
                 f, t = a ^ b, ta ^ tb
-            assert bdd._disjoint(a.node, (~b).node) == (ta & ~tb == 0)
-            assert bdd._disjoint(a.node, b.node) == (ta & tb == 0)
+            # A function is true when satisfiable, as its truth table
+            # is when non-zero.
+            assert bool(a & ~b) == bool(ta & ~tb)
+            assert bool(a & b) == bool(ta & tb)
         elif op in ("exists", "forall"):
             a, t = self._check(bdd, levels, expr[1])
             for name in expr[2]:
@@ -248,10 +256,6 @@ class TestKernelProperty:
             work = (bdd.num_nodes(), len(cache))
             assert op(g, f).node == h.node
             assert (bdd.num_nodes(), len(cache)) == work
-        disjoint = bdd._disjoint(f.node, g.node)
-        entries = len(bdd._disjoint_cache)
-        assert bdd._disjoint(g.node, f.node) == disjoint
-        assert len(bdd._disjoint_cache) == entries
         nf = ~f
         work = (bdd.num_nodes(), len(bdd._not_cache))
         assert (~nf).node == f.node
@@ -324,6 +328,36 @@ class TestCircuitBdds:
         assert funcs["zero"].is_false and funcs["one"].is_true
         assert funcs["x"] == funcs["a"]
         assert funcs["y"] == ~funcs["a"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, 1)),
+                          max_size=n),
+                 max_size=5))))
+    def test_cover_evaluate_words_on_bdd_words(self, case):
+        # The bit-parallel evaluator on BDD words gives the cover's
+        # function: it agrees with Cover.evaluate on every minterm.
+        from repro.logic.cube import Cube
+        from repro.logic.sop import Cover
+
+        n, cubes = case
+        names = [f"v{i}" for i in range(n)]
+        covers = [Cover(n, []), Cover(n, [Cube.from_literals(n, [])])]
+        if n:
+            covers.append(Cover(n, [Cube.from_literals(n, dict(lits).items())
+                                    for lits in cubes]))
+        mgr = BDD(names)
+        words = [mgr.var(name) for name in names]
+        for cover in covers:
+            f = cover.evaluate_words(words, mgr.true)
+            assert f.bdd is mgr
+            for m in range(1 << n):
+                assign = {name: (m >> i) & 1 for i, name in enumerate(names)}
+                assert f.evaluate(assign) == cover.evaluate(m)
+        assert covers[0].evaluate_words(words, mgr.true).is_false
+        assert covers[1].evaluate_words(words, mgr.true).is_true
 
     def test_bdd_to_cover_roundtrip(self):
         from repro.bdd.circuit import bdd_to_cover

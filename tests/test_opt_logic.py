@@ -20,7 +20,7 @@ from repro.logic.generators import (alu_slice, array_multiplier,
                                     comparator, parity_tree,
                                     random_logic, ripple_carry_adder)
 from repro.logic.netlist import NetlistError, Network, Node
-from repro.logic.sop import Cover, truth_table
+from repro.logic.sop import Cover, minterm_count, truth_table
 from repro.logic.transform import gate_cover, gates_to_sop, node_cover
 from repro.opt.logic import dontcare as dontcare_module
 from repro.opt.logic.balance import balance_paths
@@ -373,6 +373,31 @@ def _transitive_fanout(net: Network, name: str) -> Set[str]:
     return cone
 
 
+def _forced_changes(net: Network, node_name: str, funcs, value) -> Set[str]:
+    """``node_name`` and every node whose global function changes when
+    that of ``node_name`` is replaced by ``value``, from a re-composition
+    of the whole network."""
+    bdd = value.bdd
+    alt = {}
+    for name in net.topo_order():
+        node = net.nodes[name]
+        if name == node_name:
+            alt[name] = value
+        elif node.is_source():
+            alt[name] = funcs[name]
+        else:
+            fanin_funcs = [alt[fi] for fi in node.fanins]
+            acc = bdd.false
+            for cube in node_cover(node):
+                term = bdd.true
+                for var, phase in cube.literals():
+                    lit = fanin_funcs[var]
+                    term = term & (lit if phase else ~lit)
+                acc = acc | term
+            alt[name] = acc
+    return {node_name} | {n for n, f in alt.items() if f != funcs[n]}
+
+
 def _assert_odcs_match_reference(net: Network) -> None:
     funcs = network_bdds(net)
     for name in net.nodes:
@@ -419,12 +444,29 @@ class TestConeObservability:
         assert observability_dont_cares(net, "a", funcs).is_false
 
 
+def _exact_dc(net: Network, name: str, funcs) -> Cover:
+    """The engine's don't-care cover of ``name`` on BDD words."""
+    true = next(iter(funcs.values())).bdd.true
+    return dontcare_module._dont_cares(
+        BDD(), dontcare_module._care(net, name, funcs, true),
+        [funcs[fi] for fi in net.nodes[name].fanins])
+
+
+def _witness(net: Network, name: str, words: Dict[str, int],
+             mask: int) -> bool:
+    """The engine's simulation witness: the image of the care set on
+    the Monte-Carlo words is the whole fanin space."""
+    return dontcare_module._fanin_image(
+        BDD(), dontcare_module._care(net, name, words, mask),
+        [words[fi] for fi in net.nodes[name].fanins]).is_true
+
+
 def _assert_dc_covers_match_reference(net: Network) -> None:
     funcs = network_bdds(net)
     for name, node in net.nodes.items():
         if node.is_source() or not node.fanins:
             continue
-        got = dontcare_module._dont_care_cover(net, name, funcs)
+        got = _exact_dc(net, name, funcs)
         assert got.is_equivalent(_ref_dc(net, name, funcs)), name
 
 
@@ -447,97 +489,112 @@ class TestDontCareWork:
     """The pass does work in proportion to fanout cones."""
 
     def test_odc_query_evaluates_the_cone_twice(self, monkeypatch):
+        """A cone member's cover is evaluated once per forced value of
+        the node under which one of its fanins changed, so at most
+        twice; only a walk cut short by a full care set does less."""
         evaluated: List[str] = []
-        calls = [0]
-        real_cover_function = dontcare_module.cover_function
         real_node_cover = dontcare_module.node_cover
-
-        def counting_cover_function(*args):
-            calls[0] += 1
-            return real_cover_function(*args)
 
         def recording_node_cover(node):
             evaluated.append(node.name)
             return real_node_cover(node)
 
-        monkeypatch.setattr(dontcare_module, "cover_function",
-                            counting_cover_function)
         monkeypatch.setattr(dontcare_module, "node_cover",
                             recording_node_cover)
         net = random_logic(8, 60, seed=3)
         funcs = network_bdds(net)
-        sizes = set()
+        bdd = next(iter(funcs.values())).bdd
+        sizes, cut, full = set(), 0, 0
         for name in net.nodes:
-            calls[0] = 0
-            evaluated.clear()
-            observability_dont_cares(net, name, funcs)
             cone = _transitive_fanout(net, name)
             sizes.add(len(cone))
-            assert calls[0] == 2 * (len(cone) - 1), name
-            assert Counter(evaluated) == {n: 2 for n in cone - {name}}
+            # Per forced value, the nodes whose function it changes, from
+            # a re-composition of the whole network.
+            changed = [_forced_changes(net, name, funcs, value)
+                       for value in (bdd.true, bdd.false)]
+            want = Counter(member for moved in changed
+                           for member in cone - {name}
+                           if not moved.isdisjoint(net.nodes[member].fanins))
+            evaluated.clear()
+            odc = observability_dont_cares(net, name, funcs)
+            got = Counter(evaluated)
+            assert all(n <= 2 for n in got.values()), name
+            if odc.is_false and got != want:
+                # A care set that is already full ends the walk early.
+                cut += 1
+                assert all(got[m] <= want[m] for m in got), name
+            else:
+                full += 1
+                assert got == want, name
         assert 1 in sizes and max(sizes) < len(net.nodes)
+        assert cut and full
 
     def test_one_image_and_one_cover_per_visited_node(self, monkeypatch):
-        """One image and one cover per visited node the simulation
-        witness leaves open."""
-        asked: List[int] = []
-        left_open: List[int] = []
-        images: List[int] = []
+        """One Monte-Carlo image per visited node, and one exact image
+        and one cover per node that image leaves open."""
+        simulated: List[Tuple[int, bool]] = []
+        exact: List[int] = []
         covers = [0]
-        real_witness = dontcare_module._witness_empty
         real_image = dontcare_module._fanin_image
         real_to_cover = dontcare_module.bdd_to_cover
 
-        def recording_witness(net, name, words, mask):
-            proved = real_witness(net, name, words, mask)
-            asked.append(len(net.nodes[name].fanins))
-            if not proved:
-                left_open.append(len(net.nodes[name].fanins))
-            return proved
-
-        def counting_image(bdd, care, fanins, i, memo):
-            if i == 0:
-                images.append(len(fanins))
-            return real_image(bdd, care, fanins, i, memo)
+        def recording_image(img, care, fanin_words):
+            image = real_image(img, care, fanin_words)
+            if isinstance(care, int):
+                simulated.append((len(fanin_words), image.is_true))
+            else:
+                exact.append(len(fanin_words))
+            return image
 
         def counting_to_cover(*args):
             covers[0] += 1
             return real_to_cover(*args)
 
         monkeypatch.setattr(dontcare_module, "_fanin_image",
-                            counting_image)
+                            recording_image)
         monkeypatch.setattr(dontcare_module, "bdd_to_cover",
                             counting_to_cover)
-        monkeypatch.setattr(dontcare_module, "_witness_empty",
-                            recording_witness)
         net = random_logic(12, 80, seed=4)
         order = [net.nodes[name] for name in net.topo_order()]
         visited = [len(n.fanins) for n in order if not n.is_source() and
                    0 < len(n.fanins) <= dontcare_module.MAX_FANINS]
         res = dontcare_power_optimization(net)
-        assert asked == visited
-        assert images == left_open
-        assert covers[0] == len(left_open)
-        assert res.witnessed == len(visited) - len(left_open) > 0
+        assert [k for k, _proved in simulated] == visited
+        assert exact == [k for k, proved in simulated if not proved]
+        assert covers[0] == len(exact)
+        assert res.witnessed == len(visited) - len(exact) > 0
 
     def test_fanin_variables_are_shared(self, monkeypatch):
+        """The source manager holds only source variables; every image
+        of the pass is built in one manager of at most MAX_FANINS fanin
+        variables."""
         managers = []
+        images = set()
         real = dontcare_module.network_bdds
+        real_image = dontcare_module._fanin_image
 
         def capturing(net, *args):
             funcs = real(net, *args)
             managers.append(next(iter(funcs.values())).bdd)
             return funcs
 
+        def capturing_image(img, care, fanin_words):
+            images.add(img)
+            return real_image(img, care, fanin_words)
+
         monkeypatch.setattr(dontcare_module, "network_bdds", capturing)
+        monkeypatch.setattr(dontcare_module, "_fanin_image",
+                            capturing_image)
         net = random_logic(16, 100, seed=0)
-        sources = [n for n in net.nodes.values() if n.is_source()]
+        sources = [n.name for n in net.nodes.values() if n.is_source()]
         fanins = sum(len(n.fanins) for n in net.nodes.values())
         res = dontcare_power_optimization(net)
         bdd, = managers
+        img, = images
         assert fanins > dontcare_module.MAX_FANINS
-        assert len(bdd.var_names) <= len(sources) + \
-            dontcare_module.MAX_FANINS
+        assert sorted(bdd.var_names) == sorted(sources)
+        assert img is not bdd
+        assert 0 < len(img.var_names) <= dontcare_module.MAX_FANINS
         assert res.bdd_nodes == bdd.num_nodes()
 
     def test_pass_builds_network_bdds_once(self, monkeypatch):
@@ -566,17 +623,16 @@ def _assert_witness_sound(net: Network, num_vectors: int, seed: int,
     for name, node in net.nodes.items():
         if node.is_source() or not node.fanins:
             continue
-        if dontcare_module._witness_empty(net, name, words,
-                                          (1 << num_vectors) - 1):
+        if _witness(net, name, words, (1 << num_vectors) - 1):
             proved += 1
-            assert dontcare_module._dont_care_cover(
-                net, name, funcs).is_empty(), name
+            assert _exact_dc(net, name, funcs).is_empty(), name
     return proved
 
 
 class TestDontCareWitness:
-    """The simulation witness in front of the exact path is sound, and
-    a node it cannot prove takes the BDD path."""
+    """The simulation witness in front of the exact path (the engine
+    run on the Monte-Carlo words) is sound, and a node it cannot prove
+    takes the BDD path."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(4, 60),
@@ -608,10 +664,8 @@ class TestDontCareWitness:
         words = stored_node_words(net, 256, 0, probs)
         funcs = network_bdds(net)
         for name in ("x", "y"):
-            assert not dontcare_module._witness_empty(net, name, words,
-                                                      (1 << 256) - 1)
-            assert dontcare_module._dont_care_cover(net, name,
-                                                    funcs).is_empty()
+            assert not _witness(net, name, words, (1 << 256) - 1)
+            assert _exact_dc(net, name, funcs).is_empty()
         assert _assert_witness_sound(net.copy(), 256, 0) == 2
         res = dontcare_power_optimization(net.copy(), probs, 256)
         assert res.witnessed == 0
@@ -622,6 +676,73 @@ class TestDontCareWitness:
         res = dontcare_power_optimization(net.copy(), num_vectors=1)
         assert res.witnessed == 0
         _assert_matches_reference(net, None, 1)
+
+
+def _exhaustive_node_words(net: Network) -> Tuple[Dict[str, int], int]:
+    """Every node's word over all assignments of the sources (inputs
+    and latch outputs), and the mask of those patterns."""
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    mask = (1 << (1 << len(sources))) - 1
+    stimulus = exhaustive_words(sources)
+    # Latch outputs take their words from the state, not the inputs.
+    words = get_compiled(net).evaluate_words(stimulus, mask, stimulus)
+    return words, mask
+
+
+def _assert_images_agree_across_kinds(net: Network) -> None:
+    """On exhaustive int words the engine's care-set image is exact, so
+    it must be the image it builds on BDD words, node for node (one
+    image manager holds both, so equal images are one node)."""
+    words, mask = _exhaustive_node_words(net)
+    funcs = network_bdds(net)
+    true = next(iter(funcs.values())).bdd.true
+    img = BDD()
+    for name, node in net.nodes.items():
+        fanins = node.fanins
+        from_ints = dontcare_module._fanin_image(
+            img, dontcare_module._care(net, name, words, mask),
+            [words[fi] for fi in fanins])
+        from_bdds = dontcare_module._fanin_image(
+            img, dontcare_module._care(net, name, funcs, true),
+            [funcs[fi] for fi in fanins])
+        assert from_ints == from_bdds, name
+
+
+class TestDontCareWordKinds:
+    """The engine gives one answer on both kinds of words."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(3, 12), st.integers(4, 60))
+    @example(seed=1, inputs=12, gates=60)
+    def test_random_logic(self, seed, inputs, gates):
+        _assert_images_agree_across_kinds(random_logic(inputs, gates,
+                                                       seed=seed))
+
+    def test_latches_and_input_outputs(self):
+        _assert_images_agree_across_kinds(latch_net())
+
+    def test_wide_node_cdc(self):
+        # Wider than MAX_FANINS: the public CDC call still takes it.
+        net = Network()
+        net.add_inputs([f"a{i}" for i in range(8)])
+        net.add_gate("n0", GateType.NOT, ["a0"])
+        net.add_gate("x1", GateType.AND, ["a1", "a2"])
+        net.add_gate("o2", GateType.OR, ["a2", "a3"])
+        net.add_gate("e4", GateType.XOR, ["a4", "a5"])
+        fanins = [f"a{i}" for i in range(8)] + ["n0", "x1", "o2", "e4"]
+        net.add_gate("z", GateType.AND, fanins)
+        net.set_output("z")
+        assert len(fanins) > dontcare_module.MAX_FANINS
+        words, mask = _exhaustive_node_words(net)
+        from_ints = dontcare_module._dont_cares(
+            BDD(), mask, [words[fi] for fi in fanins])
+        got = controllability_dont_cares(net, "z")
+        assert (got.num_vars, got.cubes) == \
+            (from_ints.num_vars, from_ints.cubes)
+        want = _ref_cdc(net, "z", network_bdds(net))
+        assert (got.num_vars, got.cubes) == (want.num_vars, want.cubes)
+        # 2^8 of the 2^12 fanin assignments occur.
+        assert minterm_count(got) == (1 << 12) - (1 << 8)
 
 
 def _from_scratch_switched_cap(net: Network, num_vectors: int,

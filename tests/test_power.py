@@ -62,6 +62,30 @@ class TestProbabilities:
         p = signal_probability_propagation(net, {"a": 1.0, "b": 0.25})
         assert p["g"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.125, float("nan"),
+                                     float("inf"), True, "0.5", None])
+    def test_bad_input_probability_is_named(self, bad):
+        net = random_logic(4, 6, 1)
+        probs = {"i1": 0.25, "i0": bad}
+        for estimate in (signal_probability_propagation,
+                         signal_probability_exact):
+            with pytest.raises(ValueError, match="'i0'"):
+                estimate(net, probs)
+        with pytest.raises(ValueError, match="'i0'"):
+            random_words(["i0", "i1"], 8, 0, probs)
+        with pytest.raises(ValueError, match="'i0'"):
+            random_words(["i0", "i1"], 8, 0, None, probs)
+        with pytest.raises(ValueError, match="'i0'"):
+            activity_from_simulation(net, 8, 0, probs)
+
+    def test_probability_bounds_are_accepted(self):
+        net = random_logic(4, 6, 1)
+        probs = {"i0": 0, "i1": 1, "i2": 0.0, "i3": 1.0}
+        assert signal_probability_propagation(net, probs)["i1"] == 1
+        assert signal_probability_exact(net, probs)["i0"] == 0.0
+        assert random_words(["i0", "i1"], 8, 0, probs) == \
+            {"i0": 0, "i1": 0xFF}
+
 
 class TestActivity:
     def test_activity_from_probability(self):
