@@ -313,7 +313,7 @@ def run_iteration(rtl: RTLResult, inputs: Dict[str, int]
     compiled = get_compiled(net)
     state = net.initial_state()
     for _ in range(rtl.latency):
-        state, _values = compiled.step(state, vec, 1)
+        state, _values = compiled.step({**vec, **state}, 1)
     out = {}
     for name in rtl.output_registers:
         bits = rtl.output_bits(name)

@@ -450,32 +450,32 @@ class Network:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate_words(self, input_words: Dict[str, int], mask: int,
-                       state_words: Optional[Dict[str, int]] = None
+    def evaluate_words(self, words: Dict[str, int], mask: int
                        ) -> Dict[str, int]:
         """Bit-parallel combinational evaluation.
 
-        ``input_words`` maps PI names to pattern words; ``state_words`` maps
-        latch-output names to their current values (default: init values
-        replicated).  Returns a word for every node.
+        ``words`` maps source names to pattern words: every primary
+        input must have one, and a latch output without one holds its
+        init value (replicated).  Returns a word for every node.
 
         This interpreted walk is the reference the tests and
         ``bench_compiled_sim`` compare :mod:`repro.sim.compiled` against;
         no library module calls it.  Simulate through
-        ``get_compiled(net).evaluate_words`` / ``.step`` instead.
+        ``get_compiled(net).evaluate_words`` / ``.step`` / ``.run``
+        instead.
         """
         values: Dict[str, int] = {}
         for name in self.topo_order():
             node = self.nodes[name]
             if node.kind == "input":
                 try:
-                    values[name] = input_words[name] & mask
+                    values[name] = words[name] & mask
                 except KeyError:
                     raise NetlistError(f"missing input value for {name!r}") \
                         from None
             elif node.kind == "latch":
-                if state_words is not None and name in state_words:
-                    values[name] = state_words[name] & mask
+                if name in words:
+                    values[name] = words[name] & mask
                 else:
                     latch = self.latch_for_output(name)
                     values[name] = mask if latch.init else 0
@@ -487,11 +487,10 @@ class Network:
                 values[name] = node.cover.evaluate_words(ins, mask)
         return values
 
-    def evaluate(self, input_values: Dict[str, int],
-                 state: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    def evaluate(self, values: Dict[str, int]) -> Dict[str, int]:
         """Scalar evaluation: every value is 0 or 1 (a reference, like
-        :meth:`evaluate_words`)."""
-        words = self.evaluate_words(input_values, 1, state)
+        :meth:`evaluate_words`, with the same source rules)."""
+        words = self.evaluate_words(values, 1)
         return {k: v & 1 for k, v in words.items()}
 
     def initial_state(self) -> Dict[str, int]:

@@ -17,6 +17,7 @@ from repro.logic.cube import Cube
 from repro.logic.netlist import Network
 from repro.logic.sop import Cover
 from repro.power.markov import limit_distribution
+from repro.sim.vectors import check_probabilities
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,15 @@ class STG:
     def transition_matrix(self,
                           input_probs: Optional[Sequence[float]] = None
                           ) -> Dict[str, Dict[str, float]]:
-        """P(s -> t) under independent input bits (default p=0.5 each)."""
+        """P(s -> t) under independent input bits (default p=0.5 each).
+        A length other than ``num_inputs`` or a probability outside
+        [0, 1] raises ``ValueError``; every Markov method checks here."""
         probs = list(input_probs) if input_probs is not None \
             else [0.5] * self.num_inputs
+        if len(probs) != self.num_inputs:
+            raise ValueError(f"expected {self.num_inputs} input "
+                             f"probabilities, not {len(probs)}")
+        check_probabilities({f"input {i}": p for i, p in enumerate(probs)})
 
         def cube_prob(cube: Cube) -> float:
             p = 1.0

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.logic.netlist import Network
 from repro.power.markov import limit_distribution
 from repro.sim.compiled import get_compiled
-from repro.sim.vectors import exhaustive_words
+from repro.sim.vectors import check_probabilities, exhaustive_words
 
 
 @dataclass
@@ -46,14 +46,15 @@ def exact_sequential_activity(net: Network,
     """Exact node activities of a sequential network.
 
     ``input_probs[pi]`` is P(pi = 1) per cycle (inputs temporally and
-    spatially independent).  Raises if the reachable state space
-    exceeds ``max_states``.  The state distribution is the limit
+    spatially independent); a probability outside [0, 1] raises
+    ``ValueError``.  Raises ``RuntimeError`` if the reachable state
+    space exceeds ``max_states``.  The state distribution is the limit
     reached from reset, solved exactly by
     :func:`~repro.power.markov.limit_distribution`.
     """
+    check_probabilities(input_probs)
     input_probs = input_probs or {}
     pis = list(net.inputs)
-    latches = [l.output for l in net.latches]
     n_in = len(pis)
     num_minterms = 1 << n_in
     minterm_prob = []
@@ -75,13 +76,10 @@ def exact_sequential_activity(net: Network,
     value_words: List[Dict[str, int]] = []
     successors: List[List[int]] = []       # [state][minterm] -> state idx
     for state in states:            # grows while it is walked: BFS order
-        state_words = {name: (mask if bit else 0)
-                       for name, bit in zip(latches, state)}
-        nxt, values = compiled.step(state_words, input_words, mask)
+        values, succs = compiled.expand(state, input_words, mask)
         value_words.append(values)
         succ_row = []
-        for m in range(num_minterms):
-            succ = tuple((nxt[l] >> m) & 1 for l in latches)
+        for succ in succs:
             if succ not in index:
                 if len(states) >= max_states:
                     raise RuntimeError(

@@ -14,9 +14,14 @@ once into a flat *evaluation program*:
   indices (specialized per gate type / per cover);
 * evaluation is a single pass filling a flat ``list`` of words — no name
   lookups, no dispatch, no per-call cover interpretation;
+* a latch output is a source like a primary input: every evaluator
+  reads one map of source words, where each input must have a word
+  and a latch output without one holds its init value;
 * every latch is resolved once into a table of (output, data, enable)
   slots, so :meth:`CompiledNetwork.step` clocks the network without a
-  name lookup per latch.
+  name lookup per latch, and :meth:`CompiledNetwork.run` clocks a
+  vector sequence into one word per source (bit *k* = cycle *k*), the
+  trajectory both clocked transition counters count on.
 
 The compiled program is cached on the network (``Network._compiled``)
 and dropped by every structural edit.  For the nodes in the network's
@@ -42,7 +47,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import NetlistError, Network
@@ -164,7 +170,7 @@ class CompiledNetwork:
     """
 
     __slots__ = ("mark", "names", "slot_of", "num_slots", "input_slots",
-                 "latches", "ops")
+                 "latches", "source_slots", "ops")
 
     def __init__(self, mark: Tuple[List[str], int], names: List[str],
                  slot_of: Dict[str, int],
@@ -181,55 +187,52 @@ class CompiledNetwork:
         #: per latch, in declaration order: (output slot, data slot,
         #: enable slot or None, init)
         self.latches = latches
+        #: (slot, name) for every source, inputs then latch outputs
+        self.source_slots = input_slots + [(s, names[s])
+                                           for s, *_ in latches]
         #: in topological (= ascending out-slot) order
         self.ops = ops
 
     # -- full evaluation -----------------------------------------------
 
-    def _load_sources(self, values: List[int],
-                      input_words: Dict[str, int], mask: int,
-                      state_words: Optional[Dict[str, int]]) -> None:
+    def _load_sources(self, values: List[int], words: Dict[str, int],
+                      mask: int) -> None:
         for slot, name in self.input_slots:
             try:
-                values[slot] = input_words[name] & mask
+                values[slot] = words[name] & mask
             except KeyError:
                 raise NetlistError(
                     f"missing input value for {name!r}") from None
         for slot, _data, _enable, init in self.latches:
-            name = self.names[slot]
-            if state_words is not None and name in state_words:
-                values[slot] = state_words[name] & mask
-            else:
-                values[slot] = mask if init else 0
+            word = words.get(self.names[slot], mask if init else 0)
+            values[slot] = word & mask
 
-    def evaluate_slots(self, input_words: Dict[str, int], mask: int,
-                       state_words: Optional[Dict[str, int]] = None
+    def evaluate_slots(self, words: Dict[str, int], mask: int
                        ) -> List[int]:
         """One full pass; returns the flat slot-value list."""
         values = [0] * self.num_slots
-        self._load_sources(values, input_words, mask, state_words)
+        self._load_sources(values, words, mask)
         for out_slot, _fanins, kernel in self.ops:
             values[out_slot] = kernel(values, mask)
         return values
 
-    def evaluate_words(self, input_words: Dict[str, int], mask: int,
-                       state_words: Optional[Dict[str, int]] = None
+    def evaluate_words(self, words: Dict[str, int], mask: int
                        ) -> Dict[str, int]:
-        """Drop-in, bit-exact replacement for ``Network.evaluate_words``."""
-        return dict(zip(self.names,
-                        self.evaluate_slots(input_words, mask,
-                                            state_words)))
+        """Drop-in, bit-exact replacement for ``Network.evaluate_words``:
+        every primary input needs a word in ``words``; a latch output
+        without one holds its init value."""
+        return dict(zip(self.names, self.evaluate_slots(words, mask)))
 
-    def step(self, state_words: Dict[str, int],
-             input_words: Dict[str, int], mask: int
+    def step(self, words: Dict[str, int], mask: int
              ) -> Tuple[Dict[str, int], Dict[str, int]]:
         """One clocked step, bit-parallel over independent trajectories.
 
-        Returns ``(next_state_words, node_values)``.  A latch missing
-        from ``state_words`` starts from its init value; where a latch
-        enable bit is 0 the latch keeps its old bit (a gated clock).
+        ``words`` carries this cycle's source words as for
+        :meth:`evaluate_words`.  Returns ``(next_state_words,
+        node_values)``; where a latch enable bit is 0 the latch keeps
+        its old bit (a gated clock).
         """
-        values = self.evaluate_slots(input_words, mask, state_words)
+        values = self.evaluate_slots(words, mask)
         names = self.names
         nxt: Dict[str, int] = {}
         for out, data, enable, _init in self.latches:
@@ -240,20 +243,62 @@ class CompiledNetwork:
             nxt[names[out]] = new
         return nxt, dict(zip(names, values))
 
+    def expand(self, state: Tuple[int, ...], words: Dict[str, int],
+               mask: int) -> Tuple[Dict[str, int], List[Tuple[int, ...]]]:
+        """Step one state under every input pattern of ``words`` at once.
+
+        ``state`` holds one bit per latch in declaration order; bit *m*
+        of each input word is pattern *m*, and ``mask`` has one bit per
+        pattern.  Returns the node words and, per pattern, the successor
+        state in the same form.
+        """
+        src = dict(words)
+        src.update((self.names[out], mask if bit else 0)
+                   for (out, *_), bit in zip(self.latches, state))
+        nxt, values = self.step(src, mask)
+        return values, [tuple((w >> m) & 1 for w in nxt.values())
+                        for m in range(mask.bit_length())]
+
+    def run(self, vectors: Sequence[Dict[str, int]],
+            state: Optional[Dict[str, int]] = None
+            ) -> Tuple[Dict[str, int], List[Dict[str, int]]]:
+        """Clock once per vector, from ``state`` (a latch missing from
+        it starts at its init value).
+
+        An input missing from a vector holds its last value, starting
+        at 0.  Returns ``(words, trace)``: ``words`` maps every source
+        to its word (bit *k* is its value in cycle *k*) and
+        ``trace[k]`` holds every node's value in cycle *k*.
+        """
+        held = {name: 0 for _slot, name in self.input_slots}
+        cur = state or {}
+        words = {name: 0 for _slot, name in self.source_slots}
+        trace: List[Dict[str, int]] = []
+        for k, vec in enumerate(vectors):
+            for name in held:
+                v = vec.get(name)
+                if v is not None:
+                    held[name] = v & 1
+            cur, values = self.step({**cur, **held}, 1)
+            trace.append(values)
+            for name in words:
+                if values[name]:
+                    words[name] |= 1 << k
+        return words, trace
+
     # -- incremental evaluation ------------------------------------------
 
     def evaluate_incremental(self, prev: Dict[str, int],
                              dirty: Iterable[str],
-                             input_words: Dict[str, int], mask: int,
-                             state_words: Optional[Dict[str, int]] = None
+                             words: Dict[str, int], mask: int
                              ) -> Dict[str, int]:
         """Re-evaluate only the transitive fanout cone of ``dirty``.
 
         ``prev`` maps node name -> word from a prior evaluation under
-        the *same* ``input_words``/``mask``/``state_words`` of a network
-        that agrees with this one everywhere outside the cone of the
-        dirty set.  Nodes absent from ``prev`` (newly created) are
-        implicitly dirty.  ``activity_from_simulation`` takes ``dirty``
+        the *same* ``words``/``mask`` of a network that agrees with
+        this one everywhere outside the cone of the dirty set.  Nodes
+        absent from ``prev`` (newly created) are implicitly dirty.
+        ``activity_from_simulation`` takes ``dirty``
         from the network's edit record (``Network.edits_since``).
 
         Value-based early cut-off: a recomputed node whose word equals
@@ -262,12 +307,9 @@ class CompiledNetwork:
         values = [0] * self.num_slots
         changed = bytearray(self.num_slots)
         dirty_set = set(dirty)
-        self._load_sources(values, input_words, mask, state_words)
-        for slot, name in self.input_slots:
+        self._load_sources(values, words, mask)
+        for slot, name in self.source_slots:
             if values[slot] != prev.get(name):
-                changed[slot] = 1
-        for slot, _data, _enable, _init in self.latches:
-            if values[slot] != prev.get(self.names[slot]):
                 changed[slot] = 1
         for out_slot, fanin_slots, kernel in self.ops:
             name = self.names[out_slot]

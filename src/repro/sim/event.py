@@ -20,6 +20,11 @@ Two engines implement the same semantics:
   in one pass, one lane per stimulus transition.  Bit-identical
   per-node counts, much faster; the default for
   :func:`timed_transitions` and :func:`timed_sequential_transitions`.
+
+In both, a source missing from a vector holds its last value (inputs
+start at 0, latch outputs at init).  A clocked compiled run times the
+trajectory of ``CompiledNetwork.run``, which ``sequential_transitions``
+counts too, so timed minus zero-delay is an even glitch count.
 """
 
 from __future__ import annotations
@@ -242,8 +247,9 @@ def timed_sequential_transitions(net: Network,
     if engine == "compiled":
         from repro.sim.timed import get_timed
 
-        return get_timed(net, delays).sequential_transition_counts(
-            vectors)
+        prog = get_timed(net, delays)
+        words, _trace = prog.base.run(vectors)
+        return prog.transition_counts(words, len(vectors))
     sim = EventSimulator(net, delays=delays)
     return sim.run_sequential(vectors)
 

@@ -4,11 +4,14 @@ Zero-delay transition counts give the *useful* switching activity — at
 most one transition per node per clock cycle.  The difference between the
 event-driven counts (``repro.sim.event``) and these is the spurious
 (glitch) activity studied in Section III-A.2 of the paper.
+
+Every count is one word pass of ``repro.sim.compiled`` (bit *k* = value
+in pattern *k*); a clocked run passes the source words, latch outputs
+included, of the trajectory ``CompiledNetwork.run`` clocks out.
 """
 
 from __future__ import annotations
 
-from operator import add, ne
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
@@ -50,25 +53,16 @@ def sequential_transitions(net: Network,
     """Clock-by-clock simulation of a sequential network.
 
     Returns ``(transition_counts, value_trace)`` where the trace holds the
-    scalar value of every node at each cycle.  Latch clock-enables are
-    honoured, so gated registers contribute no transitions while disabled.
+    scalar value of every node at each cycle.  An input missing from a
+    vector holds its last value (0 before the first), and a latch
+    missing from ``initial_state`` starts at its init value.  Latch
+    clock-enables are honoured, so gated registers contribute no
+    transitions while disabled.
     """
     from repro.sim.compiled import get_compiled
 
-    compiled = get_compiled(net)
-    state = initial_state if initial_state is not None else {}
-    trace: List[Dict[str, int]] = []
-    for vec in input_sequence:
-        state, values = compiled.step(state, vec, 1)
-        trace.append(values)
-    # Every trace dict lists the nodes in the program's slot order.
-    counts = [0] * compiled.num_slots
-    for prev, cur in zip(trace, trace[1:]):
-        counts = list(map(add, counts, map(ne, prev.values(),
-                                           cur.values())))
-    transitions = {name: 0 for name in net.nodes}
-    transitions.update(zip(compiled.names, counts))
-    return transitions, trace
+    words, trace = get_compiled(net).run(input_sequence, initial_state)
+    return simulate_transitions(net, words, len(trace)), trace
 
 
 def _matched_outputs(a: Network, b: Network

@@ -50,15 +50,15 @@ dropped by every structural edit), keyed by the zero-delay program
 snapshot — a function edit yields a new snapshot from ``get_compiled``
 — plus the exact resolved per-node delay tuple, so a mutated
 ``attrs["delay"]`` or a different ``delays`` argument can never hit a
-stale program.  Clocked simulation steps the zero-delay program
-(``CompiledNetwork.step``) for the register trajectory, then times
-every cycle's settle on the word-parallel engine.
+stale program.  Clocked simulation times every cycle's settle of the
+zero-delay trajectory ``CompiledNetwork.run`` clocks out (a latch
+samples the settled, zero-delay values), cycle *k* in lane *k*.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.logic.netlist import Network
 from repro.sim.compiled import CompiledNetwork, get_compiled
@@ -69,8 +69,7 @@ class CompiledTimedNetwork:
     """Immutable time-wheel evaluation program for one network snapshot
     under one resolved delay map.  Obtain through :func:`get_timed`."""
 
-    __slots__ = ("base", "delay_key", "kernel_of", "fanout_plan",
-                 "source_slots")
+    __slots__ = ("base", "delay_key", "kernel_of", "fanout_plan")
 
     def __init__(self, base: CompiledNetwork,
                  delay_key: Tuple[float, ...]):
@@ -92,21 +91,16 @@ class CompiledTimedNetwork:
                 plan[fs].append((out_slot, d))
         self.fanout_plan: Tuple[Tuple[Tuple[int, float], ...], ...] = \
             tuple(tuple(p) for p in plan)
-        #: (slot, name) for every source, inputs then latch outputs
-        self.source_slots: Tuple[Tuple[int, str], ...] = tuple(
-            list(base.input_slots)
-            + [(s, base.names[s]) for s, _d, _e, _i in base.latches])
 
     # -- combinational ---------------------------------------------------
 
-    def transition_counts(self, input_words: Dict[str, int],
+    def transition_counts(self, words: Dict[str, int],
                           count: int) -> Dict[str, int]:
         """Per-node transition counts over ``count`` consecutive
         vectors, bit-identical to ``EventSimulator.run`` on the same
-        stimulus.  ``input_words`` must carry a word for every primary
-        input (bit *k* = value in vector *k*); latch-output words are
-        optional (a missing one holds the latch's init value, like a
-        source never driven by the oracle's vectors)."""
+        stimulus.  ``words`` (bit *k* = value in vector *k*) is read as
+        by ``CompiledNetwork.evaluate_words``: a latch output without a
+        word holds its init value, like an undriven oracle source."""
         base = self.base
         counts = [0] * base.num_slots
         if count < 2:
@@ -115,9 +109,8 @@ class CompiledTimedNetwork:
         # transition of the stimulus at once.
         lane_mask = (1 << (count - 1)) - 1
         # Starting state: zero-delay stable values of vectors 0..count-2,
-        # one word-parallel pass over the shared compiled program; a
-        # latch without a word holds its init value.
-        values = base.evaluate_slots(input_words, lane_mask, input_words)
+        # one word-parallel pass over the shared compiled program.
+        values = base.evaluate_slots(words, lane_mask)
 
         fanout_plan = self.fanout_plan
         kernel_of = self.kernel_of
@@ -127,8 +120,8 @@ class CompiledTimedNetwork:
         times: List[float] = []
 
         # t = 0: the new vectors reach the sources.
-        for slot, name in self.source_slots:
-            w = input_words.get(name)
+        for slot, name in base.source_slots:
+            w = words.get(name)
             if w is None:
                 continue
             new = (w >> 1) & lane_mask
@@ -214,37 +207,6 @@ class CompiledTimedNetwork:
                         else:
                             b[fo_slot] = b.get(fo_slot, 0) | changed
         return dict(zip(base.names, counts))
-
-    # -- clocked sequential ----------------------------------------------
-
-    def sequential_transition_counts(
-            self, vectors: Sequence[Dict[str, int]]) -> Dict[str, int]:
-        """Clocked timed counts, bit-identical to
-        ``EventSimulator.run_sequential`` on the same vector sequence.
-
-        Phase 1 recovers the register trajectory with zero-delay scalar
-        steps of the base program (the settled values a latch samples
-        are exactly the zero-delay values); an input missing from a
-        vector holds its last value.  Phase 2 packs the per-cycle
-        source values — primary inputs plus latch outputs — into words
-        and reuses the word-parallel combinational engine: every
-        cycle's settle is one lane.
-        """
-        base = self.base
-        held = {name: 0 for _s, name in base.input_slots}
-        state = {base.names[s]: init for s, _d, _e, init in base.latches}
-        words = {name: 0 for _s, name in self.source_slots}
-        for k, vec in enumerate(vectors):
-            for name in held:
-                v = vec.get(name)
-                if v is not None:
-                    held[name] = v & 1
-            for source in (held, state):
-                for name, bit in source.items():
-                    if bit:
-                        words[name] |= 1 << k
-            state, _values = base.step(state, held, 1)
-        return self.transition_counts(words, len(vectors))
 
 
 def get_timed(net: Network, delays: Optional[Dict[str, float]] = None

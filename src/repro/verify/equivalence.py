@@ -17,11 +17,11 @@ sharing inside FSMs) deserve *exhaustive* verification:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.logic.netlist import Network
-from repro.sim.compiled import CompiledNetwork, get_compiled
+from repro.sim.compiled import get_compiled
 from repro.sim.functional import _matched_outputs
 from repro.sim.vectors import exhaustive_words
 
@@ -59,24 +59,9 @@ def sequential_equivalent(a: Network, b: Network,
         return EquivalenceResult(False, 0,
                                  {"reason": "output count differs"})
     pis = sorted(a.inputs)
-    n_in = len(pis)
-    num_minterms = 1 << n_in
-    mask = (1 << num_minterms) - 1
+    mask = (1 << (1 << len(pis))) - 1
     input_words = exhaustive_words(pis)
-
     compiled_a, compiled_b = get_compiled(a), get_compiled(b)
-    latches_a = [l.output for l in a.latches]
-    latches_b = [l.output for l in b.latches]
-
-    def step(compiled: CompiledNetwork, latch_names: List[str],
-             state: Tuple[int, ...]):
-        state_words = {name: (mask if bit else 0)
-                       for name, bit in zip(latch_names, state)}
-        nxt, values = compiled.step(state_words, input_words, mask)
-        succs = []
-        for m in range(num_minterms):
-            succs.append(tuple((nxt[l] >> m) & 1 for l in latch_names))
-        return values, succs
 
     init = (tuple(l.init for l in a.latches),
             tuple(l.init for l in b.latches))
@@ -87,8 +72,8 @@ def sequential_equivalent(a: Network, b: Network,
         nxt_frontier = []
         for sa, sb in frontier:
             explored += 1
-            values_a, succs_a = step(compiled_a, latches_a, sa)
-            values_b, succs_b = step(compiled_b, latches_b, sb)
+            values_a, succs_a = compiled_a.expand(sa, input_words, mask)
+            values_b, succs_b = compiled_b.expand(sb, input_words, mask)
             for oa, ob in pairs:
                 diff = values_a[oa] ^ values_b[ob]
                 if diff:
@@ -97,8 +82,7 @@ def sequential_equivalent(a: Network, b: Network,
                         False, explored,
                         {"state_a": sa, "state_b": sb, "input": m,
                          "output": (oa, ob)})
-            for m in range(num_minterms):
-                joint = (succs_a[m], succs_b[m])
+            for joint in zip(succs_a, succs_b):
                 if joint not in seen:
                     if len(seen) >= max_joint_states:
                         raise RuntimeError(

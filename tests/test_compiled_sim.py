@@ -22,8 +22,12 @@ from repro.opt.seq.gated_clock import self_loop_clock_gating
 from repro.power.activity import (activity_from_simulation,
                                   sequential_activity)
 from repro.sim.compiled import compile_network, get_compiled
-from repro.sim.functional import verify_equivalence, verify_equivalence_exact
+from repro.sim.event import timed_sequential_transitions
+from repro.sim.functional import (sequential_transitions,
+                                  verify_equivalence,
+                                  verify_equivalence_exact)
 from repro.sim.vectors import random_bus_stream, random_words
+from tests.test_opt_logic import latch_net
 
 VECTORS = 256
 
@@ -60,8 +64,8 @@ def test_compiled_matches_interpreted_with_state_words():
     state = {la.output: random_words([la.output], 64, 7)[la.output]
              for la in net.latches}
     mask = (1 << 64) - 1
-    assert net.evaluate_words(words, mask, state) == \
-        get_compiled(net).evaluate_words(words, mask, state)
+    assert net.evaluate_words(words | state, mask) == \
+        get_compiled(net).evaluate_words(words | state, mask)
 
 
 def test_compiled_missing_input_raises_like_interpreter():
@@ -76,7 +80,7 @@ def test_compiled_missing_input_raises_like_interpreter():
 def _reference_step(net, state, words, mask):
     """Interpreted evaluation plus the latch-enable rule: where an
     enable bit is 0 the latch keeps its old bit (init if unset)."""
-    values = net.evaluate_words(words, mask, state)
+    values = net.evaluate_words(words | state, mask)
     nxt = {}
     for la in net.latches:
         new = values[la.data]
@@ -120,11 +124,80 @@ def test_step_matches_reference_step(index, seed, lanes, cycles):
     step = get_compiled(net).step
     for cycle in range(cycles):
         words = random_words(net.inputs, lanes, seed + cycle)
-        state, values = step(state, words, mask)
+        state, values = step(words | state, mask)
         ref_state, ref_values = _reference_step(net, ref_state, words,
                                                 mask)
         assert state == ref_state
         assert values == ref_values
+
+
+# -- clocked trajectory ------------------------------------------------------
+
+
+def _reference_sequential(net, vectors, initial_state=None):
+    """Interpreted steps, one per vector, and transitions counted by
+    comparing consecutive trace entries.  An input missing from a
+    vector holds its last value (0 before the first)."""
+    held = dict.fromkeys(net.inputs, 0)
+    state = dict(initial_state or {})
+    trace = []
+    for vec in vectors:
+        held.update((k, v & 1) for k, v in vec.items() if k in held)
+        state, values = _reference_step(net, state, held, 1)
+        trace.append(values)
+    counts = dict.fromkeys(net.nodes, 0)
+    for prev, cur in zip(trace, trace[1:]):
+        for name in counts:
+            counts[name] += prev[name] != cur[name]
+    return counts, trace
+
+
+def _random_vectors(net, rng, cycles, keep):
+    """``cycles`` vectors; each input is present with probability
+    ``keep`` (1.0 gives complete vectors)."""
+    return [{name: rng.getrandbits(1) for name in net.inputs
+             if rng.random() < keep} for _ in range(cycles)]
+
+
+@given(index=st.integers(0, 100), seed=st.integers(0, 10 ** 6),
+       cycles=st.integers(0, 40), keep=st.sampled_from([1.0, 0.7, 0.2]),
+       with_state=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_sequential_transitions_match_reference(index, seed, cycles, keep,
+                                                with_state):
+    nets = _sequential_nets()
+    net = nets[index % len(nets)]
+    rng = random.Random(seed)
+    vectors = _random_vectors(net, rng, cycles, keep)
+    state = {la.output: rng.getrandbits(1) for la in net.latches
+             if rng.random() < 0.5} if with_state else None
+    counts, trace = sequential_transitions(net, vectors, state)
+    want_counts, want_trace = _reference_sequential(net, vectors, state)
+    assert trace == want_trace
+    assert counts == want_counts
+    # Bit k of each source's word is its value in cycle k.
+    words, _trace = get_compiled(net).run(vectors, state)
+    assert set(words) == {n.name for n in net.nodes.values()
+                          if n.is_source()}
+    for name, word in words.items():
+        assert word == sum(values[name] << k
+                           for k, values in enumerate(want_trace))
+
+
+@given(index=st.integers(0, 100), seed=st.integers(0, 10 ** 6),
+       cycles=st.integers(2, 30), keep=st.sampled_from([0.7, 0.3]))
+@settings(max_examples=30, deadline=None)
+def test_timed_minus_zero_delay_is_even_glitch_count(index, seed, cycles,
+                                                     keep):
+    nets = _sequential_nets()
+    net = nets[index % len(nets)]
+    vectors = _random_vectors(net, random.Random(seed), cycles, keep)
+    zero, _trace = sequential_transitions(net, vectors)
+    for engine in ("compiled", "event"):
+        timed = timed_sequential_transitions(net, vectors, engine=engine)
+        for name, count in zero.items():
+            extra = timed[name] - count
+            assert extra >= 0 and extra % 2 == 0, (engine, name)
 
 
 # -- cache invalidation ------------------------------------------------------
@@ -293,6 +366,21 @@ def test_sequential_activity_short_sequences():
     one = sequential_activity(net, [{name: 0 for name in net.inputs}])
     assert set(one) == set(net.nodes)
     assert all(v == 0.0 for v in one.values())
+
+
+def test_activity_drives_latch_outputs_as_sources():
+    """Latch outputs are pseudo-inputs of probability 0.5: each reads
+    its random word, not its init value (P(q) and P(q2) read 0.0 when
+    the evaluator took latch words only from a separate state map)."""
+    net = latch_net()
+    act, prob = activity_from_simulation(net, 256, 0)
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    want = net.evaluate_words(random_words(sources, 256, 0),
+                              (1 << 256) - 1)
+    assert 0.4 < prob["q"] < 0.6 and 0.4 < prob["q2"] < 0.6
+    assert prob == {name: w.bit_count() / 256 for name, w in want.items()}
+    assert act == {name: ((w ^ (w >> 1)) & ((1 << 255) - 1)).bit_count()
+                   / 255 for name, w in want.items()}
 
 
 def test_random_bus_stream_count_zero():

@@ -139,7 +139,7 @@ class TestSequentialGenerators:
         state = net.initial_state()
         values = []
         for _ in range(10):
-            state, vals = step(state, {"en": 1}, 1)
+            state, vals = step({"en": 1} | state, 1)
             values.append(sum(state[f"q{i}_pre"] << i for i in range(3)))
         assert values == [(k + 1) % 8 for k in range(10)]
 
@@ -147,15 +147,15 @@ class TestSequentialGenerators:
         net = counter(3)
         step = get_compiled(net).step
         state = net.initial_state()
-        state, _ = step(state, {"en": 1}, 1)
+        state, _ = step({"en": 1} | state, 1)
         before = dict(state)
-        state, _ = step(state, {"en": 0}, 1)
+        state, _ = step({"en": 0} | state, 1)
         assert state == before
 
     def test_register_file_write(self):
         net = register_file(2, 4)
         state = net.initial_state()
         vec = {**bits(0b1011, 4, "d"), "we0": 1, "we1": 0}
-        state, _ = get_compiled(net).step(state, vec, 1)
+        state, _ = get_compiled(net).step(vec | state, 1)
         assert sum(state[f"r0_{i}"] << i for i in range(4)) == 0b1011
         assert sum(state[f"r1_{i}"] << i for i in range(4)) == 0

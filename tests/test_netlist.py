@@ -107,16 +107,16 @@ class TestEvaluation:
         net = self._enabled_latch(0)
         step = get_compiled(net).step
         state = net.initial_state()
-        state, _ = step(state, {"d": 1, "en": 0}, 1)
+        state, _ = step({"d": 1, "en": 0} | state, 1)
         assert state["q"] == 0          # held
-        state, _ = step(state, {"d": 1, "en": 1}, 1)
+        state, _ = step({"d": 1, "en": 1} | state, 1)
         assert state["q"] == 1          # loaded
-        # A missing state word is the init value; a 0 enable bit holds
+        # A missing latch word is the init value; a 0 enable bit holds
         # it, lane by lane.
-        state, _ = step({}, {"d": 0b11, "en": 0b01}, 0b11)
+        state, _ = step({"d": 0b11, "en": 0b01}, 0b11)
         assert state["q"] == 0b01
         state, _ = get_compiled(self._enabled_latch(1)).step(
-            {}, {"d": 0b00, "en": 0b01}, 0b11)
+            {"d": 0b00, "en": 0b01}, 0b11)
         assert state["q"] == 0b10
         with pytest.raises(AttributeError):
             net.latches[0].init = 1     # latches are rewired by Network
@@ -131,7 +131,7 @@ class TestEvaluation:
         state = net.initial_state()
         seen = []
         for _ in range(4):
-            state, vals = step(state, {"d": 0}, 1)
+            state, vals = step({"d": 0} | state, 1)
             seen.append(state["q"])
         assert seen == [1, 0, 1, 0]
 

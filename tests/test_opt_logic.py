@@ -684,8 +684,7 @@ def _exhaustive_node_words(net: Network) -> Tuple[Dict[str, int], int]:
     sources = [n.name for n in net.nodes.values() if n.is_source()]
     mask = (1 << (1 << len(sources))) - 1
     stimulus = exhaustive_words(sources)
-    # Latch outputs take their words from the state, not the inputs.
-    words = get_compiled(net).evaluate_words(stimulus, mask, stimulus)
+    words = get_compiled(net).evaluate_words(stimulus, mask)
     return words, mask
 
 

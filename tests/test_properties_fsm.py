@@ -49,7 +49,7 @@ def test_synthesis_tracks_stg(stg):
     bits = max(1, max(enc.values()).bit_length())
     for _ in range(40):
         x = rng.getrandbits(1)
-        state, vals = step(state, {"x0": x}, 1)
+        state, vals = step({"x0": x} | state, 1)
         stg_state, out = stg.next_state(stg_state, x)
         got = sum(state[f"s{j}"] << j for j in range(bits))
         assert got == enc[stg_state]
@@ -95,7 +95,8 @@ def _lane_activities(net):
     toggles = dict.fromkeys(net.nodes, 0)
     prev = None
     for t in range(burn_in + cycles + 1):
-        state, values = step(state, {"x0": rng.getrandbits(lanes)}, mask)
+        state, values = step({"x0": rng.getrandbits(lanes)} | state,
+                             mask)
         if t > burn_in:
             for name in toggles:
                 toggles[name] += (values[name] ^ prev[name]).bit_count()

@@ -150,7 +150,7 @@ class TestRtlStructure:
                 base, bit = pi.rsplit("_", 1)
                 vec[pi] = (ints[base] >> int(bit)) & 1
             for _ in range(rtl.latency):
-                state, _v = step(state, vec, 1)
+                state, _v = step(vec | state, 1)
             got = sum((state[b] & 1) << i for i, b in
                       enumerate(rtl.output_bits("y")))
             ref = dfg.evaluate({k: float(v) for k, v in ints.items()})

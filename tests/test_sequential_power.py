@@ -7,6 +7,7 @@ import pytest
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network
 from repro.opt.seq.encoding import encode_natural
+from repro.opt.seq.fsm_benchmarks import load_benchmark
 from repro.opt.seq.stg import STG, synthesize_fsm
 from repro.power.activity import sequential_activity
 from repro.power.sequential import (exact_sequential_activity,
@@ -89,6 +90,14 @@ class TestExactActivity:
         for latch in net.latches:
             assert analysis.activities[latch.output] == \
                 pytest.approx(0.0)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, float("nan"), None])
+    def test_bad_input_probability_rejected(self, bad):
+        # Unchecked, 1.5 gave node probabilities of 1.5 and -0.5.
+        stg = load_benchmark("detector")
+        net = synthesize_fsm(stg, encode_natural(stg))
+        with pytest.raises(ValueError, match="'x0'"):
+            exact_sequential_activity(net, {"x0": bad})
 
     def test_state_explosion_guard(self):
         net = Network()

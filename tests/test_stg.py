@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.opt.seq.encoding import encode_natural, encoding_cost
+from repro.opt.seq.fsm_benchmarks import load_benchmark
 from repro.opt.seq.stg import STG, read_kiss, synthesize_fsm, write_kiss
 from repro.sim.compiled import get_compiled
 
@@ -54,6 +56,28 @@ class TestSTG:
         pi = stg.stationary_distribution(input_probs=[0.9])
         # Symmetric ring: still uniform, but converges differently.
         assert sum(pi.values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, float("nan"), True, "1"])
+    def test_bad_input_probability_rejected(self, bad):
+        # Every STG-level estimator goes through transition_matrix.
+        stg = load_benchmark("detector")
+        enc = encode_natural(stg)
+        for call in (stg.transition_matrix, stg.stationary_distribution,
+                     stg.edge_weights, stg.self_loop_probability,
+                     lambda p: encoding_cost(stg, enc, input_probs=p)):
+            with pytest.raises(ValueError, match="'input 0'"):
+                call([bad])
+
+    def test_wrong_probability_count_rejected(self):
+        stg = STG(2, 1)
+        stg.add_transition("1-", "a", "b", "0")
+        for probs in ([0.5], [0.5, 0.5, 0.5], []):
+            with pytest.raises(ValueError,
+                               match=f"expected 2 input probabilities, "
+                                     f"not {len(probs)}"):
+                stg.stationary_distribution(probs)
+        assert sum(stg.transition_matrix([0.5, 1.0])["a"].values()) == \
+            pytest.approx(1.0)
 
     def test_self_loop_probability(self):
         stg = four_state_counter_stg()
@@ -140,7 +164,7 @@ class TestSynthesis:
         rng = random.Random(0)
         for _ in range(60):
             x = rng.getrandbits(1)
-            state, vals = step(state, {"x0": x}, 1)
+            state, vals = step({"x0": x} | state, 1)
             stg_state, out = stg.next_state(stg_state, x)
             code = encoding[stg_state]
             got = sum(state[f"s{j}"] << j for j in range(2))
@@ -153,7 +177,7 @@ class TestSynthesis:
         net = synthesize_fsm(stg, encoding)
         assert len(net.latches) == 4
         state = net.initial_state()
-        state, _ = get_compiled(net).step(state, {"x0": 1}, 1)
+        state, _ = get_compiled(net).step({"x0": 1} | state, 1)
         assert sum(state[f"s{j}"] << j for j in range(4)) == 2
 
     def test_duplicate_codes_rejected(self):
