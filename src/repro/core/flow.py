@@ -20,6 +20,7 @@ from repro.core.passes import (ADOPTED, FlowSpec, FlowStage, FlowTrace,
 from repro.library.cells import Library, generic_library
 from repro.logic.netlist import Latch, Network
 from repro.power.model import PowerParameters
+from repro.sim.functional import WordTrace
 
 __all__ = ["FlowStage", "FlowResult", "SequentialFlowResult",
            "low_power_flow", "fsm_low_power_flow", "run_flow"]
@@ -146,23 +147,19 @@ class SequentialFlowResult:
         return 1.0 - self.power_after / self.power_before
 
 
-def _enable_rate(trace_values: List[Dict[str, int]],
-                 latches: List[Latch]) -> float:
-    """Fraction of cycles the state registers are actually clocked.
+def _enable_rate(trace: WordTrace, latches: List[Latch]) -> float:
+    """Fraction of cycles the state registers are actually clocked,
+    read from each enable net's word in the trace.
 
     The enable nets are taken from the latches themselves (not a
     hard-coded signal name); a renamed or absent enable degrades to
-    rate 1.0 (always clocked) rather than a ``KeyError``.
+    rate 1.0 (always clocked) rather than a ``KeyError``, and so does
+    an empty trace.
     """
     enables = sorted({l.enable for l in latches
                       if l.enable is not None})
-    if not enables:
-        return 1.0
-    rates = []
-    for en in enables:
-        samples = [t[en] for t in trace_values if en in t]
-        if samples:
-            rates.append(sum(samples) / len(samples))
+    rates = [trace.words[en].bit_count() / len(trace)
+             for en in enables if en in trace.words] if trace else []
     if not rates:
         return 1.0
     return sum(rates) / len(rates)

@@ -258,6 +258,9 @@ class Network:
 
     def add_latch(self, data: str, output: str, init: int = 0,
                   enable: Optional[str] = None) -> Latch:
+        if init not in (0, 1) or not isinstance(init, int):
+            raise NetlistError(
+                f"latch {output!r}: init must be 0 or 1, got {init!r}")
         self._add(Node(output, "latch"))
         latch = Latch(data=data, output=output, init=init, enable=enable)
         self.latches.append(latch)

@@ -21,7 +21,10 @@ once into a flat *evaluation program*:
   slots, so :meth:`CompiledNetwork.step` clocks the network without a
   name lookup per latch, and :meth:`CompiledNetwork.run` clocks a
   vector sequence into one word per source (bit *k* = cycle *k*), the
-  trajectory both clocked transition counters count on.
+  trajectory both clocked transition counters count on.  ``run``
+  walks only the state, stepping each distinct (inputs, state)
+  pattern once; the node words of the whole trajectory are then one
+  word-parallel pass.
 
 The compiled program is cached on the network (``Network._compiled``)
 and dropped by every structural edit.  For the nodes in the network's
@@ -260,31 +263,51 @@ class CompiledNetwork:
                         for m in range(mask.bit_length())]
 
     def run(self, vectors: Sequence[Dict[str, int]],
-            state: Optional[Dict[str, int]] = None
-            ) -> Tuple[Dict[str, int], List[Dict[str, int]]]:
+            state: Optional[Dict[str, int]] = None) -> Dict[str, int]:
         """Clock once per vector, from ``state`` (a latch missing from
-        it starts at its init value).
+        it starts at its init value); returns the word of every source,
+        inputs and latch outputs (bit *k* is its value in cycle *k*).
 
         An input missing from a vector holds its last value, starting
-        at 0.  Returns ``(words, trace)``: ``words`` maps every source
-        to its word (bit *k* is its value in cycle *k*) and
-        ``trace[k]`` holds every node's value in cycle *k*.
+        at 0.  Only the state is walked: the next state of each
+        distinct (held inputs, state) pattern is one 1-bit
+        :meth:`step`, memoized for the rest of the call, so a cycle
+        whose pattern repeats costs a dict lookup.  Evaluating the
+        node words of the whole trajectory is one
+        :meth:`evaluate_words` over the returned words.
         """
-        held = {name: 0 for _slot, name in self.input_slots}
-        cur = state or {}
-        words = {name: 0 for _slot, name in self.source_slots}
-        trace: List[Dict[str, int]] = []
+        sources = [name for _slot, name in self.source_slots]
+        inputs = [(name, 1 << j)
+                  for j, (_slot, name) in enumerate(self.input_slots)]
+        shift = len(inputs)
+        start = state or {}
+        cur = sum((start.get(self.names[out], init) & 1) << j
+                  for j, (out, _d, _e, init) in enumerate(self.latches))
+        held = 0
+        # pattern (held input bits, then state bits above them) ->
+        # next state bits, and -> the cycles it occurs in (bit k)
+        nxt_of: Dict[int, int] = {}
+        cycles_of: Dict[int, int] = {}
         for k, vec in enumerate(vectors):
-            for name in held:
+            for name, bit in inputs:
                 v = vec.get(name)
                 if v is not None:
-                    held[name] = v & 1
-            cur, values = self.step({**cur, **held}, 1)
-            trace.append(values)
-            for name in words:
-                if values[name]:
-                    words[name] |= 1 << k
-        return words, trace
+                    held = held | bit if v & 1 else held & ~bit
+            pattern = held | cur << shift
+            cycles_of[pattern] = cycles_of.get(pattern, 0) | 1 << k
+            if pattern not in nxt_of:
+                nxt, _values = self.step(
+                    {name: (pattern >> j) & 1
+                     for j, name in enumerate(sources)}, 1)
+                nxt_of[pattern] = sum(
+                    w << j for j, w in enumerate(nxt.values()))
+            cur = nxt_of[pattern]
+        words = dict.fromkeys(sources, 0)
+        for pattern, cycles in cycles_of.items():
+            for j, name in enumerate(sources):
+                if (pattern >> j) & 1:
+                    words[name] |= cycles
+        return words
 
     # -- incremental evaluation ------------------------------------------
 

@@ -23,8 +23,9 @@ Two engines implement the same semantics:
 
 In both, a source missing from a vector holds its last value (inputs
 start at 0, latch outputs at init).  A clocked compiled run times the
-trajectory of ``CompiledNetwork.run``, which ``sequential_transitions``
-counts too, so timed minus zero-delay is an even glitch count.
+source words ``CompiledNetwork.run`` returns (bit *k* = cycle *k*),
+which ``sequential_transitions`` counts too, so timed minus zero-delay
+is an even glitch count.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def timed_sequential_transitions(net: Network,
         from repro.sim.timed import get_timed
 
         prog = get_timed(net, delays)
-        words, _trace = prog.base.run(vectors)
+        words = prog.base.run(vectors)
         return prog.transition_counts(words, len(vectors))
     sim = EventSimulator(net, delays=delays)
     return sim.run_sequential(vectors)

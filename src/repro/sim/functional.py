@@ -7,14 +7,25 @@ event-driven counts (``repro.sim.event``) and these is the spurious
 
 Every count is one word pass of ``repro.sim.compiled`` (bit *k* = value
 in pattern *k*); a clocked run passes the source words, latch outputs
-included, of the trajectory ``CompiledNetwork.run`` clocks out.
+included, of the trajectory ``CompiledNetwork.run`` clocks out, and
+its trace is a view over the node words of that one pass.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
+
+
+def _transition_counts(values: Dict[str, int], count: int
+                       ) -> Dict[str, int]:
+    """Per node, the bit flips between consecutive patterns of its
+    word (bit *k* = pattern *k*) over ``count`` patterns."""
+    pair_mask = (1 << count - 1) - 1 if count > 1 else 0
+    return {name: ((w ^ (w >> 1)) & pair_mask).bit_count()
+            for name, w in values.items()}
 
 
 def simulate_transitions(net: Network, input_words: Dict[str, int],
@@ -30,10 +41,8 @@ def simulate_transitions(net: Network, input_words: Dict[str, int],
     from repro.sim.compiled import get_compiled
 
     mask = (1 << count) - 1
-    values = get_compiled(net).evaluate_words(input_words, mask)
-    pair_mask = (1 << (count - 1)) - 1
-    return {name: ((w ^ (w >> 1)) & pair_mask).bit_count()
-            for name, w in values.items()}
+    return _transition_counts(
+        get_compiled(net).evaluate_words(input_words, mask), count)
 
 
 def node_one_counts(net: Network, input_words: Dict[str, int],
@@ -46,23 +55,64 @@ def node_one_counts(net: Network, input_words: Dict[str, int],
     return {name: w.bit_count() for name, w in values.items()}
 
 
+class WordTrace(abc.Sequence):
+    """Read-only per-cycle view of a clocked run's node words.
+
+    ``words`` maps every node to its word over ``cycles`` cycles (bit
+    *k* = cycle *k*).  ``trace[k]`` builds cycle *k*'s
+    ``{node: bit}`` dict only when indexed; a slice is a list of such
+    dicts, and a trace equals any sequence of the same dicts.
+    """
+
+    __slots__ = ("words", "cycles")
+
+    def __init__(self, words: Dict[str, int], cycles: int):
+        self.words = words
+        self.cycles = cycles
+
+    def __len__(self) -> int:
+        return self.cycles
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self.cycles))]
+        if k < 0:
+            k += self.cycles
+        if not 0 <= k < self.cycles:
+            raise IndexError("trace index out of range")
+        return {name: (w >> k) & 1 for name, w in self.words.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+
 def sequential_transitions(net: Network,
                            input_sequence: Sequence[Dict[str, int]],
                            initial_state: Optional[Dict[str, int]] = None
-                           ) -> Tuple[Dict[str, int], List[Dict[str, int]]]:
+                           ) -> Tuple[Dict[str, int], WordTrace]:
     """Clock-by-clock simulation of a sequential network.
 
-    Returns ``(transition_counts, value_trace)`` where the trace holds the
-    scalar value of every node at each cycle.  An input missing from a
-    vector holds its last value (0 before the first), and a latch
-    missing from ``initial_state`` starts at its init value.  Latch
-    clock-enables are honoured, so gated registers contribute no
-    transitions while disabled.
+    Returns ``(transition_counts, value_trace)`` where the trace is a
+    :class:`WordTrace` view of the scalar value of every node at each
+    cycle.  An input missing from a vector holds its last value (0
+    before the first), and a latch missing from ``initial_state``
+    starts at its init value.  Latch clock-enables are honoured, so
+    gated registers contribute no transitions while disabled.
+
+    ``CompiledNetwork.run`` walks the state; one word-parallel pass
+    over its source words then gives every node's word, from which
+    the counts and the trace are read.
     """
     from repro.sim.compiled import get_compiled
 
-    words, trace = get_compiled(net).run(input_sequence, initial_state)
-    return simulate_transitions(net, words, len(trace)), trace
+    prog = get_compiled(net)
+    cycles = len(input_sequence)
+    values = prog.evaluate_words(prog.run(input_sequence, initial_state),
+                                 (1 << cycles) - 1)
+    return _transition_counts(values, cycles), WordTrace(values, cycles)
 
 
 def _matched_outputs(a: Network, b: Network

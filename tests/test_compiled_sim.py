@@ -21,7 +21,8 @@ from repro.opt.seq.fsm_benchmarks import benchmark_names, load_benchmark
 from repro.opt.seq.gated_clock import self_loop_clock_gating
 from repro.power.activity import (activity_from_simulation,
                                   sequential_activity)
-from repro.sim.compiled import compile_network, get_compiled
+from repro.sim.compiled import (CompiledNetwork, compile_network,
+                                get_compiled)
 from repro.sim.event import timed_sequential_transitions
 from repro.sim.functional import (sequential_transitions,
                                   verify_equivalence,
@@ -92,12 +93,32 @@ def _reference_step(net, state, words, mask):
     return nxt, values
 
 
+def _wide_sequential_net(seed=5):
+    """Twelve inputs and random gates fed back through four latches,
+    two of them clock-enabled: nearly every cycle of a random stimulus
+    is a new (inputs, state) pattern."""
+    rng = random.Random(seed)
+    net = Network("wide_seq")
+    pool = net.add_inputs([f"i{k}" for k in range(12)])
+    pool += [f"q{j}" for j in range(4)]
+    for g in range(24):
+        gtype = rng.choice([GateType.AND, GateType.OR, GateType.XOR,
+                            GateType.NAND])
+        pool.append(net.add_gate(f"g{g}", gtype, rng.sample(pool, 2)))
+    for j in range(4):
+        net.add_latch(pool[-1 - j], f"q{j}", init=j & 1,
+                      enable=pool[-5 - j] if j % 2 else None)
+    net.set_output(pool[-1])
+    return net
+
+
 @functools.lru_cache(maxsize=None)
 def _sequential_nets():
-    """A counter and each bundled FSM synthesized without latch
+    """A counter, a wide random net whose clocked runs rarely repeat a
+    state pattern, and each bundled FSM synthesized without latch
     enables, plus each FSM clock-gated (every latch enabled).  The FSM
     reset state takes the highest code, so latch inits of 1 occur."""
-    nets = [counter(4)]
+    nets = [counter(4), _wide_sequential_net()]
     for name in benchmark_names():
         stg = load_benchmark(name)
         enc = encode_natural(stg)
@@ -175,13 +196,56 @@ def test_sequential_transitions_match_reference(index, seed, cycles, keep,
     want_counts, want_trace = _reference_sequential(net, vectors, state)
     assert trace == want_trace
     assert counts == want_counts
-    # Bit k of each source's word is its value in cycle k.
-    words, _trace = get_compiled(net).run(vectors, state)
+    # Bit k of each source's word, and of each node's word under the
+    # trace, is its value in cycle k.
+    words = get_compiled(net).run(vectors, state)
     assert set(words) == {n.name for n in net.nodes.values()
                           if n.is_source()}
-    for name, word in words.items():
+    assert set(trace.words) == set(net.nodes)
+    for name, word in [*words.items(), *trace.words.items()]:
         assert word == sum(values[name] << k
                            for k, values in enumerate(want_trace))
+
+
+def test_run_clocks_each_distinct_pattern_once(monkeypatch):
+    """The walk evaluates the network once per distinct (inputs,
+    state) pattern it meets, then once word-parallel for every node;
+    a step per cycle would make 1,500 calls plus one."""
+    stg = load_benchmark("traffic")
+    net = self_loop_clock_gating(stg, encode_natural(stg)).network
+    vectors = [{f"x{i}": (v >> i) & 1 for i in range(stg.num_inputs)}
+               for v in stg.random_input_sequence(1500, 0)]
+    _counts, want_trace = _reference_sequential(net, vectors)
+    sources = [n.name for n in net.nodes.values() if n.is_source()]
+    patterns = {tuple(values[s] for s in sources) for values in want_trace}
+    calls = []
+    real = CompiledNetwork.evaluate_slots
+
+    def counting(self, words, mask):
+        calls.append(mask)
+        return real(self, words, mask)
+
+    monkeypatch.setattr(CompiledNetwork, "evaluate_slots", counting)
+    _counts, trace = sequential_transitions(net, vectors)
+    assert trace == want_trace
+    assert len(calls) <= len(patterns) + 1 < 100
+    assert calls.count((1 << 1500) - 1) == 1
+
+
+def test_word_trace_is_a_sequence_view():
+    net = counter(3)
+    vectors = [{"en": b} for b in (1, 1, 0, 1, 1)]
+    _counts, trace = sequential_transitions(net, vectors)
+    _want_counts, want = _reference_sequential(net, vectors)
+    assert len(trace) == 5 and list(trace) == want and want == trace
+    assert trace[-1] == want[4] and trace[1:4] == want[1:4]
+    assert trace[::2] == want[::2] and trace != want[:4]
+    with pytest.raises(IndexError):
+        trace[5]
+    with pytest.raises(TypeError):
+        trace[0] = {}
+    _counts, empty = sequential_transitions(net, [])
+    assert len(empty) == 0 and not empty and empty == []
 
 
 @given(index=st.integers(0, 100), seed=st.integers(0, 10 ** 6),

@@ -17,7 +17,7 @@ from repro.logic.gates import GateType
 from repro.logic.generators import random_logic, ripple_carry_adder
 from repro.logic.netlist import Latch, Network
 from repro.logic.transform import to_sop_network
-from repro.sim.functional import verify_equivalence
+from repro.sim.functional import WordTrace, verify_equivalence
 from repro.tools.cli import main
 
 
@@ -364,17 +364,18 @@ class TestEnableRate:
     def test_derived_from_latch_enables(self):
         latches = [Latch(data="d0", output="q0", enable="en"),
                    Latch(data="d1", output="q1", enable="en")]
-        trace = [{"en": 1}, {"en": 0}, {"en": 1}, {"en": 1}]
+        trace = WordTrace({"en": 0b1101}, 4)   # cycles 1, 0, 1, 1
         assert _enable_rate(trace, latches) == pytest.approx(0.75)
+        assert _enable_rate(WordTrace({"en": 0}, 0), latches) == 1.0
 
     def test_missing_enable_degrades_to_one(self):
         latches = [Latch(data="d", output="q", enable="renamed")]
-        assert _enable_rate([{"other": 1}], latches) == 1.0
+        assert _enable_rate(WordTrace({"other": 1}, 1), latches) == 1.0
 
     def test_ungated_latches(self):
         latches = [Latch(data="d", output="q")]
-        assert _enable_rate([{"d": 1}], latches) == 1.0
-        assert _enable_rate([], latches) == 1.0
+        assert _enable_rate(WordTrace({"d": 1}, 1), latches) == 1.0
+        assert _enable_rate(WordTrace({}, 0), latches) == 1.0
 
     def test_fsm_flow_failsoft_on_stage_crash(self, monkeypatch):
         import repro.opt.seq.minimize_fsm as m

@@ -59,6 +59,16 @@ class TestConstruction:
         with pytest.raises(NetlistError):
             net.latch_for_output("d")
 
+    @pytest.mark.parametrize("init", [2, -1, 1.0, "1", None])
+    def test_latch_init_must_be_a_bit(self, init):
+        # The engines read any other init differently (the compiled
+        # ones as "nonzero", the event oracle as "low bit").
+        net = Network()
+        net.add_input("d")
+        with pytest.raises(NetlistError, match="latch 'q'.*init"):
+            net.add_latch("d", "q", init=init)
+        assert "q" not in net.nodes and not net.latches
+
 
 class TestEvaluation:
     def test_scalar_eval(self):
