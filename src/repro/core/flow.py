@@ -214,8 +214,8 @@ def fsm_low_power_flow(stg, sequence_length: int = 1500, seed: int = 0,
                               name="fsm_reference")
 
     seq = stg.random_input_sequence(sequence_length, seed)
-    vectors = [{f"x{i}": (v >> i) & 1 for i in range(stg.num_inputs)}
-               for v in seq]
+    names = [f"x{i}" for i in range(stg.num_inputs)]
+    vectors = [{x: (v >> i) & 1 for i, x in enumerate(names)} for v in seq]
 
     def simulate(_):
         transitions, values = sequential_transitions(gated_net, vectors)

@@ -16,6 +16,7 @@ constructive embedding, and simulated annealing over code permutations.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -97,6 +98,29 @@ def encode_greedy(stg: STG,
     return encoding
 
 
+def _check_start(stg: STG, start: Dict[str, int], bits: int) -> None:
+    """Raise ``ValueError`` naming the state unless ``start`` gives every
+    state of ``stg`` (and nothing else) a distinct code in
+    ``[0, 2**bits)``."""
+    for state in stg.states:
+        if state not in start:
+            raise ValueError(f"start encoding has no code for {state!r}")
+    known = set(stg.states)
+    owner: Dict[int, str] = {}
+    for state, code in start.items():
+        if state not in known:
+            raise ValueError(f"start encoding names {state!r}, which is "
+                             "not a state of the STG")
+        if not isinstance(code, int) or isinstance(code, bool) or \
+                not 0 <= code < (1 << bits):
+            raise ValueError(f"start code of {state!r} must be an int in "
+                             f"[0, {1 << bits}), got {code!r}")
+        if code in owner:
+            raise ValueError(f"start code {code} of {state!r} is also "
+                             f"the code of {owner[code]!r}")
+        owner[code] = state
+
+
 def encode_anneal(stg: STG,
                   input_probs: Optional[Sequence[float]] = None,
                   num_bits: Optional[int] = None, seed: int = 0,
@@ -104,53 +128,77 @@ def encode_anneal(stg: STG,
                   start: Optional[Dict[str, int]] = None
                   ) -> Dict[str, int]:
     """Simulated annealing over code assignments (swap / reassign moves),
-    minimizing :func:`encoding_cost`."""
+    minimizing :func:`encoding_cost`.
+
+    ``start`` (default: :func:`encode_greedy`) must give every state a
+    distinct code that fits in the code bits; ``ValueError`` otherwise.
+    Each distinct assignment is priced once per call: costs are memoized
+    by the code tuple and summed in :func:`encoding_cost`'s term order,
+    so the walk — and the result — is the same as re-pricing every
+    proposal.  The result keeps the start encoding's key order.
+    """
     rng = random.Random(seed)
     n = len(stg.states)
     bits = num_bits if num_bits is not None \
         else max(1, math.ceil(math.log2(max(2, n))))
-    codes = list(range(1 << bits))
+    if (1 << bits) < n:
+        raise ValueError("not enough code bits for the state count")
+    if start is None:
+        start = encode_greedy(stg, input_probs, bits)
+    else:
+        _check_start(stg, start, bits)
     weights = stg.edge_weights(input_probs)
-    encoding = dict(start) if start is not None else encode_greedy(
-        stg, input_probs, bits)
-    cost = encoding_cost(stg, encoding, weights)
-    best = dict(encoding)
+    states = stg.states
+    pos = {s: i for i, s in enumerate(states)}
+    edges = [(pos[s], pos[t], w) for (s, t), w in weights.items()]
+    codes = [start[s] for s in states]
+    memo: Dict[Tuple[int, ...], float] = {}
+
+    def price() -> float:
+        key = tuple(codes)
+        cost = memo.get(key)
+        if cost is None:
+            cost = memo[key] = sum(w * (codes[i] ^ codes[j]).bit_count()
+                                   for i, j, w in edges)
+        return cost
+
+    cost = price()
+    best = tuple(codes)
     best_cost = cost
     temp = max(cost, 1e-3)
     cooling = 0.999
-    states = stg.states
-    used = set(encoding.values())
+    positions = range(n)
+    free = sorted(set(range(1 << bits)).difference(codes))
     for _ in range(iterations):
-        a = rng.choice(states)
-        if rng.random() < 0.5 and len(used) < len(codes):
+        a = rng.choice(positions)
+        if rng.random() < 0.5 and free:
             # Move a state to a free code.
-            free = [c for c in codes if c not in used]
             new_code = rng.choice(free)
-            old_code = encoding[a]
-            encoding[a] = new_code
-            new_cost = encoding_cost(stg, encoding, weights)
+            old_code = codes[a]
+            codes[a] = new_code
+            new_cost = price()
             if new_cost <= cost or \
                     rng.random() < math.exp((cost - new_cost) / temp):
                 cost = new_cost
-                used.discard(old_code)
-                used.add(new_code)
+                del free[bisect.bisect_left(free, new_code)]
+                bisect.insort(free, old_code)
             else:
-                encoding[a] = old_code
+                codes[a] = old_code
         else:
-            b = rng.choice(states)
+            b = rng.choice(positions)
             if a == b:
                 continue
-            encoding[a], encoding[b] = encoding[b], encoding[a]
-            new_cost = encoding_cost(stg, encoding, weights)
+            codes[a], codes[b] = codes[b], codes[a]
+            new_cost = price()
             if new_cost <= cost or \
                     rng.random() < math.exp((cost - new_cost) / temp):
                 cost = new_cost
             else:
-                encoding[a], encoding[b] = encoding[b], encoding[a]
+                codes[a], codes[b] = codes[b], codes[a]
         if cost < best_cost:
-            best, best_cost = dict(encoding), cost
+            best, best_cost = tuple(codes), cost
         temp *= cooling
-    return best
+    return {s: best[pos[s]] for s in start}
 
 
 @dataclass
@@ -176,8 +224,8 @@ def evaluate_encoding(stg: STG, encoding: Dict[str, int],
     input sequence (register switching *and* induced logic)."""
     net = synthesize_fsm(stg, encoding)
     seq = stg.random_input_sequence(sequence_length, seed)
-    vectors = [{f"x{i}": (v >> i) & 1 for i in range(stg.num_inputs)}
-               for v in seq]
+    names = [f"x{i}" for i in range(stg.num_inputs)]
+    vectors = [{x: (v >> i) & 1 for i, x in enumerate(names)} for v in seq]
     activity = sequential_activity(net, vectors)
     report = power_report(net, activity, params)
     return EncodingResult(

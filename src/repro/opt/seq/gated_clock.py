@@ -67,12 +67,13 @@ def self_loop_clock_gating(stg: STG, encoding: Dict[str, int],
     The activation function Fa is the union of (input cube × state code)
     conditions of the STG's self-loop edges; the state registers get
     ``enable = ¬Fa``.  Holding the state on those cycles is exact, so
-    the gated machine is cycle-equivalent to the baseline.
+    the gated machine is cycle-equivalent to the baseline.  The encoded
+    machine is synthesized once; the gated one is a copy of it plus the
+    enable logic.
     """
     baseline = synthesize_fsm(stg, encoding, minimize=minimize,
                               name="fsm_base")
-    gated = synthesize_fsm(stg, encoding, minimize=minimize,
-                           name="fsm_gated")
+    gated = baseline.copy("fsm_gated")
     num_bits = max(1, max(encoding.values()).bit_length())
     n_in = stg.num_inputs
     n_vars = n_in + num_bits

@@ -1,10 +1,16 @@
 """Unit tests for low-power state encoding."""
 
+import math
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.opt.seq.encoding import (encode_anneal, encode_greedy,
                                     encode_natural, encode_onehot,
                                     encoding_cost, evaluate_encoding)
+from repro.opt.seq.fsm_benchmarks import load_benchmark
 from repro.opt.seq.stg import STG
 
 
@@ -105,3 +111,155 @@ class TestEvaluate:
         assert res.literals > 0
         assert res.report.total > 0
         assert set(res.encoding) == set(stg.states)
+
+
+class TestAnnealStart:
+    """A start encoding must give every state a distinct code that fits
+    in the code bits; anything else is refused, naming the state."""
+
+    @pytest.mark.parametrize("start, named", [
+        ({"s0": 0, "s1": 0, "s2": 0, "s3": 0}, "'s1'"),
+        ({"s0": 0, "s1": 1, "s2": 2, "s3": 3, "ghost": 3}, "'ghost'"),
+        ({"s0": -1, "s1": 1, "s2": 2, "s3": 3}, "'s0'"),
+        ({"s0": 0, "s1": 1, "s2": 2, "s3": 4}, "'s3'"),
+        ({"s0": 0, "s1": 1, "s3": 3}, "'s2'"),
+        ({"s0": 0, "s1": 1, "s2": 2.0, "s3": 3}, "'s2'"),
+        ({"s0": 0, "s1": True, "s2": 2, "s3": 3}, "'s1'"),
+    ])
+    def test_malformed_start_is_refused(self, start, named):
+        stg = load_benchmark("detector")
+        assert stg.states == ["s0", "s1", "s2", "s3"]
+        with pytest.raises(ValueError, match=named):
+            encode_anneal(stg, iterations=50, start=start)
+
+    def test_code_bits_are_checked_with_a_start(self):
+        stg = ring_stg(6)
+        start = {f"s{i}": i for i in range(6)}
+        with pytest.raises(ValueError, match="not enough code bits"):
+            encode_anneal(stg, num_bits=2, iterations=10, start=start)
+
+    def test_valid_start_keeps_its_key_order(self):
+        stg = load_benchmark("detector")
+        start = {"s3": 0, "s1": 3, "s0": 1, "s2": 2}
+        enc = encode_anneal(stg, iterations=0, start=start)
+        assert list(enc.items()) == list(start.items())
+        wide = encode_anneal(stg, num_bits=3, iterations=300, start=start)
+        assert list(wide) == list(start)
+        assert len(set(wide.values())) == 4
+        assert all(0 <= c < 8 for c in wide.values())
+
+
+def _reference_anneal(stg, input_probs=None, num_bits=None, seed=0,
+                      iterations=4000, start=None):
+    """The annealer as it was before costs were memoized: every proposal
+    is re-priced with :func:`encoding_cost` and the free codes are
+    rebuilt each time.  The differential test holds the memoized one to
+    it, choice by choice."""
+    rng = random.Random(seed)
+    n = len(stg.states)
+    bits = num_bits if num_bits is not None \
+        else max(1, math.ceil(math.log2(max(2, n))))
+    codes = list(range(1 << bits))
+    weights = stg.edge_weights(input_probs)
+    encoding = dict(start) if start is not None else encode_greedy(
+        stg, input_probs, bits)
+    cost = encoding_cost(stg, encoding, weights)
+    best = dict(encoding)
+    best_cost = cost
+    temp = max(cost, 1e-3)
+    cooling = 0.999
+    states = stg.states
+    used = set(encoding.values())
+    for _ in range(iterations):
+        a = rng.choice(states)
+        if rng.random() < 0.5 and len(used) < len(codes):
+            free = [c for c in codes if c not in used]
+            new_code = rng.choice(free)
+            old_code = encoding[a]
+            encoding[a] = new_code
+            new_cost = encoding_cost(stg, encoding, weights)
+            if new_cost <= cost or \
+                    rng.random() < math.exp((cost - new_cost) / temp):
+                cost = new_cost
+                used.discard(old_code)
+                used.add(new_code)
+            else:
+                encoding[a] = old_code
+        else:
+            b = rng.choice(states)
+            if a == b:
+                continue
+            encoding[a], encoding[b] = encoding[b], encoding[a]
+            new_cost = encoding_cost(stg, encoding, weights)
+            if new_cost <= cost or \
+                    rng.random() < math.exp((cost - new_cost) / temp):
+                cost = new_cost
+            else:
+                encoding[a], encoding[b] = encoding[b], encoding[a]
+        if cost < best_cost:
+            best, best_cost = dict(encoding), cost
+        temp *= cooling
+    return best
+
+
+@st.composite
+def anneal_cases(draw):
+    """A random completely specified STG (2-12 states, 1-2 inputs, states
+    declared in shuffled order) with annealer arguments."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    n = draw(st.integers(2, 12))
+    n_in = draw(st.integers(1, 2))
+    names = [f"q{i}" for i in range(n)]
+    rng.shuffle(names)
+    stg = STG(n_in, 1, states=names)
+    for s in names:
+        for v in range(1 << n_in):
+            stg.add_transition(format(v, f"0{n_in}b"), s,
+                               rng.choice(names), str(rng.getrandbits(1)))
+    min_bits = max(1, math.ceil(math.log2(n)))
+    num_bits = draw(st.one_of(st.none(),
+                              st.integers(min_bits, min_bits + 2)))
+    start = None
+    if draw(st.booleans()):
+        bits = num_bits if num_bits is not None else min_bits
+        keys = list(names)
+        rng.shuffle(keys)
+        start = dict(zip(keys, rng.sample(range(1 << bits), n)))
+    return (stg, dict(num_bits=num_bits, start=start,
+                      seed=draw(st.integers(0, 2 ** 32)),
+                      iterations=draw(st.integers(0, 600))))
+
+
+def _walk(anneal, stg, kwargs):
+    """``anneal``'s result plus the argument of every ``math.exp`` call
+    it made: each uphill proposal's cost rise over the temperature, so
+    two runs agree on it only if they walk the same path at the same
+    temperatures."""
+    exp, rises = math.exp, []
+
+    def spy(x):
+        rises.append(x)
+        return exp(x)
+
+    with mock.patch.object(math, "exp", spy):
+        result = anneal(stg, **kwargs)
+    return list(result.items()), rises
+
+
+class TestAnnealDifferential:
+    @given(anneal_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        stg, kwargs = case
+        assert _walk(encode_anneal, stg, kwargs) == \
+            _walk(_reference_anneal, stg, kwargs)
+
+    def test_bundled_machines_match_reference(self):
+        for name in ("detector", "traffic", "elevator"):
+            stg = load_benchmark(name)
+            for seed in range(3):
+                for num_bits in (None, 3):
+                    kwargs = dict(num_bits=num_bits, seed=seed,
+                                  iterations=2500)
+                    assert _walk(encode_anneal, stg, kwargs) == \
+                        _walk(_reference_anneal, stg, kwargs)

@@ -4,10 +4,16 @@ import random
 
 import pytest
 
+from repro.logic.blif import write_blif
+from repro.logic.cube import Cube
 from repro.logic.gates import GateType
 from repro.logic.generators import comparator, register_file
 from repro.logic.netlist import Network
-from repro.opt.seq.encoding import encode_natural
+from repro.logic.sop import Cover
+from repro.opt.seq import gated_clock
+from repro.opt.seq.encoding import encode_anneal, encode_natural
+from repro.opt.seq.fsm_benchmarks import benchmark_names, load_benchmark
+from repro.opt.seq.minimize_fsm import minimize_stg
 from repro.opt.seq.gated_clock import (clock_power,
                                        convert_feedback_muxes,
                                        self_loop_clock_gating)
@@ -16,7 +22,7 @@ from repro.opt.seq.precompute import (disable_probability,
                                       precomputed_comparator,
                                       select_precompute_inputs,
                                       sequential_precompute)
-from repro.opt.seq.stg import STG
+from repro.opt.seq.stg import STG, synthesize_fsm
 from repro.power.activity import sequential_activity
 from repro.power.model import power_report
 from repro.sim.functional import (sequential_transitions,
@@ -68,6 +74,72 @@ class TestGatedClock:
         _, trace = sequential_transitions(res.network, vecs)
         en_rate = sum(t["_fa_n"] for t in trace) / len(trace)
         assert en_rate == pytest.approx(0.25, abs=0.07)
+
+
+def _reference_gating(stg, encoding, minimize=True):
+    """Baseline and gated machines built with one synthesis each, as
+    :func:`self_loop_clock_gating` once built them."""
+    baseline = synthesize_fsm(stg, encoding, minimize=minimize,
+                              name="fsm_base")
+    gated = synthesize_fsm(stg, encoding, minimize=minimize,
+                           name="fsm_gated")
+    num_bits = max(1, max(encoding.values()).bit_length())
+    n_in = stg.num_inputs
+    n_vars = n_in + num_bits
+    fa_cubes = []
+    for t in stg.transitions:
+        if t.src != t.dst:
+            continue
+        lits = list(t.input_cube.literals())
+        code = encoding[t.src]
+        for j in range(num_bits):
+            lits.append((n_in + j, (code >> j) & 1))
+        fa_cubes.append(Cube.from_literals(n_vars, lits))
+    fa_cover = Cover(n_vars, fa_cubes)
+    if minimize:
+        fa_cover = fa_cover.minimize()
+    fanins = [f"x{i}" for i in range(n_in)] + \
+        [f"s{j}" for j in range(num_bits)]
+    gated.add_sop("_fa_n", fanins, fa_cover.complement().minimize())
+    for latch in gated.latches:
+        gated.set_latch_pins(latch, latch.data, "_fa_n")
+    return baseline, gated
+
+
+class TestGatedClockSynthesis:
+    """The encoded machine is synthesized once; the gated machine is a
+    copy of it plus the enable logic."""
+
+    def test_synthesizes_the_encoded_machine_once(self, monkeypatch):
+        calls = []
+        real = gated_clock.synthesize_fsm
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gated_clock, "synthesize_fsm", counting)
+        stg = load_benchmark("traffic")
+        res = self_loop_clock_gating(stg, encode_natural(stg))
+        assert calls == ["fsm_base"]
+        assert res.network.name == "fsm_gated"
+        assert res.baseline.name == "fsm_base"
+        assert all(l.enable is None for l in res.baseline.latches)
+        assert "_fa_n" not in res.baseline.nodes
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_blif_equals_two_synthesis_reference(self, name):
+        machine = load_benchmark(name)
+        for stg in (machine, minimize_stg(machine)):
+            for encoding in (encode_natural(stg),
+                             encode_anneal(stg, iterations=500, seed=3)):
+                for minimize in (True, False):
+                    res = self_loop_clock_gating(stg, encoding,
+                                                 minimize=minimize)
+                    base, gated = _reference_gating(stg, encoding,
+                                                    minimize)
+                    assert write_blif(res.baseline) == write_blif(base)
+                    assert write_blif(res.network) == write_blif(gated)
 
 
 class TestFeedbackMuxConversion:
