@@ -20,10 +20,11 @@ from repro.logic.netlist import Network
 from repro.opt.seq.retime import (RetimingGraph, apply_retiming,
                                   low_power_retiming,
                                   min_period_retiming)
-from repro.power.activity import sequential_activity
+from repro.power.activity import (sequential_activity,
+                                  transition_activity)
 from repro.power.model import power_report
-from repro.sim.event import timed_sequential_transitions
 from repro.sim.functional import sequential_transitions
+from repro.sim.timed import timed_sequential_transitions
 
 from conftest import emit, harness_params, scaled
 
@@ -77,9 +78,8 @@ def retime_experiment(cycles=800, seed=11):
         rep = power_report(net_r, act_r)
         with phase(PHASE_SIM):
             timed = timed_sequential_transitions(net_r, vecs)
-        cycles = max(1, len(vecs) - 1)
         timed_rep = power_report(
-            net_r, {n: t / cycles for n, t in timed.items()})
+            net_r, transition_activity(timed, len(vecs)))
         rows.append([name, graph.clock_period(r), len(net_r.latches),
                      graph.register_cost(r, act), rep.total * 1e6,
                      timed_rep.total * 1e6])

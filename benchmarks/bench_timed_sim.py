@@ -23,9 +23,9 @@ from repro.core.report import format_table
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network
 from repro.logic.generators import array_multiplier, ripple_carry_adder
-from repro.sim.event import (timed_sequential_transitions,
-                             timed_transitions)
-from repro.sim.timed import get_timed
+from repro.sim.event import EventSimulator
+from repro.sim.timed import (get_timed, timed_sequential_transitions,
+                             timed_transitions_from_words)
 from repro.sim.vectors import random_words, vectors_from_words
 
 from conftest import emit, harness_params, scaled
@@ -84,8 +84,7 @@ def timed_rows(vectors=256, seed=4, repeats=3):
         vecs = vectors_from_words(words, vectors)
 
         t0 = time.perf_counter()
-        event = timed_transitions(net, vecs, delays=delays,
-                                  engine="event")
+        event = EventSimulator(net, delays).run(vecs)
         t_event = time.perf_counter() - t0
 
         # Warm the timed-compile cache; steady state is evaluation
@@ -94,8 +93,8 @@ def timed_rows(vectors=256, seed=4, repeats=3):
         with phase(PHASE_SIM):
             t0 = time.perf_counter()
             for _ in range(repeats):
-                compiled = timed_transitions(net, vecs, delays=delays,
-                                             engine="compiled")
+                compiled = timed_transitions_from_words(
+                    net, words, vectors, delays=delays)
             t_compiled = (time.perf_counter() - t0) / repeats
 
         mismatch = sum(1 for k, c in event.items()
@@ -119,13 +118,12 @@ def timed_rows(vectors=256, seed=4, repeats=3):
     svecs = [{f"i{k}": rng.getrandbits(1) for k in range(7)
               if rng.random() < 0.9} for _ in range(vectors)]
     t0 = time.perf_counter()
-    event = timed_sequential_transitions(net, svecs, engine="event")
+    event = EventSimulator(net).run_sequential(svecs)
     t_event = time.perf_counter() - t0
     with phase(PHASE_SIM):
         t0 = time.perf_counter()
         for _ in range(repeats):
-            compiled = timed_sequential_transitions(net, svecs,
-                                                    engine="compiled")
+            compiled = timed_sequential_transitions(net, svecs)
         t_compiled = (time.perf_counter() - t0) / repeats
     mismatch = sum(1 for k, c in event.items() if compiled.get(k) != c)
     rows.append(["seq_pipe", len(net.nodes), mismatch,

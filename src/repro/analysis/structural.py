@@ -7,13 +7,13 @@ silently wrong number into a sited diagnostic.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Set
 
 from repro.analysis.diagnostics import (ERROR, INFO, WARNING,
                                         Diagnostic)
 from repro.analysis.graph import cycle_path, nontrivial_sccs
 from repro.analysis.linter import STRUCTURAL, RuleContext, rule
+from repro.sim.event import check_delay
 
 
 @rule(id="combinational-cycle", severity=ERROR, category=STRUCTURAL,
@@ -238,27 +238,20 @@ def check_covers(ctx: RuleContext) -> List[Diagnostic]:
 
 @rule(id="malformed-delay", severity=ERROR, category=STRUCTURAL,
       description="attrs['delay'] annotations must be finite "
-                  "non-negative numbers (the timed engines read them)",
+                  "non-negative ints or floats (the timed engines "
+                  "read them through the same check)",
       invariant=True)
 def check_delays(ctx: RuleContext) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     for node in ctx.net.nodes.values():
         if "delay" not in node.attrs:
             continue
-        delay = node.attrs["delay"]
-        bad = ""
-        if isinstance(delay, bool) or \
-                not isinstance(delay, (int, float)):
-            bad = f"has type {type(delay).__name__}, expected a number"
-        elif not math.isfinite(float(delay)):
-            bad = f"is not finite ({delay!r})"
-        elif float(delay) < 0.0:
-            bad = f"is negative ({delay!r})"
-        if bad:
+        try:
+            check_delay(node.name, node.attrs["delay"])
+        except ValueError as exc:
             out.append(Diagnostic(
                 rule="malformed-delay", severity=ERROR,
-                site=node.name,
-                message=f"attrs['delay'] of {node.name!r} {bad}",
+                site=node.name, message=str(exc),
                 hint="the timed simulators require finite "
                      "non-negative delays"))
     return out

@@ -5,21 +5,22 @@ the same stimulus; the excess is the spurious activity that path
 balancing (Section III-A.2) attacks.  Fractions are reported both raw and
 capacitance-weighted, since power is Σ C·N.
 
-Both entry points default to the compiled word-parallel timed engine
-(``repro.sim.timed``); ``engine="event"`` runs the bit-identical
-event-driven oracle instead.  Either way the zero-delay and timed runs
-share one compiled program per network, so a before/after comparison
-compiles each network version exactly once.
+Timed counts come from the compiled word-parallel engine
+(``repro.sim.timed``), whose zero-delay and timed runs share one
+compiled program per network, so a before/after comparison compiles
+each network version exactly once.  ``glitch_report(engine="event")``
+runs the bit-identical event-driven oracle instead, for cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.logic.netlist import Network
+from repro.power.activity import transition_activity
 from repro.power.model import PowerParameters, node_capacitance
-from repro.sim.event import _check_engine, timed_transitions
+from repro.sim.event import EventSimulator
 from repro.sim.functional import simulate_transitions
 from repro.sim.timed import timed_transitions_from_words
 from repro.sim.vectors import random_words, vectors_from_words
@@ -63,32 +64,18 @@ class GlitchReport:
 
 def timed_stimulus(net: Network, num_vectors: int, seed: int = 0,
                    input_probs: Optional[Dict[str, float]] = None
-                   ) -> Tuple[List[str], Dict[str, int]]:
+                   ) -> Dict[str, int]:
     """The shared stimulus of every timed-power experiment: Bernoulli
     words over all sources (primary inputs and latch outputs)."""
     sources = [n.name for n in net.nodes.values() if n.is_source()]
-    return sources, random_words(sources, num_vectors, seed, input_probs)
-
-
-def _timed_counts(net: Network, words: Dict[str, int], num_vectors: int,
-                  delays: Optional[Dict[str, float]],
-                  engine: str) -> Dict[str, int]:
-    """Dispatch a word-packed stimulus to the selected timed engine."""
-    _check_engine(engine)
-    if engine == "compiled":
-        return timed_transitions_from_words(net, words, num_vectors,
-                                            delays=delays)
-    vectors = vectors_from_words(words, num_vectors)
-    return timed_transitions(net, vectors, delays=delays,
-                             engine="event")
+    return random_words(sources, num_vectors, seed, input_probs)
 
 
 def timed_average_power(net: Network, num_vectors: int = 256,
                         seed: int = 0,
                         input_probs: Optional[Dict[str, float]] = None,
                         delays: Optional[Dict[str, float]] = None,
-                        params: Optional[PowerParameters] = None,
-                        engine: str = "compiled"):
+                        params: Optional[PowerParameters] = None):
     """Eqn-1 power with *timed* (glitch-inclusive) activities.
 
     The standard :func:`repro.power.model.average_power` uses zero-delay
@@ -99,11 +86,11 @@ def timed_average_power(net: Network, num_vectors: int = 256,
     from repro.power.model import power_report
 
     params = params or PowerParameters()
-    _sources, words = timed_stimulus(net, num_vectors, seed, input_probs)
-    timed = _timed_counts(net, words, num_vectors, delays, engine)
-    cycles = max(1, num_vectors - 1)
-    activity = {name: t / cycles for name, t in timed.items()}
-    return power_report(net, activity, params)
+    words = timed_stimulus(net, num_vectors, seed, input_probs)
+    timed = timed_transitions_from_words(net, words, num_vectors,
+                                         delays=delays)
+    return power_report(net, transition_activity(timed, num_vectors),
+                        params)
 
 
 def glitch_report(net: Network, num_vectors: int = 256, seed: int = 0,
@@ -111,11 +98,24 @@ def glitch_report(net: Network, num_vectors: int = 256, seed: int = 0,
                   delays: Optional[Dict[str, float]] = None,
                   params: Optional[PowerParameters] = None,
                   engine: str = "compiled") -> GlitchReport:
-    """Run both simulators on the same random stimulus."""
+    """Run both simulators on the same random stimulus.
+
+    ``engine="compiled"`` (default) times the words with the library
+    engine; ``engine="event"`` runs the event-driven oracle on the same
+    words, for cross-checks.
+    """
+    if engine not in ("compiled", "event"):
+        raise ValueError(f"unknown timed engine {engine!r}; expected "
+                         f"'compiled' or 'event'")
     params = params or PowerParameters()
-    _sources, words = timed_stimulus(net, num_vectors, seed, input_probs)
+    words = timed_stimulus(net, num_vectors, seed, input_probs)
     functional = simulate_transitions(net, words, num_vectors)
-    timed = _timed_counts(net, words, num_vectors, delays, engine)
+    if engine == "compiled":
+        timed = timed_transitions_from_words(net, words, num_vectors,
+                                             delays=delays)
+    else:
+        timed = EventSimulator(net, delays).run(
+            vectors_from_words(words, num_vectors))
     caps = {name: node_capacitance(net, name, params)
             for name in net.nodes}
     cw_timed = sum(caps[n] * t for n, t in timed.items())

@@ -58,7 +58,7 @@ samples the settled, zero-delay values), cycle *k* in lane *k*.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.netlist import Network
 from repro.sim.compiled import CompiledNetwork, get_compiled
@@ -220,8 +220,8 @@ def get_timed(net: Network, delays: Optional[Dict[str, float]] = None
     delay tuple (covering both the ``delays`` argument and in-place
     ``attrs["delay"]`` edits), resolved on every call by
     :func:`~repro.sim.event.resolve_delays`, which raises
-    :class:`ValueError` on a negative, infinite or NaN delay.  Another
-    delay map replaces the program.
+    :class:`ValueError` on anything but a finite non-negative int or
+    float delay.  Another delay map replaces the program.
     """
     base = get_compiled(net)
     delay_key = tuple(resolve_delays(net, base.names, delays))
@@ -241,3 +241,16 @@ def timed_transitions_from_words(net: Network,
     """Word-stimulus entry point: per-node timed transition counts of
     ``count`` consecutive vectors packed into ``input_words``."""
     return get_timed(net, delays).transition_counts(input_words, count)
+
+
+def timed_sequential_transitions(net: Network,
+                                 vectors: Sequence[Dict[str, int]],
+                                 delays: Optional[Dict[str, float]]
+                                 = None) -> Dict[str, int]:
+    """Clocked timed transition counts (glitches included) of a
+    sequential network, bit-identical to
+    :meth:`~repro.sim.event.EventSimulator.run_sequential`: the settle
+    of every cycle of the trajectory ``CompiledNetwork.run`` clocks out
+    (an input missing from a vector holds its last value)."""
+    prog = get_timed(net, delays)
+    return prog.transition_counts(prog.base.run(vectors), len(vectors))

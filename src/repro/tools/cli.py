@@ -99,8 +99,7 @@ def _cmd_glitch(args: argparse.Namespace) -> int:
         print(f"error: bad --delays file: {exc}", file=sys.stderr)
         return 2
     rep = glitch_report(net, num_vectors=args.vectors, seed=args.seed,
-                        delays=delays, engine=args.engine)
-    print(f"engine                 : {args.engine}")
+                        delays=delays)
     print(f"timed transitions      : {rep.total_timed}")
     print(f"zero-delay transitions : {rep.total_functional}")
     print(f"glitch fraction        : {rep.glitch_fraction:.1%}")
@@ -245,7 +244,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
         # network, so each version is compiled (and its simulator
         # built) exactly once — not once per simulation mode.
         return glitch_report(version, num_vectors=args.vectors,
-                             seed=args.seed, engine=args.engine)
+                             seed=args.seed)
 
     before = report(net)
     res = balance_paths(net, selective=args.selective,
@@ -377,8 +376,9 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for ``--dontcare-cap`` (the pass rejects a
-    negative cap)."""
+    """argparse type for the count flags (``--dontcare-cap``,
+    ``--per-node``, ``--hot-nets``, ``--max-buffers``): a negative
+    count would otherwise slice, rank or cap silently wrong."""
     if not text.isdigit():
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
@@ -400,16 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="power breakdown")
     common(p)
-    p.add_argument("--per-node", type=int, default=0, metavar="N",
+    p.add_argument("--per-node", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="also list the N hottest nodes")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("glitch", help="spurious-transition analysis")
     common(p)
-    p.add_argument("--engine", choices=("compiled", "event"),
-                   default="compiled",
-                   help="timed simulator: word-parallel compiled "
-                   "engine (default) or the event-driven oracle")
     p.add_argument("--delays", metavar="FILE.json",
                    help="per-node transport delays as a JSON object "
                    "{node: delay} of finite non-negative numbers; "
@@ -429,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "severity (default info: everything)")
     p.add_argument("--format", choices=("text", "json", "sarif"),
                    default="text", help="output format (default text)")
-    p.add_argument("--hot-nets", type=int, default=5, metavar="N",
+    p.add_argument("--hot-nets", type=_non_negative_int, default=5,
+                   metavar="N",
                    help="how many nets the hot-net ranking reports "
                    "(default 5)")
     p.set_defaults(func=_cmd_lint)
@@ -482,16 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("balance", help="path-balancing buffers")
     common(p)
-    p.add_argument("--engine", choices=("compiled", "event"),
-                   default="compiled",
-                   help="timed simulator for the before/after glitch "
-                   "comparison (default: compiled)")
     p.add_argument("-o", "--output", help="write balanced BLIF here")
     p.add_argument("--selective", action="store_true",
                    help="only pad skews whose expected glitch saving "
                    "beats the buffer cost")
-    p.add_argument("--max-buffers", type=int, default=None,
-                   metavar="N", help="spend at most N buffers "
+    p.add_argument("--max-buffers", type=_non_negative_int,
+                   default=None, metavar="N", help="spend at most N buffers "
                    "(largest skews first)")
     p.set_defaults(func=_cmd_balance)
 

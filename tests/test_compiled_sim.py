@@ -23,10 +23,11 @@ from repro.power.activity import (activity_from_simulation,
                                   sequential_activity)
 from repro.sim.compiled import (CompiledNetwork, compile_network,
                                 get_compiled)
-from repro.sim.event import timed_sequential_transitions
+from repro.sim.event import EventSimulator
 from repro.sim.functional import (sequential_transitions,
                                   verify_equivalence,
                                   verify_equivalence_exact)
+from repro.sim.timed import timed_sequential_transitions
 from repro.sim.vectors import random_bus_stream, random_words
 from tests.test_opt_logic import latch_net
 
@@ -257,8 +258,9 @@ def test_timed_minus_zero_delay_is_even_glitch_count(index, seed, cycles,
     net = nets[index % len(nets)]
     vectors = _random_vectors(net, random.Random(seed), cycles, keep)
     zero, _trace = sequential_transitions(net, vectors)
-    for engine in ("compiled", "event"):
-        timed = timed_sequential_transitions(net, vectors, engine=engine)
+    for engine, timed in (
+            ("compiled", timed_sequential_transitions(net, vectors)),
+            ("event", EventSimulator(net).run_sequential(vectors))):
         for name, count in zero.items():
             extra = timed[name] - count
             assert extra >= 0 and extra % 2 == 0, (engine, name)

@@ -18,8 +18,8 @@ from repro.opt.logic.mapping import tech_map
 from repro.sim.functional import (simulate_transitions,
                                   verify_equivalence,
                                   verify_equivalence_exact)
-from repro.sim.vectors import random_words, vectors_from_words
-from repro.sim.event import timed_transitions
+from repro.sim.timed import timed_transitions_from_words
+from repro.sim.vectors import random_words
 
 
 @st.composite
@@ -119,8 +119,7 @@ def test_timed_transitions_dominate_functional(net, seed):
     count = 48
     words = random_words(net.inputs, count, seed)
     func = simulate_transitions(net, words, count)
-    vecs = vectors_from_words(words, count)
-    timed = timed_transitions(net, vecs)
+    timed = timed_transitions_from_words(net, words, count)
     for name in func:
         assert timed[name] >= func[name]
 

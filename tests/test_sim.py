@@ -7,10 +7,11 @@ import pytest
 from repro.logic.gates import GateType
 from repro.logic.generators import parity_tree, ripple_carry_adder
 from repro.logic.netlist import Network
-from repro.sim.event import EventSimulator, timed_transitions
+from repro.sim.event import EventSimulator
 from repro.sim.functional import (node_one_counts, sequential_transitions,
                                   simulate_transitions,
                                   verify_equivalence)
+from repro.sim.timed import timed_transitions_from_words
 from repro.sim.vectors import (counter_bus_stream, exhaustive_words,
                                hamming, random_bus_stream, random_words,
                                stream_transitions, vectors_from_words,
@@ -122,8 +123,7 @@ class TestEventDriven:
         net = parity_tree(8, balanced=True)
         words = random_words(net.inputs, 64, seed=1)
         func = simulate_transitions(net, words, 64)
-        vecs = vectors_from_words(words, 64)
-        timed = timed_transitions(net, vecs)
+        timed = timed_transitions_from_words(net, words, 64)
         assert timed == func
 
     def test_chain_glitches(self):
@@ -131,8 +131,7 @@ class TestEventDriven:
         net = parity_tree(8, balanced=False)
         words = random_words(net.inputs, 128, seed=2)
         func = simulate_transitions(net, words, 128)
-        vecs = vectors_from_words(words, 128)
-        timed = timed_transitions(net, vecs)
+        timed = timed_transitions_from_words(net, words, 128)
         assert sum(timed.values()) > sum(func.values())
         # Glitching never *reduces* transitions at any node.
         for name in func:
@@ -162,9 +161,12 @@ class TestEventDriven:
         net.set_output("y")
         # With matched delays (slow=1), y sees (a@1 xor x@1): glitchy
         # only through skew; with slow=2 the skew grows.
-        vecs = [{"a": 0, "b": 0}, {"a": 1, "b": 1}, {"a": 0, "b": 0}]
-        t1 = timed_transitions(net, vecs, delays={"slow": 1.0})
-        t2 = timed_transitions(net, vecs, delays={"slow": 5.0})
+        words = words_from_vectors([{"a": 0, "b": 0}, {"a": 1, "b": 1},
+                                    {"a": 0, "b": 0}])
+        t1 = timed_transitions_from_words(net, words, 3,
+                                          delays={"slow": 1.0})
+        t2 = timed_transitions_from_words(net, words, 3,
+                                          delays={"slow": 5.0})
         assert t2["y"] >= t1["y"]
 
     def test_settling_time_reported(self):

@@ -8,18 +8,23 @@ import heapq
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis import check_invariants
 from repro.logic.gates import GateType
 from repro.logic.generators import ripple_carry_adder
 from repro.logic.netlist import Network
+from repro.power.activity import transition_activity
 from repro.power.glitch import glitch_report, timed_average_power
+from repro.power.model import power_report
 from repro.sim.compiled import CompiledNetwork
-from repro.sim.event import (EventSimulator, timed_sequential_transitions,
-                             timed_transitions)
-from repro.sim.timed import get_timed
+from repro.sim.event import EventSimulator
+from repro.sim.timed import (get_timed, timed_sequential_transitions,
+                             timed_transitions_from_words)
 from repro.sim.vectors import random_words, vectors_from_words
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -47,8 +52,15 @@ def _random_comb(seed, num_inputs, num_gates):
 
 def _stimulus(net, count, seed):
     sources = [n.name for n in net.nodes.values() if n.is_source()]
-    words = random_words(sources, count, seed)
-    return vectors_from_words(words, count)
+    return random_words(sources, count, seed)
+
+
+def _assert_matches_oracle(net, words, count, delays=None):
+    """The library engine's counts equal the event-driven oracle's on
+    the same words."""
+    assert timed_transitions_from_words(net, words, count,
+                                        delays=delays) == \
+        EventSimulator(net, delays).run(vectors_from_words(words, count))
 
 
 #: stimulus lengths around the old 64-lane word boundary: empty, a
@@ -77,9 +89,7 @@ COMB_ARGS = dict(seed=st.integers(0, 10 ** 6),
 def test_timed_matches_oracle_unit_delays(seed, num_inputs, num_gates,
                                           count):
     net = _random_comb(seed, num_inputs, num_gates)
-    vecs = _stimulus(net, count, seed + 1)
-    assert timed_transitions(net, vecs, engine="compiled") == \
-        timed_transitions(net, vecs, engine="event")
+    _assert_matches_oracle(net, _stimulus(net, count, seed + 1), count)
 
 
 @given(**COMB_ARGS)
@@ -88,13 +98,11 @@ def test_timed_matches_oracle_unit_delays(seed, num_inputs, num_gates,
 def test_timed_matches_oracle_float_delays(seed, num_inputs, num_gates,
                                            count):
     net = _random_comb(seed, num_inputs, num_gates)
-    vecs = _stimulus(net, count, seed + 1)
+    words = _stimulus(net, count, seed + 1)
     rng = random.Random(seed + 2)
     delays = {n.name: rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.5])
               for n in net.nodes.values() if not n.is_source()}
-    assert timed_transitions(net, vecs, delays=delays,
-                             engine="compiled") == \
-        timed_transitions(net, vecs, delays=delays, engine="event")
+    _assert_matches_oracle(net, words, count, delays)
 
 
 def test_input_words_wider_than_stimulus():
@@ -153,10 +161,8 @@ def test_sweep_and_heap_fallback_match_oracle(seed, num_inputs,
     rng = random.Random(seed + 3)
     delays = {n.name: DELTA_DELAYS[family](rng)
               for n in net.nodes.values() if not n.is_source()}
-    vecs = _stimulus(net, count, seed + 1)
-    assert timed_transitions(net, vecs, delays=delays,
-                             engine="compiled") == \
-        timed_transitions(net, vecs, delays=delays, engine="event")
+    _assert_matches_oracle(net, _stimulus(net, count, seed + 1), count,
+                           delays)
 
 
 def test_unit_delays_never_build_a_slot_heap(monkeypatch):
@@ -180,27 +186,37 @@ def test_unit_delays_never_build_a_slot_heap(monkeypatch):
     assert heaps
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0,
-                                 "slow", None, True])
+def _assert_engines_reject(net, words, gate, delays=None):
+    """Both timed engines raise naming ``gate`` instead of counting."""
+    message = re.escape(f"delay of node {gate!r}")
+    with pytest.raises(ValueError, match=message):
+        timed_transitions_from_words(net, words, 16, delays=delays)
+    with pytest.raises(ValueError, match=message):
+        EventSimulator(net, delays).run(vectors_from_words(words, 16))
+
+
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, -1.0, "slow", None, True,
+    # convert to a float, but are no delay, as the linter has it
+    "1.5", "2", pytest.param(Fraction(1, 3), id="Fraction"),
+    pytest.param(Decimal("1"), id="Decimal")])
 def test_malformed_delays_raise_in_both_engines(bad):
     """A delay map or ``attrs["delay"]`` value that is not a finite
-    non-negative number is an error naming the node, not counts."""
+    non-negative int or float is an error naming the node, not counts,
+    and the linter's ``malformed-delay`` rule reports it."""
     net = ripple_carry_adder(4)
-    vecs = _stimulus(net, 16, 0)
+    words = _stimulus(net, 16, 0)
     gate = net.gate_nodes()[3].name
-    message = re.escape(f"delay of node {gate!r}")
-    for engine in ("compiled", "event"):
-        with pytest.raises(ValueError, match=message):
-            timed_transitions(net, vecs, delays={gate: bad},
-                              engine=engine)
+    _assert_engines_reject(net, words, gate, {gate: bad})
     net.nodes[gate].attrs["delay"] = bad
-    for engine in ("compiled", "event"):
-        with pytest.raises(ValueError, match=message):
-            timed_transitions(net, vecs, engine=engine)
+    _assert_engines_reject(net, words, gate)
+    fired = [d for d in check_invariants(net)
+             if d.rule == "malformed-delay"]
+    assert [d.site for d in fired] == [gate]
     # A source's delay is 0.0 whatever the map says.
-    assert timed_transitions(net, vecs, delays={gate: 2.0, "a0": bad}) \
-        == timed_transitions(net, vecs, delays={gate: 2.0},
-                             engine="event")
+    assert timed_transitions_from_words(
+        net, words, 16, delays={gate: 2.0, "a0": bad}) == \
+        EventSimulator(net, {gate: 2.0}).run(vectors_from_words(words, 16))
 
 
 def _random_seq(seed):
@@ -243,26 +259,28 @@ def test_timed_sequential_matches_oracle(seed, cycles):
     # Partial vectors: a missing input holds its previous value.
     vecs = [{f"i{k}": rng.getrandbits(1) for k in range(3)
              if rng.random() < 0.8} for _ in range(cycles)]
-    assert timed_sequential_transitions(net, vecs,
-                                        engine="compiled") == \
-        timed_sequential_transitions(net, vecs, engine="event")
+    assert timed_sequential_transitions(net, vecs) == \
+        EventSimulator(net).run_sequential(vecs)
 
 
-def test_partial_combinational_vectors_hold():
-    net = _random_comb(7, 3, 8)
-    rng = random.Random(8)
-    vecs = [{f"i{k}": rng.getrandbits(1) for k in range(3)
-             if rng.random() < 0.6} for _ in range(25)]
-    assert timed_transitions(net, vecs, engine="compiled") == \
-        timed_transitions(net, vecs, engine="event")
+@given(seed=st.integers(0, 10 ** 6), count=st.integers(0, 150),
+       drive_latches=st.booleans())
+@example(seed=2002, count=65, drive_latches=False)
+@SETTINGS
+def test_timed_words_on_latch_networks_match_oracle(seed, count,
+                                                    drive_latches):
+    """``glitch_report`` drives latch outputs as pseudo-input words;
+    a latch output without a word holds its init value in both
+    engines."""
+    net = _random_seq(seed)
+    sources = net.inputs + ([latch.output for latch in net.latches]
+                            if drive_latches else [])
+    _assert_matches_oracle(net, random_words(sources, count, seed + 1),
+                           count)
 
 
 def test_engine_selector_validation():
     net = _random_comb(1, 2, 3)
-    vecs = _stimulus(net, 4, 0)
-    for fn in (timed_transitions, timed_sequential_transitions):
-        with pytest.raises(ValueError, match="unknown timed engine"):
-            fn(net, vecs, engine="interpreted")
     with pytest.raises(ValueError, match="unknown timed engine"):
         glitch_report(net, num_vectors=4, engine="bogus")
 
@@ -273,9 +291,9 @@ def test_glitch_report_engines_agree():
     b = glitch_report(net, num_vectors=64, seed=2, engine="event")
     assert a.timed == b.timed
     assert a.functional == b.functional
-    pa = timed_average_power(net, 64, seed=2, engine="compiled")
-    pb = timed_average_power(net, 64, seed=2, engine="event")
-    assert pa.total == pb.total
+    # timed_average_power prices the same stimulus's timed counts
+    assert timed_average_power(net, 64, seed=2).total == \
+        power_report(net, transition_activity(b.timed, 64)).total
 
 
 def test_timed_program_cache_reuse_and_invalidation():

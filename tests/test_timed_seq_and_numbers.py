@@ -12,8 +12,8 @@ from repro.opt.datapath.number_repr import (representation_comparison,
                                             stream_transitions,
                                             to_sign_magnitude,
                                             to_twos_complement)
-from repro.sim.event import timed_sequential_transitions
 from repro.sim.functional import sequential_transitions
+from repro.sim.timed import timed_sequential_transitions
 
 
 def glitchy_then_quiet(reg_after_chain: bool) -> Network:

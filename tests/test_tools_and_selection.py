@@ -147,6 +147,17 @@ class TestCLI:
         assert "total power" in out
         assert "hottest nodes" in out
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("report", "--per-node", "-3"), ("lint", "--hot-nets", "-2"),
+        ("balance", "--max-buffers", "-1")])
+    def test_negative_count_exits_2(self, blif_file, capsys, command,
+                                    flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, blif_file, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "non-negative" in err
+
     def test_glitch(self, blif_file, capsys):
         assert main(["glitch", blif_file, "--vectors", "64"]) == 0
         assert "glitch fraction" in capsys.readouterr().out
