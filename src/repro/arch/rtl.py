@@ -46,10 +46,6 @@ class RTLResult:
         reg = self.output_registers[output]
         return [f"reg{reg}_{b}" for b in range(self.width)]
 
-    def read_output(self, values: Dict[str, int], output: str) -> int:
-        return sum(values[b] << i
-                   for i, b in enumerate(self.output_bits(output)))
-
 
 def _adder_unit(width: int, subtract: bool) -> Network:
     """Combinational adder/subtractor over a/b inputs (mod 2^width)."""

@@ -139,11 +139,3 @@ def compare_reports(baseline: RunReport, current: RunReport,
                     NEW_METRIC, name, key, current=c.metrics[key],
                     detail="not in baseline"))
     return cmp
-
-
-def compare_files(baseline_path: str, current_path: str,
-                  rel_tol: float = DEFAULT_REL_TOL,
-                  abs_tol: float = DEFAULT_ABS_TOL) -> Comparison:
-    return compare_reports(RunReport.load(baseline_path),
-                           RunReport.load(current_path),
-                           rel_tol=rel_tol, abs_tol=abs_tol)

@@ -22,7 +22,7 @@ import ast
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 #: environment override for the benchmark directory (used by the CI and
 #: by tests that point the harness at a synthetic suite).
@@ -40,10 +40,6 @@ class BenchSpec:
     claims: Tuple[str, ...] = ()
     description: str = ""  # first line of the module docstring
     has_run: bool = True   # module defines a top-level run()
-
-    @property
-    def module_stem(self) -> str:
-        return Path(self.path).stem
 
 
 def default_bench_dir() -> Path:
@@ -119,12 +115,3 @@ def find(name: str,
         if spec.name == name:
             return spec
     return None
-
-
-def claims_index(specs: Sequence[BenchSpec]) -> dict:
-    """claim ID -> benchmark name (for coverage reporting)."""
-    index = {}
-    for spec in specs:
-        for claim in spec.claims:
-            index[claim] = spec.name
-    return index

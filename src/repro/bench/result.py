@@ -21,7 +21,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -168,14 +168,3 @@ def default_report_filename(now: Optional[float] = None) -> str:
     stamp = time.strftime("%Y%m%d_%H%M%S",
                           time.localtime(now) if now else time.localtime())
     return f"BENCH_{stamp}.json"
-
-
-def merge_claim_coverage(results: Sequence[BenchResult]) -> Dict[str, str]:
-    """Map claim ID -> status of the benchmark reproducing it."""
-    coverage: Dict[str, str] = {}
-    for r in results:
-        for c in r.claims:
-            prev = coverage.get(c)
-            if prev is None or (prev != STATUS_OK and r.ok):
-                coverage[c] = r.status
-    return coverage

@@ -62,12 +62,6 @@ class Library:
         return [c for c in self if c.num_inputs == 1 and
                 c.cover.to_strings() == ["0"]]
 
-    def smallest_inverter(self) -> Cell:
-        invs = self.inverters()
-        if not invs:
-            raise ValueError("library has no inverter")
-        return min(invs, key=lambda c: c.area)
-
 
 def _cell_variants(name: str, rows: List[str], transistors: int,
                    intrinsic: float, drive: float) -> List[Cell]:

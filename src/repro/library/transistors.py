@@ -89,21 +89,6 @@ class SeriesStack:
         return [self.model.c_output] + \
             [self.model.c_internal] * (self.n - 1)
 
-    def energy_of_sequence(self, vectors: Sequence[Sequence[int]]) -> float:
-        """Total charging energy over an input-vector sequence."""
-        caps = self._node_caps()
-        vdd2 = self.model.vdd ** 2
-        energy = 0.0
-        prev: Optional[List[float]] = None
-        for vec in vectors:
-            states = self.node_states(vec, prev)
-            if prev is not None:
-                for c, before, after in zip(caps, prev, states):
-                    if after > before:
-                        energy += c * (after - before) * vdd2
-            prev = states
-        return energy
-
     def expected_energy(self, probs: Sequence[float]) -> float:
         """Exact expected charging energy per cycle in steady state.
 
@@ -160,6 +145,3 @@ class SeriesStack:
             t = arrival[self.order[k]] + tau
             worst = max(worst, t)
         return worst
-
-    def reordered(self, order: Sequence[int]) -> "SeriesStack":
-        return SeriesStack(self.n, order, self.model)

@@ -231,8 +231,3 @@ def factor(cover: Cover) -> FactorNode:
     if len(parts) == 1:
         return parts[0]
     return FactorNode("or", parts)
-
-
-def factored_literal_count(cover: Cover) -> int:
-    """Literal count of the factored form — the MIS area estimate."""
-    return factor(cover).literal_count()

@@ -347,34 +347,6 @@ def mux_tree(select_bits: int, name: str = "muxtree") -> Network:
     return net
 
 
-def barrel_shifter(n_bits: int, name: str = "barrel") -> Network:
-    """Logarithmic barrel shifter (left rotate by s).
-
-    Inputs d0..d{n-1} and select bits s0..s{log2 n - 1}; outputs
-    y0..y{n-1} = d rotated left by the select amount.  Log-depth mux
-    layers — a classic datapath block with heavy mux fan-in.
-    """
-    if n_bits & (n_bits - 1):
-        raise ValueError("barrel shifter width must be a power of two")
-    stages = n_bits.bit_length() - 1
-    net = Network(name)
-    data = net.add_inputs(_bit_names("d", n_bits))
-    sel = net.add_inputs(_bit_names("s", stages))
-    layer = list(data)
-    for stage in range(stages):
-        amount = 1 << stage
-        nxt = []
-        for i in range(n_bits):
-            src_rot = layer[(i - amount) % n_bits]
-            nxt.append(net.add_gate(f"m{stage}_{i}", GateType.MUX,
-                                    [sel[stage], layer[i], src_rot]))
-        layer = nxt
-    for i, sig in enumerate(layer):
-        buf = net.add_gate(f"y{i}", GateType.BUF, [sig])
-        net.set_output(buf)
-    return net
-
-
 def decoder(select_bits: int, name: str = "dec") -> Network:
     """k-to-2^k one-hot decoder with an enable input."""
     net = Network(name)
@@ -390,44 +362,6 @@ def decoder(select_bits: int, name: str = "dec") -> Network:
             acc = net.add_gate(f"d{code}_{j}", GateType.AND, [acc, p])
         out = net.add_gate(f"o{code}", GateType.BUF, [acc])
         net.set_output(out)
-    return net
-
-
-def priority_encoder(n_bits: int, name: str = "prienc") -> Network:
-    """Priority encoder: index of the highest asserted request line
-    (outputs y*, plus ``valid``)."""
-    import math
-
-    net = Network(name)
-    reqs = net.add_inputs(_bit_names("r", n_bits))
-    out_bits = max(1, math.ceil(math.log2(n_bits)))
-    # grant_i = r_i AND none of the higher requests.
-    grants = []
-    higher: Optional[str] = None
-    for i in range(n_bits - 1, -1, -1):
-        if higher is None:
-            grants.append((i, reqs[i]))
-            higher = reqs[i]
-        else:
-            nh = net.add_gate(f"nh{i}", GateType.NOT, [higher])
-            grants.append((i, net.add_gate(f"g{i}", GateType.AND,
-                                           [reqs[i], nh])))
-            higher = net.add_gate(f"any{i}", GateType.OR,
-                                  [higher, reqs[i]])
-    for b in range(out_bits):
-        sources = [g for i, g in grants if (i >> b) & 1]
-        if not sources:
-            net.add_gate(f"y{b}", GateType.CONST0, [])
-        elif len(sources) == 1:
-            net.add_gate(f"y{b}", GateType.BUF, [sources[0]])
-        else:
-            acc = sources[0]
-            for j, s in enumerate(sources[1:]):
-                acc = net.add_gate(f"yo{b}_{j}", GateType.OR, [acc, s])
-            net.add_gate(f"y{b}", GateType.BUF, [acc])
-        net.set_output(f"y{b}")
-    net.add_gate("valid", GateType.BUF, [higher])
-    net.set_output("valid")
     return net
 
 

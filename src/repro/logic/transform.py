@@ -204,24 +204,6 @@ def decompose_to_primitives(net: Network,
     return out
 
 
-def collapse_to_cover(net: Network, output: str,
-                      minimize: bool = True) -> "Cover":
-    """Global two-level cover of one output over the primary inputs.
-
-    Collapses the multilevel network through its BDD and re-extracts an
-    SOP (optionally minimized) — the "flatten" step of two-level flows.
-    Latch outputs are treated as free inputs; the cover's variable
-    order is ``sorted(net.inputs) + sorted(latch outputs)``.
-    """
-    from repro.bdd.circuit import bdd_to_cover, network_bdds
-
-    funcs = network_bdds(net)
-    sources = sorted(net.inputs) + sorted(
-        l.output for l in net.latches)
-    cover = bdd_to_cover(funcs[output], sources)
-    return cover.minimize() if minimize else cover
-
-
 def propagate_constants(net: Network) -> int:
     """Fold constant nodes into their readers (in place).
 

@@ -120,12 +120,6 @@ class _Timing:
         return req
 
 
-def arrival_times(net: Network, sizes: Dict[str, float],
-                  params: PowerParameters) -> Dict[str, float]:
-    t = _Timing(net, params)
-    return t.arrivals(t.delays(sizes))
-
-
 def critical_path_delay(net: Network,
                         sizes: Optional[Dict[str, float]] = None,
                         params: Optional[PowerParameters] = None) -> float:

@@ -33,12 +33,6 @@ class ExtractionResult:
     switched_cap_after: float = 0.0
 
     @property
-    def literal_saving(self) -> float:
-        if not self.literals_before:
-            return 0.0
-        return 1.0 - self.literals_after / self.literals_before
-
-    @property
     def power_saving(self) -> float:
         if not self.switched_cap_before:
             return 0.0

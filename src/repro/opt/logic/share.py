@@ -29,12 +29,6 @@ class SharingResult:
     literals_before: int = 0
     literals_after: int = 0
 
-    @property
-    def literal_saving(self) -> float:
-        if not self.literals_before:
-            return 0.0
-        return 1.0 - self.literals_after / self.literals_before
-
 
 def _cube_terms(net: Network, node: Node) -> List[Term]:
     assert node.cover is not None

@@ -89,20 +89,3 @@ def minimize_stg(stg: STG) -> STG:
         reduced.add_transition(t.input_cube, src, rep_of[t.dst],
                                t.output)
     return reduced
-
-
-def is_behaviourally_equivalent(a: STG, b: STG, a_start: str,
-                                b_start: str, length: int = 200,
-                                seed: int = 0) -> bool:
-    """Random co-simulation check between two machines."""
-    import random
-
-    rng = random.Random(seed)
-    sa, sb = a_start, b_start
-    for _ in range(length):
-        m = rng.getrandbits(a.num_inputs) if a.num_inputs else 0
-        sa, oa = a.next_state(sa, m)
-        sb, ob = b.next_state(sb, m)
-        if oa != ob:
-            return False
-    return True

@@ -13,9 +13,11 @@ driver and a reader.  Classic results implemented here:
   are pushed onto low-activity signals, where they also filter glitches.
 
 ``apply_retiming`` reconstructs a :class:`Network` with the moved
-registers (initial values are reset to 0; the experiments measure
-steady-state activity where the transient is irrelevant — see
-DESIGN.md).
+registers.  A register that keeps its place (same root signal, same
+depth behind it) keeps the original latch's initial value; a register
+moved across a gate starts at 0, so the retimed machine may start in a
+state the original never reaches (the experiments measure steady-state
+activity, where the transient is irrelevant — see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -260,9 +262,16 @@ def apply_retiming(net: Network, r: Dict[str, int],
     """Reconstruct the network with registers placed per retiming ``r``.
 
     Edge (u, v) receives ``w(u,v) + r(v) − r(u)`` registers; latch
-    chains are shared per driver.  All initial values are 0.
+    chains are shared per driver.  The register k deep behind signal s
+    takes the initial value of the original latch k deep behind s;
+    where the original has no such latch (the register moved across a
+    gate) it starts at 0.
     """
     graph = RetimingGraph(net)
+    init: Dict[Tuple[str, int], int] = {}
+    for latch in net.latches:
+        _tail, k, signal = graph._resolve(latch.output)
+        init[(signal, k)] = latch.init
     out = Network(name or net.name + "_retimed")
     for pi in net.inputs:
         out.add_input(pi)
@@ -276,15 +285,14 @@ def apply_retiming(net: Network, r: Dict[str, int],
         new.attrs = dict(node.attrs)
         out.set_node(new)
 
-    # Required register depth per driving signal.
-    depth: Dict[str, int] = {}
-    edge_regs: Dict[Tuple[str, str, str], int] = {}
+    # Keyed with the original weight too: a reader of both s and a
+    # delayed s has one edge per depth from the same driver.
+    edge_regs: Dict[Tuple[str, str, str, int], int] = {}
     for e in graph.edges:
         w = e.weight + r[e.head] - r[e.tail]
         if w < 0:
             raise ValueError("illegal retiming (negative edge weight)")
-        edge_regs[(e.tail, e.head, e.signal)] = w
-        depth[e.signal] = max(depth.get(e.signal, 0), w)
+        edge_regs[(e.tail, e.head, e.signal, e.weight)] = w
 
     chain: Dict[Tuple[str, int], str] = {}
 
@@ -295,7 +303,7 @@ def apply_retiming(net: Network, r: Dict[str, int],
         if key not in chain:
             prev = delayed(signal, k - 1)
             reg = f"_rt_{signal}_{k}"
-            out.add_latch(prev, reg, init=0)
+            out.add_latch(prev, reg, init=init.get(key, 0))
             chain[key] = reg
         return chain[key]
 
@@ -306,18 +314,17 @@ def apply_retiming(net: Network, r: Dict[str, int],
             continue
         new_fanins = []
         for fi in node.fanins:
-            tail, _w0, signal = graph._resolve(fi)
-            w = edge_regs[(tail, node.name, signal)]
+            tail, w0, signal = graph._resolve(fi)
+            w = edge_regs[(tail, node.name, signal, w0)]
             new_fanins.append(delayed(signal, w))
         out.set_fanins(node.name, new_fanins)
 
     for outp in net.outputs:
-        tail, _w0, signal = graph._resolve(outp)
+        tail, w0, signal = graph._resolve(outp)
         if tail == HOST:
-            w = _w0  # PI feeding a PO directly: keep original depth
-            out.set_output(delayed(signal, w))
+            w = w0  # PI feeding a PO directly: keep original depth
         else:
-            w = edge_regs.get((tail, HOST_SINK, signal), 0)
-            out.set_output(delayed(signal, w))
+            w = edge_regs.get((tail, HOST_SINK, signal, w0), 0)
+        out.set_output(delayed(signal, w))
     out.check()
     return out

@@ -1,4 +1,4 @@
-"""State transition graphs: KISS I/O, Markov analysis, FSM synthesis.
+"""State transition graphs: KISS reading, Markov analysis, FSM synthesis.
 
 The sequential optimizations of Section III-C.1 work on the STG level:
 state encoding needs the *weighted* switching activity between states,
@@ -106,14 +106,6 @@ class STG:
                 matrix[s][s] = matrix[s].get(s, 0.0) + missing
         return matrix
 
-    def stationary_distribution(self,
-                                input_probs: Optional[Sequence[float]]
-                                = None) -> Dict[str, float]:
-        """State probabilities in the long run from ``reset_state``
-        (``states[0]`` when unset), by
-        :func:`~repro.power.markov.limit_distribution`."""
-        return self._limit(self.transition_matrix(input_probs))
-
     def _limit(self, matrix: Dict[str, Dict[str, float]]
                ) -> Dict[str, float]:
         start = self.reset_state or self.states[0]
@@ -183,18 +175,6 @@ def read_kiss(source: Union[str, TextIO]) -> STG:
     for inp, src, dst, out in rows:
         stg.add_transition(inp, src, dst, out)
     return stg
-
-
-def write_kiss(stg: STG) -> str:
-    lines = [f".i {stg.num_inputs}", f".o {stg.num_outputs}",
-             f".s {len(stg.states)}", f".p {len(stg.transitions)}"]
-    if stg.reset_state:
-        lines.append(f".r {stg.reset_state}")
-    for t in stg.transitions:
-        lines.append(f"{t.input_cube.to_string()} {t.src} {t.dst} "
-                     f"{t.output}")
-    lines.append(".e")
-    return "\n".join(lines) + "\n"
 
 
 def synthesize_fsm(stg: STG, encoding: Dict[str, int],

@@ -216,20 +216,3 @@ def transition_activity(transitions: Dict[str, int],
     if length < 2:
         return {k: 0.0 for k in transitions}
     return {k: v / (length - 1) for k, v in transitions.items()}
-
-
-def weighted_switching(net: Network, activity: Dict[str, float],
-                       caps: Optional[Dict[str, float]] = None) -> float:
-    """Σ C(node)·activity(node) over every node of ``net``
-    (capacitance defaults to the transistor-count model of
-    ``repro.power.model``)."""
-    from repro.power.model import PowerParameters, node_capacitance
-
-    if caps is None:
-        params = PowerParameters()
-        caps = {name: node_capacitance(net, name, params)
-                for name in net.nodes}
-    total = 0.0
-    for name in net.nodes:
-        total += caps[name] * activity.get(name, 0.0)
-    return total

@@ -57,10 +57,6 @@ class GlitchReport:
             return 0.0
         return 1.0 - self.cap_weighted_functional / self.cap_weighted_timed
 
-    def per_node_glitches(self) -> Dict[str, int]:
-        return {name: self.timed[name] - self.functional.get(name, 0)
-                for name in self.timed}
-
 
 def timed_stimulus(net: Network, num_vectors: int, seed: int = 0,
                    input_probs: Optional[Dict[str, float]] = None

@@ -131,13 +131,3 @@ def exact_sequential_activity(net: Network,
     return SequentialAnalysis(states=states, stationary=pi_dist,
                               activities=activities,
                               node_probabilities=probabilities)
-
-
-def exact_sequential_power(net: Network,
-                           input_probs: Optional[Dict[str, float]]
-                           = None, params=None):
-    """Convenience: exact activities followed by the Eqn-1 model."""
-    from repro.power.model import power_report
-
-    analysis = exact_sequential_activity(net, input_probs)
-    return power_report(net, analysis.activities, params)

@@ -2,8 +2,8 @@
 
 Zero-delay transition counts give the *useful* switching activity — at
 most one transition per node per clock cycle.  The difference between the
-event-driven counts (``repro.sim.event``) and these is the spurious
-(glitch) activity studied in Section III-A.2 of the paper.
+timed counts (``repro.sim.timed``) and these is the spurious (glitch)
+activity studied in Section III-A.2 of the paper.
 
 Every count is one word pass of ``repro.sim.compiled`` (bit *k* = value
 in pattern *k*); a clocked run passes the source words, latch outputs
@@ -43,16 +43,6 @@ def simulate_transitions(net: Network, input_words: Dict[str, int],
     mask = (1 << count) - 1
     return _transition_counts(
         get_compiled(net).evaluate_words(input_words, mask), count)
-
-
-def node_one_counts(net: Network, input_words: Dict[str, int],
-                    count: int) -> Dict[str, int]:
-    """Number of patterns on which each node evaluates to 1."""
-    from repro.sim.compiled import get_compiled
-
-    mask = (1 << count) - 1
-    values = get_compiled(net).evaluate_words(input_words, mask)
-    return {name: w.bit_count() for name, w in values.items()}
 
 
 class WordTrace(abc.Sequence):

@@ -131,9 +131,6 @@ class Program:
                                     i.target, i.label)
                         for i in self.instructions], self.name)
 
-    def listing(self) -> str:
-        return "\n".join(str(i) for i in self.instructions)
-
 
 _REG = re.compile(r"^[rv]\d+$")
 

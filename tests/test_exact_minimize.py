@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.cube import Cube
-from repro.logic.exact import (is_minimum_size, minimize_exact,
-                               prime_implicants)
 from repro.logic.sop import Cover
+from tests.oracles import (is_minimum_size, minimize_exact,
+                           prime_implicants)
 
 
 class TestPrimes:

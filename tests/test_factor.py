@@ -5,7 +5,7 @@ import pytest
 from repro.logic.cube import Cube
 from repro.logic.factor import (algebraic_divide, best_kernel,
                                 common_cube, factor,
-                                factored_literal_count, is_cube_free,
+                                is_cube_free,
                                 kernel_value, kernels, make_cube_free)
 from repro.logic.sop import Cover
 
@@ -126,11 +126,6 @@ class TestFactor:
 
         for m in range(1 << 5):
             assert eval_tree(tree, m) == f.evaluate(m)
-
-    def test_factored_literal_count(self):
-        assert factored_literal_count(cover_ab_cd()) == 4
-        flat = cover_ab_cd().num_literals()
-        assert factored_literal_count(cover_ab_cd()) < flat
 
     def test_single_cube(self):
         tree = factor(Cover.from_strings(["110"]))

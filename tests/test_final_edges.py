@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.logic.exact import is_minimum_size, minimize_exact
 from repro.logic.sop import Cover
 from repro.opt.datapath.bus_coding import bus_invert
 from repro.opt.datapath.number_repr import (to_sign_magnitude,
                                             to_twos_complement)
 from repro.opt.datapath.residue import OneHotResidue
 from repro.power.glitch import timed_average_power
+from tests.oracles import is_minimum_size, minimize_exact
 
 
 class TestExactHelpers:

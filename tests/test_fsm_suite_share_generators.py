@@ -1,12 +1,11 @@
-"""Tests for the FSM benchmark suite, product sharing, and the newer
-datapath generators (barrel shifter, decoder, priority encoder)."""
+"""Tests for the FSM benchmark suite, product sharing, and the decoder
+generator."""
 
 import random
 
 import pytest
 
-from repro.logic.generators import (barrel_shifter, decoder,
-                                    priority_encoder)
+from repro.logic.generators import decoder
 from repro.logic.netlist import Network
 from repro.logic.sop import Cover
 from repro.opt.logic.share import share_product_terms
@@ -128,21 +127,6 @@ class TestProductSharing:
 
 
 class TestNewGenerators:
-    def test_barrel_shifter(self):
-        net = barrel_shifter(8)
-        rng = random.Random(1)
-        for _ in range(100):
-            d, s = rng.randrange(256), rng.randrange(8)
-            vec = {f"d{i}": (d >> i) & 1 for i in range(8)}
-            vec.update({f"s{i}": (s >> i) & 1 for i in range(3)})
-            out = net.evaluate(vec)
-            y = sum(out[f"y{i}"] << i for i in range(8))
-            assert y == ((d << s) | (d >> (8 - s))) & 255
-
-    def test_barrel_power_of_two_only(self):
-        with pytest.raises(ValueError):
-            barrel_shifter(6)
-
     def test_decoder(self):
         net = decoder(3)
         for code in range(8):
@@ -152,24 +136,6 @@ class TestNewGenerators:
                 out = net.evaluate(vec)
                 onehot = sum(out[f"o{k}"] << k for k in range(8))
                 assert onehot == ((1 << code) if en else 0)
-
-    def test_priority_encoder(self):
-        net = priority_encoder(8)
-        rng = random.Random(2)
-        for _ in range(200):
-            r = rng.randrange(256)
-            vec = {f"r{i}": (r >> i) & 1 for i in range(8)}
-            out = net.evaluate(vec)
-            if r == 0:
-                assert out["valid"] == 0
-            else:
-                y = sum(out[f"y{b}"] << b for b in range(3))
-                assert out["valid"] == 1
-                assert y == r.bit_length() - 1
-
-    def test_priority_encoder_width_one(self):
-        net = priority_encoder(2)
-        assert net.evaluate({"r0": 1, "r1": 0})["valid"] == 1
 
 
 class TestCliFsm:

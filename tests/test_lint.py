@@ -39,9 +39,7 @@ ALL_GENERATORS = [
     ("csel", lambda: G.carry_select_adder(8)),
     ("wallace", lambda: G.wallace_multiplier(3)),
     ("muxtree", lambda: G.mux_tree(3)),
-    ("barrel", lambda: G.barrel_shifter(4)),
     ("dec", lambda: G.decoder(3)),
-    ("prienc", lambda: G.priority_encoder(4)),
     ("alu", lambda: G.alu_slice(4)),
     ("random", lambda: G.random_logic(6, 20, seed=3)),
     ("regfile", lambda: G.register_file(2, 2)),

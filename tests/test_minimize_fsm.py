@@ -3,9 +3,9 @@
 import pytest
 
 from repro.opt.seq.minimize_fsm import (equivalent_state_classes,
-                                        is_behaviourally_equivalent,
                                         minimize_stg)
 from repro.opt.seq.stg import STG
+from tests.oracles import is_behaviourally_equivalent
 
 
 def duplicated_ring(copies=2, length=3):

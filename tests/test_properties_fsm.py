@@ -9,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro.opt.seq.encoding import (encode_anneal, encode_greedy,
                                     encode_natural, encoding_cost)
 from repro.opt.seq.gated_clock import self_loop_clock_gating
-from repro.opt.seq.minimize_fsm import (is_behaviourally_equivalent,
-                                        minimize_stg)
+from repro.opt.seq.minimize_fsm import minimize_stg
 from repro.opt.seq.stg import STG, synthesize_fsm
 from repro.power.sequential import exact_sequential_activity
 from repro.sim.compiled import get_compiled
 from repro.verify.equivalence import sequential_equivalent
+from tests.oracles import (is_behaviourally_equivalent,
+                           stationary_distribution)
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -126,6 +127,6 @@ def test_exact_estimator_matches_simulation(stg):
 @given(random_fsms())
 @SETTINGS
 def test_stationary_distribution_is_stochastic(stg):
-    pi = stg.stationary_distribution()
+    pi = stationary_distribution(stg)
     assert abs(sum(pi.values()) - 1.0) < 1e-6
     assert all(p >= -1e-12 for p in pi.values())

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Network
@@ -10,6 +11,7 @@ from repro.opt.seq.retime import (HOST_SINK, HOST_SRC, RetimingGraph,
                                   apply_retiming, low_power_retiming,
                                   min_period_retiming)
 from repro.sim.functional import sequential_transitions
+from repro.verify.equivalence import sequential_equivalent
 
 
 def chain_then_register():
@@ -136,3 +138,66 @@ class TestLowPower:
         vecs = [{n: rng.getrandbits(1) for n in "abcd"}
                 for _ in range(80)]
         assert run_streams(net, vecs)[6:] == run_streams(net2, vecs)[6:]
+
+
+def identity_retiming(net):
+    return apply_retiming(net, {v: 0 for v in RetimingGraph(net).vertices})
+
+
+@st.composite
+def sequential_networks(draw):
+    """A random sequential network whose latches start at 0 or 1.
+
+    Each signal feeds at most one latch, so no two latches share a
+    (root signal, depth) place that the retimed chains would merge.
+    """
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    num_latches = draw(st.integers(1, 3))
+    net = Network("seqnet")
+    pool = net.add_inputs([f"i{k}" for k in range(draw(st.integers(1, 2)))])
+    pool += [f"q{k}" for k in range(num_latches)]
+    gates = []
+    two_in = [GateType.AND, GateType.OR, GateType.NAND, GateType.XOR]
+    for g in range(draw(st.integers(num_latches, 6))):
+        gates.append(net.add_gate(f"g{g}", rng.choice(two_in),
+                                  [rng.choice(pool), rng.choice(pool)]))
+        pool.append(gates[-1])
+    readable = list(gates)
+    for k in range(num_latches):
+        data = readable.pop(rng.randrange(len(readable)))
+        net.add_latch(data, f"q{k}", init=draw(st.integers(0, 1)))
+        readable.append(f"q{k}")
+    net.set_outputs([gates[-1], f"q{num_latches - 1}"])
+    net.check()
+    return net
+
+
+class TestInitialValues:
+    def test_identity_keeps_init_one(self):
+        """q = latch(a XOR q, init=1): a register that stays in place
+        keeps its initial value."""
+        net = Network("toggle")
+        net.add_input("a")
+        net.add_gate("g", GateType.XOR, ["a", "q"])
+        net.add_latch("g", "q", init=1)
+        net.set_output("q")
+        retimed = identity_retiming(net)
+        assert [l.init for l in retimed.latches] == [1]
+        assert sequential_equivalent(net, retimed)
+
+    def test_reader_of_a_signal_and_its_register(self):
+        """A reader of both g and latch(g) has two edges from g, one
+        per register depth; each keeps its own depth."""
+        net = Network("edge")
+        net.add_inputs(["a", "b"])
+        net.add_gate("g", GateType.AND, ["a", "b"])
+        net.add_latch("g", "q")
+        net.add_gate("h", GateType.XOR, ["g", "q"])
+        net.set_outputs(["h", "g", "q"])
+        assert sequential_equivalent(net, identity_retiming(net))
+
+    @given(sequential_networks())
+    @settings(max_examples=40, deadline=None)
+    def test_identity_retiming_is_equivalent(self, net):
+        result = sequential_equivalent(net, identity_retiming(net))
+        assert result, result.counterexample

@@ -10,8 +10,7 @@ from repro.opt.seq.encoding import encode_natural
 from repro.opt.seq.fsm_benchmarks import load_benchmark
 from repro.opt.seq.stg import STG, synthesize_fsm
 from repro.power.activity import sequential_activity
-from repro.power.sequential import (exact_sequential_activity,
-                                    exact_sequential_power)
+from repro.power.sequential import exact_sequential_activity
 
 
 def counter_fsm(n_states=4):
@@ -118,7 +117,3 @@ class TestExactActivity:
         net.set_output("o")
         analysis = exact_sequential_activity(net, {"en": 0.0, "d": 0.5})
         assert analysis.activities["q"] == pytest.approx(0.0)
-
-    def test_power_wrapper(self):
-        rep = exact_sequential_power(counter_fsm())
-        assert rep.total > 0

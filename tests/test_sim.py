@@ -8,7 +8,7 @@ from repro.logic.gates import GateType
 from repro.logic.generators import parity_tree, ripple_carry_adder
 from repro.logic.netlist import Network
 from repro.sim.event import EventSimulator
-from repro.sim.functional import (node_one_counts, sequential_transitions,
+from repro.sim.functional import (sequential_transitions,
                                   simulate_transitions,
                                   verify_equivalence)
 from repro.sim.timed import timed_transitions_from_words
@@ -74,15 +74,6 @@ class TestFunctional:
         words = {"a": 0b0101010101}
         tr = simulate_transitions(net, words, 10)
         assert tr["o"] == 9
-
-    def test_one_counts(self):
-        net = Network()
-        net.add_inputs(["a", "b"])
-        net.add_gate("g", GateType.AND, ["a", "b"])
-        net.set_output("g")
-        words = {"a": 0b1111, "b": 0b0011}
-        ones = node_one_counts(net, words, 4)
-        assert ones["g"] == 2
 
     def test_verify_equivalence_positive(self):
         a = ripple_carry_adder(3)

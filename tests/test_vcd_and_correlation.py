@@ -1,71 +1,8 @@
-"""Tests for VCD export and temporally-correlated stimulus."""
-
-import io
-import random
+"""Tests for temporally-correlated stimulus."""
 
 import pytest
 
-from repro.logic.gates import GateType
-from repro.logic.netlist import Network
-from repro.sim.functional import sequential_transitions
-from repro.sim.vcd import dump_sequential_vcd, write_vcd
 from repro.sim.vectors import random_words
-
-
-class TestVcd:
-    def make_trace(self):
-        net = Network("dut")
-        net.add_input("d")
-        net.add_gate("nq", GateType.XOR, ["q", "d"])
-        net.add_latch("nq", "q")
-        net.set_output("q")
-        vecs = [{"d": k % 2} for k in range(8)]
-        _, trace = sequential_transitions(net, vecs)
-        return net, vecs, trace
-
-    def test_header_and_changes(self):
-        _net, _vecs, trace = self.make_trace()
-        buf = io.StringIO()
-        changes = write_vcd(trace, buf)
-        text = buf.getvalue()
-        assert "$timescale" in text
-        assert "$enddefinitions" in text
-        assert "$var wire 1" in text
-        assert changes > 0
-
-    def test_only_changes_emitted(self):
-        trace = [{"a": 0, "b": 1}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]
-        buf = io.StringIO()
-        changes = write_vcd(trace, buf)
-        # cycle 0: both initial values; cycle 2: only 'a'.
-        assert changes == 3
-        assert "#20" in buf.getvalue()
-
-    def test_signal_selection(self):
-        trace = [{"a": 0, "b": 1}, {"a": 1, "b": 0}]
-        buf = io.StringIO()
-        write_vcd(trace, buf, signals=["a"])
-        assert " b " not in buf.getvalue()
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            write_vcd([], io.StringIO())
-
-    def test_dump_to_file(self, tmp_path):
-        net, vecs, _ = self.make_trace()
-        path = str(tmp_path / "out.vcd")
-        changes = dump_sequential_vcd(net, vecs, path)
-        assert changes > 0
-        with open(path) as f:
-            assert "$scope module dut" in f.read()
-
-    def test_identifier_space(self):
-        """More signals than single-char identifiers still works."""
-        trace = [{f"s{i}": i % 2 for i in range(120)}]
-        buf = io.StringIO()
-        write_vcd(trace, buf)
-        text = buf.getvalue()
-        assert text.count("$var") == 120
 
 
 class TestCorrelatedStimulus:
