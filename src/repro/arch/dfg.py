@@ -9,8 +9,7 @@ surveyed papers evaluate on (FIR filters, IIR biquads, reduction sums).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, \
-    Tuple
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass

@@ -18,8 +18,8 @@ registered-input assumption); constants are hard-wired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.arch.dfg import DFG, OP_DELAY
 from repro.arch.scheduling import Schedule, schedule_length

@@ -179,7 +179,14 @@ def fsm_low_power_flow(stg, sequence_length: int = 1500, seed: int = 0,
     still produces a result; ``strict=True`` re-raises.  The gated
     machine is simulated once: the ``simulate`` stage yields both its
     enable rate and the activity ``measure`` prices.
+
+    ``sequence_length`` must be an int of at least 2: one cycle has no
+    transition to count and no enable rate to read (``ValueError``).
     """
+    if not isinstance(sequence_length, int) or \
+            isinstance(sequence_length, bool) or sequence_length < 2:
+        raise ValueError("sequence_length must be an int of at least 2, "
+                         f"got {sequence_length!r}")
     from repro.opt.seq.encoding import encode_anneal, encode_natural
     from repro.opt.seq.gated_clock import (clock_power,
                                            self_loop_clock_gating)
@@ -213,24 +220,24 @@ def fsm_low_power_flow(stg, sequence_length: int = 1500, seed: int = 0,
     baseline = synthesize_fsm(stg, encode_natural(stg),
                               name="fsm_reference")
 
-    seq = stg.random_input_sequence(sequence_length, seed)
-    names = [f"x{i}" for i in range(stg.num_inputs)]
-    vectors = [{x: (v >> i) & 1 for i, x in enumerate(names)} for v in seq]
+    # One packed pattern per cycle: bit i drives input x{i}, the input
+    # order synthesize_fsm declares.
+    patterns = stg.random_input_sequence(sequence_length, seed)
 
     def simulate(_):
-        transitions, values = sequential_transitions(gated_net, vectors)
+        transitions, values = sequential_transitions(gated_net, patterns)
         return (_enable_rate(values, gated_net.latches),
-                transition_activity(transitions, len(vectors)))
+                transition_activity(transitions, len(patterns)))
 
     enable_rate, gated_activity = stage("simulate", simulate, (1.0, None))
 
     def power_pair(_):
         p_before = power_report(
-            baseline, sequential_activity(baseline, vectors),
+            baseline, sequential_activity(baseline, patterns),
             params).total + clock_power(baseline, {}, params)
         p_after = power_report(
             gated_net, gated_activity if gated_activity is not None
-            else sequential_activity(gated_net, vectors),
+            else sequential_activity(gated_net, patterns),
             params).total + clock_power(
                 gated_net,
                 {l.output: enable_rate for l in gated_net.latches},

@@ -17,6 +17,7 @@ constructive embedding, and simulated annealing over code permutations.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -136,7 +137,18 @@ def encode_anneal(stg: STG,
     by the code tuple and summed in :func:`encoding_cost`'s term order,
     so the walk — and the result — is the same as re-pricing every
     proposal.  The result keeps the start encoding's key order.
+
+    When there are no more assignments than ``iterations`` (``perm(2**
+    bits, n)``, e.g. 24 for 3-4 states in 2 bits), every one is priced
+    into the memo first, and the walk stops once its best cost equals
+    the least of them: no later proposal can beat it, so the result is
+    the one the full walk returns.  ``iterations`` must be a
+    non-negative int; ``ValueError`` otherwise.
     """
+    if not isinstance(iterations, int) or isinstance(iterations, bool) \
+            or iterations < 0:
+        raise ValueError("iterations must be a non-negative int, got "
+                         f"{iterations!r}")
     rng = random.Random(seed)
     n = len(stg.states)
     bits = num_bits if num_bits is not None \
@@ -154,15 +166,18 @@ def encode_anneal(stg: STG,
     codes = [start[s] for s in states]
     memo: Dict[Tuple[int, ...], float] = {}
 
-    def price() -> float:
-        key = tuple(codes)
+    def price(key: Tuple[int, ...]) -> float:
         cost = memo.get(key)
         if cost is None:
-            cost = memo[key] = sum(w * (codes[i] ^ codes[j]).bit_count()
+            cost = memo[key] = sum(w * (key[i] ^ key[j]).bit_count()
                                    for i, j, w in edges)
         return cost
 
-    cost = price()
+    optimum = None
+    if math.perm(1 << bits, n) <= iterations:
+        optimum = min(map(price,
+                          itertools.permutations(range(1 << bits), n)))
+    cost = price(tuple(codes))
     best = tuple(codes)
     best_cost = cost
     temp = max(cost, 1e-3)
@@ -170,13 +185,15 @@ def encode_anneal(stg: STG,
     positions = range(n)
     free = sorted(set(range(1 << bits)).difference(codes))
     for _ in range(iterations):
+        if best_cost == optimum:
+            break
         a = rng.choice(positions)
         if rng.random() < 0.5 and free:
             # Move a state to a free code.
             new_code = rng.choice(free)
             old_code = codes[a]
             codes[a] = new_code
-            new_cost = price()
+            new_cost = price(tuple(codes))
             if new_cost <= cost or \
                     rng.random() < math.exp((cost - new_cost) / temp):
                 cost = new_cost
@@ -189,7 +206,7 @@ def encode_anneal(stg: STG,
             if a == b:
                 continue
             codes[a], codes[b] = codes[b], codes[a]
-            new_cost = price()
+            new_cost = price(tuple(codes))
             if new_cost <= cost or \
                     rng.random() < math.exp((cost - new_cost) / temp):
                 cost = new_cost
@@ -223,10 +240,9 @@ def evaluate_encoding(stg: STG, encoding: Dict[str, int],
     """Synthesize the encoded FSM and measure its power on a random
     input sequence (register switching *and* induced logic)."""
     net = synthesize_fsm(stg, encoding)
-    seq = stg.random_input_sequence(sequence_length, seed)
-    names = [f"x{i}" for i in range(stg.num_inputs)]
-    vectors = [{x: (v >> i) & 1 for i, x in enumerate(names)} for v in seq]
-    activity = sequential_activity(net, vectors)
+    # bit i of each pattern drives input x{i}, as synthesize_fsm declares
+    activity = sequential_activity(
+        net, stg.random_input_sequence(sequence_length, seed))
     report = power_report(net, activity, params)
     return EncodingResult(
         encoding=dict(encoding),

@@ -133,6 +133,10 @@ class STG:
 
     def random_input_sequence(self, length: int, seed: int = 0
                               ) -> List[int]:
+        """``length`` uniformly random input patterns, bit *i* of each
+        being input *i*; a negative ``length`` raises ``ValueError``."""
+        if length < 0:
+            raise ValueError(f"length must be non-negative, got {length!r}")
         rng = random.Random(seed)
         return [rng.getrandbits(self.num_inputs) if self.num_inputs
                 else 0 for _ in range(length)]

@@ -12,11 +12,12 @@ Activities are in *transitions per clock cycle* at each node output.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.logic.netlist import Network, Node
 from repro.logic.transform import node_cover
 from repro.sim.compiled import get_compiled
+from repro.sim.functional import Stimulus
 from repro.sim.vectors import check_probabilities, random_words
 
 
@@ -194,10 +195,11 @@ def stored_node_words(net: Network, num_vectors: int, seed: int,
     return run.values
 
 
-def sequential_activity(net: Network,
-                        input_sequence: Sequence[Dict[str, int]]
+def sequential_activity(net: Network, input_sequence: Stimulus
                         ) -> Dict[str, float]:
-    """Per-node activity from a clocked simulation of a sequential net.
+    """Per-node activity from a clocked simulation of a sequential net,
+    under a stimulus of packed patterns or dict vectors as for
+    :func:`~repro.sim.functional.sequential_transitions`.
 
     A sequence of fewer than two vectors exhibits no cycle boundary, so
     every node's activity is 0 (mirroring ``activity_from_simulation``'s

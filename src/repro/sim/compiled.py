@@ -172,11 +172,11 @@ class CompiledNetwork:
     caches on the network and re-lowers the kernels of edited nodes.
     """
 
-    __slots__ = ("mark", "names", "slot_of", "num_slots", "input_slots",
-                 "latches", "source_slots", "ops")
+    __slots__ = ("mark", "names", "slot_of", "num_slots", "inputs",
+                 "input_slots", "latches", "source_slots", "ops")
 
     def __init__(self, mark: Tuple[List[str], int], names: List[str],
-                 slot_of: Dict[str, int],
+                 slot_of: Dict[str, int], inputs: List[str],
                  input_slots: List[Tuple[int, str]],
                  latches: Tuple[LatchEntry, ...],
                  ops: List[Tuple[int, Tuple[int, ...], Kernel]]):
@@ -186,6 +186,9 @@ class CompiledNetwork:
         self.names = names
         self.slot_of = slot_of
         self.num_slots = len(names)
+        #: primary inputs in declaration order (``Network.inputs``), the
+        #: bit order of a :meth:`run` pattern
+        self.inputs = inputs
         self.input_slots = input_slots
         #: per latch, in declaration order: (output slot, data slot,
         #: enable slot or None, init)
@@ -262,50 +265,54 @@ class CompiledNetwork:
         return values, [tuple((w >> m) & 1 for w in nxt.values())
                         for m in range(mask.bit_length())]
 
-    def run(self, vectors: Sequence[Dict[str, int]],
+    def run(self, patterns: Sequence[int],
             state: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-        """Clock once per vector, from ``state`` (a latch missing from
-        it starts at its init value); returns the word of every source,
-        inputs and latch outputs (bit *k* is its value in cycle *k*).
+        """Clock once per input pattern, from ``state`` (a latch missing
+        from it starts at its init value); returns the word of every
+        source, inputs and latch outputs (bit *k* is its value in cycle
+        *k*).
 
-        An input missing from a vector holds its last value, starting
-        at 0.  Only the state is walked: the next state of each
-        distinct (held inputs, state) pattern is one 1-bit
-        :meth:`step`, memoized for the rest of the call, so a cycle
-        whose pattern repeats costs a dict lookup.  Evaluating the
-        node words of the whole trajectory is one
+        Pattern *k* packs cycle *k*'s inputs: bit *j* is the value of
+        ``inputs[j]``, the network's declared input order.  A pattern
+        outside ``[0, 2**len(inputs))`` raises ``ValueError``.  Only
+        the state is walked: the next state of each distinct (pattern,
+        state) pair is one 1-bit :meth:`step`, memoized for the rest of
+        the call, so a cycle whose pair repeats costs a dict lookup.
+        Evaluating the node words of the whole trajectory is one
         :meth:`evaluate_words` over the returned words.
         """
-        sources = [name for _slot, name in self.source_slots]
-        inputs = [(name, 1 << j)
-                  for j, (_slot, name) in enumerate(self.input_slots)]
-        shift = len(inputs)
+        # key = pattern above the state bits: an out-of-range pattern
+        # can never alias a valid key, so checking it on first sight
+        # checks every cycle.
+        sources = [self.names[out] for out, *_ in self.latches] + \
+            self.inputs
+        shift = len(self.latches)
+        limit = 1 << len(self.inputs)
         start = state or {}
         cur = sum((start.get(self.names[out], init) & 1) << j
                   for j, (out, _d, _e, init) in enumerate(self.latches))
-        held = 0
-        # pattern (held input bits, then state bits above them) ->
-        # next state bits, and -> the cycles it occurs in (bit k)
-        nxt_of: Dict[int, int] = {}
-        cycles_of: Dict[int, int] = {}
-        for k, vec in enumerate(vectors):
-            for name, bit in inputs:
-                v = vec.get(name)
-                if v is not None:
-                    held = held | bit if v & 1 else held & ~bit
-            pattern = held | cur << shift
-            cycles_of[pattern] = cycles_of.get(pattern, 0) | 1 << k
-            if pattern not in nxt_of:
+        # key -> [next state bits, the cycles it occurs in (bit k)]
+        memo: Dict[int, List[int]] = {}
+        for k, pattern in enumerate(patterns):
+            key = pattern << shift | cur
+            entry = memo.get(key)
+            if entry is None:
+                if not 0 <= pattern < limit:
+                    raise ValueError(
+                        f"input pattern of cycle {k} must be an int in "
+                        f"[0, {limit}), got {pattern!r}")
                 nxt, _values = self.step(
-                    {name: (pattern >> j) & 1
+                    {name: (key >> j) & 1
                      for j, name in enumerate(sources)}, 1)
-                nxt_of[pattern] = sum(
-                    w << j for j, w in enumerate(nxt.values()))
-            cur = nxt_of[pattern]
-        words = dict.fromkeys(sources, 0)
-        for pattern, cycles in cycles_of.items():
+                entry = memo[key] = [
+                    sum(w << j for j, w in enumerate(nxt.values())), 0]
+            entry[1] |= 1 << k
+            cur = entry[0]
+        words = dict.fromkeys((name for _slot, name in self.source_slots),
+                              0)
+        for key, (_nxt, cycles) in memo.items():
             for j, name in enumerate(sources):
-                if (pattern >> j) & 1:
+                if (key >> j) & 1:
                     words[name] |= cycles
         return words
 
@@ -389,7 +396,7 @@ def compile_network(net: Network) -> CompiledNetwork:
             ops.append((slot_of[name], fanin_slots,
                         _lower_node(node, fanin_slots)))
     return CompiledNetwork(net.edit_mark(), list(order), slot_of,
-                           input_slots, latches, ops)
+                           list(net.inputs), input_slots, latches, ops)
 
 
 def _repatch(net: Network, cached: CompiledNetwork,
@@ -404,7 +411,8 @@ def _repatch(net: Network, cached: CompiledNetwork,
         ops[idx] = (out_slot, fanin_slots,
                     _lower_node(net.nodes[name], fanin_slots))
     return CompiledNetwork(net.edit_mark(), cached.names, cached.slot_of,
-                           cached.input_slots, cached.latches, ops)
+                           cached.inputs, cached.input_slots,
+                           cached.latches, ops)
 
 
 def get_compiled(net: Network) -> CompiledNetwork:

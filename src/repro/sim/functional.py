@@ -9,14 +9,23 @@ Every count is one word pass of ``repro.sim.compiled`` (bit *k* = value
 in pattern *k*); a clocked run passes the source words, latch outputs
 included, of the trajectory ``CompiledNetwork.run`` clocks out, and
 its trace is a view over the node words of that one pass.
+
+A clocked stimulus is one packed input pattern per cycle (bit *j* =
+the network's *j*-th declared input, as ``STG.random_input_sequence``
+returns them) or one ``{input: bit}`` dict per cycle, which
+``_as_patterns`` packs at the edge.
 """
 
 from __future__ import annotations
 
 from collections import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.logic.netlist import Network
+
+#: one packed input pattern, or one ``{input: bit}`` vector, per cycle
+Stimulus = Union[Sequence[int], Sequence[Dict[str, int]]]
 
 
 def _transition_counts(values: Dict[str, int], count: int
@@ -79,18 +88,39 @@ class WordTrace(abc.Sequence):
             a == b for a, b in zip(self, other))
 
 
-def sequential_transitions(net: Network,
-                           input_sequence: Sequence[Dict[str, int]],
+def _as_patterns(inputs: List[str], stimulus: Stimulus) -> Sequence[int]:
+    """``stimulus`` as ``CompiledNetwork.run`` patterns, bit *j* being
+    ``inputs[j]``.  A sequence of ints is returned as it is; dict
+    vectors are packed cycle by cycle, an input missing from a vector
+    holding its last value (0 before the first)."""
+    if all(map(isinstance, stimulus, repeat(int))):
+        return stimulus
+    bits = [(name, 1 << j) for j, name in enumerate(inputs)]
+    held = 0
+    patterns = []
+    for vec in stimulus:
+        for name, bit in bits:
+            v = vec.get(name)
+            if v is not None:
+                held = held | bit if v & 1 else held & ~bit
+        patterns.append(held)
+    return patterns
+
+
+def sequential_transitions(net: Network, input_sequence: Stimulus,
                            initial_state: Optional[Dict[str, int]] = None
                            ) -> Tuple[Dict[str, int], WordTrace]:
     """Clock-by-clock simulation of a sequential network.
 
     Returns ``(transition_counts, value_trace)`` where the trace is a
     :class:`WordTrace` view of the scalar value of every node at each
-    cycle.  An input missing from a vector holds its last value (0
-    before the first), and a latch missing from ``initial_state``
-    starts at its init value.  Latch clock-enables are honoured, so
-    gated registers contribute no transitions while disabled.
+    cycle.  ``input_sequence`` holds one packed pattern per cycle (bit
+    *j* = ``net.inputs[j]``; ``ValueError`` outside ``[0,
+    2**len(net.inputs))``) or one dict vector per cycle, where an
+    input missing from a vector holds its last value (0 before the
+    first).  A latch missing from ``initial_state`` starts at its init
+    value.  Latch clock-enables are honoured, so gated registers
+    contribute no transitions while disabled.
 
     ``CompiledNetwork.run`` walks the state; one word-parallel pass
     over its source words then gives every node's word, from which
@@ -100,8 +130,9 @@ def sequential_transitions(net: Network,
 
     prog = get_compiled(net)
     cycles = len(input_sequence)
-    values = prog.evaluate_words(prog.run(input_sequence, initial_state),
-                                 (1 << cycles) - 1)
+    values = prog.evaluate_words(
+        prog.run(_as_patterns(prog.inputs, input_sequence), initial_state),
+        (1 << cycles) - 1)
     return _transition_counts(values, cycles), WordTrace(values, cycles)
 
 

@@ -58,11 +58,12 @@ samples the settled, zero-delay values), cycle *k* in lane *k*.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.logic.netlist import Network
 from repro.sim.compiled import CompiledNetwork, get_compiled
 from repro.sim.event import resolve_delays
+from repro.sim.functional import Stimulus, _as_patterns
 
 
 class CompiledTimedNetwork:
@@ -243,14 +244,18 @@ def timed_transitions_from_words(net: Network,
     return get_timed(net, delays).transition_counts(input_words, count)
 
 
-def timed_sequential_transitions(net: Network,
-                                 vectors: Sequence[Dict[str, int]],
+def timed_sequential_transitions(net: Network, vectors: Stimulus,
                                  delays: Optional[Dict[str, float]]
                                  = None) -> Dict[str, int]:
     """Clocked timed transition counts (glitches included) of a
     sequential network, bit-identical to
     :meth:`~repro.sim.event.EventSimulator.run_sequential`: the settle
-    of every cycle of the trajectory ``CompiledNetwork.run`` clocks out
-    (an input missing from a vector holds its last value)."""
+    of every cycle of the trajectory ``CompiledNetwork.run`` clocks out.
+    ``vectors`` is a stimulus as for
+    :func:`~repro.sim.functional.sequential_transitions`: packed
+    patterns, or dict vectors (an input missing from one holds its
+    last value)."""
     prog = get_timed(net, delays)
-    return prog.transition_counts(prog.base.run(vectors), len(vectors))
+    base = prog.base
+    return prog.transition_counts(
+        base.run(_as_patterns(base.inputs, vectors)), len(vectors))

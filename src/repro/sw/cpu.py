@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.sw.isa import Instruction, NUM_REGISTERS, Program
+from repro.sw.isa import NUM_REGISTERS, Program
 
 
 @dataclass(frozen=True)

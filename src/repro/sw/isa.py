@@ -9,7 +9,7 @@ DSP experiments, and fixed opcode encodings so control-path switching
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 

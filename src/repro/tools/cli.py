@@ -375,6 +375,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _cycle_count(text: str) -> int:
+    """argparse type for ``fsm --vectors``: a clocked run shorter than
+    two cycles has no transition to measure."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer of at least 2, got {text!r}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     """argparse type for the count flags (``--dontcare-cap``,
     ``--per-node``, ``--hot-nets``, ``--max-buffers``): a negative
@@ -494,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kiss", help="KISS file, or a bundled benchmark "
                    "name (traffic, detector, vending, arbiter, "
                    "redundant, elevator)")
-    p.add_argument("--vectors", type=_positive_int, default=1500)
+    p.add_argument("--vectors", type=_cycle_count, default=1500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fsm)
 

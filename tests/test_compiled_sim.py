@@ -181,6 +181,17 @@ def _random_vectors(net, rng, cycles, keep):
              if rng.random() < keep} for _ in range(cycles)]
 
 
+def _packed(inputs, vectors):
+    """One pattern per vector, bit *j* = ``inputs[j]``, an input missing
+    from a vector holding its last value (0 before the first)."""
+    held = dict.fromkeys(inputs, 0)
+    patterns = []
+    for vec in vectors:
+        held.update((k, v & 1) for k, v in vec.items() if k in held)
+        patterns.append(sum(held[x] << j for j, x in enumerate(inputs)))
+    return patterns
+
+
 @given(index=st.integers(0, 100), seed=st.integers(0, 10 ** 6),
        cycles=st.integers(0, 40), keep=st.sampled_from([1.0, 0.7, 0.2]),
        with_state=st.booleans())
@@ -199,13 +210,87 @@ def test_sequential_transitions_match_reference(index, seed, cycles, keep,
     assert counts == want_counts
     # Bit k of each source's word, and of each node's word under the
     # trace, is its value in cycle k.
-    words = get_compiled(net).run(vectors, state)
+    words = get_compiled(net).run(_packed(net.inputs, vectors), state)
     assert set(words) == {n.name for n in net.nodes.values()
                           if n.is_source()}
     assert set(trace.words) == set(net.nodes)
     for name, word in [*words.items(), *trace.words.items()]:
         assert word == sum(values[name] << k
                            for k, values in enumerate(want_trace))
+
+
+def _random_latch_net(seed):
+    """A random clocked network whose gates are added before the inputs
+    and latches they read, so the compiled input slots (topological
+    order) need not follow the declared input order.  Latches have
+    random inits and, half of them, an enable driven by a gate."""
+    rng = random.Random(seed)
+    inputs = [f"i{j}" for j in range(rng.randint(1, 4))]
+    latches = [f"q{j}" for j in range(rng.randint(1, 3))]
+    gates = [f"g{j}" for j in range(rng.randint(2, 8))]
+    kinds = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
+             GateType.NOT]
+    net = Network("latches")
+    for k, name in enumerate(gates):
+        kind = rng.choice(kinds)
+        pool = inputs + latches + gates[:k]
+        net.add_gate(name, kind,
+                     rng.sample(pool, 1 if kind is GateType.NOT else 2))
+    net.add_inputs(inputs)
+    for q in latches:
+        net.add_latch(rng.choice(gates), q, init=rng.getrandbits(1),
+                      enable=rng.choice(gates) if rng.random() < 0.5
+                      else None)
+    net.set_outputs(gates[-2:])
+    net.check()
+    return net
+
+
+def test_random_latch_nets_cover_the_pattern_cases():
+    """The generator yields enables, both inits and input slots out of
+    declared order, the cases the pattern differential test is for."""
+    nets = [_random_latch_net(seed) for seed in range(40)]
+    assert any(la.enable for net in nets for la in net.latches)
+    assert {la.init for net in nets for la in net.latches} == {0, 1}
+    assert any([name for _slot, name in get_compiled(net).input_slots]
+               != net.inputs for net in nets)
+
+
+@given(seed=st.integers(0, 10 ** 6), cycles=st.integers(0, 40),
+       keep=st.sampled_from([1.0, 0.6, 0.2]))
+@settings(max_examples=80, deadline=None)
+def test_packed_patterns_match_dict_vectors(seed, cycles, keep):
+    """Packed patterns and the dict vectors they pack (missing inputs
+    holding their last value) give the same counts, trace and timed
+    counts through every clocked entry point, and the interpreted
+    reference's counts and trace."""
+    net = _random_latch_net(seed)
+    rng = random.Random(seed)
+    vectors = _random_vectors(net, rng, cycles, keep)
+    patterns = _packed(net.inputs, vectors)
+    delays = {name: rng.choice([0, 1, 1.5, 2]) for name in net.nodes}
+    counts, trace = sequential_transitions(net, vectors)
+    p_counts, p_trace = sequential_transitions(net, patterns)
+    assert (counts, trace) == _reference_sequential(net, vectors)
+    assert p_counts == counts
+    assert p_trace.words == trace.words and p_trace == trace
+    assert sequential_activity(net, patterns) == \
+        sequential_activity(net, vectors)
+    for timing in (None, delays):
+        assert timed_sequential_transitions(net, patterns, timing) == \
+            timed_sequential_transitions(net, vectors, timing)
+
+
+def test_run_refuses_out_of_range_patterns():
+    net = _random_latch_net(3)
+    prog = get_compiled(net)
+    limit = 1 << len(net.inputs)
+    for bad in (limit, -1, limit << 5):
+        with pytest.raises(ValueError, match="cycle 1"):
+            prog.run([0, bad])
+        # also after the pattern's aliases in range have been met
+        with pytest.raises(ValueError):
+            prog.run(list(range(limit)) * 2 + [bad])
 
 
 def test_run_clocks_each_distinct_pattern_once(monkeypatch):

@@ -1,7 +1,5 @@
 """Unit tests for repro.core (flow driver and reporting)."""
 
-import pytest
-
 from repro.core.flow import low_power_flow, run_flow
 from repro.core.passes import FlowSpec
 from repro.core.report import format_table

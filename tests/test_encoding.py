@@ -1,5 +1,6 @@
 """Unit tests for low-power state encoding."""
 
+import itertools
 import math
 import random
 from unittest import mock
@@ -231,19 +232,53 @@ def anneal_cases(draw):
 
 
 def _walk(anneal, stg, kwargs):
-    """``anneal``'s result plus the argument of every ``math.exp`` call
-    it made: each uphill proposal's cost rise over the temperature, so
-    two runs agree on it only if they walk the same path at the same
-    temperatures."""
+    """``anneal``'s result, the argument of every ``math.exp`` call it
+    made — each uphill proposal's cost rise over the temperature, so two
+    runs agree on it only if they walk the same path at the same
+    temperatures — and how many moves it drew (``rng.choice`` calls)."""
     exp, rises = math.exp, []
+    choice, draws = random.Random.choice, []
 
     def spy(x):
         rises.append(x)
         return exp(x)
 
-    with mock.patch.object(math, "exp", spy):
+    def counting(self, seq):
+        draws.append(None)
+        return choice(self, seq)
+
+    with mock.patch.object(math, "exp", spy), \
+            mock.patch.object(random.Random, "choice", counting):
         result = anneal(stg, **kwargs)
-    return list(result.items()), rises
+    return list(result.items()), rises, len(draws)
+
+
+def _least_cost(stg, bits):
+    """The least :func:`encoding_cost` over every code assignment."""
+    weights = stg.edge_weights()
+    return min(encoding_cost(stg, dict(zip(stg.states, codes)), weights)
+               for codes in itertools.permutations(range(1 << bits),
+                                                   len(stg.states)))
+
+
+def _assert_matches_reference(stg, kwargs):
+    """The annealer returns the reference's result along a prefix of the
+    reference's walk; it stops short only when there are at most
+    ``iterations`` assignments and the reference's best is the least
+    cost of them all."""
+    result, rises, draws = _walk(encode_anneal, stg, kwargs)
+    ref_result, ref_rises, ref_draws = _walk(_reference_anneal, stg,
+                                             kwargs)
+    assert result == ref_result
+    assert rises == ref_rises[:len(rises)]
+    assert draws <= ref_draws
+    if draws < ref_draws:
+        bits = kwargs.get("num_bits") or \
+            max(1, math.ceil(math.log2(max(2, len(stg.states)))))
+        assert math.perm(1 << bits, len(stg.states)) <= \
+            kwargs["iterations"]
+        assert encoding_cost(stg, dict(ref_result)) == \
+            _least_cost(stg, bits)
 
 
 class TestAnnealDifferential:
@@ -251,15 +286,57 @@ class TestAnnealDifferential:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, case):
         stg, kwargs = case
-        assert _walk(encode_anneal, stg, kwargs) == \
-            _walk(_reference_anneal, stg, kwargs)
+        _assert_matches_reference(stg, kwargs)
 
     def test_bundled_machines_match_reference(self):
         for name in ("detector", "traffic", "elevator"):
             stg = load_benchmark(name)
             for seed in range(3):
                 for num_bits in (None, 3):
-                    kwargs = dict(num_bits=num_bits, seed=seed,
-                                  iterations=2500)
-                    assert _walk(encode_anneal, stg, kwargs) == \
-                        _walk(_reference_anneal, stg, kwargs)
+                    _assert_matches_reference(
+                        stg, dict(num_bits=num_bits, seed=seed,
+                                  iterations=2500))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("name", ["arbiter", "detector", "vending"])
+    def test_iterations_at_the_enumeration_bound(self, name, extra):
+        """At ``perm(2**bits, n)`` iterations the assignments are
+        enumerated and the walk may stop; one fewer walks in full.  The
+        walk starts from the costliest assignment, so it has to find
+        the optimum before it can stop."""
+        stg = load_benchmark(name)
+        bits = max(1, math.ceil(math.log2(len(stg.states))))
+        perm = math.perm(1 << bits, len(stg.states))
+        worst = max((dict(zip(stg.states, codes)) for codes in
+                     itertools.permutations(range(1 << bits),
+                                            len(stg.states))),
+                    key=lambda enc: encoding_cost(stg, enc))
+        for seed in range(4):
+            kwargs = dict(seed=seed, iterations=perm + extra, start=worst)
+            _assert_matches_reference(stg, kwargs)
+            _result, _rises, draws = _walk(encode_anneal, stg, kwargs)
+            if extra < 0:
+                assert draws == _walk(_reference_anneal, stg, kwargs)[2]
+
+    @pytest.mark.parametrize("name", ["arbiter", "detector", "vending"])
+    def test_walk_stops_once_it_reaches_the_optimum(self, name):
+        """From the costliest start, a 2,500-move walk over at most 24
+        assignments reaches the least cost long before its last move,
+        and then draws no further move."""
+        stg = load_benchmark(name)
+        bits = max(1, math.ceil(math.log2(len(stg.states))))
+        worst = max((dict(zip(stg.states, codes)) for codes in
+                     itertools.permutations(range(1 << bits),
+                                            len(stg.states))),
+                    key=lambda enc: encoding_cost(stg, enc))
+        for seed in range(4):
+            kwargs = dict(seed=seed, iterations=2500, start=worst)
+            result, _rises, draws = _walk(encode_anneal, stg, kwargs)
+            assert encoding_cost(stg, dict(result)) == \
+                _least_cost(stg, bits)
+            assert draws < _walk(_reference_anneal, stg, kwargs)[2] // 10
+
+    @pytest.mark.parametrize("bad", [-3, -1, True, 2.0, "10", None])
+    def test_bad_iterations_are_refused(self, bad):
+        with pytest.raises(ValueError, match="iterations"):
+            encode_anneal(ring_stg(), iterations=bad)

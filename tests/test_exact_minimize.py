@@ -6,10 +6,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.logic.cube import Cube
 from repro.logic.sop import Cover
-from tests.oracles import (is_minimum_size, minimize_exact,
-                           prime_implicants)
+from tests.oracles import minimize_exact, prime_implicants
 
 
 class TestPrimes:

@@ -1,8 +1,6 @@
 """Tests for the extension features: combinational precomputation,
 loop tiling, algorithm-choice software programs."""
 
-import random
-
 import pytest
 
 from repro.arch.memory import (MemoryHierarchy, loop_access_trace,

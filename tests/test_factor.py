@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.logic.cube import Cube
 from repro.logic.factor import (algebraic_divide, best_kernel,
                                 common_cube, factor,
                                 is_cube_free,

@@ -6,7 +6,7 @@ from repro.arch.allocation import (bind_registers, profile_values)
 from repro.arch.dfg import fir_dfg
 from repro.arch.scheduling import list_schedule
 from repro.core.flow import fsm_low_power_flow
-from repro.logic.generators import parity_tree, ripple_carry_adder
+from repro.logic.generators import parity_tree
 from repro.opt.logic.balance import balance_paths
 from repro.opt.seq.stg import STG
 from repro.power.glitch import timed_average_power

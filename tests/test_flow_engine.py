@@ -425,6 +425,16 @@ class TestEnableRate:
         assert sorted(calls) == ["fsm_gated", "fsm_reference"]
         assert all(r.outcome == ADOPTED for r in res.trace.records)
 
+    @pytest.mark.parametrize("length", [1, 0, -5, True, 100.0])
+    def test_fsm_flow_refuses_a_run_without_transitions(self, length):
+        """One cycle has no transition and reads the enable rate from a
+        single cycle, so a saving measured on it means nothing."""
+        from repro.opt.seq.fsm_benchmarks import load_benchmark
+
+        with pytest.raises(ValueError, match="sequence_length"):
+            fsm_low_power_flow(load_benchmark("vending"),
+                               sequence_length=length)
+
     def test_fsm_flow_trace_present(self):
         from repro.opt.seq.fsm_benchmarks import load_benchmark
 
@@ -584,6 +594,13 @@ class TestCli:
                 main(cmd + ["--vectors", vectors])
             assert exc.value.code == 2
             assert "positive integer" in capsys.readouterr().err
+
+    def test_fsm_one_cycle_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fsm", "vending", "--vectors", "1"])
+        assert exc.value.code == 2
+        assert "--vectors" in capsys.readouterr().err
+        assert main(["fsm", "vending", "--vectors", "2"]) == 0
 
     def test_balance_selective_and_cap(self, tmp_path, capsys):
         from repro.logic.generators import parity_tree

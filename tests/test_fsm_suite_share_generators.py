@@ -9,9 +9,7 @@ from repro.logic.generators import decoder
 from repro.logic.netlist import Network
 from repro.logic.sop import Cover
 from repro.opt.logic.share import share_product_terms
-from repro.opt.seq.fsm_benchmarks import (all_benchmarks,
-                                          benchmark_names,
-                                          load_benchmark)
+from repro.opt.seq.fsm_benchmarks import all_benchmarks, load_benchmark
 from repro.opt.seq.minimize_fsm import minimize_stg
 from repro.opt.seq.stg import synthesize_fsm
 from repro.opt.seq.encoding import encode_natural

@@ -20,8 +20,7 @@ from repro.opt.seq.gated_clock import (clock_power,
 from repro.opt.seq.guarded import guarded_evaluation
 from repro.opt.seq.precompute import (disable_probability,
                                       precomputed_comparator,
-                                      select_precompute_inputs,
-                                      sequential_precompute)
+                                      select_precompute_inputs)
 from repro.opt.seq.stg import STG, synthesize_fsm
 from repro.power.activity import sequential_activity
 from repro.power.model import power_report

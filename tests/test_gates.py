@@ -1,7 +1,5 @@
 """Unit tests for repro.logic.gates."""
 
-import pytest
-
 from repro.logic.gates import (GateType, eval_gate, gate_arity_ok,
                                gate_transistors)
 

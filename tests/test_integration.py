@@ -3,8 +3,6 @@ subsystems, checked end-to-end."""
 
 import random
 
-import pytest
-
 from repro.core.flow import low_power_flow
 from repro.library.cells import generic_library
 from repro.logic.blif import read_blif, write_blif
@@ -12,8 +10,7 @@ from repro.logic.generators import (array_multiplier, comparator,
                                     random_logic, ripple_carry_adder)
 from repro.opt.logic.balance import balance_paths
 from repro.opt.logic.mapping import tech_map
-from repro.opt.seq.encoding import (encode_anneal, encode_natural,
-                                    evaluate_encoding)
+from repro.opt.seq.encoding import encode_anneal, encode_natural
 from repro.opt.seq.gated_clock import self_loop_clock_gating
 from repro.opt.seq.precompute import precomputed_comparator
 from repro.opt.seq.stg import STG

@@ -10,8 +10,8 @@ import json
 
 import pytest
 
-from repro.analysis import (ERROR, INFO, WARNING, LintConfig, Linter,
-                            all_rules, check_invariants, lint_network,
+from repro.analysis import (ERROR, INFO, WARNING, LintConfig, all_rules,
+                            check_invariants, lint_network,
                             select_rules)
 from repro.analysis.graph import (cycle_path, nontrivial_sccs,
                                   tarjan_scc)

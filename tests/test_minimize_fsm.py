@@ -1,7 +1,5 @@
 """Unit tests for FSM state minimization."""
 
-import pytest
-
 from repro.opt.seq.minimize_fsm import (equivalent_state_classes,
                                         minimize_stg)
 from repro.opt.seq.stg import STG

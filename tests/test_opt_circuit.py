@@ -10,8 +10,7 @@ from repro.logic.generators import (array_multiplier, random_logic,
                                     ripple_carry_adder)
 from repro.logic.netlist import Network
 from repro.opt.circuit import sizing
-from repro.opt.circuit.reorder import (ReorderResult, greedy_order,
-                                       optimize_stack_order)
+from repro.opt.circuit.reorder import greedy_order, optimize_stack_order
 from repro.opt.circuit.sizing import (DRIVE_PER_LOAD, INTRINSIC_DELAY,
                                       SizingResult, _Walk,
                                       critical_path_delay,

@@ -904,14 +904,7 @@ class TestTechMapping:
         assert res_a.total_area <= res_d.total_area
 
     def test_power_objective_minimizes_power_cost(self, lib):
-        from repro.power.activity import activity_from_simulation
-
         net = comparator(6)
-        # Shared activity so the two mappings are costed identically.
-        from repro.logic.transform import (collapse_buffers,
-                                           decompose_to_primitives,
-                                           propagate_constants)
-
         res_p = tech_map(net, lib, "power", seed=1)
         res_a = tech_map(net, lib, "area", seed=1)
         # Power cost of the power-mapped netlist must not exceed the

@@ -6,11 +6,9 @@ import pytest
 
 from repro.arch.allocation import bind_operations
 from repro.arch.dfg import DFG, chained_sum_dfg, fir_dfg
-from repro.arch.rtl import (RTLResult, run_iteration,
-                            synthesize_datapath)
+from repro.arch.rtl import run_iteration, synthesize_datapath
 from repro.arch.scheduling import list_schedule
 from repro.logic.transform import instantiate
-from repro.logic.gates import GateType
 from repro.logic.netlist import Network
 from repro.sim.compiled import get_compiled
 

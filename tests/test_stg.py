@@ -33,6 +33,13 @@ class TestSTG:
         assert stg.next_state("s0", 0) == ("s0", "0")
         assert stg.next_state("s3", 1) == ("s0", "1")
 
+    def test_random_input_sequence_refuses_negative_length(self):
+        stg = four_state_counter_stg()
+        assert stg.random_input_sequence(0) == []
+        assert len(stg.random_input_sequence(3, seed=1)) == 3
+        with pytest.raises(ValueError, match="length"):
+            stg.random_input_sequence(-1)
+
     def test_arity_checks(self):
         stg = STG(2, 1)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from repro.sw.compile import (linear_scan_allocate, peephole_mac,
                               strength_reduce)
 from repro.sw.cpu import CPU, big_cpu_profile, dsp_profile
-from repro.sw.isa import Instruction, OPCODES, Program, assemble
+from repro.sw.isa import Instruction, OPCODES, assemble
 from repro.sw.power_model import fit_instruction_model
 from repro.sw.programs import (dot_product, fir_kernel, mixed_block,
                                scale_by_constant)

@@ -9,7 +9,6 @@ from repro.logic.gates import GateType
 from repro.logic.generators import (alu_slice, array_multiplier,
                                     random_logic, ripple_carry_adder)
 from repro.logic.netlist import NetlistError, Network
-from repro.logic.sop import Cover
 from repro.logic.transform import (collapse_buffers,
                                    decompose_to_primitives, gate_cover,
                                    node_cover, propagate_constants,

@@ -29,7 +29,6 @@ class TestCorrelatedStimulus:
 
     def test_correlated_inputs_lower_circuit_activity(self):
         from repro.logic.generators import ripple_carry_adder
-        from repro.power.activity import activity_from_simulation
 
         net = ripple_carry_adder(6)
         # activity_from_simulation has no hold parameter; use words

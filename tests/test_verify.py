@@ -4,7 +4,7 @@ of the sequential optimizations themselves."""
 import pytest
 
 from repro.logic.gates import GateType
-from repro.logic.generators import comparator, ripple_carry_adder
+from repro.logic.generators import ripple_carry_adder
 from repro.logic.netlist import Network
 from repro.opt.seq.encoding import encode_anneal, encode_natural
 from repro.opt.seq.fsm_benchmarks import load_benchmark
