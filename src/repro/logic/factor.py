@@ -140,6 +140,11 @@ def kernel_value(cover: Cover, kernel: Cover) -> int:
     ``cover`` (single-cover estimate): each co-kernel occurrence replaces
     lits(kernel) literals with one."""
     quotient, _rem = algebraic_divide(cover, kernel)
+    return _kernel_saving(kernel, quotient)
+
+
+def _kernel_saving(kernel: Cover, quotient: Cover) -> int:
+    """:func:`kernel_value` from the quotient of the cover by ``kernel``."""
     occurrences = len(quotient.cubes)
     if occurrences < 1:
         return 0

@@ -10,9 +10,16 @@ of espresso, adequate for the node sizes seen in multi-level synthesis.
 from __future__ import annotations
 
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.logic.cube import Cube
+
+#: A cover's content: ``num_vars`` and each cube's ``(mask, value)`` in
+#: order (:func:`_cover_key`).
+_Key = Tuple[int, Tuple[Tuple[int, int], ...]]
+#: A Shannon plan (:meth:`Cover._shannon_plan`): a constant leaf or
+#: ``(var, hi, lo)``.
+_Plan = Union[float, Tuple[int, "_Plan", "_Plan"]]
 
 
 class Cover:
@@ -236,7 +243,17 @@ class Cover:
         """Exact probability the cover evaluates to 1.
 
         ``probs[i]`` is the probability that variable *i* is 1, variables
-        independent.  Uses Shannon recursion on the cover.
+        independent.  Evaluates the cover's Shannon plan
+        (:meth:`_shannon_plan`).
+        """
+        return _evaluate_plan(self._shannon_plan(), probs)
+
+    def _shannon_plan(self) -> _Plan:
+        """The Shannon expansion of the cover on its most binate
+        variables: ``0.0`` or ``1.0`` where a cofactor is constant, else
+        ``(var, hi, lo)`` with the plans of the two cofactors.  It
+        depends on the cover's content alone, so a caller that meets
+        one cover on many nodes builds it once (:func:`_memo_plan`).
         """
         if not self.cubes:
             return 0.0
@@ -244,10 +261,8 @@ class Cover:
             return 1.0
         var = self._most_binate_var()
         assert var is not None
-        p = probs[var]
-        hi = self.cofactor_literal(var, 1)
-        lo = self.cofactor_literal(var, 0)
-        return p * hi.probability(probs) + (1.0 - p) * lo.probability(probs)
+        return (var, self.cofactor_literal(var, 1)._shannon_plan(),
+                self.cofactor_literal(var, 0)._shannon_plan())
 
     # -- espresso-style minimization ---------------------------------------
 
@@ -367,3 +382,30 @@ def truth_table(cover: Cover) -> int:
         if cover.evaluate(m):
             tt |= 1 << m
     return tt
+
+
+def _cover_key(cover: Cover) -> _Key:
+    """The content of ``cover``, the key under which whatever depends
+    only on it is computed once per call: ``num_vars`` and each cube's
+    ``(mask, value)``, in order."""
+    return cover.num_vars, tuple([(c.mask, c.value) for c in cover.cubes])
+
+
+def _evaluate_plan(plan: _Plan, probs: Sequence[float]) -> float:
+    """P(1) of a Shannon plan, ``p * hi + (1 - p) * lo`` at each split."""
+    if isinstance(plan, float):
+        return plan
+    var, hi, lo = plan
+    p = probs[var]
+    return p * _evaluate_plan(hi, probs) + \
+        (1.0 - p) * _evaluate_plan(lo, probs)
+
+
+def _memo_plan(cover: Cover, plans: Dict[_Key, _Plan]) -> _Plan:
+    """The Shannon plan of ``cover`` from ``plans``, keyed by the
+    cover's content, and built there on first use."""
+    key = _cover_key(cover)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = cover._shannon_plan()
+    return plan

@@ -37,12 +37,11 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.bdd.bdd import BDD, BDDFunction
 from repro.bdd.circuit import bdd_to_cover, network_bdds
 from repro.logic.netlist import Network
-from repro.logic.sop import Cover
+from repro.logic.sop import Cover, _Key, _Plan
 from repro.logic.transform import gates_to_sop, node_cover
-from repro.power.activity import (activity_from_probability,
+from repro.power.activity import (_node_probability, _propagate,
+                                  activity_from_probability,
                                   activity_from_simulation,
-                                  node_probability,
-                                  signal_probability_propagation,
                                   stored_node_words)
 from repro.power.model import PowerParameters, node_capacitance
 
@@ -231,7 +230,10 @@ def dontcare_power_optimization(net: Network,
     gates_to_sop(net)
     params = PowerParameters()
 
-    probs = signal_probability_propagation(net, input_probs)
+    # Cover content -> Shannon plan, for the propagation and the
+    # refreshes of accepted nodes' fanout cones.
+    plans: Dict[_Key, _Plan] = {}
+    probs = _propagate(net, input_probs, plans)
     # A function edit keeps fanins and attrs, so it changes only the
     # edited node's capacitance; the sum runs in ``net.nodes`` order.
     caps = {name: node_capacitance(net, name, params)
@@ -299,10 +301,11 @@ def dontcare_power_optimization(net: Network,
                 # functions and probabilities in place.
                 new = {name: best.evaluate_words(
                     [funcs[fi] for fi in node.fanins], bdd.true)}
-                probs[name] = node_probability(net.nodes[name], probs)
+                probs[name] = _node_probability(net.nodes[name], probs,
+                                                plans)
                 for member in _walk(net, name, funcs, (new,), bdd.true):
-                    probs[member] = node_probability(net.nodes[member],
-                                                     probs)
+                    probs[member] = _node_probability(net.nodes[member],
+                                                      probs, plans)
                 funcs.update(new)
             else:
                 net.set_function(name, on)

@@ -5,9 +5,11 @@ The input network is first decomposed into a 2-input AND/OR/NOT subject
 graph.  One topological walk enumerates every node's cuts of at most
 four leaves (the generic library's widest cell) and matches them
 against the library (each cell's distinct permuted truth tables are
-tabulated once per library content).  A node's distinct fitting unions
-of fanin cuts are sorted by leaf count and truncated before any truth
-table is built.  Each cut carries its truth table: a kept cut's table
+tabulated once per library content).  A pair of fanin cuts whose 64-bit
+leaf signatures together set more than four bits is too wide and is
+skipped before its leaf sets are joined.  A node's distinct fitting
+unions of fanin cuts are sorted by leaf count and truncated before any
+truth table is built.  Each cut carries its truth table: a kept cut's table
 is the node's gate applied to its two fanin cuts' tables, each expanded
 to the union's leaf order by one lookup in a table per (union size,
 leaf positions), built on first use, so no table is recomputed from the
@@ -46,9 +48,11 @@ from repro.power.activity import activity_from_simulation
 from repro.sim.vectors import exhaustive_words
 
 Cut = Tuple[str, ...]  # ordered leaf names
-# A cut with its leaf set and its root's truth table over the leaves
-# (leaf i is variable i).
-_Cut = Tuple[Cut, FrozenSet[str], int]
+# A cut with its leaf set, its root's truth table over the leaves (leaf
+# i is variable i) and its leaf signature: the OR of each leaf's bit
+# ``1 << (topological index & 63)``, so a signature's popcount is at most
+# the cut's leaf count.
+_Cut = Tuple[Cut, FrozenSet[str], int, int]
 
 
 _Pins = Tuple[int, ...]
@@ -107,9 +111,10 @@ def _library_patterns(library: Library
             for key, entries in table.items()}
 
 
-def _trivial_cut(name: str) -> _Cut:
-    """The cut of ``name`` by itself: one leaf, the identity."""
-    return (name,), frozenset((name,)), 0b10
+def _trivial_cut(name: str, bit: int) -> _Cut:
+    """The cut of ``name`` by itself: one leaf, the identity; ``bit`` is
+    ``name``'s signature bit."""
+    return (name,), frozenset((name,)), 0b10, bit
 
 
 def _expand(tt: int, pos: Tuple[int, ...], n: int) -> int:
@@ -163,14 +168,17 @@ def _expanded(tt: int, cut_leaves: Cut, leaves: Cut) -> int:
     return _expansion(len(leaves), sel)[tt]
 
 
-def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]]
-               ) -> List[_Cut]:
+def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]],
+               bit: int) -> List[_Cut]:
     """``node``'s cuts (priority: fewer leaves), its trivial cut first,
-    from its fanins' cuts in ``cuts``.
+    from its fanins' cuts in ``cuts``; ``bit`` is ``name``'s signature
+    bit.
 
     The distinct unions of one cut per fanin that fit in ``_CUT_LEAVES``
     leaves are sorted stably by leaf count (first-seen order within a
     count) and cut to ``_MAX_CUTS - 1`` before any table is built.  A
+    pair whose signatures' OR has more than ``_CUT_LEAVES`` bits set is
+    too wide and skipped before its leaf sets are joined.  A
     kept cut's truth table is the node's gate applied to the first
     fanin cuts whose union it is, each table expanded to the union's
     leaf order (``_expanded``).
@@ -188,26 +196,28 @@ def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]]
     else:
         right = cuts[fanins[1]]
         for c1 in cuts[fanins[0]]:
-            s1 = c1[1]
+            s1, sig1 = c1[1], c1[3]
             for c2 in right:
+                if (sig1 | c2[3]).bit_count() > _CUT_LEAVES:
+                    continue
                 u = s1 | c2[1]
                 if len(u) <= _CUT_LEAVES and u not in unions:
                     unions[u] = (c1, c2)
     kept = sorted(unions, key=len)[:_MAX_CUTS - 1]
     gtype = node.gtype if node.kind == "gate" else None
-    out: List[_Cut] = [_trivial_cut(name)]
+    out: List[_Cut] = [_trivial_cut(name, bit)]
     if len(fanins) == 1:
         # A one-fanin union is the fanin cut itself: same leaves.
         for u in kept:
-            leaves, _, tt = unions[u][0]
+            leaves, _, tt, sig = unions[u][0]
             if gtype is GateType.NOT:
                 tt ^= (1 << (1 << len(leaves))) - 1
             else:
                 tt = _apply(node, [tt], len(leaves))
-            out.append((leaves, u, tt))
+            out.append((leaves, u, tt, sig))
         return out
     for u in kept:
-        (l1, _, t1), (l2, _, t2) = unions[u]
+        (l1, _, t1, sig1), (l2, _, t2, sig2) = unions[u]
         leaves = tuple(sorted(u))
         n = len(leaves)
         if len(l1) < n:
@@ -220,7 +230,7 @@ def _node_cuts(name: str, node: Node, cuts: Dict[str, List[_Cut]]
             tt = t1 | t2
         else:
             tt = _apply(node, [t1, t2], n)
-        out.append((leaves, u, tt))
+        out.append((leaves, u, tt, sig1 | sig2))
     return out
 
 
@@ -353,12 +363,13 @@ def tech_map(net: Network, library: Library, objective: str = "area",
     # One topological walk: a node's cuts come from its fanins' cuts,
     # and the ones with a library pattern are priced as soon as they
     # are known.
-    for name in subject.topo_order():
+    for index, name in enumerate(subject.topo_order()):
         node = nodes[name]
+        bit = 1 << (index & 63)
         if node.is_source() or not node.fanins:
-            node_cuts = [_trivial_cut(name)]
+            node_cuts = [_trivial_cut(name, bit)]
         else:
-            node_cuts = _node_cuts(name, node, cuts)
+            node_cuts = _node_cuts(name, node, cuts, bit)
             num_cuts += len(node_cuts) - 1
             for fi in set(node.fanins):
                 unread[fi] -= 1
@@ -372,7 +383,7 @@ def tech_map(net: Network, library: Library, objective: str = "area",
         best_cost[name] = INF
         arrival[name] = INF
         priced = False
-        for leaves, _, tt in node_cuts[1:]:
+        for leaves, _, tt, _ in node_cuts[1:]:
             entries = patterns.get((len(leaves), tt))
             if entries:
                 match(name, leaves, entries)

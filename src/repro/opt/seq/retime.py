@@ -14,7 +14,8 @@ driver and a reader.  Classic results implemented here:
 
 ``apply_retiming`` reconstructs a :class:`Network` with the moved
 registers.  A register that keeps its place (same root signal, same
-depth behind it) keeps the original latch's initial value; a register
+depth behind it) keeps the original latch's initial value, and two
+latches there that start differently stay two registers; a register
 moved across a gate starts at 0, so the retimed machine may start in a
 state the original never reaches (the experiments measure steady-state
 activity, where the transient is irrelevant — see DESIGN.md).
@@ -23,7 +24,7 @@ activity, where the transient is irrelevant — see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.logic.netlist import Network, Node
 
@@ -262,16 +263,20 @@ def apply_retiming(net: Network, r: Dict[str, int],
     """Reconstruct the network with registers placed per retiming ``r``.
 
     Edge (u, v) receives ``w(u,v) + r(v) − r(u)`` registers; latch
-    chains are shared per driver.  The register k deep behind signal s
-    takes the initial value of the original latch k deep behind s;
-    where the original has no such latch (the register moved across a
-    gate) it starts at 0.
+    chains are shared per driver and initial values.  The register k
+    deep behind signal s takes the initial value of the original
+    latches k deep behind s; where the original has no such latch (the
+    register moved across a gate) it starts at 0.  Where those latches
+    start differently, each reader's register takes the value of the
+    latch k deep on the reader's own original chain (0 if that chain is
+    shorter), and registers whose initial values differ at any depth
+    stay apart.
     """
     graph = RetimingGraph(net)
-    init: Dict[Tuple[str, int], int] = {}
+    inits: Dict[Tuple[str, int], Set[int]] = {}
     for latch in net.latches:
         _tail, k, signal = graph._resolve(latch.output)
-        init[(signal, k)] = latch.init
+        inits.setdefault((signal, k), set()).add(latch.init)
     out = Network(name or net.name + "_retimed")
     for pi in net.inputs:
         out.add_input(pi)
@@ -294,21 +299,45 @@ def apply_retiming(net: Network, r: Dict[str, int],
             raise ValueError("illegal retiming (negative edge weight)")
         edge_regs[(e.tail, e.head, e.signal, e.weight)] = w
 
-    chain: Dict[Tuple[str, int], str] = {}
+    def history(fi: str, w: int) -> Tuple[str, Tuple[int, ...]]:
+        """The root signal behind the original signal ``fi`` and the
+        initial values of the ``w`` registers its reader now reads it
+        through, nearest the root first."""
+        _tail, w0, signal = graph._resolve(fi)
+        own: List[int] = []
+        name = fi
+        while len(own) < w0:
+            latch = net.latch_for_output(name)
+            own.append(latch.init)
+            name = latch.data
+        own.reverse()
+        values = []
+        for k in range(1, w + 1):
+            seen = inits.get((signal, k), ())
+            if len(seen) == 1:
+                values.append(next(iter(seen)))
+            else:
+                values.append(own[k - 1] if seen and k <= w0 else 0)
+        return signal, tuple(values)
 
-    def delayed(signal: str, k: int) -> str:
-        if k == 0:
+    chain: Dict[Tuple[str, Tuple[int, ...]], str] = {}
+
+    def delayed(signal: str, values: Tuple[int, ...]) -> str:
+        if not values:
             return signal
-        key = (signal, k)
+        key = (signal, values)
         if key not in chain:
-            prev = delayed(signal, k - 1)
-            reg = f"_rt_{signal}_{k}"
-            out.add_latch(prev, reg, init=init.get(key, 0))
+            prev = delayed(signal, values[:-1])
+            reg = f"_rt_{signal}_{len(values)}"
+            if reg in out.nodes:
+                # Another register at this depth starts differently.
+                reg = out.fresh_name(reg + "_")
+            out.add_latch(prev, reg, init=values[-1])
             chain[key] = reg
         return chain[key]
 
     # Patch fanins: reader v reading original signal fi (which resolved
-    # to root signal s with weight w0) now reads delayed(s, w_r).
+    # to root signal s with weight w0) now reads s through w_r registers.
     for node in list(out.nodes.values()):
         if node.is_source() or node.kind == "latch":
             continue
@@ -316,7 +345,7 @@ def apply_retiming(net: Network, r: Dict[str, int],
         for fi in node.fanins:
             tail, w0, signal = graph._resolve(fi)
             w = edge_regs[(tail, node.name, signal, w0)]
-            new_fanins.append(delayed(signal, w))
+            new_fanins.append(delayed(*history(fi, w)))
         out.set_fanins(node.name, new_fanins)
 
     for outp in net.outputs:
@@ -325,6 +354,6 @@ def apply_retiming(net: Network, r: Dict[str, int],
             w = w0  # PI feeding a PO directly: keep original depth
         else:
             w = edge_regs.get((tail, HOST_SINK, signal, w0), 0)
-        out.set_output(delayed(signal, w))
+        out.set_output(delayed(*history(outp, w)))
     out.check()
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.logic.netlist import Network, Node
+from repro.logic.sop import _Key, _Plan, _evaluate_plan, _memo_plan
 from repro.logic.transform import node_cover
 from repro.sim.compiled import get_compiled
 from repro.sim.functional import Stimulus
@@ -34,8 +35,16 @@ def signal_probability_propagation(net: Network,
     Fanins of each node are assumed independent (the classical fast
     approximation; exact on trees, optimistic under reconvergence).
     Latch outputs default to probability 0.5 unless given.  A
-    probability outside [0, 1] raises ``ValueError``.
+    probability outside [0, 1] raises ``ValueError``.  Nodes with the
+    same cover share one Shannon plan, built once per call.
     """
+    return _propagate(net, input_probs, {})
+
+
+def _propagate(net: Network, input_probs: Optional[Dict[str, float]],
+               plans: Dict[_Key, _Plan]) -> Dict[str, float]:
+    """:func:`signal_probability_propagation` with the Shannon plans of
+    the caller's ``plans``, keyed by cover content."""
     check_probabilities(input_probs)
     input_probs = input_probs or {}
     probs: Dict[str, float] = {}
@@ -44,14 +53,16 @@ def signal_probability_propagation(net: Network,
         if node.is_source():
             probs[name] = input_probs.get(name, 0.5)
         else:
-            probs[name] = node_probability(node, probs)
+            probs[name] = _node_probability(node, probs, plans)
     return probs
 
 
-def node_probability(node: Node, probs: Dict[str, float]) -> float:
+def _node_probability(node: Node, probs: Dict[str, float],
+                      plans: Dict[_Key, _Plan]) -> float:
     """P(node = 1) from its fanins' entries in ``probs``, taken as
     independent: one step of :func:`signal_probability_propagation`."""
-    return node_cover(node).probability([probs[fi] for fi in node.fanins])
+    return _evaluate_plan(_memo_plan(node_cover(node), plans),
+                          [probs[fi] for fi in node.fanins])
 
 
 def signal_probability_exact(net: Network,

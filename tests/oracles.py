@@ -16,7 +16,10 @@ live with the tests:
   stack over an explicit vector sequence, the reference for
   ``SeriesStack.expected_energy``;
 * :func:`arrival_times` — static arrival times under a sizing, from the
-  sizer's own timing model.
+  sizer's own timing model;
+* :func:`cover_probability` — a cover's probability by Shannon
+  recursion on the cover itself, the reference for the plans that
+  ``Cover.probability`` evaluates.
 """
 
 from __future__ import annotations
@@ -190,3 +193,23 @@ def arrival_times(net: Network, sizes: Dict[str, float],
                   params: PowerParameters) -> Dict[str, float]:
     t = _Timing(net, params)
     return t.arrivals(t.delays(sizes))
+
+
+# -- cover probability -------------------------------------------------------
+
+
+def cover_probability(cover: Cover, probs: Sequence[float]) -> float:
+    """Exact probability that ``cover`` is 1, ``probs[i]`` the
+    probability of variable *i* (independent), by Shannon recursion on
+    the cofactor covers."""
+    if not cover.cubes:
+        return 0.0
+    if any(c.is_universe() for c in cover.cubes):
+        return 1.0
+    var = cover._most_binate_var()
+    assert var is not None
+    p = probs[var]
+    hi = cover.cofactor_literal(var, 1)
+    lo = cover.cofactor_literal(var, 0)
+    return p * cover_probability(hi, probs) + \
+        (1.0 - p) * cover_probability(lo, probs)

@@ -20,15 +20,18 @@ from repro.logic.generators import (alu_slice, array_multiplier,
                                     comparator, parity_tree,
                                     random_logic, ripple_carry_adder)
 from repro.logic.netlist import NetlistError, Network, Node
-from repro.logic.sop import Cover, minterm_count, truth_table
-from repro.logic.transform import gate_cover, gates_to_sop, node_cover
+from repro.logic.factor import algebraic_divide, kernel_value, kernels
+from repro.logic.sop import Cover, _evaluate_plan, minterm_count, truth_table
+from repro.logic.transform import (gate_cover, gates_to_sop, node_cover,
+                                   to_sop_network)
 from repro.opt.logic import dontcare as dontcare_module
 from repro.opt.logic.balance import balance_paths
 from repro.opt.logic.dontcare import (DontCareResult, _node_cost,
                                       controllability_dont_cares,
                                       dontcare_power_optimization,
                                       observability_dont_cares)
-from repro.opt.logic.kernels import extract_kernels
+from repro.opt.logic.kernels import (_Memo, _priced_kernels,
+                                     extract_kernels)
 from repro.opt.logic.mapping import (_EXPANSION, _expand, _expansion,
                                      _library_patterns, _node_cuts,
                                      _pattern_table, _positions,
@@ -41,6 +44,7 @@ from repro.power.model import PowerParameters, node_capacitance
 from repro.sim.compiled import get_compiled
 from repro.sim.functional import verify_equivalence
 from repro.sim.vectors import exhaustive_words, random_words
+from tests.oracles import cover_probability
 
 
 def reconvergent_net():
@@ -877,6 +881,53 @@ class TestKernelExtraction:
         extract_kernels(net, "area")
         assert verify_equivalence(ref, net, 256)
 
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(st.text("01-", min_size=5, max_size=5),
+                                  min_size=2, max_size=7),
+                         min_size=1, max_size=4),
+           probs=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_memoized_kernels_equal_factor_kernels(self, rows, probs):
+        """One memo over many covers, each also with its literals'
+        phases flipped (the same masks) and with its cubes reversed (the
+        same set): every cover's priced kernels are ``kernels`` in
+        content and order, with its division, area value and kernel
+        probability."""
+        covers = []
+        for r in rows:
+            covers += [Cover.from_strings(r), Cover.from_strings(r[::-1]),
+                       Cover.from_strings([row.translate(
+                           str.maketrans("01", "10")) for row in r])]
+        memo = _Memo()
+        for cover in covers + covers:
+            priced = _priced_kernels(cover, memo)
+            want = kernels(cover)
+            assert [pk.kernel.cubes for pk in priced] == \
+                [kern.cubes for kern, _cok in want]
+            for pk, (kern, _cok) in zip(priced, want):
+                quotient, _rem = algebraic_divide(cover, kern)
+                assert pk.area == float(kernel_value(cover, kern))
+                assert pk.occurrences == len(quotient.cubes)
+                assert _evaluate_plan(pk.plan, probs) == \
+                    cover_probability(kern, probs)
+
+    def test_kernel_enumerations_counted_per_call(self):
+        """Each call lists every distinct multi-cube cover once, with a
+        memo of its own: two calls on equal networks count the same."""
+        net = ripple_carry_adder(4)
+        covers = set()
+        for node in to_sop_network(net).nodes.values():
+            if node.cover is not None and len(node.cover) >= 2:
+                covers.add(tuple(node.cover.to_strings()))
+        for objective in ("area", "power"):
+            counts = []
+            for _ in range(2):
+                work = net.copy()
+                res = extract_kernels(work, objective)
+                assert not res.extracted
+                counts.append(res.kernel_enumerations)
+            assert counts == [len(covers)] * 2
+            assert "kernel_enumerations" not in repr(res)
+
 
 class TestTechMapping:
     @pytest.fixture(scope="class")
@@ -1010,19 +1061,27 @@ class TestTechMapping:
 
 def _kept_cuts(subject: Network, node_cuts=_node_cuts):
     """Every node's kept cuts, enumerated as ``tech_map`` does (by
-    ``node_cuts``)."""
+    ``node_cuts``, each node's signature bit from its topological
+    index)."""
     cuts: Dict[str, list] = {}
-    for name in subject.topo_order():
+    for index, name in enumerate(subject.topo_order()):
         node = subject.nodes[name]
+        bit = 1 << (index & 63)
         if node.is_source() or not node.fanins:
-            cuts[name] = [_trivial_cut(name)]
+            cuts[name] = [_trivial_cut(name, bit)]
         else:
-            cuts[name] = node_cuts(name, node, cuts)
+            cuts[name] = node_cuts(name, node, cuts, bit)
     return cuts
 
 
+def _leaves_order_table(kept_cuts: Dict[str, list]) -> Dict[str, list]:
+    """Each node's kept cuts as (leaves, leaf set, table), in order."""
+    return {root: [c[:3] for c in kept] for root, kept in kept_cuts.items()}
+
+
 def _reference_node_cuts(name: str, node: Node, cuts: Dict[str, list],
-                         k: int = 4, max_cuts_per_node: int = 12) -> list:
+                         bit: int, k: int = 4,
+                         max_cuts_per_node: int = 12) -> list:
     """Reference enumeration: leaf-count buckets of frozensets in
     first-seen order, leaf positions by ``leaves.index`` and every
     expansion recomputed by ``_expand``."""
@@ -1036,7 +1095,7 @@ def _reference_node_cuts(name: str, node: Node, cuts: Dict[str, list],
                 u = c1[1] | c2[1]
                 if len(u) <= k and u not in buckets[len(u)]:
                     buckets[len(u)][u] = (c1, c2)
-    out = [_trivial_cut(name)]
+    out = [_trivial_cut(name, bit)]
     for bucket in buckets:
         for u, parts in bucket.items():
             leaves = tuple(sorted(u))
@@ -1109,12 +1168,14 @@ class TestCarriedCutTables:
         words = get_compiled(subject).evaluate_words(
             random_words(subject.inputs, 256, seed=7), mask)
         tfi = _fanin_closure(subject)
+        index = {name: i for i, name in enumerate(subject.topo_order())}
         independent = 0
         for root, kept in _kept_cuts(subject).items():
             assert kept[0][0] == (root,)
             assert len(kept) <= 12
-            for leaves, leafset, tt in kept:
+            for leaves, leafset, tt, sig in kept:
                 assert leafset == set(leaves)
+                assert sig == sum({1 << (index[l] & 63) for l in leaves})
                 assert list(leaves) == sorted(leaves)
                 assert _table_at(tt, [words[l] for l in leaves],
                                  mask) == words[root], (root, leaves)
@@ -1179,7 +1240,7 @@ class TestCarriedCutTables:
         subject = _subject_graph(self.MAKE[circuit](), "balanced", None)
         differ = [(root, leaves)
                   for root, kept in _kept_cuts(subject).items()
-                  for leaves, _, tt in kept[1:]
+                  for leaves, _, tt, _ in kept[1:]
                   if tt != _cone_table(subject, root, leaves)]
         assert differ
 
@@ -1258,8 +1319,8 @@ class TestCutEnumerationReference:
                 subject.fresh_name("k"),
                 GateType.CONST1 if value else GateType.CONST0, [])
             subject.set_fanins(name, [const, subject.nodes[name].fanins[1]])
-        assert _kept_cuts(subject) == \
-            _kept_cuts(subject, _reference_node_cuts)
+        assert _leaves_order_table(_kept_cuts(subject)) == \
+            _leaves_order_table(_kept_cuts(subject, _reference_node_cuts))
 
     def test_expansion_tables_exhaustive(self):
         for n in range(2, 5):

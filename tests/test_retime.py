@@ -101,6 +101,41 @@ class TestMinPeriod:
         assert run_streams(net, vecs) == run_streams(net2, vecs)
 
 
+    def test_identity_keeps_registers_with_different_inits(self):
+        """Two latches on one signal with different initial values are
+        two registers: sharing one chain per (signal, depth) merged them
+        and started the machine in a state the original never has."""
+        net = Network("twins")
+        net.add_inputs(["a", "b"])
+        net.add_gate("g", GateType.AND, ["a", "b"])
+        net.add_latch("g", "q1", init=0)
+        net.add_latch("g", "q2", init=1)
+        net.add_gate("o", GateType.XOR, ["q1", "q2"])
+        net.set_output("o")
+        graph = RetimingGraph(net)
+        net2 = apply_retiming(net, {v: 0 for v in graph.vertices})
+        assert sorted(l.init for l in net2.latches) == [0, 1]
+        assert sequential_equivalent(net, net2).equivalent
+
+    def test_different_inits_behind_a_shared_register(self):
+        """Registers deeper than the one where two chains part keep the
+        value of their own chain's latch; the shared one stays shared."""
+        net = Network("fork")
+        net.add_inputs(["a", "b"])
+        net.add_gate("g", GateType.OR, ["a", "b"])
+        net.add_latch("g", "q1", init=1)
+        net.add_latch("q1", "q2", init=0)
+        net.add_latch("q1", "q3", init=1)
+        net.add_gate("o", GateType.AND, ["q2", "q3"])
+        net.add_gate("p", GateType.BUF, ["q1"])
+        net.set_output("o")
+        net.set_output("p")
+        graph = RetimingGraph(net)
+        net2 = apply_retiming(net, {v: 0 for v in graph.vertices})
+        assert len(net2.latches) == 3
+        assert sequential_equivalent(net, net2).equivalent
+
+
 class TestLowPower:
     def test_respects_period(self):
         net = chain_then_register()

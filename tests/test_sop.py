@@ -1,9 +1,12 @@
 """Unit tests for repro.logic.sop (covers, tautology, minimization)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic.cube import Cube
-from repro.logic.sop import Cover, minterm_count, truth_table
+from repro.logic.sop import (Cover, _cover_key, _evaluate_plan, _memo_plan,
+                             minterm_count, truth_table)
+from tests.oracles import cover_probability
 
 
 def brute_equal(a: Cover, b: Cover) -> bool:
@@ -146,6 +149,63 @@ class TestProbability:
 
     def test_tautology_probability_one(self):
         assert Cover.one(3).probability([0.1, 0.2, 0.3]) == 1.0
+
+
+@st.composite
+def _covers(draw):
+    """A cover over 1–5 variables: empty, the tautology, or up to six
+    random cubes with possible duplicates and unused variables."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["empty", "one", "cubes", "cubes"]))
+    if kind == "empty":
+        return Cover.zero(n)
+    if kind == "one":
+        extra = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2))
+        return Cover(n, [Cube.universe(n)] +
+                     [Cube(n, m, m) for m in extra])
+    cubes = []
+    for _ in range(draw(st.integers(1, 6))):
+        mask = draw(st.integers(0, (1 << n) - 1))
+        cubes.append(Cube(n, mask, draw(st.integers(0, (1 << n) - 1))
+                          & mask))
+    if draw(st.booleans()):
+        cubes.append(draw(st.sampled_from(cubes)))
+    return Cover(n, cubes)
+
+
+def _phase_twin(cover: Cover) -> Cover:
+    """``cover`` with every literal's phase flipped: the same masks."""
+    return Cover(cover.num_vars, [Cube(cover.num_vars, c.mask,
+                                       c.mask & ~c.value)
+                                  for c in cover.cubes])
+
+
+_PROB = st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                  st.floats(0.0, 1.0, allow_nan=False))
+
+
+class TestProbabilityPlan:
+    """``Cover.probability`` and its memoized form evaluate the cover's
+    Shannon plan; both must equal the recursion on the cover exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(covers=st.lists(_covers(), min_size=1, max_size=6),
+           probs=st.lists(_PROB, min_size=5, max_size=5))
+    def test_plan_equals_recursion(self, covers, probs):
+        plans: dict = {}
+        covers = [c for cover in covers for c in (cover, _phase_twin(cover))]
+        for cover in covers + covers:
+            want = cover_probability(cover, probs)
+            assert cover.probability(probs) == want
+            assert _evaluate_plan(_memo_plan(cover, plans), probs) == want
+        assert len(plans) == len({_cover_key(c) for c in covers})
+
+    def test_key_is_content_in_order(self):
+        a = Cover.from_strings(["1-", "-1"])
+        assert _cover_key(a) == (2, ((0b01, 0b01), (0b10, 0b10)))
+        assert _cover_key(a) == _cover_key(a.copy())
+        assert _cover_key(a) != _cover_key(_phase_twin(a))
+        assert _cover_key(Cover.zero(2)) != _cover_key(Cover.zero(3))
 
 
 class TestMinimize:
